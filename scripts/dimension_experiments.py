@@ -18,27 +18,17 @@ from fracdim2d import (
     FracOrder,
     GridSpec,
     QuadratureSpec,
-    ShiftedSource,
     default_box,
     default_deltas,
     dimension_fit,
     katugampola_2d_grid,
     make_source,
+    positive_source,
     sample,
 )
 
 SURFACES = ["plane", "sinxy", "t-parabola-sine", "weierstrass"]
 SMOOTHED = ["plane", "weierstrass"]
-
-
-def positive(name):
-    src = make_source(name)
-    box = src.domain if src.domain is not None else default_box(name)
-    dx = 1.0 - box.a if box.a <= 0 else 0.0
-    dy = 1.0 - box.c if box.c <= 0 else 0.0
-    if dx or dy:
-        src, box = ShiftedSource(src, dx, dy), box.shifted(dx, dy)
-    return src, box
 
 
 def fit_row(label, grid, spec):
@@ -68,7 +58,7 @@ def main(argv=None):
         spec = GridSpec(box, args.side, args.side)
         rows.append(fit_row(name, sample(src, spec), spec))
     for name in SMOOTHED:
-        src, box = positive(name)
+        src, box = positive_source(name)
         spec = GridSpec(box, args.side, args.side)
         grid = katugampola_2d_grid(
             src, spec, FracOrder(0.5, 0.5), QuadratureSpec(panels=args.panels), method="separable"

@@ -82,9 +82,10 @@ def _fail(code: int, message: str, parameter: str | None = None) -> int:
     return code
 
 
-def _parse_floats(text: str, count: int, flag: str) -> list[float]:
+def _parse_floats(text: str, count: int | None, flag: str) -> list[float]:
+    """Comma-separated numbers; ``count`` None accepts any number of them."""
     parts = [p.strip() for p in text.split(",")]
-    if len(parts) != count:
+    if count is not None and len(parts) != count:
         raise ParameterError(f"{flag} needs {count} comma-separated numbers, got {text!r}", parameter=flag.lstrip("-"))
     try:
         return [float(p) for p in parts]
@@ -201,8 +202,6 @@ def cmd_integrate(args: argparse.Namespace) -> int:
         gs = katugampola_2d_grid(src, spec, order, quad, method=args.method, threads=args.threads)
     else:
         op = riemann_liouville_2d if args.op == "riemann-liouville" else hadamard_2d
-        if not src.covers(box):
-            raise DomainError(f"grid box {box} is not inside the domain of source {src.name!r}")
         vals = np.empty((m, n), dtype=np.float64)
         for i in range(m):
             for j in range(n):
@@ -216,7 +215,7 @@ def cmd_integrate(args: argparse.Namespace) -> int:
     corner = gs.value(m - 1, n - 1)
     note = ""
     if args.op == "katugampola" and src.sup_bound is not None:
-        cert = boundedness_certificate(src, spec, order, quad, threads=args.threads)
+        cert = boundedness_certificate(src, gs, order, quad, threads=args.threads)
         note = f"; bound ok: sup|I f| = {cert.sup_abs_observed:.6g} <= {cert.bound:.6g}"
     wrote = f" -> {args.out}" if args.out else ""
     print(
@@ -230,8 +229,11 @@ def cmd_dimension(args: argparse.Namespace) -> int:
     if args.counts_from:
         if args.fn:
             raise ParameterError("--counts-from replaces --fn; give one or the other", parameter="counts-from")
-        rows = np.loadtxt(args.counts_from, delimiter=",", skiprows=1, dtype=np.float64, ndmin=2)
-        if rows.ndim != 2 or rows.shape[1] < 2:
+        try:
+            rows = np.loadtxt(args.counts_from, delimiter=",", skiprows=1, dtype=np.float64, ndmin=2)
+        except ValueError:
+            raise ParameterError(f"{args.counts_from}: non-numeric delta,count row", parameter="counts-from") from None
+        if rows.ndim != 2 or rows.shape[1] < 2 or not np.all(np.isfinite(rows[:, :2])):
             raise ParameterError(f"{args.counts_from}: expected rows of delta,count", parameter="counts-from")
         pts = sorted(((float(d), int(c)) for d, c in rows[:, :2]), key=lambda t: -t[0])
         fit = fit_loglog(pts, which=args.which)
@@ -247,9 +249,7 @@ def cmd_dimension(args: argparse.Namespace) -> int:
         order = FracOrder(float(args.alpha or 0.5), float(args.beta or 0.5), float(args.p), float(args.q))
         gs = katugampola_2d_grid(src, gs.spec, order, _quad_of(args), method=args.method, threads=args.threads)
 
-    deltas = (
-        [float(t) for t in args.deltas.split(",")] if args.deltas else default_deltas(gs.spec)
-    )
+    deltas = _parse_floats(args.deltas, None, "--deltas") if args.deltas else default_deltas(gs.spec)
     if not deltas:
         raise ResolutionError("no usable deltas for this grid; refine the grid or pass --deltas")
     fit = dimension_fit(gs, deltas, which=args.which)

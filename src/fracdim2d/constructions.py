@@ -33,6 +33,7 @@ from .core import (
     DomainError,
     FunctionSource,
     ParameterError,
+    ShiftedSource,
 )
 
 __all__ = [
@@ -46,6 +47,7 @@ __all__ = [
     "catalog_entry",
     "make_source",
     "default_box",
+    "positive_source",
 ]
 
 _SEAM_TOL = 1e-12
@@ -469,3 +471,19 @@ def default_box(spec: str) -> Box:
         inner = default_box(spec[2:])
         return Box(inner.a, inner.a + 2.0 * inner.width, inner.c, inner.d)
     return catalog_entry(spec.partition(":")[0]).box
+
+
+def positive_source(spec: str) -> tuple[FunctionSource, Box]:
+    """Catalog source and its box, shifted into the operators' domain.
+
+    An axis the box touches or crosses (a <= 0 or c <= 0) is translated so
+    the box starts at 1 along it; a box already in x > 0, y > 0 stays put.
+    """
+    src = make_source(spec)
+    box = src.domain if src.domain is not None else default_box(spec)
+    dx = 1.0 - box.a if box.a <= 0 else 0.0
+    dy = 1.0 - box.c if box.c <= 0 else 0.0
+    if dx or dy:
+        src = ShiftedSource(src, dx, dy)
+        box = box.shifted(dx, dy)
+    return src, box

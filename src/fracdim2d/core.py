@@ -8,7 +8,7 @@ constructions, bilinear interpolation of sampled data) behind one pure,
 numpy-broadcastable ``eval``.
 
 Determinism notes: every reduction in this package either runs through
-``stable_sum`` (Neumaier-compensated, fixed order) or through numpy core
+``stable_sum`` (``math.fsum``, correctly rounded) or through numpy core
 loops whose result depends only on operand values and shapes.  Optional
 thread parallelism partitions index space into contiguous blocks that
 write disjoint output slots, so threaded and sequential runs produce
@@ -22,7 +22,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -458,37 +458,24 @@ def sample(src: FunctionSource, spec: GridSpec, threads: int | None = None) -> G
 
 
 # ---------------------------------------------------------------------------
-# compensated accumulation
+# correctly rounded accumulation
 
 
 def stable_sum(terms: Iterable[float] | np.ndarray) -> float:
-    """Neumaier-compensated sum of ``terms`` in the given order.
+    """Correctly rounded sum of ``terms`` (``math.fsum``).
 
-    Keeps a single running compensation term, so low-order bits survive
-    catastrophic intermediate cancellation: stable_sum([1e16, 1.0, -1e16])
-    is exactly 1.0.  Deterministic for a fixed input order; permutations
-    agree to within a few ulp for mildly conditioned inputs.
+    Low-order bits survive catastrophic intermediate cancellation:
+    stable_sum([1e16, 1.0, -1e16]) is exactly 1.0, and the result does not
+    depend on the order of the terms.  A non-finite term, or a sum beyond
+    float64 range, raises ``NumericError``.
     """
-    if isinstance(terms, np.ndarray):
-        it = terms.reshape(-1).tolist()
-    else:
-        it = terms
-    s = 0.0
-    comp = 0.0
-    for x in it:
-        x = float(x)
-        if not math.isfinite(x):
-            raise NumericError("stable_sum term is not finite")
-        t = s + x
-        if abs(s) >= abs(x):
-            comp += (s - t) + x
-        else:
-            comp += (x - t) + s
-        s = t
-    out = s + comp
-    if not math.isfinite(out):
-        raise NumericError("stable_sum overflowed")
-    return out
+    vals = terms.reshape(-1).tolist() if isinstance(terms, np.ndarray) else [float(x) for x in terms]
+    if not all(map(math.isfinite, vals)):
+        raise NumericError("stable_sum term is not finite")
+    try:
+        return math.fsum(vals)
+    except OverflowError:
+        raise NumericError("stable_sum overflowed") from None
 
 
 # ---------------------------------------------------------------------------

@@ -11,16 +11,18 @@ weights p, q > -1 it maps f to
     C = (p+1)^(1-alpha) (q+1)^(1-beta) / (Gamma(alpha) Gamma(beta)).
 
 Numerically everything runs in substituted coordinates u = s^(p+1),
-v = t^(q+1), where the kernel is a pure two-sided power singularity.
-Each axis gets a product-midpoint rule: panels graded toward the
-singular endpoint, kernel moments integrated exactly per panel, the
-smooth factor sampled at panel midpoints.  The rule is exact for
-constant integrands and second-order accurate for smooth ones.
+v = t^(q+1) (u = log s for the Hadamard kernel), where the kernel is a
+pure two-sided power singularity.  One rule builder gives each axis a
+product-midpoint rule: panels graded toward the singular endpoint,
+kernel moments integrated exactly per panel, the smooth factor sampled
+at panel midpoints.  The rule is exact for constant integrands and
+second-order accurate for smooth ones.
 
-Grid evaluation reuses the identical per-node arithmetic, so a grid
-value and the matching single-point call agree bit for bit.  A separate
-additive-split fast path serves sources of the form g(x) + h(y) at much
-higher panel counts than the tensor route can afford.
+Point values are 1x1 grids of the one tensor contraction, so a grid
+value and the matching single-point call agree bit for bit.  A 1-D apply
+serves the one-axis operator and the additive-split fast path for
+sources g(x) + h(y), at much higher panel counts than the tensor route
+can afford.
 """
 
 from __future__ import annotations
@@ -48,9 +50,10 @@ from .core import (
     SizeError,
     VerificationError,
     row_blocks,
+    sample,
     worker_count,
 )
-from .special import gamma
+from .special import log_normaliser
 
 __all__ = [
     "QuadratureSpec",
@@ -69,6 +72,8 @@ __all__ = [
 ]
 
 _MAX_TENSOR_PANELS = 8192
+# nodes per block of the 1-D apply (2 MB per float64 array)
+_APPLY_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -104,47 +109,123 @@ class QuadratureSpec:
         return 2.0 if min(orders) < 1.0 else 1.0
 
 
+# ---------------------------------------------------------------------------
+# the axis-rule engine: coordinate maps, rule builder, 2-D contraction, 1-D apply
+
+
+def _power_map(weight: float) -> tuple[Callable, Callable]:
+    """u = s^(weight+1) and its inverse."""
+    e = weight + 1.0
+    return (lambda s: s**e), (lambda u: u ** (1.0 / e))
+
+
+# the Hadamard kernel is the power-weight kernel in u = log s
+_LOG_MAP = (np.log, np.exp)
+
+
 @lru_cache(maxsize=64)
-def _unit_tau(panels: int, grading: float) -> np.ndarray:
-    # tau_k = ((panels-k)/panels)^grading, decreasing 1 -> 0
-    fr = np.arange(panels, -1, -1, dtype=np.float64) / panels
-    tau = fr**grading
-    tau.flags.writeable = False
-    return tau
-
-
-def _axis_rule(lo: float, hi: float, order: float, panels: int, grading: float) -> tuple[np.ndarray, np.ndarray]:
-    """Midpoints and exact kernel moments for int_lo^hi (hi-u)^(order-1) g(u) du.
-
-    Panel k spans [hi - scale*tau_k, hi - scale*tau_{k+1}]; its moment is
-    scale^order (tau_k^order - tau_{k+1}^order) / order, exact for the kernel.
-    Both arrays are freshly allocated and contiguous.
-    """
-    tau = _unit_tau(panels, grading)
-    scale = hi - lo
-    mids = hi - scale * (0.5 * (tau[:-1] + tau[1:]))
+def _unit_rule(panels: int, grading: float, order: float) -> tuple[np.ndarray, np.ndarray]:
+    # panel midpoints and tau_k^order - tau_(k+1)^order on [0, 1], shared read-only
+    tau = (np.arange(panels, -1, -1, dtype=np.float64) / panels) ** grading
     tp = tau**order
-    moments = (scale**order) * (tp[:-1] - tp[1:]) / order
-    return mids, moments
+    mids = 0.5 * (tau[:-1] + tau[1:])
+    diffs = tp[:-1] - tp[1:]
+    mids.flags.writeable = False
+    diffs.flags.writeable = False
+    return mids, diffs
 
 
-def _upper(x: float, p: float) -> float:
-    return x if p == 0.0 else x ** (p + 1.0)
+def _axis_rules(lo: float, his, order: float, panels: int, grading: float, coord: tuple[Callable, Callable]):
+    """Nodes and exact kernel moments for int_lo^hi (U(hi)-U(s))^(order-1) g(s) dU(s).
+
+    One row per upper limit in ``his``; ``coord`` is the map U and its
+    inverse.  In u = U(s), panel k spans [U(hi) - L tau_k, U(hi) - L tau_(k+1)]
+    with L = U(hi) - U(lo) and tau_k = ((panels-k)/panels)^grading; its
+    moment L^order (tau_k^order - tau_(k+1)^order) / order is exact for the
+    kernel, and its node is the panel midpoint mapped back to s.
+    Returns (S, M), both of shape (len(his), panels).
+    """
+    fwd, back = coord
+    mids, diffs = _unit_rule(panels, grading, order)
+    try:  # a large power weight or order overflows the rule: a numeric failure, not a crash
+        with np.errstate(over="raise"):
+            hi_u = fwd(np.asarray(his, dtype=np.float64)).reshape(-1, 1)
+            scale = hi_u - fwd(np.float64(lo))
+            return back(hi_u - scale * mids), (scale**order) * diffs / order
+    except FloatingPointError:
+        raise NumericError("quadrature rule overflows float64: order or power weight too large for this box") from None
 
 
-def _from_u(u: np.ndarray, p: float) -> np.ndarray:
-    return u if p == 0.0 else u ** (1.0 / (p + 1.0))
+def _tensor(src: FunctionSource, rect: Box, xs, ys, order: FracOrder, quad, threads: int | None, maps=None) -> np.ndarray:
+    """The operator at every (x_i, y_j), contracting both axis rules against f.
+
+    ``maps`` are the two coordinate maps, by default u = s^(p+1) and
+    v = t^(q+1).  einsum keeps each contraction on numpy's single-threaded
+    core loops, so a value depends only on its operands: a point call (a
+    1x1 grid) and the matching node of a larger grid agree bit for bit.
+    Rows go to workers in contiguous blocks with disjoint output slots.
+    """
+    gr = quad.graded(order.alpha, order.beta)
+    xmap, ymap = maps or (_power_map(order.p), _power_map(order.q))
+    Sx, Mx = _axis_rules(rect.a, xs, order.alpha, quad.panels, gr, xmap)
+    Sy, My = _axis_rules(rect.c, ys, order.beta, quad.panels, gr, ymap)
+    pref = _prefactor(order)
+    (m, P), n = Sx.shape, Sy.shape[0]
+    chunk = max(1, (1 << 22) // (P * P))
+    out = np.empty((m, n), dtype=np.float64)
+
+    def run(rows: range) -> None:
+        for i in rows:
+            s = Sx[i][:, None, None]
+            for j0 in range(0, n, chunk):
+                j1 = min(j0 + chunk, n)
+                F = np.broadcast_to(np.asarray(src.eval(s, Sy[None, j0:j1, :]), dtype=np.float64), (P, j1 - j0, P))
+                for j in range(j0, j1):
+                    inner = np.einsum("kl,l->k", np.ascontiguousarray(F[:, j - j0, :]), My[j], optimize=False)
+                    out[i, j] = pref * float(np.einsum("k,k->", Mx[i], inner, optimize=False))
+
+    blocks = row_blocks(m, worker_count(threads))
+    if len(blocks) <= 1:
+        run(range(m))
+    else:
+        with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
+            list(pool.map(run, blocks))
+    return _clean(out)
+
+
+def _apply_1d(g: Callable, lo: float, his, order: float, weight: float, panels: int, grading: float):
+    """Per upper limit i: (sum_k M[i,k] g(S[i,k]), sum_k M[i,k]) in u = s^(weight+1).
+
+    The rules are built a block of rows at a time, so the node arrays stay
+    small however many panels the axis has.
+    """
+    his = np.asarray(his, dtype=np.float64).reshape(-1)
+    weighted = np.empty(his.size)
+    mass = np.empty(his.size)
+    rows = max(1, _APPLY_BLOCK // panels)
+    for r0 in range(0, his.size, rows):
+        S, M = _axis_rules(lo, his[r0 : r0 + rows], order, panels, grading, _power_map(weight))
+        G = np.broadcast_to(np.asarray(g(S), dtype=np.float64), S.shape)
+        weighted[r0 : r0 + rows] = np.einsum("ik,ik->i", M, G, optimize=False)
+        mass[r0 : r0 + rows] = np.einsum("ik->i", M, optimize=False)
+    return weighted, mass
+
+
+def _unlog(*logs: float) -> float:
+    # the operator constants are built in log space; one beyond float64
+    # range is a numeric failure, not a crash
+    try:
+        return math.exp(sum(logs))
+    except OverflowError:
+        raise NumericError("operator constant overflows float64") from None
 
 
 def _prefactor(order: FracOrder) -> float:
-    return ((order.p + 1.0) ** -order.alpha) * ((order.q + 1.0) ** -order.beta) / (gamma(order.alpha) * gamma(order.beta))
+    return _unlog(log_normaliser(order.alpha, order.p), log_normaliser(order.beta, order.q))
 
 
-def _contract(F: np.ndarray, mu: np.ndarray, mv: np.ndarray) -> float:
-    # einsum keeps the contraction on numpy's single-threaded core loops,
-    # so the result depends only on operand values and layout
-    inner = np.einsum("kl,l->k", F, mv, optimize=False)
-    return float(np.einsum("k,k->", mu, inner, optimize=False))
+# ---------------------------------------------------------------------------
+# shared argument checks
 
 
 def _as_source(f) -> FunctionSource:
@@ -173,10 +254,28 @@ def _clip_to(lo: float, hi: float, v: float, what: str) -> float:
     return min(max(v, lo), hi)
 
 
-def _clean(v: float) -> float:
-    if not math.isfinite(v):
+def _clean(v):
+    if not np.isfinite(v).all():
         raise NumericError("fractional integral evaluated to a non-finite value")
     return v + 0.0  # normalize -0.0
+
+
+def _checked(f, rect: Box, quad: QuadratureSpec | None, point=None, tensor: bool = True):
+    """The preconditions every operator route shares.
+
+    Returns the source, the quadrature spec and ``point`` clipped into the
+    rectangle.  ``tensor`` applies the panel cap of the tensor contraction.
+    """
+    src = _as_source(f)
+    quad = quad or QuadratureSpec()
+    _check_operator_box(rect)
+    if not src.covers(rect):
+        raise DomainError(f"rectangle {rect} is not inside the domain of source {src.name!r}")
+    if tensor and quad.panels > _MAX_TENSOR_PANELS:
+        raise SizeError(f"tensor evaluation capped at {_MAX_TENSOR_PANELS} panels, got {quad.panels}")
+    if point is not None:
+        point = (_clip_to(rect.a, rect.b, point[0], "x"), _clip_to(rect.c, rect.d, point[1], "y"))
+    return src, quad, point
 
 
 # ---------------------------------------------------------------------------
@@ -196,11 +295,8 @@ def katugampola_1d(g: Callable, a: float, x: float, alpha: float, p: float = 0.0
     x = float(x)
     if not math.isfinite(x) or x < a:
         raise DomainError(f"upper limit x={x} must lie in [a, inf)")
-    mids, mu = _axis_rule(_upper(a, p), _upper(x, p), alpha, quad.panels, quad.graded(alpha))
-    s = _from_u(mids, p)
-    vals = np.ascontiguousarray(np.broadcast_to(np.asarray(g(s), dtype=np.float64), mids.shape))
-    pref = ((p + 1.0) ** -alpha) / gamma(alpha)
-    return _clean(pref * float(np.einsum("k,k->", mu, vals, optimize=False)))
+    weighted, _ = _apply_1d(g, a, x, alpha, p, quad.panels, quad.graded(alpha))
+    return _clean(_unlog(log_normaliser(alpha, p)) * float(weighted[0]))
 
 
 def katugampola_2d(f, rect: Box, x: float, y: float, order: FracOrder, quad: QuadratureSpec | None = None) -> float:
@@ -209,37 +305,12 @@ def katugampola_2d(f, rect: Box, x: float, y: float, order: FracOrder, quad: Qua
     The lower limits are the rectangle's lower-left corner; (x, y) must lie
     inside the rectangle.  Values on the edges x == a or y == c are 0.
     """
-    src = _as_source(f)
-    quad = quad or QuadratureSpec()
-    _check_operator_box(rect)
-    if not src.covers(rect):
-        raise DomainError(f"rectangle {rect} is not inside the domain of source {src.name!r}")
-    if quad.panels > _MAX_TENSOR_PANELS:
-        raise SizeError(f"tensor evaluation capped at {_MAX_TENSOR_PANELS} panels, got {quad.panels}")
-    x = _clip_to(rect.a, rect.b, x, "x")
-    y = _clip_to(rect.c, rect.d, y, "y")
-    gr = quad.graded(order.alpha, order.beta)
-    umids, mu = _axis_rule(_upper(rect.a, order.p), _upper(x, order.p), order.alpha, quad.panels, gr)
-    vmids, mv = _axis_rule(_upper(rect.c, order.q), _upper(y, order.q), order.beta, quad.panels, gr)
-    s = _from_u(umids, order.p)
-    t = _from_u(vmids, order.q)
-    F = np.ascontiguousarray(
-        np.broadcast_to(np.asarray(src.eval(s[:, None], t[None, :]), dtype=np.float64), (quad.panels, quad.panels))
-    )
-    return _clean(_prefactor(order) * _contract(F, mu, mv))
+    src, quad, (x, y) = _checked(f, rect, quad, (x, y))
+    return float(_tensor(src, rect, x, y, order, quad, threads=1)[0, 0])
 
 
 # ---------------------------------------------------------------------------
 # grid evaluation
-
-
-def _grid_axis_tables(vals: np.ndarray, lo_u: float, w: float, ord1: float, panels: int, grading: float):
-    """Per-node midpoint/moment arrays along one axis, stacked."""
-    mids = np.empty((vals.size, panels), dtype=np.float64)
-    moms = np.empty((vals.size, panels), dtype=np.float64)
-    for idx in range(vals.size):
-        mids[idx], moms[idx] = _axis_rule(lo_u, _upper(float(vals[idx]), w), ord1, panels, grading)
-    return mids, moms
 
 
 def katugampola_2d_grid(
@@ -257,7 +328,7 @@ def katugampola_2d_grid(
     integral up to (x_i, y_j).  The first row and column are exactly 0.
 
     ``method``:
-      * ``"tensor"``   - generic route; per node, identical arithmetic to
+      * ``"tensor"``   - generic route; the same contraction as
         ``katugampola_2d``, so shared nodes match bit for bit.
       * ``"separable"``- requires ``f.xy_split()``; cost grows linearly in
         panels instead of quadratically.  Values agree with the tensor
@@ -268,80 +339,22 @@ def katugampola_2d_grid(
     the computed bits: rows are assigned to workers in contiguous blocks
     with disjoint output slots.
     """
-    src = _as_source(f)
-    quad = quad or QuadratureSpec()
     if method not in ("tensor", "separable", "auto"):
         raise ParameterError(f"unknown method {method!r}", parameter="method")
-    _check_operator_box(spec.rect)
-    if not src.covers(spec.rect):
-        raise DomainError(f"grid box {spec.rect} is not inside the domain of source {src.name!r}")
+    src = _as_source(f)
     split = src.xy_split()
     if method == "separable" and split is None:
         raise ParameterError(f"source {src.name!r} has no additive split; use method='tensor'", parameter="method")
     use_split = split is not None and method in ("separable", "auto")
-
+    src, quad, _ = _checked(src, spec.rect, quad, tensor=not use_split)
     rect = spec.rect
-    xs, ys = spec.xs(), spec.ys()
-    pref = _prefactor(order)
-    lo_u = _upper(rect.a, order.p)
-    lo_v = _upper(rect.c, order.q)
-    gr = quad.graded(order.alpha, order.beta)
-
     if use_split:
-        gfun, hfun = split
-        umids, umoms = _grid_axis_tables(xs, lo_u, order.p, order.alpha, quad.panels, gr)
-        vmids, vmoms = _grid_axis_tables(ys, lo_v, order.q, order.beta, quad.panels, gr)
-        gu = np.empty(spec.m)
-        su = np.empty(spec.m)
-        hv = np.empty(spec.n)
-        sv = np.empty(spec.n)
-        for i in range(spec.m):
-            s = _from_u(umids[i], order.p)
-            gi = np.ascontiguousarray(np.broadcast_to(np.asarray(gfun(s), dtype=np.float64), s.shape))
-            gu[i] = np.einsum("k,k->", umoms[i], gi, optimize=False)
-            su[i] = np.einsum("k->", umoms[i], optimize=False)
-        for j in range(spec.n):
-            t = _from_u(vmids[j], order.q)
-            hj = np.ascontiguousarray(np.broadcast_to(np.asarray(hfun(t), dtype=np.float64), t.shape))
-            hv[j] = np.einsum("k,k->", vmoms[j], hj, optimize=False)
-            sv[j] = np.einsum("k->", vmoms[j], optimize=False)
-        out = pref * (gu[:, None] * sv[None, :] + su[:, None] * hv[None, :])
-        out = out + 0.0
-        if not np.all(np.isfinite(out)):
-            raise NumericError("fractional integral evaluated to a non-finite value")
-        return GridSamples(spec, out.reshape(-1))
-
-    P = quad.panels
-    if P > _MAX_TENSOR_PANELS:
-        raise SizeError(f"tensor evaluation capped at {_MAX_TENSOR_PANELS} panels; use method='separable'")
-    vmids, vmoms = _grid_axis_tables(ys, lo_v, order.q, order.beta, quad.panels, gr)
-    T = _from_u(vmids, order.q)
-    chunk = max(1, (1 << 22) // (P * P))
-    out = np.empty((spec.m, spec.n), dtype=np.float64)
-
-    def run(rows: range) -> None:
-        for i in rows:
-            umids, mu = _axis_rule(lo_u, _upper(float(xs[i]), order.p), order.alpha, quad.panels, gr)
-            s = _from_u(umids, order.p)
-            for j0 in range(0, spec.n, chunk):
-                j1 = min(j0 + chunk, spec.n)
-                F = np.broadcast_to(
-                    np.asarray(src.eval(s[:, None, None], T[None, j0:j1, :]), dtype=np.float64),
-                    (P, j1 - j0, P),
-                )
-                for j in range(j0, j1):
-                    Fj = np.ascontiguousarray(F[:, j - j0, :])
-                    out[i, j] = (pref * _contract(Fj, mu, vmoms[j])) + 0.0
-
-    workers = worker_count(threads)
-    blocks = row_blocks(spec.m, workers)
-    if len(blocks) <= 1:
-        run(range(spec.m))
+        gr = quad.graded(order.alpha, order.beta)
+        gu, su = _apply_1d(split[0], rect.a, spec.xs(), order.alpha, order.p, quad.panels, gr)
+        hv, sv = _apply_1d(split[1], rect.c, spec.ys(), order.beta, order.q, quad.panels, gr)
+        out = _clean(_prefactor(order) * (gu[:, None] * sv[None, :] + su[:, None] * hv[None, :]))
     else:
-        with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-            list(pool.map(run, blocks))
-    if not np.all(np.isfinite(out)):
-        raise NumericError("fractional integral evaluated to a non-finite value")
+        out = _tensor(src, rect, spec.xs(), spec.ys(), order, quad, threads)
     return GridSamples(spec, out.reshape(-1))
 
 
@@ -395,27 +408,9 @@ def hadamard_2d(f, rect: Rectangle, x: float, y: float, alpha: float, beta: floa
     with C = 1/(Gamma(alpha) Gamma(beta)).  This is the p, q -> -1 limit of
     the mixed power-weight operator.  Requires a strictly positive rectangle.
     """
-    src = _as_source(f)
-    quad = quad or QuadratureSpec()
-    if not isinstance(rect, Box) or rect.a <= 0.0 or rect.c <= 0.0:
-        raise DomainError("the logarithmic kernel needs a rectangle with a > 0 and c > 0")
-    if not src.covers(rect):
-        raise DomainError(f"rectangle {rect} is not inside the domain of source {src.name!r}")
-    if alpha <= 0.0 or beta <= 0.0:
-        raise ParameterError("orders must be positive", parameter="alpha")
-    x = _clip_to(rect.a, rect.b, x, "x")
-    y = _clip_to(rect.c, rect.d, y, "y")
-    if quad.panels > _MAX_TENSOR_PANELS:
-        raise SizeError(f"tensor evaluation capped at {_MAX_TENSOR_PANELS} panels, got {quad.panels}")
-    gr = quad.graded(alpha, beta)
-    umids, mu = _axis_rule(math.log(rect.a), math.log(x), alpha, quad.panels, gr)
-    vmids, mv = _axis_rule(math.log(rect.c), math.log(y), beta, quad.panels, gr)
-    s = np.exp(umids)
-    t = np.exp(vmids)
-    F = np.ascontiguousarray(
-        np.broadcast_to(np.asarray(src.eval(s[:, None], t[None, :]), dtype=np.float64), (quad.panels, quad.panels))
-    )
-    return _clean(_contract(F, mu, mv) / (gamma(alpha) * gamma(beta)))
+    order = FracOrder(alpha, beta)  # p = q = 0: the constant is 1/(Gamma(alpha) Gamma(beta))
+    src, quad, (x, y) = _checked(f, rect, quad, (x, y))
+    return float(_tensor(src, rect, x, y, order, quad, threads=1, maps=(_LOG_MAP, _LOG_MAP))[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +425,14 @@ def axis_unit_factor(lo: float, x: float, order: float, weight: float = 0.0) -> 
         raise ParameterError("weight must exceed -1", parameter="weight")
     if lo <= 0.0 or x < lo:
         raise DomainError(f"need 0 < lo <= x, got lo={lo}, x={x}")
-    return (_upper(x, weight) - _upper(lo, weight)) ** order / ((weight + 1.0) ** order * gamma(order + 1.0))
+    return float(_unit_profile(lo, x, order, weight))
+
+
+def _unit_profile(lo: float, x, order: float, weight: float):
+    # elementwise in x: (U(x)-U(lo))^order (w+1)^-order / Gamma(order+1), U = s^(w+1)
+    fwd, _ = _power_map(weight)
+    scale = _unlog(log_normaliser(order, weight), -math.log(order))
+    return (fwd(np.asarray(x, dtype=np.float64)) - fwd(lo)) ** order * scale
 
 
 def integral_of_one(rect: Box, order: FracOrder, x: float, y: float) -> float:
@@ -484,13 +486,7 @@ def compose_semigroup(
     inner = katugampola_2d_grid(f, inner_spec, second, inner_quad, method="auto", threads=threads)
 
     def edge_profile(x, y):
-        xv = np.asarray(x, dtype=np.float64)
-        yv = np.asarray(y, dtype=np.float64)
-        cx = (second.p + 1.0) ** second.alpha * gamma(second.alpha + 1.0)
-        cy = (second.q + 1.0) ** second.beta * gamma(second.beta + 1.0)
-        ex = (_upper(xv, second.p) - _upper(rect.a, second.p)) ** second.alpha / cx
-        ey = (_upper(yv, second.q) - _upper(rect.c, second.q)) ** second.beta / cy
-        return ex * ey
+        return _unit_profile(rect.a, x, second.alpha, second.p) * _unit_profile(rect.c, y, second.beta, second.q)
 
     prof = edge_profile(inner_spec.xs()[:, None], inner_spec.ys()[None, :])
     ratio = np.array(inner.matrix)
@@ -546,7 +542,7 @@ class BoundCertificate:
 
 def boundedness_certificate(
     f,
-    spec: GridSpec,
+    spec: GridSpec | GridSamples,
     order: FracOrder,
     quad: QuadratureSpec | None = None,
     M: float | None = None,
@@ -559,24 +555,19 @@ def boundedness_certificate(
     declared bound, and either way is sanity-checked against the sampled
     sup of |f|.  ``tolerance`` defaults to a quadrature error budget from
     ``quad_error_probe``.  The operator is evaluated on the grid and the
-    observed sup compared against the closed-form bound.
+    observed sup compared against the closed-form bound.  ``spec`` may
+    instead be the ``GridSamples`` of If that the caller already computed
+    with the same ``order`` and ``quad``; those values are certified as
+    they are, not computed again.
     """
-    src = _as_source(f)
-    quad = quad or QuadratureSpec()
-    _check_operator_box(spec.rect)
+    vals = spec if isinstance(spec, GridSamples) else None
+    spec = vals.spec if vals is not None else spec
+    src, quad, _ = _checked(f, spec.rect, quad, tensor=False)
     rect = spec.rect
-    if M is None:
-        if src.sup_bound is None:
-            raise ParameterError("source declares no sup bound; pass M", parameter="M")
-        M = float(src.sup_bound(rect))
-    else:
-        M = float(M)
-    probe = np.abs(
-        np.broadcast_to(
-            np.asarray(src.eval(spec.xs()[:, None], spec.ys()[None, :]), dtype=np.float64), (spec.m, spec.n)
-        )
-    )
-    observed_f = float(np.max(probe))
+    if M is None and src.sup_bound is None:
+        raise ParameterError("source declares no sup bound; pass M", parameter="M")
+    M = float(src.sup_bound(rect) if M is None else M)
+    observed_f = float(np.max(np.abs(sample(src, spec, threads=threads).values)))
     if M < observed_f * (1.0 - 1e-12):
         raise ParameterError(
             f"claimed sup bound M={M:g} is below a sampled value {observed_f:.17g} of |f|",
@@ -584,14 +575,14 @@ def boundedness_certificate(
         )
     if tolerance is None:
         tolerance = quad_error_probe(src, rect, order, quad)
-    vals = katugampola_2d_grid(src, spec, order, quad, method="tensor", threads=threads)
+    if vals is None:
+        vals = katugampola_2d_grid(src, spec, order, quad, method="auto", threads=threads)
     k = int(np.argmax(np.abs(vals.values)))
-    i, j = divmod(k, spec.n)
     bound = M * integral_of_one(rect, order, rect.b, rect.d)
     return BoundCertificate(
         bound=bound,
         sup_abs_observed=float(abs(vals.values[k])),
-        attained_at=(float(spec.xs()[i]), float(spec.ys()[j])),
+        attained_at=spec.node(*divmod(k, spec.n)),
         tolerance=float(tolerance),
     )
 
@@ -607,8 +598,8 @@ def quad_error_probe(f, rect: Box, order: FracOrder, quad: QuadratureSpec | None
     if quad.panels < 8:
         raise ParameterError("error probe needs at least 8 panels", parameter="panels")
     spec = GridSpec(rect, probe, probe)
-    fine = katugampola_2d_grid(f, spec, order, quad, method="tensor")
+    fine = katugampola_2d_grid(f, spec, order, quad, method="auto")
     half = QuadratureSpec(panels=quad.panels // 2, grading=quad.grading)
-    coarse = katugampola_2d_grid(f, spec, order, half, method="tensor")
+    coarse = katugampola_2d_grid(f, spec, order, half, method="auto")
     scale = max(1.0, float(np.max(np.abs(fine.values))))
     return 2.0 * float(np.max(np.abs(fine.values - coarse.values))) + 1e-12 * scale

@@ -1,72 +1,19 @@
-"""Gamma function via a Lanczos approximation (g = 7, 9 terms).
+"""The normalising constant of the fractional operators, in log space.
 
-The normalization constants of the fractional operators only ever need
-gamma at real arguments bounded away from the poles, so a fixed Lanczos
-fit is plenty: relative error stays below 1e-13 on the ranges the package
-exercises, and the tests pin it against ``math.gamma``.
+Each axis of every operator in the package carries the constant
+(w+1)^(-order) / Gamma(order), where w is the axis's power weight (0 for
+the Riemann-Liouville and Hadamard kernels).  Its logarithm comes from
+``math.log1p`` and ``math.lgamma``, so a large order underflows the
+constant toward zero instead of overflowing Gamma.
 """
 
 from __future__ import annotations
 
 import math
 
-from .core import ParameterError
-
-__all__ = ["gamma", "log_gamma"]
-
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-# t^(z+0.5) in the direct product form overflows beyond here even though
-# gamma itself stays inside float64 range up to ~171.6; switch to exp(log)
-_DIRECT_LIMIT = 140.0
+__all__ = ["log_normaliser"]
 
 
-def _lanczos_log(x: float) -> float:
-    # log of the Lanczos product form, valid for x >= 0.5
-    z = x - 1.0
-    series = _LANCZOS_COEF[0]
-    for k in range(1, len(_LANCZOS_COEF)):
-        series += _LANCZOS_COEF[k] / (z + k)
-    t = z + _LANCZOS_G + 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (z + 0.5) * math.log(t) - t + math.log(series)
-
-
-def gamma(x: float) -> float:
-    """Gamma(x) for finite real x away from the poles 0, -1, -2, ..."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise ParameterError("gamma argument must be finite", parameter="x")
-    if x <= 0.0 and x == math.floor(x):
-        raise ParameterError(f"gamma has a pole at {x}", parameter="x")
-    if x < 0.5:
-        # reflection: gamma(x) gamma(1-x) = pi / sin(pi x)
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    if x > _DIRECT_LIMIT:
-        return math.exp(_lanczos_log(x))
-    z = x - 1.0
-    series = _LANCZOS_COEF[0]
-    for k in range(1, len(_LANCZOS_COEF)):
-        series += _LANCZOS_COEF[k] / (z + k)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * series
-
-
-def log_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0, stable for large x where gamma overflows."""
-    x = float(x)
-    if not (math.isfinite(x) and x > 0.0):
-        raise ParameterError("log_gamma needs a finite positive argument", parameter="x")
-    if x < 0.5:
-        return math.log(gamma(x))
-    return _lanczos_log(x)
+def log_normaliser(order: float, weight: float = 0.0) -> float:
+    """log((weight+1)^(-order) / Gamma(order)) for order > 0, weight > -1."""
+    return -order * math.log1p(weight) - math.lgamma(order)

@@ -21,15 +21,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boxdim import boxcount_bruteforce_3d, default_deltas, dimension_fit, oscillation_counts
-from .constructions import catalog_entry, catalog_names, default_box, make_source
+from .constructions import catalog_entry, catalog_names, default_box, make_source, positive_source
 from .core import (
     Box,
     CallableSource,
     FracOrder,
-    FunctionSource,
     GridSpec,
     ParameterError,
-    ShiftedSource,
     VerificationError,
     sample,
 )
@@ -100,18 +98,6 @@ def _window_check(name: str, value: float, lo: float, hi: float) -> Check:
     )
 
 
-def _positive_source(spec: str) -> tuple[FunctionSource, Box]:
-    """Catalog source shifted so its box sits in the operator domain."""
-    src = make_source(spec)
-    box = src.domain if src.domain is not None else default_box(spec)
-    dx = 1.0 - box.a if box.a <= 0 else 0.0
-    dy = 1.0 - box.c if box.c <= 0 else 0.0
-    if dx or dy:
-        src = ShiftedSource(src, dx, dy)
-        box = box.shifted(dx, dy)
-    return src, box
-
-
 def _safe_names() -> list[str]:
     return [n for n in catalog_names() if catalog_entry(n).quadrature_safe]
 
@@ -134,7 +120,7 @@ def suite_semigroup(scale: str = "quick", fn: str | None = None, threads: int | 
     else:
         grid, panel_ladder, tol = 33, (32, 64, 128), 1e-3
     for name in names:
-        src, box = _positive_source(name)
+        src, box = positive_source(name)
         spec = GridSpec(box, grid, grid)
         gaps = []
         for panels in panel_ladder:
@@ -164,7 +150,7 @@ def suite_special_cases(scale: str = "quick", fn: str | None = None, threads: in
     order = FracOrder(0.5, 0.5)
     checks = []
     for name in names:
-        src, box = _positive_source(name)
+        src, box = positive_source(name)
         spec = GridSpec(box, grid, grid)
         gk = katugampola_2d_grid(src, spec, order, quad, threads=threads)
         worst = 0.0
@@ -174,7 +160,7 @@ def suite_special_cases(scale: str = "quick", fn: str | None = None, threads: in
                 rv = riemann_liouville_2d(src, box, x, y, 0.5, 0.5, quad)
                 worst = max(worst, abs(gk.value(i, j) - rv))
         checks.append(_bound_check(f"riemann-liouville:{name}", worst, 1e-6, f"{grid}x{grid} grid"))
-    one, box1 = _positive_source("constant:1")
+    one, box1 = positive_source("constant:1")
     eps = 1e-4
     hv = hadamard_2d(one, box1, box1.b, box1.d, 0.5, 0.5, quad)
     kv = katugampola_2d(one, box1, box1.b, box1.d, FracOrder(0.5, 0.5, p=-1 + eps, q=-1 + eps), quad)
@@ -221,7 +207,7 @@ def suite_boundedness(scale: str = "quick", fn: str | None = None, threads: int 
     order = FracOrder(0.5, 0.5)
     checks = []
     for name in names:
-        src, box = _positive_source(name)
+        src, box = positive_source(name)
         if src.sup_bound is None:
             continue
         spec = GridSpec(box, grid, grid)
@@ -257,7 +243,7 @@ def suite_bv_preservation(scale: str = "quick", fn: str | None = None, threads: 
     order = FracOrder(0.5, 0.5)
     checks = []
     for name in names:
-        src, box = _positive_source(name)
+        src, box = positive_source(name)
         vals = []
         for level in levels:
             gi = katugampola_2d_grid(src, GridSpec(box, level, level), order, quad, method="auto", threads=threads)
@@ -305,7 +291,7 @@ def suite_dimension_bounds(scale: str = "quick", fn: str | None = None, threads:
         )
     )
     if scale == "full":
-        wsh, box = _positive_source("weierstrass")
+        wsh, box = positive_source("weierstrass")
         spec = GridSpec(box, side, side)
         gi = katugampola_2d_grid(
             wsh, spec, FracOrder(0.5, 0.5), QuadratureSpec(panels=16384), method="separable", threads=threads
@@ -323,7 +309,7 @@ def suite_sandwich(scale: str = "quick", fn: str | None = None, threads: int | N
     names = [fn] if fn else _safe_names()
     checks = []
     for name in names:
-        src, box = _positive_source(name)
+        src, box = positive_source(name)
         spec = GridSpec(box, 65, 65)
         g = sample(src, spec, threads=threads)
         side = min(box.width, box.height)

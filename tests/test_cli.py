@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import fracdim2d.cli as cli
-from fracdim2d import read_samples_csv
+import fracdim2d.fracint as fracint
+from fracdim2d import Box, GridSpec, read_samples_csv
+from fracdim2d.special import log_normaliser
 
 
 def run_cli(capsys, *argv):
@@ -60,6 +62,49 @@ def test_integrate_writes_grid_csv(capsys, tmp_path):
     # order (1,1) of x+y has the elementary closed form
     assert gs.value(4, 4) == pytest.approx(3.0, rel=1e-9)
     assert np.all(gs.matrix[0, :] == 0)
+
+
+def test_normaliser_matches_gamma_and_large_orders_exit_cleanly(capsys):
+    for order in (0.3, 0.5, 1.0, 2.5):
+        for weight in (0.0, 1.0):
+            expect = (1.0 + weight) ** -order / math.gamma(order)
+            assert math.exp(log_normaliser(order, weight)) == pytest.approx(expect, rel=1e-13)
+    # Gamma(200) overflows float64; the log-space constant does not
+    code, out, err = run_cli(
+        capsys, "integrate", "--fn", "sinxy", "--alpha", "200", "--beta", ".5", "--grid", "5,5", "--panels", "16"
+    )
+    if code == 0:
+        assert err is None and math.isfinite(float(out.split("=")[1].split(";")[0]))
+    else:
+        assert code == 3 and err["code"] == 3
+
+
+def test_integrate_huge_weight_is_a_numeric_error(capsys):
+    code, _, err = run_cli(capsys, "integrate", "--fn", "sinxy", "--alpha", ".5", "--beta", ".5", "--p", "1e6")
+    assert code == 3 and err["code"] == 3 and "overflows" in err["message"]
+
+
+def test_integrate_certifies_the_grid_it_computed(capsys, monkeypatch):
+    # the separable route needs no tensor panel cap, and neither does its certificate
+    code, out, err = run_cli(
+        capsys, "integrate", "--fn", "plane", "--alpha", ".5", "--beta", ".5", "--grid", "9,9", "--panels", "16384"
+    )
+    assert code == 0 and err is None and "bound ok" in out
+
+    specs = []
+    real = fracint.katugampola_2d_grid
+
+    def counting(f, spec, *args, **kwargs):
+        specs.append(spec)
+        return real(f, spec, *args, **kwargs)
+
+    monkeypatch.setattr(fracint, "katugampola_2d_grid", counting)
+    monkeypatch.setattr(cli, "katugampola_2d_grid", counting)
+    code, out, _ = run_cli(
+        capsys, "integrate", "--fn", "sinxy", "--alpha", ".5", "--beta", ".5", "--grid", "17,17", "--panels", "32"
+    )
+    assert code == 0 and "bound ok" in out
+    assert specs.count(GridSpec(Box(1.0, 2.0, 1.0, 2.0), 17, 17)) == 1
 
 
 def test_integrate_rejects_weights_for_classical_ops(capsys):
@@ -139,6 +184,19 @@ def test_dimension_counts_from_excludes_fn(capsys, tmp_path):
     path = tmp_path / "syn.csv"
     path.write_text("delta,count\n0.5,4\n0.25,16\n0.125,64\n")
     code, _, err = run_cli(capsys, "dimension", "--counts-from", str(path), "--fn", "plane")
+    assert code == 2 and err["parameter"] == "counts-from"
+
+
+@pytest.mark.parametrize("deltas", ["0.5,abc", ","])
+def test_dimension_malformed_deltas_exit_2(capsys, deltas):
+    code, _, err = run_cli(capsys, "dimension", "--fn", "plane", "--grid", "33,33", "--deltas", deltas)
+    assert code == 2 and err["parameter"] == "deltas"
+
+
+def test_dimension_counts_from_non_numeric_exit_2(capsys, tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("delta,count\n0.5,4\n0.25,many\n")
+    code, _, err = run_cli(capsys, "dimension", "--counts-from", str(path))
     assert code == 2 and err["parameter"] == "counts-from"
 
 
