@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -146,15 +147,20 @@ def _resolve_source(args: argparse.Namespace) -> tuple[FunctionSource, Box, Grid
     return src, box, raw
 
 
+def _spec_of(args: argparse.Namespace, box: Box, raw: GridSamples | None, default: int) -> GridSpec:
+    """The grid a command works on: the ingested file's own, or --grid (else default) on the box."""
+    if raw is not None and args.grid is None and not getattr(args, "rect", None):
+        return raw.spec
+    m, n = (default, default) if args.grid is None else _parse_grid(args.grid)
+    return GridSpec(box, m, n)
+
+
 def _grid_of(args: argparse.Namespace, src: FunctionSource, box: Box, raw: GridSamples | None, default: int) -> GridSamples:
     """Sampled grid for commands that start from node values."""
-    if raw is not None and args.grid is None and not getattr(args, "rect", None):
+    spec = _spec_of(args, box, raw, default)
+    if raw is not None and spec is raw.spec:
         return raw
-    if args.grid is None:
-        m = n = default
-    else:
-        m, n = _parse_grid(args.grid)
-    return sample(src, GridSpec(box, m, n), threads=args.threads)
+    return sample(src, spec, threads=args.threads)
 
 
 def _quad_of(args: argparse.Namespace) -> QuadratureSpec:
@@ -230,10 +236,12 @@ def cmd_dimension(args: argparse.Namespace) -> int:
         if args.fn:
             raise ParameterError("--counts-from replaces --fn; give one or the other", parameter="counts-from")
         try:
-            rows = np.loadtxt(args.counts_from, delimiter=",", skiprows=1, dtype=np.float64, ndmin=2)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # a file with no rows is reported below, in the JSON error
+                rows = np.loadtxt(args.counts_from, delimiter=",", skiprows=1, dtype=np.float64, ndmin=2)
         except ValueError:
             raise ParameterError(f"{args.counts_from}: non-numeric delta,count row", parameter="counts-from") from None
-        if rows.ndim != 2 or rows.shape[1] < 2 or not np.all(np.isfinite(rows[:, :2])):
+        if rows.size == 0 or rows.shape[1] < 2 or not np.all(np.isfinite(rows[:, :2])):
             raise ParameterError(f"{args.counts_from}: expected rows of delta,count", parameter="counts-from")
         pts = sorted(((float(d), int(c)) for d, c in rows[:, :2]), key=lambda t: -t[0])
         fit = fit_loglog(pts, which=args.which)
@@ -243,11 +251,13 @@ def cmd_dimension(args: argparse.Namespace) -> int:
         return 0
 
     src, box, raw = _resolve_source(args)
-    gs = _grid_of(args, src, box, raw, default=257)
-
     if args.integral:
+        # the integral needs only the grid, not samples of f on it
         order = FracOrder(float(args.alpha or 0.5), float(args.beta or 0.5), float(args.p), float(args.q))
-        gs = katugampola_2d_grid(src, gs.spec, order, _quad_of(args), method=args.method, threads=args.threads)
+        spec = _spec_of(args, box, raw, default=257)
+        gs = katugampola_2d_grid(src, spec, order, _quad_of(args), method=args.method, threads=args.threads)
+    else:
+        gs = _grid_of(args, src, box, raw, default=257)
 
     deltas = _parse_floats(args.deltas, None, "--deltas") if args.deltas else default_deltas(gs.spec)
     if not deltas:
@@ -364,7 +374,11 @@ def _add_quadrature(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--q", type=float, default=0.0, help="power weight along y (katugampola only)")
     sub.add_argument("--panels", type=int, default=64, help="quadrature panels per axis")
     sub.add_argument("--grading", type=float, default=None, help="panel grading exponent in [1,8]")
-    sub.add_argument("--method", default="auto", help="grid evaluation route: auto, tensor, separable")
+    sub.add_argument(
+        "--method",
+        default="auto",
+        help="grid evaluation route: auto (shared mesh for split sources g(x)+h(y), else tensor), tensor, separable",
+    )
 
 
 def build_parser() -> _Parser:

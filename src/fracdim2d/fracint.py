@@ -20,15 +20,24 @@ second-order accurate for smooth ones.
 
 Point values are 1x1 grids of the one tensor contraction, so a grid
 value and the matching single-point call agree bit for bit.  A 1-D apply
-serves the one-axis operator and the additive-split fast path for
-sources g(x) + h(y), at much higher panel counts than the tensor route
-can afford.
+of the same per-output rule serves the one-axis operator and the
+``separable`` grid route for sources g(x) + h(y).
+
+Under ``method="auto"`` a split source takes a shared-mesh route
+instead: one mesh per axis in u, containing every output coordinate,
+with g and h evaluated once per mesh node.  Its weights integrate the
+kernel exactly against the hat functions of the mesh (product-trapezoid
+integration, the weights of the fractional Adams scheme of Diethelm,
+Ford and Freed), so the rule is exact for functions linear in u and
+second-order accurate for smooth ones.  Sources without a split take
+the tensor route.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -72,7 +81,8 @@ __all__ = [
 ]
 
 _MAX_TENSOR_PANELS = 8192
-# nodes per block of the 1-D apply (2 MB per float64 array)
+# nodes per block of the 1-D apply and weights per block of the shared mesh
+# (2 MB per float64 array)
 _APPLY_BLOCK = 1 << 18
 
 
@@ -135,6 +145,27 @@ def _unit_rule(panels: int, grading: float, order: float) -> tuple[np.ndarray, n
     return mids, diffs
 
 
+@contextmanager
+def _no_overflow():
+    # a large power weight or order overflows a rule: a numeric failure, not a crash
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError:
+        raise NumericError("quadrature rule overflows float64: order or power weight too large for this box") from None
+
+
+def _mapped_widths(ds, du):
+    """``du``, the mapped lengths of intervals of length ``ds``, refusing any that collapsed.
+
+    Near p = -1 the map u = s^(p+1) rounds a whole box to one float; a rule
+    built on zero-length intervals would print a confident 0.
+    """
+    if np.any((np.asarray(ds) > 0.0) & ~(np.asarray(du) > 0.0)):
+        raise NumericError("coordinate map rounds an interval to zero length in float64; move the power weight away from -1")
+    return du
+
+
 def _axis_rules(lo: float, his, order: float, panels: int, grading: float, coord: tuple[Callable, Callable]):
     """Nodes and exact kernel moments for int_lo^hi (U(hi)-U(s))^(order-1) g(s) dU(s).
 
@@ -147,13 +178,11 @@ def _axis_rules(lo: float, his, order: float, panels: int, grading: float, coord
     """
     fwd, back = coord
     mids, diffs = _unit_rule(panels, grading, order)
-    try:  # a large power weight or order overflows the rule: a numeric failure, not a crash
-        with np.errstate(over="raise"):
-            hi_u = fwd(np.asarray(his, dtype=np.float64)).reshape(-1, 1)
-            scale = hi_u - fwd(np.float64(lo))
-            return back(hi_u - scale * mids), (scale**order) * diffs / order
-    except FloatingPointError:
-        raise NumericError("quadrature rule overflows float64: order or power weight too large for this box") from None
+    his = np.asarray(his, dtype=np.float64).reshape(-1, 1)
+    with _no_overflow():
+        hi_u = fwd(his)
+        scale = _mapped_widths(his - lo, hi_u - fwd(np.float64(lo)))
+        return back(hi_u - scale * mids), (scale**order) * diffs / order
 
 
 def _tensor(src: FunctionSource, rect: Box, xs, ys, order: FracOrder, quad, threads: int | None, maps=None) -> np.ndarray:
@@ -209,6 +238,77 @@ def _apply_1d(g: Callable, lo: float, his, order: float, weight: float, panels: 
         weighted[r0 : r0 + rows] = np.einsum("ik,ik->i", M, G, optimize=False)
         mass[r0 : r0 + rows] = np.einsum("ik->i", M, optimize=False)
     return weighted, mass
+
+
+def _hat_weights(U, u, h, order: float):
+    """Weights of the left and right node of each mesh interval, one row per upper limit U_i.
+
+    On [u_k, u_(k+1)] of length h_k, with D = U_i - u clipped at 0 (an
+    interval above U_i weighs nothing), the moments
+    A = int (U_i - u)^(order-1) du and B = int (U_i - u)^(order-1) (u - u_k) du
+    are exact; the linear interpolant of g puts A - B/h_k on g(u_k) and
+    B/h_k on g(u_(k+1)).
+    """
+    D = np.maximum(U[:, None] - u[None, :], 0.0)
+    Da = D**order
+    A = (Da[:, :-1] - Da[:, 1:]) / order
+    Da *= D
+    B = D[:, :-1] * A - (Da[:, :-1] - Da[:, 1:]) / (order + 1.0)
+    B /= h
+    return A - B, B
+
+
+def _mesh_apply(fns, lo: float, his, order: float, weight: float, panels: int, threads: int | None = None):
+    """Shared-mesh product-trapezoid rule in u = s^(weight+1), for upper limits ``his`` >= lo.
+
+    The mesh holds lo and every upper limit, and splits each interval
+    between consecutive ones into r = ceil(panels / intervals) equal parts
+    in u, so it has at least ``panels`` intervals.  Each function in ``fns``
+    is evaluated once per mesh node.  Weights are built a block of at most
+    ``_APPLY_BLOCK`` entries at a time and applied to every function in the
+    same pass.  Returns ([sum_k W[i,k] f(s_k) for f in fns], int_lo^hi_i of
+    the kernel), the second in closed form.  Blocks do not depend on the
+    thread count, so neither do the bits.
+    """
+    fwd, back = _power_map(weight)
+    his = np.asarray(his, dtype=np.float64).reshape(-1)
+    knots = np.unique(np.append(np.float64(lo), his))
+    r = max(1, -(-panels // max(1, knots.size - 1)))
+    with _no_overflow():
+        uk = fwd(knots)
+        u = np.append((uk[:-1, None] + np.diff(uk)[:, None] * (np.arange(r) / r)).reshape(-1), uk[-1])
+        s = np.clip(back(u), knots[0], knots[-1])
+    h = _mapped_widths(np.repeat(np.diff(knots), r), np.diff(u))
+    s[::r] = knots  # the output coordinates exactly
+    vals = [np.broadcast_to(np.asarray(f(s), dtype=np.float64), s.shape) for f in fns]
+    at = np.searchsorted(knots, his)
+    U, top = uk[at], at * r  # each output's u and mesh index
+    rows = max(1, _APPLY_BLOCK // u.size)
+    width = max(1, _APPLY_BLOCK // rows - 1)  # intervals per block
+    out = np.zeros((len(fns), his.size))
+
+    def run(starts: range) -> None:
+        for i0 in starts:
+            i1 = min(i0 + rows, his.size)
+            end = int(top[i0:i1].max())
+            for c0 in range(0, end, width):
+                c1 = min(c0 + width, end)
+                with _no_overflow():
+                    left, right = _hat_weights(U[i0:i1], u[c0 : c1 + 1], h[c0:c1], order)
+                for v, acc in zip(vals, out):
+                    acc[i0:i1] += np.einsum("ik,k->i", left, v[c0:c1], optimize=False) + np.einsum(
+                        "ik,k->i", right, v[c0 + 1 : c1 + 1], optimize=False
+                    )
+
+    starts = range(0, his.size, rows)
+    blocks = [starts[b.start : b.stop] for b in row_blocks(len(starts), worker_count(threads))]
+    if len(blocks) <= 1:
+        run(starts)
+    else:
+        with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
+            list(pool.map(run, blocks))
+    with _no_overflow():
+        return list(out), (U - uk[0]) ** order / order
 
 
 def _unlog(*logs: float) -> float:
@@ -330,10 +430,17 @@ def katugampola_2d_grid(
     ``method``:
       * ``"tensor"``   - generic route; the same contraction as
         ``katugampola_2d``, so shared nodes match bit for bit.
-      * ``"separable"``- requires ``f.xy_split()``; cost grows linearly in
-        panels instead of quadratically.  Values agree with the tensor
-        route to rounding but not bit for bit.
-      * ``"auto"``     - separable when a split is available, else tensor.
+      * ``"separable"``- requires ``f.xy_split()``; the tensor route's
+        per-output rule applied to each axis function, so cost grows
+        linearly in panels instead of quadratically.  Values agree with
+        the tensor route to rounding but not bit for bit.
+      * ``"auto"``     - for a source with a split g(x) + h(y), the shared
+        mesh: one mesh per axis holding every grid coordinate, at least
+        ``quad.panels`` intervals long, with g and h evaluated once per
+        mesh node and the kernel integrated exactly against hat
+        functions (``quad.grading`` is unused there).  When both axes
+        share lower limit, nodes, order and weight, one set of weights
+        serves g and h.  Other sources take the tensor route.
 
     ``threads`` overrides FRACDIM2D_THREADS.  Thread count never changes
     the computed bits: rows are assigned to workers in contiguous blocks
@@ -347,14 +454,21 @@ def katugampola_2d_grid(
         raise ParameterError(f"source {src.name!r} has no additive split; use method='tensor'", parameter="method")
     use_split = split is not None and method in ("separable", "auto")
     src, quad, _ = _checked(src, spec.rect, quad, tensor=not use_split)
-    rect = spec.rect
-    if use_split:
-        gr = quad.graded(order.alpha, order.beta)
-        gu, su = _apply_1d(split[0], rect.a, spec.xs(), order.alpha, order.p, quad.panels, gr)
-        hv, sv = _apply_1d(split[1], rect.c, spec.ys(), order.beta, order.q, quad.panels, gr)
-        out = _clean(_prefactor(order) * (gu[:, None] * sv[None, :] + su[:, None] * hv[None, :]))
+    rect, xs, ys = spec.rect, spec.xs(), spec.ys()
+    if not use_split:
+        out = _tensor(src, rect, xs, ys, order, quad, threads)
     else:
-        out = _tensor(src, rect, spec.xs(), spec.ys(), order, quad, threads)
+        if method == "separable":
+            gr = quad.graded(order.alpha, order.beta)
+            gu, su = _apply_1d(split[0], rect.a, xs, order.alpha, order.p, quad.panels, gr)
+            hv, sv = _apply_1d(split[1], rect.c, ys, order.beta, order.q, quad.panels, gr)
+        elif (rect.a, order.alpha, order.p) == (rect.c, order.beta, order.q) and np.array_equal(xs, ys):
+            (gu, hv), su = _mesh_apply(split, rect.a, xs, order.alpha, order.p, quad.panels, threads)
+            sv = su
+        else:
+            (gu,), su = _mesh_apply(split[:1], rect.a, xs, order.alpha, order.p, quad.panels, threads)
+            (hv,), sv = _mesh_apply(split[1:], rect.c, ys, order.beta, order.q, quad.panels, threads)
+        out = _clean(_prefactor(order) * (gu[:, None] * sv[None, :] + su[:, None] * hv[None, :]))
     return GridSamples(spec, out.reshape(-1))
 
 
@@ -391,14 +505,21 @@ def riemann_liouville_2d(f, rect: Box, x: float, y: float, alpha: float, beta: f
         moms = [((hi - edges[k]) ** order - (hi - edges[k + 1]) ** order) / order for k in range(P)]
         return mids, moms
 
-    sm, mx = rule(rect.a, x, alpha)
-    tm, my = rule(rect.c, y, beta)
-    F = np.broadcast_to(
-        np.asarray(src.eval(np.asarray(sm)[:, None], np.asarray(tm)[None, :]), dtype=np.float64), (P, P)
-    )
-    W = np.asarray(mx)[:, None] * np.asarray(my)[None, :]
-    total = math.fsum((W * F).reshape(-1).tolist())
-    return _clean(total / (math.gamma(alpha) * math.gamma(beta)))
+    try:  # plain floats raise on overflow
+        sm, mx = rule(rect.a, x, alpha)
+        tm, my = rule(rect.c, y, beta)
+        F = np.broadcast_to(
+            np.asarray(src.eval(np.asarray(sm)[:, None], np.asarray(tm)[None, :]), dtype=np.float64), (P, P)
+        )
+        W = np.asarray(mx)[:, None] * np.asarray(my)[None, :]
+        total = math.fsum((W * F).reshape(-1).tolist())
+    except OverflowError:
+        raise NumericError("Riemann-Liouville rule overflows float64: order too large for this box") from None
+    if max(alpha, beta) < 171.0:
+        return _clean(total / (math.gamma(alpha) * math.gamma(beta)))
+    # Gamma overflows float64 past 171: the constant in log space (below, exp of
+    # lgamma sums would move values by up to a few ulps)
+    return _clean(total * math.exp(-math.lgamma(alpha) - math.lgamma(beta)))
 
 
 def hadamard_2d(f, rect: Rectangle, x: float, y: float, alpha: float, beta: float, quad: QuadratureSpec | None = None) -> float:

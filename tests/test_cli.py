@@ -107,6 +107,24 @@ def test_integrate_certifies_the_grid_it_computed(capsys, monkeypatch):
     assert specs.count(GridSpec(Box(1.0, 2.0, 1.0, 2.0), 17, 17)) == 1
 
 
+def test_riemann_liouville_huge_order_exits_cleanly(capsys):
+    # Gamma(200) overflows float64; the oracle's constant goes through lgamma
+    code, out, err = run_cli(
+        capsys, "integrate", "--op", "riemann-liouville", "--fn", "plane", "--alpha", "200", "--beta", ".5",
+        "--grid", "3,3", "--panels", "8",
+    )
+    assert (code == 0 and err is None and "value" in out) or (code == 3 and err["code"] == 3)
+
+
+def test_power_weight_rounding_the_box_away_is_a_numeric_error(capsys):
+    # u = s^(p+1) rounds to 1 on the whole box; the answer was a confident 0
+    code, out, err = run_cli(
+        capsys, "integrate", "--fn", "sinxy", "--alpha", "20", "--beta", ".5", "--p", "-0.9999999999999999",
+        "--grid", "3,3", "--panels", "8",
+    )
+    assert code == 3 and err["code"] == 3 and out == ""
+
+
 def test_integrate_rejects_weights_for_classical_ops(capsys):
     code, _, err = run_cli(
         capsys, "integrate", "--op", "riemann-liouville", "--fn", "plane", "--alpha", ".5", "--beta", ".5", "--p", "1"
@@ -198,6 +216,32 @@ def test_dimension_counts_from_non_numeric_exit_2(capsys, tmp_path):
     path.write_text("delta,count\n0.5,4\n0.25,many\n")
     code, _, err = run_cli(capsys, "dimension", "--counts-from", str(path))
     assert code == 2 and err["parameter"] == "counts-from"
+
+
+def test_dimension_counts_from_header_only_prints_one_json_error(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("delta,count\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "fracdim2d", "dimension", "--counts-from", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert json.loads(proc.stderr)["parameter"] == "counts-from"  # one JSON object, nothing else
+
+
+def test_dimension_of_integral_samples_no_f(capsys, monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("f sampled on the grid")
+
+    monkeypatch.setattr(cli, "sample", refuse)
+    fit_path = tmp_path / "fit.json"
+    code, _, err = run_cli(
+        capsys, "dimension", "--fn", "plane", "--grid", "129,129", "--integral", "--alpha", ".5", "--beta", ".5",
+        "--panels", "32", "--fit-out", str(fit_path),
+    )
+    assert code == 0 and err is None
+    assert 1.9 <= json.loads(fit_path.read_text())["slope"] <= 2.1
 
 
 def test_dimension_too_coarse_grid_exit_3(capsys):

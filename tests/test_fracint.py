@@ -27,8 +27,10 @@ from fracdim2d import (
     make_source,
     quad_error_probe,
     riemann_liouville_2d,
+    positive_source,
     sup_gap,
 )
+from fracdim2d import fracint
 
 BOX = Box(1.0, 2.0, 1.0, 2.0)
 HALF = FracOrder(0.5, 0.5)
@@ -173,6 +175,103 @@ def test_thread_count_never_changes_grid_bits():
     for k in (2, 4, 8):
         again = katugampola_2d_grid(src, spec, HALF, QuadratureSpec(panels=32), threads=k)
         assert np.array_equal(base.values, again.values)
+
+
+# ---------------------------------------------------------------------------
+# shared-mesh route: method="auto" on sources with an additive split
+
+SIN_COS = CallableSource(lambda x, y: np.sin(x) + np.cos(y), name="sin+cos", split=(np.sin, np.cos))
+
+
+def _axis_identity(lo, x, order):
+    # exact p = 0 one-axis integral of s: (x L^order / order - L^(order+1) / (order+1)) / Gamma(order)
+    L = x - lo
+    return (x * L**order / order - L ** (order + 1.0) / (order + 1.0)) / math.gamma(order)
+
+
+@pytest.mark.parametrize("order", [HALF, FracOrder(0.3, 1.7, 0.6, -0.4), FracOrder(2.5, 0.1, 1.0, 0.0)])
+def test_auto_mesh_integrates_constants_exactly(order):
+    src = make_source("constant:2.5")
+    for spec in (GridSpec(BOX, 9, 9), GridSpec(BOX, 17, 5)):
+        for panels in (16, 256):
+            gs = katugampola_2d_grid(src, spec, order, QuadratureSpec(panels=panels), method="auto")
+            for i, x in enumerate(spec.xs()):
+                for j, y in enumerate(spec.ys()):
+                    ref = 2.5 * integral_of_one(BOX, order, x, y)
+                    assert abs(gs.value(i, j) - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("order", [HALF, FracOrder(0.3, 1.7)])
+def test_auto_mesh_is_exact_for_plane_at_p0(order):
+    # hat functions in u = s reproduce a linear integrand exactly
+    spec = GridSpec(BOX, 9, 9)
+    gs = katugampola_2d_grid(make_source("plane"), spec, order, QuadratureSpec(panels=16), method="auto")
+    a, b = order.alpha, order.beta
+    for i, x in enumerate(spec.xs()):
+        for j, y in enumerate(spec.ys()):
+            ref = _axis_identity(1.0, x, a) * axis_unit_factor(1.0, y, b) + axis_unit_factor(1.0, x, a) * _axis_identity(1.0, y, b)
+            assert gs.value(i, j) == pytest.approx(ref, rel=1e-13, abs=1e-15)
+
+
+@pytest.mark.parametrize("order", [HALF, FracOrder(0.5, 0.3, 0.6, 0.6), FracOrder(0.3, 0.7, 0.6, -0.4)])
+def test_auto_mesh_is_second_order(order):
+    spec = GridSpec(BOX, 5, 5)
+    vals = [katugampola_2d_grid(SIN_COS, spec, order, QuadratureSpec(panels=P), method="auto").values for P in (64, 128, 256, 512)]
+    diffs = [float(np.max(np.abs(a - b))) for a, b in zip(vals, vals[1:])]
+    orders = [math.log2(a / b) for a, b in zip(diffs, diffs[1:])]
+    assert min(orders) >= 1.9, orders
+
+
+def test_auto_mesh_agrees_with_separable_at_8192_panels():
+    # each route's error at 8192 panels is about a third of its change from 4096
+    spec = GridSpec(BOX, 5, 5)
+    order = FracOrder(0.5, 0.3, 0.6, -0.4)
+    grids = {
+        (method, panels): katugampola_2d_grid(SIN_COS, spec, order, QuadratureSpec(panels=panels), method=method).values
+        for method in ("auto", "separable")
+        for panels in (4096, 8192)
+    }
+    budget = sum(float(np.max(np.abs(grids[m, 4096] - grids[m, 8192]))) for m in ("auto", "separable"))
+    gap = float(np.max(np.abs(grids["auto", 8192] - grids["separable", 8192])))
+    assert 0.0 < gap <= budget
+
+
+def test_auto_mesh_thread_count_never_changes_bits():
+    src, box = positive_source("weierstrass")
+    spec = GridSpec(box, 65, 65)
+    for order in (FracOrder(0.2, 0.2), FracOrder(0.2, 0.3, 0.5, 0.0)):
+        one = katugampola_2d_grid(src, spec, order, QuadratureSpec(panels=16384), method="auto", threads=1)
+        two = katugampola_2d_grid(src, spec, order, QuadratureSpec(panels=16384), method="auto", threads=2)
+        assert one.values.tobytes() == two.values.tobytes()
+
+
+def test_auto_mesh_weight_blocks_stay_under_apply_block(monkeypatch):
+    seen = []
+    real = fracint._hat_weights
+
+    def spy(U, u, h, order):
+        seen.append(U.size * u.size)  # the largest array a block builds
+        return real(U, u, h, order)
+
+    monkeypatch.setattr(fracint, "_hat_weights", spy)
+    spec = GridSpec(BOX, 65, 65)
+    quad = QuadratureSpec(panels=16384)
+    ref = katugampola_2d_grid(SIN_COS, spec, HALF, quad, method="auto")
+    assert seen and max(seen) <= fracint._APPLY_BLOCK
+    # a block smaller than one mesh row splits the rows into column chunks
+    monkeypatch.setattr(fracint, "_APPLY_BLOCK", 1000)
+    seen.clear()
+    small = katugampola_2d_grid(SIN_COS, spec, HALF, quad, method="auto")
+    assert max(seen) <= 1000
+    assert sup_gap(small, ref) < 1e-13
+
+
+def test_power_weight_near_minus_one_is_refused():
+    # u = s^(p+1) rounds the whole box to 1: every route must refuse, not return 0
+    order = FracOrder(0.5, 0.5, -0.9999999999999999, 0.0)
+    for src, method in ((make_source("sinxy"), "tensor"), (make_source("plane"), "auto"), (make_source("plane"), "separable")):
+        with pytest.raises(NumericError):
+            katugampola_2d_grid(src, GridSpec(BOX, 3, 3), order, QuadratureSpec(panels=8), method=method)
 
 
 # ---------------------------------------------------------------------------
