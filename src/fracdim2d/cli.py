@@ -31,7 +31,7 @@ from .boxdim import (
     fit_loglog,
     oscillation_counts,
 )
-from .constructions import default_box, make_source
+from .constructions import catalog_entry, default_box, make_source
 from .core import (
     Box,
     CatalogError,
@@ -167,6 +167,25 @@ def _quad_of(args: argparse.Namespace) -> QuadratureSpec:
     return QuadratureSpec(panels=args.panels, grading=args.grading)
 
 
+def _refuse_quadrature_unsafe(spec_text: str) -> None:
+    """Reject a catalog source, or the seed of a t: spec, marked quadrature-unsafe.
+
+    The library still integrates such sources; the CLI refuses to print a
+    number for them.  csv:/json: sample files are bilinear and always safe.
+    """
+    spec = spec_text.strip()
+    while spec.startswith("t:"):
+        spec = spec[2:].strip()
+    if spec.startswith(("csv:", "json:")):
+        return
+    name = spec.partition(":")[0]
+    if not catalog_entry(name).quadrature_safe:
+        raise ParameterError(
+            f"{name!r} is marked quadrature-unsafe in the catalog; its integral would not be meaningful",
+            parameter="fn",
+        )
+
+
 def _write_grid(gs: GridSamples, path: str, fmt: str) -> None:
     if fmt == "json":
         write_samples_json(gs, path)
@@ -199,9 +218,17 @@ def cmd_integrate(args: argparse.Namespace) -> int:
         raise ParameterError(f"--op {args.op} takes no power weights; drop --p/--q", parameter="p" if p else "q")
 
     src, box, _ = _resolve_source(args)
+    _refuse_quadrature_unsafe(args.fn)
     m, n = _parse_grid(args.grid) if args.grid else (17, 17)
     spec = GridSpec(box, m, n)
     quad = _quad_of(args)
+    certify = args.op == "katugampola" and src.sup_bound is not None
+    if certify and quad.panels < 8:
+        # the certificate's error probe halves the panels; refuse before any work
+        raise ParameterError(
+            f"--panels {quad.panels} is too few for the boundedness certificate; it needs at least 8",
+            parameter="panels",
+        )
 
     if args.op == "katugampola":
         order = FracOrder(alpha, beta, p, q)
@@ -215,14 +242,13 @@ def cmd_integrate(args: argparse.Namespace) -> int:
                 vals[i, j] = op(src, box, x, y, alpha, beta, quad)
         gs = GridSamples.from_matrix(spec, vals)
 
-    if args.out:
-        _write_grid(gs, args.out, args.format)
-
     corner = gs.value(m - 1, n - 1)
     note = ""
-    if args.op == "katugampola" and src.sup_bound is not None:
+    if certify:
         cert = boundedness_certificate(src, gs, order, quad, threads=args.threads)
         note = f"; bound ok: sup|I f| = {cert.sup_abs_observed:.6g} <= {cert.bound:.6g}"
+    if args.out:
+        _write_grid(gs, args.out, args.format)
     wrote = f" -> {args.out}" if args.out else ""
     print(
         f"integrate {args.op} {src.name} on {box} grid {m}x{n}: "
@@ -252,6 +278,7 @@ def cmd_dimension(args: argparse.Namespace) -> int:
 
     src, box, raw = _resolve_source(args)
     if args.integral:
+        _refuse_quadrature_unsafe(args.fn)
         # the integral needs only the grid, not samples of f on it
         order = FracOrder(float(args.alpha or 0.5), float(args.beta or 0.5), float(args.p), float(args.q))
         spec = _spec_of(args, box, raw, default=257)

@@ -128,29 +128,36 @@ class TConstruction:
 
 
 def t_eval(tc: TConstruction, x, y):
-    """Evaluate the staircase construction at broadcastable coordinates."""
+    """Evaluate the staircase construction at broadcastable coordinates.
+
+    The piece index, psi and the 1/k weights depend on x alone and the
+    limit column phi(a, y) on y alone, so each is computed on its own
+    input's shape; only phi(psi, y) and the blend run at the broadcast
+    shape.  Every entry equals the one computed on broadcast inputs.
+    """
     r = tc.rect
-    xb, yb = np.broadcast_arrays(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
-    tol_x = 1e-9 * max(1.0, abs(r.a), abs(r.b))
-    tol_y = 1e-9 * max(1.0, abs(r.c), abs(r.d))
-    if xb.size and (
-        xb.min() < r.a - tol_x or xb.max() > r.b + tol_x or yb.min() < r.c - tol_y or yb.max() > r.d + tol_y
-    ):
-        raise DomainError("query outside the construction rectangle")
+    xv = np.asarray(x, dtype=np.float64)
+    yv = np.asarray(y, dtype=np.float64)
+    if math.prod(np.broadcast_shapes(xv.shape, yv.shape)):
+        tol_x = 1e-9 * max(1.0, abs(r.a), abs(r.b))
+        tol_y = 1e-9 * max(1.0, abs(r.c), abs(r.d))
+        if xv.min() < r.a - tol_x or xv.max() > r.b + tol_x or yv.min() < r.c - tol_y or yv.max() > r.d + tol_y:
+            raise DomainError("query outside the construction rectangle")
     w = r.width
-    rem = np.clip((r.b - xb) / w, 0.0, 1.0)
+    rem = np.clip((r.b - xv) / w, 0.0, 1.0)
     tail = rem <= math.ldexp(1.0, -tc.depth)
     with np.errstate(divide="ignore"):
         kk = np.where(tail, 1, np.floor(-np.log2(np.where(tail, 1.0, rem))).astype(np.int64) + 1)
     kk = np.clip(kk, 1, tc.depth)
     edges = np.array([_piece_edge(r.a, w, n) for n in range(tc.depth + 1)])
     lo = edges[kk - 1]
-    psi = np.clip(r.a + np.ldexp(1.0, kk - 1) * (xb - lo), r.a, tc.a1)
+    psi = np.clip(r.a + np.ldexp(1.0, kk - 1) * (xv - lo), r.a, tc.a1)
     psi = np.where(tail, r.a, psi)
     kf = kk.astype(np.float64)
-    base = np.asarray(tc.phi.eval(np.full(xb.shape, r.a), yb), dtype=np.float64)
-    piece = np.asarray(tc.phi.eval(psi, yb), dtype=np.float64)
-    out = piece / kf + ((kf - 1.0) / kf) * base + 0.0  # normalize -0.0
+    base = np.asarray(tc.phi.eval(np.full(yv.shape, r.a), yv), dtype=np.float64)
+    piece = np.asarray(tc.phi.eval(psi, yv), dtype=np.float64) / kf
+    out = piece + ((kf - 1.0) / kf) * base
+    out += 0.0  # normalize -0.0
     return float(out) if out.shape == () else out
 
 

@@ -445,7 +445,7 @@ def sample(src: FunctionSource, spec: GridSpec, threads: int | None = None) -> G
     workers = worker_count(threads)
     if workers <= 1 or spec.m < 2 * workers:
         vals = np.broadcast_to(np.asarray(src.eval(xs[:, None], ys[None, :]), dtype=np.float64), (spec.m, spec.n))
-        return GridSamples(spec, np.array(vals).reshape(-1))
+        return GridSamples(spec, vals.reshape(-1))  # GridSamples keeps its own copy
     out = np.empty((spec.m, spec.n), dtype=np.float64)
 
     def run(block: range) -> None:
@@ -485,19 +485,18 @@ def stable_sum(terms: Iterable[float] | np.ndarray) -> float:
 def write_samples_csv(gs: GridSamples, path: str) -> None:
     """CSV with header ``x,y,value``, rows in row-major grid order.
 
-    Floats are written with 17 significant digits, enough to round-trip
-    float64 exactly.
+    Floats are written as ``%.17g``, enough to round-trip float64 exactly.
+    Each x and y coordinate is formatted once; a row template holding the
+    y column is filled with each grid row's x and values in one ``%``.
     """
-    xs = gs.spec.xs()
-    ys = gs.spec.ys()
     m, n = gs.spec.m, gs.spec.n
-    cols = np.empty((m * n, 3), dtype=np.float64)
-    cols[:, 0] = np.repeat(xs, n)
-    cols[:, 1] = np.tile(ys, m)
-    cols[:, 2] = gs.values
+    xs = ["%.17g" % v for v in gs.spec.xs().tolist()]
+    template = "".join("{x}," + ("%.17g" % v) + ",%.17g\n" for v in gs.spec.ys().tolist())
+    mat = gs.matrix
     with open(path, "w", newline="\n") as fh:
         fh.write("x,y,value\n")
-        np.savetxt(fh, cols, fmt="%.17g", delimiter=",", newline="\n")
+        for i in range(m):
+            fh.write(template.replace("{x}", xs[i]) % tuple(mat[i].tolist()))
 
 
 def read_samples_csv(path: str) -> GridSamples:

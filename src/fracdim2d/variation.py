@@ -13,6 +13,13 @@ nonnegative terms, the unrestricted maximum coincides with the
 corner-to-corner value.  The ``pinned`` flag selects the corner-to-corner
 reported path for callers that want the fixed-endpoint form.
 
+The program sweeps the anti-diagonals i + j = d in order.  A node's three
+predecessors lie on the two diagonals before it, so the sweep keeps only
+those two diagonals' samples and best sums, in contiguous buffers indexed
+by row, and each diagonal of the grid is read once as a strided slice.
+Traceback choices are stored as bytes in a skewed table whose row d
+holds diagonal d; no m x n table of sums is allocated.
+
 A brute-force enumerator over all monotone chains (saturated or not, any
 start and end) serves as the oracle on small grids.
 """
@@ -79,48 +86,72 @@ def _as_matrix(g) -> np.ndarray:
     return mat
 
 
-def _dp_tables(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Best chain sum ending at each node, plus traceback choices.
+def _dp_tables(mat: np.ndarray) -> tuple[np.ndarray, float, float, int]:
+    """Traceback choices plus the corner's and the largest best chain sum.
 
-    choice codes: 0 chain starts here, 1 from (i-1,j), 2 from (i,j-1),
-    3 from (i-1,j-1).  Ties prefer the lowest code, i.e. left, then down,
-    then diagonal.  The anti-diagonal sweep only touches finished entries,
-    so the result is identical to the sequential recurrence.
+    Node (i, j) gets the best sum of a chain ending there, from its three
+    predecessors: choice code 1 from (i-1, j), 2 from (i, j-1), 3 from
+    (i-1, j-1), 0 where the chain starts (only (0, 0)).  Ties go to the
+    lowest code, as ``argmax`` over the three candidates in that order.
+
+    The sweep runs over anti-diagonals d = i + j.  Each diagonal of ``mat``
+    is read once, as a strided slice of the flat array, into a row-indexed
+    buffer; the two previous diagonals' samples and best sums are all the
+    recurrence needs, so three buffers of length m rotate and no m x n
+    table of sums is held.  Choices go to a skewed (m + n - 1) x min(m, n)
+    uint8 table: node (i, j) sits at row i + j, column min(i, n - 1 - j),
+    its place along the diagonal, so a thin grid keeps a thin table.
+
+    Returns ``(choice, corner, peak, peak_index)``: the best sum at
+    (m-1, n-1), the largest best sum, and the row-major index of the first
+    node attaining it.
     """
     m, n = mat.shape
-    best = np.zeros((m, n), dtype=np.float64)
-    choice = np.zeros((m, n), dtype=np.uint8)
-    if n > 1:
-        best[0, 1:] = np.cumsum(np.abs(np.diff(mat[0, :])))
-        choice[0, 1:] = 2
-    if m > 1:
-        best[1:, 0] = np.cumsum(np.abs(np.diff(mat[:, 0])))
-        choice[1:, 0] = 1
-    for d in range(2, m + n - 1):
-        i0 = max(1, d - (n - 1))
-        i1 = min(m - 1, d - 1)
-        if i0 > i1:
-            continue
-        ii = np.arange(i0, i1 + 1)
-        jj = d - ii
-        cur = mat[ii, jj]
-        cands = np.stack(
-            (
-                best[ii - 1, jj] + np.abs(cur - mat[ii - 1, jj]),
-                best[ii, jj - 1] + np.abs(cur - mat[ii, jj - 1]),
-                best[ii - 1, jj - 1] + np.abs(cur - mat[ii - 1, jj - 1]),
-            )
-        )
-        pick = np.argmax(cands, axis=0)
-        best[ii, jj] = cands[pick, np.arange(ii.size)]
-        choice[ii, jj] = (pick + 1).astype(np.uint8)
-    return best, choice
+    flat = np.ascontiguousarray(mat).reshape(-1)
+    step = max(n - 1, 1)  # a 1-wide grid has one node per diagonal
+    row_run = np.zeros(n)
+    np.cumsum(np.abs(np.diff(mat[0, :])), out=row_run[1:])
+    col_run = np.zeros(m)
+    np.cumsum(np.abs(np.diff(mat[:, 0])), out=col_run[1:])
+    choice = np.zeros((m + n - 1, min(m, n)), dtype=np.uint8)
+    choice[1:n, 0] = 2
+    edge = np.arange(1, m)
+    choice[edge, np.minimum(edge, n - 1)] = 1
+    vals = [np.empty(m) for _ in range(3)]
+    sums = [np.empty(m) for _ in range(3)]
+    peak, peak_index = 0.0, 0
+    for d in range(m + n - 1):
+        lo, hi = max(0, d - n + 1), min(m - 1, d)
+        v, s = vals[d % 3], sums[d % 3]
+        v[lo : hi + 1] = flat[d + lo * (n - 1) : d + hi * (n - 1) + 1 : step]
+        if lo == 0:
+            s[0] = row_run[d]
+        if hi == d:
+            s[d] = col_run[d]
+        a, b = max(1, lo), min(m - 1, d - 1)
+        if a <= b:
+            pv, ps = vals[(d - 1) % 3], sums[(d - 1) % 3]
+            qv, qs = vals[(d - 2) % 3], sums[(d - 2) % 3]
+            cur = v[a : b + 1]
+            up = ps[a - 1 : b] + np.abs(cur - pv[a - 1 : b])
+            left = ps[a : b + 1] + np.abs(cur - pv[a : b + 1])
+            diag = qs[a - 1 : b] + np.abs(cur - qv[a - 1 : b])
+            code = choice[d, a - lo : b - lo + 1]
+            np.greater(left, up, out=code.view(np.bool_))
+            code += 1
+            np.maximum(up, left, out=up)
+            np.copyto(code, 3, where=diag > up)
+            np.maximum(up, diag, out=s[a : b + 1])
+        k = lo + int(np.argmax(s[lo : hi + 1]))
+        top, at = float(s[k]), d + k * (n - 1)
+        if top > peak or (top == peak and at < peak_index):
+            peak, peak_index = top, at
+    return choice, float(sums[(m + n - 2) % 3][m - 1]), peak, peak_index
 
 
-def _traceback(choice: np.ndarray, i: int, j: int) -> tuple[tuple[int, int], ...]:
+def _traceback(choice: np.ndarray, n: int, i: int, j: int) -> tuple[tuple[int, int], ...]:
     path = [(i, j)]
-    while choice[i, j]:
-        c = int(choice[i, j])
+    while c := int(choice[i + j, min(i, n - 1 - j)]):
         if c == 1:
             i -= 1
         elif c == 2:
@@ -139,16 +170,17 @@ def arzela_variation(g, pinned: bool = False) -> VariationResult:
     ``g`` is a GridSamples or any 2-D array (degenerate 1 x k and 1 x 1
     shapes reduce to univariate variation and 0).  With ``pinned`` the
     reported path runs corner to corner; the value is the same either way
-    because extending a chain to the corners never lowers its sum.
+    because extending a chain to the corners never lowers its sum.  The
+    free path ends at the first node, in row-major order, of largest sum.
     """
     mat = _as_matrix(g)
     m, n = mat.shape
-    best, choice = _dp_tables(mat)
+    choice, corner, peak, peak_index = _dp_tables(mat)
     if pinned:
-        i, j = m - 1, n - 1
+        (i, j), value = (m - 1, n - 1), corner
     else:
-        i, j = divmod(int(np.argmax(best)), n)
-    return VariationResult(value=float(best[i, j]), argpath=_traceback(choice, i, j))
+        (i, j), value = divmod(peak_index, n), peak
+    return VariationResult(value=value, argpath=_traceback(choice, n, i, j))
 
 
 def arzela_variation_bruteforce(g) -> float:

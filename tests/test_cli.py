@@ -160,6 +160,56 @@ def test_integrate_shift_moves_the_box(capsys):
     assert "[1,1.5]x[1,2]" in out
 
 
+def _one_json_error(capsys, *argv):
+    """Run the CLI; return (exit code, the one JSON object stderr must hold)."""
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and captured.out == ""
+    return code, json.loads(lines[0])
+
+
+def test_integrate_too_few_panels_for_the_certificate_writes_nothing(capsys, tmp_path):
+    out_path = tmp_path / "grid.csv"
+    code, err = _one_json_error(
+        capsys,
+        "integrate", "--fn", "plane", "--alpha", ".5", "--beta", ".5", "--grid", "2,2", "--panels", "4",
+        "--out", str(out_path),
+    )
+    assert code == 2 and err["parameter"] == "panels"
+    assert not out_path.exists()
+
+
+def test_integrate_failed_certificate_writes_nothing(capsys, monkeypatch, tmp_path):
+    def fail(*args, **kwargs):
+        raise cli.VerificationError("boundedness violated")
+
+    monkeypatch.setattr(cli, "boundedness_certificate", fail)
+    out_path = tmp_path / "grid.csv"
+    code, _ = _one_json_error(
+        capsys,
+        "integrate", "--fn", "plane", "--alpha", ".5", "--beta", ".5", "--grid", "3,3", "--panels", "8",
+        "--out", str(out_path),
+    )
+    assert code == 4
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("integrate", "--fn", "rational-indicator", "--shift", "1,1", "--grid", "5,5", "--panels", "16"),
+        ("integrate", "--fn", "t:rational-indicator", "--shift", "1,1", "--grid", "5,5", "--panels", "16"),
+        ("integrate", "--op", "hadamard", "--fn", "rational-indicator", "--shift", "1,1", "--grid", "3,3"),
+        ("dimension", "--fn", "rational-indicator", "--integral", "--shift", "1,1", "--grid", "9,9"),
+    ],
+)
+def test_quadrature_unsafe_sources_are_refused(capsys, argv):
+    code, err = _one_json_error(capsys, *argv, "--alpha", ".5", "--beta", ".5")
+    assert code == 2 and err["parameter"] == "fn"
+    assert "quadrature-unsafe" in err["message"]
+
+
 # ---------------------------------------------------------------------------
 # dimension
 

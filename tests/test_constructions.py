@@ -148,6 +148,40 @@ def test_direct_t_eval_matches_source():
     assert np.array_equal(t_eval(tc, xs[:, None], 0.7), src.eval(xs[:, None], 0.7))
 
 
+def _bits(a):
+    a = np.asarray(a, dtype=np.float64)
+    return a.shape, a.tobytes()
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        (np.linspace(0, 1, 33)[:, None], np.linspace(0, 1, 17)[None, :]),
+        (0.3, np.linspace(0, 1, 17)),
+        (np.linspace(0, 1, 33), 0.999),
+        (np.random.default_rng(1).uniform(0, 1, (9, 7)), np.random.default_rng(2).uniform(0, 1, (9, 7))),
+        (np.linspace(0, 1, 6)[:, None, None], np.random.default_rng(3).uniform(0, 1, (1, 4, 6))),
+        (np.linspace(0, 1, 6)[:0, None], np.linspace(0, 1, 5)[None, :]),
+    ],
+    ids=["column-row", "scalar-array", "array-scalar", "full-full", "tensor-route", "empty"],
+)
+def test_t_eval_on_input_shapes_equals_broadcast_inputs(x, y):
+    tc = make_source("t-parabola-sine").tc
+    xb, yb = np.broadcast_arrays(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
+    assert _bits(t_eval(tc, x, y)) == _bits(t_eval(tc, xb.copy(), yb.copy()))
+
+
+def test_t_eval_checks_each_coordinate_against_the_box():
+    tc = make_source("t-parabola-sine").tc
+    ys = np.linspace(0, 1, 5)
+    with pytest.raises(DomainError):
+        t_eval(tc, np.array([[0.5], [1.5]]), ys[None, :])
+    with pytest.raises(DomainError):
+        t_eval(tc, 0.5, np.array([0.2, -0.2]))
+    # an empty broadcast evaluates nothing, so nothing is out of the box
+    assert t_eval(tc, np.array([[2.0]]), np.empty((1, 0))).shape == (1, 0)
+
+
 # ---------------------------------------------------------------------------
 # catalog
 

@@ -253,6 +253,28 @@ def test_samples_csv_round_trip_exact(m, n, scale):
     assert np.array_equal(back.values, gs.values)
 
 
+def _savetxt_csv(gs, path):
+    # the writer's original form: one np.savetxt row per grid node
+    m, n = gs.spec.m, gs.spec.n
+    cols = np.empty((m * n, 3), dtype=np.float64)
+    cols[:, 0] = np.repeat(gs.spec.xs(), n)
+    cols[:, 1] = np.tile(gs.spec.ys(), m)
+    cols[:, 2] = gs.values
+    with open(path, "w", newline="\n") as fh:
+        fh.write("x,y,value\n")
+        np.savetxt(fh, cols, fmt="%.17g", delimiter=",", newline="\n")
+
+
+def test_samples_csv_bytes_match_savetxt(tmp_path):
+    spec = GridSpec(Box(-1.0 / 3.0, 2.5, 1e-3, 4.0), 3, 5)
+    vals = np.random.default_rng(9).standard_normal(15)
+    vals[[0, 4, 7, 11]] = [-0.0, 5e-324, 1e300, -1e-300]
+    gs = GridSamples(spec, vals)
+    write_samples_csv(gs, str(tmp_path / "new.csv"))
+    _savetxt_csv(gs, str(tmp_path / "ref.csv"))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 def test_samples_json_round_trip_exact(tmp_path):
     spec = GridSpec(Box(1, 2, 1, 3), 4, 5)
     gs = GridSamples(spec, np.linspace(-1, 1, 20))

@@ -130,6 +130,74 @@ def test_bruteforce_size_cap():
 
 
 # ---------------------------------------------------------------------------
+# the diagonal sweep against the plain recurrence
+
+
+def _scalar_dp(mat, pinned):
+    """Node-by-node recurrence in plain Python, with the documented tie order.
+
+    Candidates come in the order (i-1, j), (i, j-1), (i-1, j-1) and the
+    first largest wins; the free endpoint is the first node, in row-major
+    order, of largest best sum.
+    """
+    m, n = len(mat), len(mat[0])
+    best = [[0.0] * n for _ in range(m)]
+    step = [[None] * n for _ in range(m)]
+    for i in range(m):
+        for j in range(n):
+            for di, dj in ((1, 0), (0, 1), (1, 1)):
+                if i >= di and j >= dj:
+                    cand = best[i - di][j - dj] + abs(mat[i][j] - mat[i - di][j - dj])
+                    if step[i][j] is None or cand > best[i][j]:
+                        best[i][j], step[i][j] = cand, (di, dj)
+    if pinned:
+        i, j = m - 1, n - 1
+    else:
+        i, j = 0, 0
+        for a in range(m):
+            for b in range(n):
+                if best[a][b] > best[i][j]:
+                    i, j = a, b
+    value = best[i][j]
+    path = [(i, j)]
+    while step[i][j] is not None:
+        di, dj = step[i][j]
+        i, j = i - di, j - dj
+        path.append((i, j))
+    return value, tuple(reversed(path))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (2, 9), (3, 7), (7, 3), (40, 25)])
+@pytest.mark.parametrize("pinned", [False, True])
+def test_diagonal_sweep_matches_scalar_recurrence(shape, pinned):
+    # small integers make ties between candidates and between endpoints common
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    for _ in range(20):
+        mat = rng.integers(-2, 3, size=shape).astype(np.float64)
+        res = arzela_variation(mat, pinned=pinned)
+        assert (res.value, res.argpath) == _scalar_dp(mat.tolist(), pinned)
+
+
+def test_diagonal_sweep_holds_no_float_table():
+    import tracemalloc
+
+    from fracdim2d.variation import _dp_tables
+
+    m, n = 300, 200
+    mat = np.random.default_rng(5).integers(-2, 3, size=(m, n)).astype(np.float64)
+    for shape in ((m, n), (n, m), (3000, 2), (2, 3000)):
+        choice = _dp_tables(np.zeros(shape))[0]
+        assert choice.dtype == np.uint8 and choice.shape == (sum(shape) - 1, min(shape))
+    tracemalloc.start()
+    try:
+        arzela_variation(mat)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * m * n  # one m x n float64 table would not fit
+
+
+# ---------------------------------------------------------------------------
 # result validation and trend
 
 
