@@ -291,15 +291,15 @@ def cmd_dimension(args: argparse.Namespace) -> int:
         raise ResolutionError("no usable deltas for this grid; refine the grid or pass --deltas")
     fit = dimension_fit(gs, deltas, which=args.which)
 
-    counts = {d: oscillation_counts(gs, d) for d, _ in fit.points}
     oracle = {}
     if args.oracle:
         oracle = {d: boxcount_bruteforce_3d(gs, d) for d, _ in fit.points}
     if args.out:
+        # the fit keeps one bound per delta; the file holds both
         with open(args.out, "w", newline="\n") as fh:
             fh.write("delta,count_lower,count_upper" + (",count_oracle\n" if oracle else "\n"))
             for d, _ in fit.points:
-                bc = counts[d]
+                bc = oscillation_counts(gs, d)
                 tail = f",{oracle[d]}" if oracle else ""
                 fh.write(f"{d:.17g},{bc.n_lower},{bc.n_upper}{tail}\n")
     if args.fit_out:
@@ -404,7 +404,8 @@ def _add_quadrature(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--method",
         default="auto",
-        help="grid evaluation route: auto (shared mesh for split sources g(x)+h(y), else tensor), tensor, separable",
+        help="grid evaluation route: auto (shared mesh for split sources g(x)+h(y) and for smooth catalog "
+        "sources, else tensor), tensor, separable",
     )
 
 

@@ -235,6 +235,7 @@ def _constant(k: float = 1.0) -> FunctionSource:
         name=f"constant:{k:g}",
         split=(lambda x: np.full(np.shape(x), k), lambda y: np.zeros(np.shape(y))),
         sup_bound=lambda box: abs(k),
+        smooth=True,
     )
 
 
@@ -244,11 +245,12 @@ def _plane() -> FunctionSource:
         name="plane",
         split=(lambda x: np.asarray(x, dtype=np.float64) + 0.0, lambda y: np.asarray(y, dtype=np.float64) + 0.0),
         sup_bound=lambda box: max(abs(box.a + box.c), abs(box.b + box.d)),
+        smooth=True,
     )
 
 
 def _sinxy() -> FunctionSource:
-    return CallableSource(lambda x, y: np.sin(x * y), name="sinxy", sup_bound=lambda box: 1.0)
+    return CallableSource(lambda x, y: np.sin(x * y), name="sinxy", sup_bound=lambda box: 1.0, smooth=True)
 
 
 def _parabola_sine() -> FunctionSource:
@@ -256,6 +258,7 @@ def _parabola_sine() -> FunctionSource:
         lambda x, y: x * (x - 0.5) * np.sin(y),
         name="parabola-sine",
         sup_bound=lambda box: _sup_abs_parab(box.a, box.b) * _sup_abs_sin(box.c, box.d),
+        smooth=True,
     )
 
 
@@ -270,6 +273,7 @@ def _sine_parabola() -> FunctionSource:
         name="sine-parabola",
         split=(g, lambda y: np.zeros(np.shape(y))),
         sup_bound=bound,
+        smooth=True,
     )
 
 

@@ -75,7 +75,7 @@ class ResolutionError(RuntimeError):
 
 
 class SizeError(RuntimeError):
-    """Input too large for an intentionally small exhaustive algorithm."""
+    """Input too large: over a node budget, or for an intentionally small exhaustive algorithm."""
 
 
 class VerificationError(RuntimeError):
@@ -285,11 +285,15 @@ class FunctionSource:
     is the box where evaluation is defined; ``None`` means unrestricted.
     ``xy_split()`` optionally exposes an additive split f(x, y) = g(x) + h(y)
     used by separable fast paths; sources without one return ``None``.
+    ``smooth`` declares f twice continuously differentiable on its domain,
+    so a product-trapezoid rule on f is second order; like the split it is
+    a promise the source makes, not something checked.
     """
 
     name: str = "source"
     domain: Box | None = None
     sup_bound: Callable[[Box], float] | None = None
+    smooth: bool = False
 
     def eval(self, x, y):
         raise NotImplementedError
@@ -317,12 +321,14 @@ class CallableSource(FunctionSource):
         domain: Box | None = None,
         split: tuple[Callable, Callable] | None = None,
         sup_bound: Callable[[Box], float] | None = None,
+        smooth: bool = False,
     ):
         self._fn = fn
         self.name = name
         self.domain = domain
         self._split = split
         self.sup_bound = sup_bound
+        self.smooth = bool(smooth)
 
     def eval(self, x, y):
         return self._fn(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
@@ -382,6 +388,7 @@ class ShiftedSource(FunctionSource):
         self.dy = float(dy)
         self.name = f"{base.name}@shift({self.dx:g},{self.dy:g})"
         self.domain = None if base.domain is None else base.domain.shifted(self.dx, self.dy)
+        self.smooth = base.smooth
         if base.sup_bound is not None:
             self.sup_bound = lambda box: base.sup_bound(box.shifted(-self.dx, -self.dy))
 
@@ -400,13 +407,17 @@ class ShiftedSource(FunctionSource):
 # ---------------------------------------------------------------------------
 # sampling
 
+# 2^27 nodes (1 GiB per float64 grid): eight times the largest grid the
+# tests and benchmarks sample (4097^2)
+_MAX_SAMPLE_NODES = 1 << 27
+
 
 def worker_count(override: int | None = None) -> int:
     """Worker count for block-parallel loops.
 
     Resolution order: explicit override, then FRACDIM2D_THREADS (0 = auto,
-    meaning cpu_count), else 1.  Thread count never changes computed values,
-    only wall time.
+    meaning cpu_count), else 1.  ``row_blocks`` caps what is used at the CPU
+    count.  Thread count never changes computed values, only wall time.
     """
     if override is not None:
         k = int(override)
@@ -424,8 +435,15 @@ def worker_count(override: int | None = None) -> int:
 
 
 def row_blocks(count: int, workers: int) -> list[range]:
-    """Split range(count) into contiguous blocks, one per worker at most."""
+    """Split range(count) into contiguous blocks, one per worker at most.
+
+    Every block-parallel loop splits its work here, so the number of
+    blocks, and of threads, never exceeds the CPU count, whatever
+    ``--threads`` or FRACDIM2D_THREADS asked for.
+    """
     workers = max(1, min(workers, count))
+    if workers > 1:
+        workers = min(workers, os.cpu_count() or 1)
     step = (count + workers - 1) // workers
     return [range(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
@@ -433,17 +451,21 @@ def row_blocks(count: int, workers: int) -> list[range]:
 def sample(src: FunctionSource, spec: GridSpec, threads: int | None = None) -> GridSamples:
     """Evaluate ``src`` at every grid node of ``spec``, row-major.
 
-    The grid box must sit inside the source's declared domain.  With more
-    than one worker the rows are split into contiguous blocks evaluated
-    concurrently; block results are written to disjoint slots, so the
-    output is bit-identical to a sequential run.
+    The grid box must sit inside the source's declared domain, and the
+    grid may hold at most ``_MAX_SAMPLE_NODES`` nodes (``SizeError`` before
+    anything is allocated).  With more than one worker the rows are split
+    into contiguous blocks evaluated concurrently; block results are
+    written to disjoint slots, so the output is bit-identical to a
+    sequential run.
     """
     if not src.covers(spec.rect):
         raise DomainError(f"grid box {spec.rect} is not inside the domain of source {src.name!r}")
+    if spec.m * spec.n > _MAX_SAMPLE_NODES:
+        raise SizeError(f"a {spec.m}x{spec.n} grid exceeds the sampling budget of {_MAX_SAMPLE_NODES} nodes")
     xs = spec.xs()
     ys = spec.ys()
-    workers = worker_count(threads)
-    if workers <= 1 or spec.m < 2 * workers:
+    blocks = row_blocks(spec.m, worker_count(threads))
+    if len(blocks) <= 1 or spec.m < 2 * len(blocks):
         vals = np.broadcast_to(np.asarray(src.eval(xs[:, None], ys[None, :]), dtype=np.float64), (spec.m, spec.n))
         return GridSamples(spec, vals.reshape(-1))  # GridSamples keeps its own copy
     out = np.empty((spec.m, spec.n), dtype=np.float64)
@@ -452,8 +474,8 @@ def sample(src: FunctionSource, spec: GridSpec, threads: int | None = None) -> G
         sub = np.asarray(src.eval(xs[block.start : block.stop, None], ys[None, :]), dtype=np.float64)
         out[block.start : block.stop, :] = np.broadcast_to(sub, (block.stop - block.start, spec.n))
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(run, row_blocks(spec.m, workers)))
+    with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
+        list(pool.map(run, blocks))
     return GridSamples(spec, out.reshape(-1))
 
 

@@ -29,8 +29,12 @@ with g and h evaluated once per mesh node.  Its weights integrate the
 kernel exactly against the hat functions of the mesh (product-trapezoid
 integration, the weights of the fractional Adams scheme of Diethelm,
 Ford and Freed), so the rule is exact for functions linear in u and
-second-order accurate for smooth ones.  Sources without a split take
-the tensor route.
+second-order accurate for smooth ones.  A source without a split that
+declares itself smooth (``FunctionSource.smooth``) takes the same rule
+on both axes: f is evaluated once on the product of the two meshes, F,
+and I f = C W_x F W_y^T, contracted one axis at a time.  Other sources
+take the tensor route, whose graded midpoint rule does not need f to be
+smooth.
 """
 
 from __future__ import annotations
@@ -213,12 +217,7 @@ def _tensor(src: FunctionSource, rect: Box, xs, ys, order: FracOrder, quad, thre
                     inner = np.einsum("kl,l->k", np.ascontiguousarray(F[:, j - j0, :]), My[j], optimize=False)
                     out[i, j] = pref * float(np.einsum("k,k->", Mx[i], inner, optimize=False))
 
-    blocks = row_blocks(m, worker_count(threads))
-    if len(blocks) <= 1:
-        run(range(m))
-    else:
-        with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-            list(pool.map(run, blocks))
+    _spread(run, range(m), threads)
     return _clean(out)
 
 
@@ -258,17 +257,25 @@ def _hat_weights(U, u, h, order: float):
     return A - B, B
 
 
-def _mesh_apply(fns, lo: float, his, order: float, weight: float, panels: int, threads: int | None = None):
-    """Shared-mesh product-trapezoid rule in u = s^(weight+1), for upper limits ``his`` >= lo.
+@dataclass(frozen=True)
+class _Mesh:
+    """One axis of the shared mesh: nodes ``s`` (in s) and ``u`` (in u), the
+    interval lengths ``h`` in u, and each output's ``U`` and mesh index ``top``."""
 
-    The mesh holds lo and every upper limit, and splits each interval
-    between consecutive ones into r = ceil(panels / intervals) equal parts
-    in u, so it has at least ``panels`` intervals.  Each function in ``fns``
-    is evaluated once per mesh node.  Weights are built a block of at most
-    ``_APPLY_BLOCK`` entries at a time and applied to every function in the
-    same pass.  Returns ([sum_k W[i,k] f(s_k) for f in fns], int_lo^hi_i of
-    the kernel), the second in closed form.  Blocks do not depend on the
-    thread count, so neither do the bits.
+    s: np.ndarray
+    u: np.ndarray
+    h: np.ndarray
+    U: np.ndarray
+    top: np.ndarray
+
+
+def _mesh(lo: float, his, weight: float, panels: int) -> _Mesh:
+    """The shared mesh in u = s^(weight+1) for upper limits ``his`` >= lo.
+
+    It holds lo and every upper limit, and splits each interval between
+    consecutive ones into r = ceil(panels / intervals) equal parts in u, so
+    it has at least ``panels`` intervals.  The output coordinates are mesh
+    nodes exactly.
     """
     fwd, back = _power_map(weight)
     his = np.asarray(his, dtype=np.float64).reshape(-1)
@@ -279,36 +286,92 @@ def _mesh_apply(fns, lo: float, his, order: float, weight: float, panels: int, t
         u = np.append((uk[:-1, None] + np.diff(uk)[:, None] * (np.arange(r) / r)).reshape(-1), uk[-1])
         s = np.clip(back(u), knots[0], knots[-1])
     h = _mapped_widths(np.repeat(np.diff(knots), r), np.diff(u))
-    s[::r] = knots  # the output coordinates exactly
-    vals = [np.broadcast_to(np.asarray(f(s), dtype=np.float64), s.shape) for f in fns]
+    s[::r] = knots
     at = np.searchsorted(knots, his)
-    U, top = uk[at], at * r  # each output's u and mesh index
-    rows = max(1, _APPLY_BLOCK // u.size)
-    width = max(1, _APPLY_BLOCK // rows - 1)  # intervals per block
-    out = np.zeros((len(fns), his.size))
+    return _Mesh(s, u, h, uk[at], at * r)
 
-    def run(starts: range) -> None:
-        for i0 in starts:
-            i1 = min(i0 + rows, his.size)
-            end = int(top[i0:i1].max())
-            for c0 in range(0, end, width):
-                c1 = min(c0 + width, end)
-                with _no_overflow():
-                    left, right = _hat_weights(U[i0:i1], u[c0 : c1 + 1], h[c0:c1], order)
-                for v, acc in zip(vals, out):
-                    acc[i0:i1] += np.einsum("ik,k->i", left, v[c0:c1], optimize=False) + np.einsum(
-                        "ik,k->i", right, v[c0 + 1 : c1 + 1], optimize=False
-                    )
 
-    starts = range(0, his.size, rows)
-    blocks = [starts[b.start : b.stop] for b in row_blocks(len(starts), worker_count(threads))]
+def _spread(run: Callable[[range], None], items: range, threads: int | None) -> None:
+    """Run ``run`` over contiguous slices of ``items``, one per worker."""
+    blocks = [items[b.start : b.stop] for b in row_blocks(len(items), worker_count(threads))]
     if len(blocks) <= 1:
-        run(starts)
+        run(items)
     else:
         with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
             list(pool.map(run, blocks))
+
+
+def _hat_apply(mesh: _Mesh, order: float, vals, threads: int | None = None) -> list[np.ndarray]:
+    """[sum_k W[i,k] v[k, ...] for v in vals], one row i per output: the product-trapezoid rule.
+
+    Each ``v`` holds values at the mesh nodes along its first axis; any
+    trailing axes are columns carried through.  Weights are built a block
+    of at most ``_APPLY_BLOCK`` entries at a time (cut by columns too when
+    one mesh row is longer) and applied to every ``v`` in the same pass.
+    Blocks do not depend on the thread count, so neither do the bits.
+    """
+    n_out, size = mesh.U.size, mesh.u.size
+    rows = max(1, _APPLY_BLOCK // size)
+    width = max(1, _APPLY_BLOCK // rows - 1)  # intervals per block
+    outs = [np.zeros((n_out,) + v.shape[1:]) for v in vals]
+
+    def run(starts: range) -> None:
+        for i0 in starts:
+            i1 = min(i0 + rows, n_out)
+            end = int(mesh.top[i0:i1].max())
+            for c0 in range(0, end, width):
+                c1 = min(c0 + width, end)
+                with _no_overflow():
+                    left, right = _hat_weights(mesh.U[i0:i1], mesh.u[c0 : c1 + 1], mesh.h[c0:c1], order)
+                for v, acc in zip(vals, outs):
+                    acc[i0:i1] += np.einsum("ik,k...->i...", left, v[c0:c1], optimize=False) + np.einsum(
+                        "ik,k...->i...", right, v[c0 + 1 : c1 + 1], optimize=False
+                    )
+
+    _spread(run, range(0, n_out, rows), threads)
+    return outs
+
+
+def _mesh_apply(fns, lo: float, his, order: float, weight: float, panels: int, threads: int | None = None):
+    """Shared-mesh rule on one axis, for upper limits ``his`` >= lo.
+
+    Each function in ``fns`` is evaluated once per node of ``_mesh``.
+    Returns ([sum_k W[i,k] f(s_k) for f in fns], int_lo^hi_i of the
+    kernel), the second in closed form.
+    """
+    mesh = _mesh(lo, his, weight, panels)
+    vals = [np.broadcast_to(np.asarray(f(mesh.s), dtype=np.float64), mesh.s.shape) for f in fns]
+    outs = _hat_apply(mesh, order, vals, threads)
     with _no_overflow():
-        return list(out), (U - uk[0]) ** order / order
+        return outs, (mesh.U - mesh.u[0]) ** order / order
+
+
+def _mesh_2d(src: FunctionSource, rect: Box, xs, ys, order: FracOrder, panels: int, threads: int | None) -> np.ndarray:
+    """C W_x F W_y^T: the shared-mesh rule on both axes, F = f on the product of the meshes.
+
+    F is evaluated a block of x-node rows at a time, at most
+    ``_APPLY_BLOCK`` entries, and each block is reduced at once to its rows
+    of G = F W_y^T; then out = W_x G.  Both passes are ``_hat_apply``.
+    Block boundaries depend only on the mesh sizes, and workers take whole
+    blocks, so the bits do not depend on the thread count.
+    """
+    mx = _mesh(rect.a, xs, order.p, panels)
+    my = _mesh(rect.c, ys, order.q, panels)
+    nx, ny = mx.s.size, my.s.size
+    blocks = -(-nx // max(1, _APPLY_BLOCK // ny))
+    rows = -(-nx // blocks)  # equal blocks, as many as the entry budget needs
+    G = np.empty((nx, my.U.size))
+
+    def run(starts: range) -> None:
+        for a0 in starts:
+            a1 = min(a0 + rows, nx)
+            F = np.broadcast_to(np.asarray(src.eval(mx.s[None, a0:a1], my.s[:, None]), dtype=np.float64), (ny, a1 - a0))
+            (Gt,) = _hat_apply(my, order.beta, [F], threads=1)
+            G[a0:a1] = Gt.T
+
+    _spread(run, range(0, nx, rows), threads)
+    (out,) = _hat_apply(mx, order.alpha, [G], threads)
+    return _clean(_prefactor(order) * out)
 
 
 def _unlog(*logs: float) -> float:
@@ -440,7 +503,10 @@ def katugampola_2d_grid(
         mesh node and the kernel integrated exactly against hat
         functions (``quad.grading`` is unused there).  When both axes
         share lower limit, nodes, order and weight, one set of weights
-        serves g and h.  Other sources take the tensor route.
+        serves g and h.  A source without a split whose ``smooth`` is
+        true takes the same meshes on both axes, with f evaluated once
+        per node of their product (the tensor panel cap still applies).
+        Other sources take the tensor route.
 
     ``threads`` overrides FRACDIM2D_THREADS.  Thread count never changes
     the computed bits: rows are assigned to workers in contiguous blocks
@@ -455,7 +521,9 @@ def katugampola_2d_grid(
     use_split = split is not None and method in ("separable", "auto")
     src, quad, _ = _checked(src, spec.rect, quad, tensor=not use_split)
     rect, xs, ys = spec.rect, spec.xs(), spec.ys()
-    if not use_split:
+    if not use_split and method == "auto" and src.smooth:
+        out = _mesh_2d(src, rect, xs, ys, order, quad.panels, threads)
+    elif not use_split:
         out = _tensor(src, rect, xs, ys, order, quad, threads)
     else:
         if method == "separable":

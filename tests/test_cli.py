@@ -313,6 +313,37 @@ def test_dimension_of_integral(capsys, tmp_path):
     assert 1.9 <= doc["slope"] <= 2.1
 
 
+# the counts files these runs wrote before the fit's counts stopped being
+# computed a second time; the bytes must not move
+PINNED_COUNTS = [
+    (
+        ("--fn", "weierstrass", "--grid", "257,257"),
+        "delta,count_lower,count_upper\n0.25,133,164\n0.125,740,867\n0.0625,4073,4584\n0.03125,21245,23292\n",
+    ),
+    (
+        ("--fn", "sinxy", "--grid", "129,129", "--oracle", "--which", "upper"),
+        "delta,count_lower,count_upper,count_oracle\n0.25,32,60,35\n0.125,126,242,150\n0.0625,505,971,599\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,expected", PINNED_COUNTS)
+def test_dimension_counts_file_bytes_are_pinned(capsys, tmp_path, argv, expected):
+    path = tmp_path / "counts.csv"
+    code, _, err = run_cli(capsys, "dimension", *argv, "--out", str(path))
+    assert code == 0 and err is None
+    assert path.read_bytes() == expected.encode()
+
+
+def test_dimension_without_out_counts_only_for_the_fit(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("counts computed again for a file nobody asked for")
+
+    monkeypatch.setattr(cli, "oscillation_counts", refuse)
+    code, out, err = run_cli(capsys, "dimension", "--fn", "weierstrass", "--grid", "257,257")
+    assert code == 0 and err is None and "slope = 2.441915" in out
+
+
 # ---------------------------------------------------------------------------
 # variation
 
@@ -350,6 +381,12 @@ def test_variation_trend_needs_levels(capsys):
     assert code == 2 and err["parameter"] == "levels"
 
 
+def test_variation_trend_oversized_level_is_a_size_error(capsys):
+    # 200000^2 nodes would ask numpy for 298 GiB; refused before allocating
+    code, out, err = run_cli(capsys, "variation", "--fn", "t-parabola-sine", "--trend", "--levels", "2,3,200000")
+    assert code == 3 and err["code"] == 3 and "budget" in err["message"] and out == ""
+
+
 # ---------------------------------------------------------------------------
 # construct
 
@@ -377,6 +414,13 @@ def test_construct_first_slice_matches_seed(capsys, tmp_path):
 def test_construct_seam_violation_exit_2(capsys):
     code, _, err = run_cli(capsys, "construct", "--fn", "t:plane")
     assert code == 2 and "seam" in err["message"]
+
+
+def test_construct_oversized_grid_is_a_size_error(capsys, tmp_path):
+    path = tmp_path / "big.csv"
+    code, out, err = run_cli(capsys, "construct", "--fn", "sinxy", "--grid", "200000,200000", "--out", str(path))
+    assert code == 3 and err["code"] == 3 and "budget" in err["message"] and out == ""
+    assert not path.exists()
 
 
 def test_construct_unknown_function_exit_2(capsys):

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from fracdim2d import (
     Rectangle,
     SampledSource,
     ShiftedSource,
+    SizeError,
     read_samples_csv,
     read_samples_json,
     sample,
@@ -23,6 +25,7 @@ from fracdim2d import (
     write_samples_csv,
     write_samples_json,
 )
+from fracdim2d import core
 from fracdim2d.core import row_blocks
 
 
@@ -203,6 +206,32 @@ def test_worker_count_env(monkeypatch):
     monkeypatch.setenv("FRACDIM2D_THREADS", "zebra")
     with pytest.raises(ParameterError):
         worker_count()
+
+
+def test_thread_requests_are_capped_at_the_cpu_count(monkeypatch):
+    # the cap is read off the blocks a parallel loop would run; no thread starts
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.delenv("FRACDIM2D_THREADS", raising=False)
+    assert len(row_blocks(4097, worker_count(4097))) == 4
+    monkeypatch.setenv("FRACDIM2D_THREADS", "4097")
+    assert len(row_blocks(4097, worker_count())) == 4
+    assert len(row_blocks(3, worker_count())) == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one block
+    assert len(row_blocks(4097, worker_count())) == 1
+
+
+def test_sample_refuses_grids_over_the_node_budget(monkeypatch):
+    def never(x, y):
+        raise AssertionError("evaluated an oversized grid")
+
+    src = CallableSource(never, name="never")
+    with pytest.raises(SizeError):
+        sample(src, GridSpec(Box(0, 1, 0, 1), 200000, 200000))
+    monkeypatch.setattr(core, "_MAX_SAMPLE_NODES", 100)
+    with pytest.raises(SizeError):
+        sample(src, GridSpec(Box(0, 1, 0, 1), 10, 11))
+    ok = sample(CallableSource(lambda x, y: x + y, name="sum"), GridSpec(Box(0, 1, 0, 1), 10, 10))
+    assert ok.values.size == 100
 
 
 @given(st.integers(1, 200), st.integers(1, 16))

@@ -14,6 +14,8 @@ from fracdim2d import (
     NumericError,
     ParameterError,
     QuadratureSpec,
+    SampledSource,
+    ShiftedSource,
     SizeError,
     VerificationError,
     axis_unit_factor,
@@ -272,6 +274,122 @@ def test_power_weight_near_minus_one_is_refused():
     for src, method in ((make_source("sinxy"), "tensor"), (make_source("plane"), "auto"), (make_source("plane"), "separable")):
         with pytest.raises(NumericError):
             katugampola_2d_grid(src, GridSpec(BOX, 3, 3), order, QuadratureSpec(panels=8), method=method)
+
+
+# ---------------------------------------------------------------------------
+# two-axis shared mesh: method="auto" on smooth sources without a split
+
+SINXY = make_source("sinxy")
+
+
+def _smooth(fn, name):
+    return CallableSource(fn, name=name, smooth=True)
+
+
+@pytest.mark.parametrize("order", [HALF, FracOrder(0.3, 1.7, 0.6, -0.4), FracOrder(2.5, 0.1, 1.0, 0.0)])
+def test_auto_2d_mesh_integrates_constants_exactly(order):
+    src = _smooth(lambda x, y: np.full(np.broadcast_shapes(np.shape(x), np.shape(y)), 2.5), "const-no-split")
+    for spec in (GridSpec(BOX, 9, 9), GridSpec(BOX, 17, 5)):
+        for panels in (16, 256):
+            gs = katugampola_2d_grid(src, spec, order, QuadratureSpec(panels=panels), method="auto")
+            for i, x in enumerate(spec.xs()):
+                for j, y in enumerate(spec.ys()):
+                    ref = 2.5 * integral_of_one(BOX, order, x, y)
+                    assert abs(gs.value(i, j) - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("order", [HALF, FracOrder(0.3, 1.7)])
+def test_auto_2d_mesh_is_exact_for_xy_at_p0(order):
+    # hat functions in (u, v) = (s, t) reproduce a bilinear integrand exactly;
+    # the tensor route's midpoint rule does not
+    spec = GridSpec(BOX, 9, 7)
+    gs = katugampola_2d_grid(_smooth(lambda x, y: x * y, "xy"), spec, order, QuadratureSpec(panels=16), method="auto")
+    for i, x in enumerate(spec.xs()):
+        for j, y in enumerate(spec.ys()):
+            ref = _axis_identity(1.0, x, order.alpha) * _axis_identity(1.0, y, order.beta)
+            assert abs(gs.value(i, j) - ref) <= 1e-12 * max(abs(ref), 1e-300)
+
+
+@pytest.mark.parametrize("order", [HALF, FracOrder(0.5, 0.3, 0.6, -0.4), FracOrder(0.3, 0.7, 0.6, -0.4)])
+def test_auto_2d_mesh_is_second_order_on_sinxy(order):
+    spec = GridSpec(BOX, 5, 5)
+    vals = [katugampola_2d_grid(SINXY, spec, order, QuadratureSpec(panels=P), method="auto").values for P in (64, 128, 256, 512)]
+    diffs = [float(np.max(np.abs(a - b))) for a, b in zip(vals, vals[1:])]
+    orders = [math.log2(a / b) for a, b in zip(diffs, diffs[1:])]
+    assert min(orders) >= 1.9, orders
+
+
+def test_auto_2d_mesh_agrees_with_tensor_at_1024_panels():
+    spec = GridSpec(BOX, 3, 3)
+    order = FracOrder(0.5, 0.3, 0.6, -0.4)
+    grids = {
+        (method, panels): katugampola_2d_grid(SINXY, spec, order, QuadratureSpec(panels=panels), method=method).values
+        for method in ("auto", "tensor")
+        for panels in (512, 1024)
+    }
+    budget = sum(float(np.max(np.abs(grids[m, 512] - grids[m, 1024]))) for m in ("auto", "tensor"))
+    gap = float(np.max(np.abs(grids["auto", 1024] - grids["tensor", 1024])))
+    assert 0.0 < gap <= budget
+
+
+def test_auto_2d_mesh_thread_count_never_changes_bits(monkeypatch):
+    # 65^2 at 2048 panels: 17 blocks of f values; then a small block size so
+    # the outputs of both passes are split as well
+    spec = GridSpec(BOX, 65, 65)
+    for order in (HALF, FracOrder(0.5, 0.3, 0.6, -0.4)):
+        quad = QuadratureSpec(panels=2048)
+        one = katugampola_2d_grid(SINXY, spec, order, quad, method="auto", threads=1)
+        two = katugampola_2d_grid(SINXY, spec, order, quad, method="auto", threads=2)
+        assert one.values.tobytes() == two.values.tobytes()
+    monkeypatch.setattr(fracint, "_APPLY_BLOCK", 2000)
+    quad = QuadratureSpec(panels=256)
+    one = katugampola_2d_grid(SINXY, GridSpec(BOX, 33, 17), HALF, quad, method="auto", threads=1)
+    two = katugampola_2d_grid(SINXY, GridSpec(BOX, 33, 17), HALF, quad, method="auto", threads=2)
+    assert one.values.tobytes() == two.values.tobytes()
+
+
+def test_auto_2d_mesh_blocks_stay_under_apply_block(monkeypatch):
+    evaluated = []
+
+    def sinxy(x, y):
+        evaluated.append(np.broadcast(x, y).size)
+        return np.sin(x * y)
+
+    src = _smooth(sinxy, "sinxy-spy")
+    spec = GridSpec(BOX, 33, 17)  # 16 y intervals, 16 parts each: 257 y-mesh nodes
+    quad = QuadratureSpec(panels=256)
+    ref = katugampola_2d_grid(src, spec, HALF, quad, method="auto")
+    assert max(evaluated) <= fracint._APPLY_BLOCK
+    # a block shorter than one y-mesh row: f one x node at a time, and the
+    # weights cut into column chunks
+    monkeypatch.setattr(fracint, "_APPLY_BLOCK", 200)
+    evaluated.clear()
+    small = katugampola_2d_grid(src, spec, HALF, quad, method="auto")
+    assert max(evaluated) == 257
+    assert sup_gap(small, ref) < 1e-13
+
+
+def test_non_smooth_sources_keep_the_tensor_route_under_auto():
+    src, box = positive_source("t-parabola-sine")
+    spec = GridSpec(box, 9, 9)
+    quad = QuadratureSpec(panels=16)
+    auto = katugampola_2d_grid(src, spec, HALF, quad, method="auto")
+    tensor = katugampola_2d_grid(src, spec, HALF, quad, method="tensor")
+    assert auto.values.tobytes() == tensor.values.tobytes()
+    plain = CallableSource(lambda x, y: np.sin(x * y), name="undeclared")
+    auto = katugampola_2d_grid(plain, GridSpec(BOX, 5, 5), HALF, quad, method="auto")
+    tensor = katugampola_2d_grid(plain, GridSpec(BOX, 5, 5), HALF, quad, method="tensor")
+    assert auto.values.tobytes() == tensor.values.tobytes()
+
+
+def test_smooth_declarations_of_catalog_and_shifted_sources():
+    smooth = {"constant", "plane", "sinxy", "parabola-sine", "sine-parabola"}
+    for name in ("constant", "plane", "sinxy", "parabola-sine", "sine-parabola", "t-parabola-sine", "t-sine-parabola", "weierstrass", "rational-indicator"):
+        src = make_source(name)
+        assert src.smooth is (name in smooth), name
+        assert ShiftedSource(src, 1.0, 1.0).smooth is src.smooth
+    assert CallableSource(lambda x, y: x).smooth is False
+    assert SampledSource(katugampola_2d_grid(SINXY, GridSpec(BOX, 3, 3), HALF)).smooth is False
 
 
 # ---------------------------------------------------------------------------
