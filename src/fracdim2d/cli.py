@@ -291,10 +291,10 @@ def cmd_dimension(args: argparse.Namespace) -> int:
         raise ResolutionError("no usable deltas for this grid; refine the grid or pass --deltas")
     fit = dimension_fit(gs, deltas, which=args.which)
 
-    oracle = {}
-    if args.oracle:
-        oracle = {d: boxcount_bruteforce_3d(gs, d) for d, _ in fit.points}
     if args.out:
+        # only this file reads the direct 3-d counts; they are all counted
+        # before it is opened
+        oracle = {d: boxcount_bruteforce_3d(gs, d) for d, _ in fit.points} if args.oracle else {}
         # the fit keeps one bound per delta; the file holds both
         with open(args.out, "w", newline="\n") as fh:
             fh.write("delta,count_lower,count_upper" + (",count_oracle\n" if oracle else "\n"))

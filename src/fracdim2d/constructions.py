@@ -326,7 +326,13 @@ def _is_rational(v: float) -> bool:
     return abs(v - fr.numerator / fr.denominator) <= 1e-12 * max(1.0, abs(v))
 
 
-_rational_vec = np.vectorize(lambda x, y: 0.0 if (_is_rational(x) and _is_rational(y)) else 1.0, otypes=[np.float64])
+_rational_mask = np.vectorize(_is_rational, otypes=[bool])
+
+
+def _rational_vec(x, y):
+    # decided on each axis's own shape, then broadcast: entry for entry the
+    # value of the test on the broadcast (x, y) pairs
+    return np.where(_rational_mask(x) & _rational_mask(y), 0.0, 1.0)
 
 
 def _rational_indicator() -> FunctionSource:

@@ -287,13 +287,18 @@ class FunctionSource:
     used by separable fast paths; sources without one return ``None``.
     ``smooth`` declares f twice continuously differentiable on its domain,
     so a product-trapezoid rule on f is second order; like the split it is
-    a promise the source makes, not something checked.
+    a promise the source makes, not something checked.  ``edges`` =
+    (sigma_x, sigma_y) weakens that promise to f = g (x - a)^sigma_x
+    (y - c)^sigma_y with g twice continuously differentiable and (a, c)
+    the lower-left corner of the box the source is integrated over (the
+    lower limits); the shared mesh then grades toward that corner.
     """
 
     name: str = "source"
     domain: Box | None = None
     sup_bound: Callable[[Box], float] | None = None
     smooth: bool = False
+    edges: tuple[float, float] | None = None
 
     def eval(self, x, y):
         raise NotImplementedError
@@ -322,6 +327,7 @@ class CallableSource(FunctionSource):
         split: tuple[Callable, Callable] | None = None,
         sup_bound: Callable[[Box], float] | None = None,
         smooth: bool = False,
+        edges: tuple[float, float] | None = None,
     ):
         self._fn = fn
         self.name = name
@@ -329,6 +335,11 @@ class CallableSource(FunctionSource):
         self._split = split
         self.sup_bound = sup_bound
         self.smooth = bool(smooth)
+        if edges is not None:
+            edges = (float(edges[0]), float(edges[1]))
+            if not all(math.isfinite(e) and e >= 0.0 for e in edges):
+                raise ParameterError(f"edge exponents must be finite and >= 0, got {edges}", parameter="edges")
+        self.edges = edges
 
     def eval(self, x, y):
         return self._fn(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
@@ -389,6 +400,7 @@ class ShiftedSource(FunctionSource):
         self.name = f"{base.name}@shift({self.dx:g},{self.dy:g})"
         self.domain = None if base.domain is None else base.domain.shifted(self.dx, self.dy)
         self.smooth = base.smooth
+        self.edges = base.edges
         if base.sup_bound is not None:
             self.sup_bound = lambda box: base.sup_bound(box.shifted(-self.dx, -self.dy))
 
@@ -401,7 +413,10 @@ class ShiftedSource(FunctionSource):
             return None
         g, h = split
         dx, dy = self.dx, self.dy
-        return (lambda x: g(np.asarray(x, dtype=np.float64) - dx), lambda y: h(np.asarray(y, dtype=np.float64) - dy))
+        gx = lambda x: g(np.asarray(x, dtype=np.float64) - dx)
+        if g is h and dx == dy:
+            return gx, gx  # one axis function, so a route can reuse its sums
+        return gx, lambda y: h(np.asarray(y, dtype=np.float64) - dy)
 
 
 # ---------------------------------------------------------------------------

@@ -344,6 +344,19 @@ def test_dimension_without_out_counts_only_for_the_fit(capsys, monkeypatch):
     assert code == 0 and err is None and "slope = 2.441915" in out
 
 
+def test_dimension_oracle_without_out_counts_nothing_and_prints_the_same(capsys, monkeypatch):
+    argv = ("dimension", "--fn", "sinxy", "--grid", "129,129")
+    code, plain, err = run_cli(capsys, *argv)
+    assert code == 0 and err is None
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("direct 3-d counts computed for a file nobody asked for")
+
+    monkeypatch.setattr(cli, "boxcount_bruteforce_3d", refuse)
+    code, out, err = run_cli(capsys, *argv, "--oracle")
+    assert code == 0 and err is None and out == plain
+
+
 # ---------------------------------------------------------------------------
 # variation
 

@@ -257,6 +257,22 @@ def test_rational_indicator_detection():
     assert src(0.5, math.pi - 3.0) == 1.0
 
 
+def test_rational_indicator_per_axis_equals_the_broadcast_call():
+    from fracdim2d.constructions import _is_rational
+
+    broadcast = np.vectorize(lambda x, y: 0.0 if (_is_rational(x) and _is_rational(y)) else 1.0, otypes=[np.float64])
+    src = make_source("rational-indicator")
+    rng = np.random.default_rng(5)
+    xs = np.concatenate([np.arange(1, 17) / 16.0, [1.0 / 3.0, math.sqrt(2.0), math.pi - 3.0], rng.uniform(1.0, 2.0, 13)])
+    ys = np.concatenate([np.arange(1, 11) / 7.0, [0.1 + 0.2, 1e-13], rng.uniform(1.0, 2.0, 8)])
+    for x, y in ((xs[:, None, None], ys[None, None, :]), (xs[:, None], ys[None, :]), (xs, 0.5), (0.25, ys), (0.25, 0.5)):
+        got = src.eval(x, y)
+        want = broadcast(x, y)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # both kinds of value appear, so the comparison can tell them apart
+    assert set(np.unique(src.eval(xs[:, None], ys[None, :]))) == {0.0, 1.0}
+
+
 def test_default_box_shapes():
     assert default_box("plane") == Box(1, 2, 1, 2)
     assert default_box("parabola-sine") == Box(0, 0.5, 0, 1)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -392,6 +393,159 @@ def test_smooth_declarations_of_catalog_and_shifted_sources():
     assert SampledSource(katugampola_2d_grid(SINXY, GridSpec(BOX, 3, 3), HALF)).smooth is False
 
 
+# graded shared mesh: smooth sources that declare algebraic edges
+
+
+def _edged(sx, sy, p=0.0, q=0.0, declare=True):
+    # sin(xy) (u - A)^sx (v - C)^sy on BOX, u = x^(p+1), v = y^(q+1)
+    fn = lambda x, y: np.sin(x * y) * (x ** (p + 1.0) - 1.0) ** sx * (y ** (q + 1.0) - 1.0) ** sy
+    return CallableSource(fn, name="edged", smooth=True, edges=(sx, sy) if declare else None)
+
+
+def _axis_u(lo, x, order, weight):
+    # exact one-axis integral of u = s^(weight+1): (p+1)^-order / Gamma(order) int_A^U (U-u)^(order-1) u du
+    U, A = x ** (weight + 1.0), lo ** (weight + 1.0)
+    L = U - A
+    return (U * L**order / order - L ** (order + 1.0) / (order + 1.0)) / math.gamma(order) / (weight + 1.0) ** order
+
+
+def test_graded_mesh_holds_every_output_and_grades_toward_lo():
+    his = np.linspace(1.0, 2.0, 33)
+    plain = fracint._mesh(1.0, his, 0.0, 64)
+    mesh = fracint._mesh(1.0, his, 0.0, 64, edge=0.5)
+    grade, share = fracint._lead_in(0.5)
+    assert (grade, share) == (2.0, 1.0 / 3.0)
+    assert np.all(np.diff(mesh.u) > 0.0) and np.array_equal(mesh.h, np.diff(mesh.u))
+    assert np.array_equal(mesh.s[mesh.top], his) and np.array_equal(mesh.u[mesh.top], mesh.U)
+    assert np.array_equal(mesh.top, np.searchsorted(mesh.u, mesh.U))
+    # the lead-in ends at the first output past a third of the axis (x = 1.34375,
+    # 11 knot intervals, 22 equal parts) and holds twice as many intervals
+    end = int(mesh.top[11])
+    assert mesh.u[end] == plain.u[22] and end == 44
+    assert mesh.h[0] == pytest.approx(0.34375 / 44**2, rel=0.05)
+    for k in range(11):  # widths grow inside each knot interval, and change under 2x from the second on
+        assert np.all(np.diff(mesh.h[mesh.top[k] : mesh.top[k + 1]]) > 0.0)
+    ratio = mesh.h[2 : end + 1] / mesh.h[1:end]
+    assert np.all((ratio > 0.5) & (ratio < 2.0))
+    assert np.array_equal(mesh.u[end:], plain.u[22:]) and mesh.h.size == plain.h.size + 22
+
+
+@pytest.mark.parametrize("edge", [None, 0.0, 1.0, 1.5, 2.0])
+def test_edges_outside_the_unit_interval_keep_the_plain_mesh(edge):
+    assert fracint._lead_in(edge) == (1.0, 0.0)
+    for his, weight, panels in ((np.linspace(1.0, 2.0, 33), 0.0, 64), (np.linspace(1.0, 2.0, 17), 0.6, 300)):
+        plain, mesh = fracint._mesh(1.0, his, weight, panels), fracint._mesh(1.0, his, weight, panels, edge)
+        for field in ("s", "u", "h", "U", "top"):
+            assert getattr(mesh, field).tobytes() == getattr(plain, field).tobytes()
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:24]
+
+
+def test_ungraded_mesh_routes_keep_their_bits():
+    # digests of the meshes and grids before edges could be declared
+    mesh = fracint._mesh(1.0, np.linspace(1.0, 2.0, 33), 0.0, 64)
+    assert _digest(mesh.s, mesh.u, mesh.h, mesh.U, mesh.top) == "47403d4268bb65dee9f7789b"
+    mesh = fracint._mesh(1.0, np.linspace(1.0, 2.0, 17), 0.6, 300)
+    assert _digest(mesh.s, mesh.u, mesh.h, mesh.U, mesh.top) == "577229aefab95c4f77465d9b"
+    pinned = {
+        ("plane", HALF): "88e50065f92d3e4d99b34244",
+        ("sinxy", HALF): "08e00268aafedcb1e8a09a39",
+        ("sinxy", FracOrder(0.5, 0.3, 0.6, -0.4)): "e4d2eb0ac139506029217004",
+    }
+    quad = QuadratureSpec(panels=64)
+    for (name, order), digest in pinned.items():
+        gs = katugampola_2d_grid(make_source(name), GridSpec(BOX, 17, 9), order, quad, method="auto")
+        assert _digest(gs.values) == digest, name
+
+
+def test_separable_grids_keep_their_bits():
+    # Weierstrass's split is one axis function twice: y reuses the x sums
+    src, box = positive_source("weierstrass")
+    pinned = {HALF: "ce11ca01b01d6fed45d3a71a", FracOrder(0.5, 0.3): "27166d9e7c1ad3fccdec58fd"}
+    for order, digest in pinned.items():
+        gs = katugampola_2d_grid(src, GridSpec(box, 33, 33), order, QuadratureSpec(panels=256), method="separable")
+        assert _digest(gs.values) == digest
+
+
+def test_separable_evaluates_a_shared_axis_function_once():
+    calls = []
+
+    def univ(t):
+        calls.append(np.size(t))
+        return np.sin(3.0 * t)
+
+    src = ShiftedSource(CallableSource(lambda x, y: univ(x) + univ(y), split=(univ, univ)), 0.5, 0.5)
+    spec = GridSpec(Box(1.5, 2.5, 1.5, 2.5), 9, 9)
+    quad = QuadratureSpec(panels=32)
+    katugampola_2d_grid(src, spec, HALF, quad, method="separable")
+    assert sum(calls) == 9 * 32
+    calls.clear()
+    katugampola_2d_grid(src, spec, FracOrder(0.5, 0.3), quad, method="separable")
+    assert sum(calls) == 2 * 9 * 32
+
+
+@pytest.mark.parametrize("order", [HALF, FracOrder(0.3, 1.7, 0.6, -0.4)])
+def test_graded_mesh_is_exact_for_constants_and_functions_linear_in_u(order):
+    spec = GridSpec(BOX, 9, 7)
+    p, q = order.p, order.q
+    const = CallableSource(lambda x, y: 2.5 + 0.0 * x * y, smooth=True, edges=(0.5, 0.3))
+    linear = CallableSource(lambda x, y: x ** (p + 1.0) * y ** (q + 1.0), smooth=True, edges=(0.5, 0.3))
+    for panels in (16, 256):
+        quad = QuadratureSpec(panels=panels)
+        gc = katugampola_2d_grid(const, spec, order, quad, method="auto")
+        gl = katugampola_2d_grid(linear, spec, order, quad, method="auto")
+        for i, x in enumerate(spec.xs()):
+            for j, y in enumerate(spec.ys()):
+                ref = 2.5 * integral_of_one(BOX, order, x, y)
+                assert abs(gc.value(i, j) - ref) <= 1e-12 * abs(ref)
+                ref = _axis_u(1.0, x, order.alpha, p) * _axis_u(1.0, y, order.beta, q)
+                assert abs(gl.value(i, j) - ref) <= 1e-12 * max(abs(ref), 1e-300)
+
+
+@pytest.mark.parametrize(
+    "order, edges",
+    [(HALF, (0.5, 0.5)), (FracOrder(0.5, 0.3, 0.6, -0.4), (0.3, 0.7)), (FracOrder(0.3, 0.7, 0.6, -0.4), (0.1, 0.9))],
+)
+def test_graded_mesh_is_second_order_on_an_edge_profile(order, edges):
+    spec = GridSpec(BOX, 5, 5)
+
+    def observed(src):
+        quads = [QuadratureSpec(panels=P) for P in (64, 128, 256, 512)]
+        vals = [katugampola_2d_grid(src, spec, order, quad, method="auto").values for quad in quads]
+        diffs = [float(np.max(np.abs(a - b))) for a, b in zip(vals, vals[1:])]
+        return min(math.log2(a / b) for a, b in zip(diffs, diffs[1:]))
+
+    assert observed(_edged(*edges, order.p, order.q)) >= 1.9
+    # the same source on the plain mesh converges like h^(1 + min(edges))
+    assert observed(_edged(*edges, order.p, order.q, declare=False)) < 1.0 + min(edges) + 0.1
+
+
+def test_graded_mesh_thread_count_never_changes_bits(monkeypatch):
+    src = _edged(0.5, 0.3, 0.6, -0.4)
+    order = FracOrder(0.5, 0.3, 0.6, -0.4)
+    for block in (fracint._APPLY_BLOCK, 2000):
+        monkeypatch.setattr(fracint, "_APPLY_BLOCK", block)
+        quad = QuadratureSpec(panels=512)
+        one = katugampola_2d_grid(src, GridSpec(BOX, 33, 17), order, quad, method="auto", threads=1)
+        two = katugampola_2d_grid(src, GridSpec(BOX, 33, 17), order, quad, method="auto", threads=2)
+        assert one.values.tobytes() == two.values.tobytes()
+
+
+def test_edge_declarations_are_checked_and_forwarded():
+    src = CallableSource(lambda x, y: x, smooth=True, edges=(0.5, 1))
+    assert src.edges == (0.5, 1.0)
+    assert ShiftedSource(src, 1.0, 1.0).edges == (0.5, 1.0)
+    assert CallableSource(lambda x, y: x).edges is None and make_source("sinxy").edges is None
+    for bad in ((-0.5, 0.5), (0.5, math.nan), (math.inf, 0.5)):
+        with pytest.raises(ParameterError):
+            CallableSource(lambda x, y: x, edges=bad)
+
+
 # ---------------------------------------------------------------------------
 # algebraic properties (property-based)
 
@@ -431,6 +585,19 @@ def test_monotone_in_upper_corner_for_nonnegative_f(a, b):
 def test_semigroup_composition_small():
     lhs, rhs = compose_semigroup(make_source("plane"), GridSpec(BOX, 9, 9), HALF, HALF, QuadratureSpec(panels=32))
     assert float(np.max(np.abs(lhs.values - rhs.values))) < 5e-3
+
+
+def test_semigroup_outer_stage_runs_on_the_graded_mesh(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("composition took the tensor route")
+
+    monkeypatch.setattr(fracint, "_tensor", refuse)
+    gaps = []
+    for panels in (32, 64, 128):
+        lhs, rhs = compose_semigroup(SINXY, GridSpec(BOX, 9, 9), HALF, HALF, QuadratureSpec(panels=panels))
+        gaps.append(float(np.max(np.abs(lhs.values - rhs.values))))
+    # second order: the plain mesh shrinks the gap only 2.8x per doubling
+    assert gaps[-1] < 1e-4 and min(a / b for a, b in zip(gaps, gaps[1:])) >= 3.4, gaps
 
 
 def test_semigroup_requires_shared_weights():
