@@ -15,11 +15,16 @@ which is exact for the piecewise-bilinear interpolant whenever the cell
 edges align with sample lines.
 
 ``boxcount_bruteforce_3d`` recounts small cases directly from the
-bilinear interpolant: for each cell column it stacks the minimal run of
+bilinear interpolant: over each cell it stacks the minimal run of
 z-cubes covering the interpolant's range there.  Cut cells are handled
 by evaluating the interpolant on the cell boundary as well, which can
 only widen the range; with aligned cell edges the ranges coincide with
 the sampled oscillations and the count sits inside the bracket above.
+It is the oracle for the bracket, so it shares no reduction with
+``oscillation_counts``: each axis's per-cell candidate coordinates are
+laid end to end, one contiguous run per cell, and the interpolant is
+evaluated once per cell column on that column's x-run times the y
+candidates, then reduced over x and over each cell's y-run.
 """
 
 from __future__ import annotations
@@ -49,6 +54,9 @@ __all__ = [
 ]
 
 _BRUTE_CELL_LIMIT = 2**14
+# interpolant values per evaluation of the brute-force count (2 MB of
+# float64), unless a single cell holds more
+_BRUTE_BLOCK = 1 << 18
 _EDGE_TOL = 1e-9
 
 
@@ -166,14 +174,38 @@ def oscillation_counts(g: GridSamples, delta: float) -> BoxCount:
     )
 
 
+def _candidate_runs(coords: np.ndarray, lo: float, hi: float, delta: float, starts: np.ndarray, stops: np.ndarray):
+    """Every cell's candidate coordinates laid end to end, and where each cell's run starts.
+
+    A cell's candidates are the sample coordinates in its window plus its
+    two edges, clipped to [lo, hi] and made unique.  Each cell keeps its
+    own copy of a node it shares with a neighbour, so cell k is exactly
+    the run [offs[k], offs[k+1]) even where two edges that should meet
+    differ in the last bit.
+    """
+    runs = []
+    for k in range(starts.size):
+        e0 = lo + k * delta
+        e1 = min(e0 + delta, hi)
+        runs.append(np.unique(np.concatenate((coords[starts[k] : stops[k]], [e0, e1])).clip(lo, hi)))
+    return np.concatenate(runs), np.cumsum([0] + [r.size for r in runs])
+
+
 def boxcount_bruteforce_3d(g: GridSamples, delta: float) -> int:
     """Delta-cube count of the bilinear graph, cell column by cell column.
 
     For each closed delta-cell the bilinear interpolant's range is taken
     over every candidate extremum: sample nodes inside the cell and the
-    interpolant restricted to the cell edges.  The count for the column
-    is the minimal number of stacked delta-cubes covering that range
-    (at least one).  Limited to small cell grids.
+    interpolant restricted to the cell edges.  The count for the cell is
+    the minimal number of stacked delta-cubes covering that range (at
+    least one).  Limited to small cell grids.
+
+    The candidates of every cell along an axis form one contiguous run
+    of a per-axis array (``_candidate_runs``).  Each cell column
+    evaluates the interpolant on its x-run times the y candidates, in
+    strips of whole cells of at most ``_BRUTE_BLOCK`` values, takes the
+    max and min over x, then over each cell's y-run.  Every value is the
+    one a per-cell evaluation gives, so the count is too.
     """
     if not isinstance(g, GridSamples):
         raise ParameterError("expected GridSamples")
@@ -194,19 +226,25 @@ def boxcount_bruteforce_3d(g: GridSamples, delta: float) -> int:
         raise ResolutionError(
             f"delta={delta:g} leaves a cell with fewer than 2x2 sample nodes on a {g.spec.m}x{g.spec.n} grid"
         )
+    cand_x, xoff = _candidate_runs(xs, box.a, box.b, delta, xst, xsp)
+    cand_y, yoff = _candidate_runs(ys, box.c, box.d, delta, yst, ysp)
+    # strips of whole y-cells, cut so a column's widest x-run times a strip fits the block
+    per_strip = max(1, _BRUTE_BLOCK // int(np.max(np.diff(xoff))))
+    cuts = [0]
+    while cuts[-1] < nc:
+        j = cuts[-1]
+        cuts.append(max(j + 1, int(np.searchsorted(yoff, yoff[j] + per_strip, side="right")) - 1))
     interp = SampledSource(g, name="boxcount-interpolant")
     total = 0
     for i in range(mc):
-        x0 = box.a + i * delta
-        x1 = min(x0 + delta, box.b)
-        cand_x = np.unique(np.concatenate((xs[xst[i] : xsp[i]], [x0, x1])).clip(box.a, box.b))
-        for j in range(nc):
-            y0 = box.c + j * delta
-            y1 = min(y0 + delta, box.d)
-            cand_y = np.unique(np.concatenate((ys[yst[j] : ysp[j]], [y0, y1])).clip(box.c, box.d))
-            patch = interp.eval(cand_x[:, None], cand_y[None, :])
-            rng = (float(np.max(patch)) - float(np.min(patch))) / delta
-            total += max(int(math.ceil(rng - _EDGE_TOL * (1.0 + rng))), 1)
+        cx = cand_x[xoff[i] : xoff[i + 1], None]
+        for j0, j1 in zip(cuts[:-1], cuts[1:]):
+            strip = interp.eval(cx, cand_y[None, yoff[j0] : yoff[j1]])
+            at = yoff[j0:j1] - yoff[j0]
+            top = np.maximum.reduceat(np.max(strip, axis=0), at)
+            bottom = np.minimum.reduceat(np.min(strip, axis=0), at)
+            for rng in ((top - bottom) / delta).tolist():
+                total += max(int(math.ceil(rng - _EDGE_TOL * (1.0 + rng))), 1)
     return total
 
 

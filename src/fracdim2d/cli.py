@@ -18,6 +18,7 @@ artifacts regardless of FRACDIM2D_THREADS.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -459,10 +460,18 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    # Building the parser costs about as much as a small command itself,
+    # so one parser serves every main() call in a process.  Reuse is safe:
+    # parse_args fills a fresh Namespace each call and no argument has a
+    # mutable default.  It is built on first use, not at import.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         if not getattr(args, "subcommand", None):
             raise _UsageError("a subcommand is required (integrate, dimension, variation, construct, verify)")
         return args.run(args)

@@ -89,6 +89,12 @@ _MAX_TENSOR_PANELS = 8192
 # nodes per block of the 1-D apply and weights per block of the shared mesh
 # (2 MB per float64 array)
 _APPLY_BLOCK = 1 << 18
+# one grid call's budget, checked before it allocates (``_grid_budget``):
+# entries of its largest array (1 GiB of float64) and operations (source
+# evaluations plus kernel-weight products); each is at least eight times
+# the largest grid call of the tests and benchmarks
+_MAX_GRID_ENTRIES = 1 << 27
+_MAX_GRID_WORK = 1 << 36
 
 
 @dataclass(frozen=True)
@@ -345,6 +351,47 @@ def _mesh(lo: float, his, weight: float, panels: int, edge: float | None = None)
     return _Mesh(s, u, h, uk[at], idx[at])
 
 
+def _mesh_nodes(m: int, panels: int, edge: float | None) -> int:
+    """An upper bound on the node count of ``_mesh`` for m upper limits, without building it.
+
+    At most m + 1 knots with r = ceil(panels / intervals) parts each give
+    fewer than panels + m intervals; a lead-in of grading g multiplies
+    its share by at most g and adds at most one interval per knot.
+    """
+    grade = _lead_in(edge)[0]
+    return math.ceil(grade * (panels + m)) + m + 2
+
+
+def _grid_budget(route: str, m: int, n: int, panels: int, edges=None) -> None:
+    """Refuse a grid call whose predicted size exceeds the budget, before it allocates.
+
+    Predicted per route, for m x n outputs: the largest array's entries
+    (the output, or ``_mesh_2d``'s G buffer of N_x x n) and the work,
+    m n P^2 source evaluations for the tensor route, (m + n) P for
+    ``separable``, m N_x + n N_y hat weights for the split mesh, and
+    N_x n (N_y + m) products for the two passes of ``_mesh_2d``, with
+    N_x, N_y the mesh sizes of ``_mesh_nodes``.
+    """
+    entries = m * n
+    if route == "tensor":
+        work = m * n * panels * panels
+    elif route == "separable":
+        work = (m + n) * panels
+    else:
+        ex, ey = edges or (None, None)
+        nx, ny = _mesh_nodes(m, panels, ex), _mesh_nodes(n, panels, ey)
+        if route == "mesh-split":
+            work = m * nx + n * ny
+        else:
+            entries = max(entries, nx * n)
+            work = nx * n * (ny + m)
+    if entries > _MAX_GRID_ENTRIES or work > _MAX_GRID_WORK:
+        raise SizeError(
+            f"a {m}x{n} grid at {panels} panels ({route} route) needs about {entries:.3g} array "
+            f"entries and {work:.3g} operations; the budget is {_MAX_GRID_ENTRIES:.3g} and {_MAX_GRID_WORK:.3g}"
+        )
+
+
 def _spread(run: Callable[[range], None], items: range, threads: int | None) -> None:
     """Run ``run`` over contiguous slices of ``items``, one per worker."""
     blocks = [items[b.start : b.stop] for b in row_blocks(len(items), worker_count(threads))]
@@ -568,7 +615,8 @@ def katugampola_2d_grid(
 
     ``threads`` overrides FRACDIM2D_THREADS.  Thread count never changes
     the computed bits: rows are assigned to workers in contiguous blocks
-    with disjoint output slots.
+    with disjoint output slots.  A call whose predicted size exceeds the
+    budget (``_grid_budget``) raises ``SizeError`` before it allocates.
     """
     if method not in ("tensor", "separable", "auto"):
         raise ParameterError(f"unknown method {method!r}", parameter="method")
@@ -578,14 +626,19 @@ def katugampola_2d_grid(
         raise ParameterError(f"source {src.name!r} has no additive split; use method='tensor'", parameter="method")
     use_split = split is not None and method in ("separable", "auto")
     src, quad, _ = _checked(src, spec.rect, quad, tensor=not use_split)
+    if use_split:
+        route = "separable" if method == "separable" else "mesh-split"
+    else:
+        route = "mesh-2d" if method == "auto" and src.smooth else "tensor"
+    _grid_budget(route, spec.m, spec.n, quad.panels, src.edges)
     rect, xs, ys = spec.rect, spec.xs(), spec.ys()
     same_axes = (rect.a, order.alpha, order.p) == (rect.c, order.beta, order.q) and np.array_equal(xs, ys)
-    if not use_split and method == "auto" and src.smooth:
+    if route == "mesh-2d":
         out = _mesh_2d(src, rect, xs, ys, order, quad.panels, threads)
-    elif not use_split:
+    elif route == "tensor":
         out = _tensor(src, rect, xs, ys, order, quad, threads)
     else:
-        if method == "separable":
+        if route == "separable":
             gr = quad.graded(order.alpha, order.beta)
             gu, su = _apply_1d(split[0], rect.a, xs, order.alpha, order.p, quad.panels, gr)
             if same_axes and split[0] is split[1]:

@@ -13,6 +13,7 @@ from fracdim2d import (
     GridSpec,
     ParameterError,
     ResolutionError,
+    SampledSource,
     SizeError,
     boxcount_bruteforce_3d,
     default_deltas,
@@ -22,6 +23,7 @@ from fracdim2d import (
     oscillation_counts,
     sample,
 )
+from fracdim2d import boxdim
 
 UNIT = Box(0.0, 1.0, 0.0, 1.0)
 
@@ -208,3 +210,89 @@ def test_default_deltas_halving_ladder():
         assert b == a / 2
     assert ds[-1] >= 8.0 * spec.hx * (1 - 1e-12)
     assert len(ds) >= 3
+
+
+# ---------------------------------------------------------------------------
+# the column-strip brute-force count against a plain per-cell count
+
+
+def _per_cell_count(g, delta):
+    """The brute-force count one cell at a time: candidates, one evaluation and one range per cell."""
+    box = g.spec.rect
+    mc = boxdim._cells_1d(box.a, box.b, delta)
+    nc = boxdim._cells_1d(box.c, box.d, delta)
+    xs, ys = g.spec.xs(), g.spec.ys()
+    xst, xsp = boxdim._window_bounds(xs, box.a, mc, delta, box.b)
+    yst, ysp = boxdim._window_bounds(ys, box.c, nc, delta, box.d)
+    interp = SampledSource(g, name="per-cell")
+    total = 0
+    for i in range(mc):
+        x0 = box.a + i * delta
+        x1 = min(x0 + delta, box.b)
+        cand_x = np.unique(np.concatenate((xs[xst[i] : xsp[i]], [x0, x1])).clip(box.a, box.b))
+        for j in range(nc):
+            y0 = box.c + j * delta
+            y1 = min(y0 + delta, box.d)
+            cand_y = np.unique(np.concatenate((ys[yst[j] : ysp[j]], [y0, y1])).clip(box.c, box.d))
+            patch = interp.eval(cand_x[:, None], cand_y[None, :])
+            rng = (float(np.max(patch)) - float(np.min(patch))) / delta
+            total += max(int(math.ceil(rng - boxdim._EDGE_TOL * (1.0 + rng))), 1)
+    return total
+
+
+# 0.25 and 0.125 divide the unit side; 0.3 leaves a short last cell; 0.1
+# puts edges where lo + k*delta + delta and lo + (k+1)*delta differ in the
+# last bit; 0.25 (1 + 1e-11) puts every node 0.25 k within the edge slack
+# of a cell edge, so that node belongs to both neighbours
+_EDGE_CASE_DELTAS = (0.25, 0.125, 0.3, 0.1, 0.25 * (1.0 + 1e-11))
+
+
+def test_bruteforce_equals_per_cell_count_on_catalog_grids():
+    from fracdim2d import catalog_names, default_box
+
+    for name in catalog_names():
+        src = make_source(name)
+        box = src.domain if src.domain is not None else default_box(name)
+        g = sample(src, GridSpec(box, 65, 65))
+        side = min(box.width, box.height)
+        for k in (4, 8, 16):
+            assert boxcount_bruteforce_3d(g, side / k) == _per_cell_count(g, side / k), (name, k)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_bruteforce_equals_per_cell_count_on_random_fields(seed):
+    rng = np.random.default_rng(seed)
+    square = GridSpec(UNIT, 65, 65)
+    skew = GridSpec(Box(-1.0, 2.0, 0.5, 1.7), 97, 37)  # non-square cells and grid
+    for spec, deltas in ((square, _EDGE_CASE_DELTAS), (skew, (0.3, 0.1, 0.123456))):
+        g = GridSamples.from_matrix(spec, rng.standard_normal((spec.m, spec.n)))
+        for d in deltas:
+            assert boxcount_bruteforce_3d(g, d) == _per_cell_count(g, d), (spec, d)
+
+
+def test_bruteforce_equals_per_cell_count_across_strip_cuts(monkeypatch):
+    g = _grid(lambda x, y: np.sin(7 * x) * np.cos(5 * y) + x * y, side=65)
+    want = {d: _per_cell_count(g, d) for d in _EDGE_CASE_DELTAS}
+    # a block smaller than one cell's patch: every strip is a single y-cell
+    for block in (1, 64, 300):
+        monkeypatch.setattr(boxdim, "_BRUTE_BLOCK", block)
+        assert {d: boxcount_bruteforce_3d(g, d) for d in _EDGE_CASE_DELTAS} == want, block
+
+
+def test_candidate_runs_hold_each_cells_own_set():
+    coords = np.linspace(0.0, 1.0, 65)
+    for delta in _EDGE_CASE_DELTAS:
+        count = boxdim._cells_1d(0.0, 1.0, delta)
+        starts, stops = boxdim._window_bounds(coords, 0.0, count, delta, 1.0)
+        runs, offs = boxdim._candidate_runs(coords, 0.0, 1.0, delta, starts, stops)
+        assert offs[0] == 0 and offs[-1] == runs.size and offs.size == count + 1
+        for k in range(count):
+            e0 = 0.0 + k * delta
+            e1 = min(e0 + delta, 1.0)
+            own = np.unique(np.concatenate((coords[starts[k] : stops[k]], [e0, e1])).clip(0.0, 1.0))
+            assert np.array_equal(runs[offs[k] : offs[k + 1]], own), (delta, k)
+    # a node within the slack of an edge sits in both neighbours' runs
+    delta = 0.25 * (1.0 + 1e-11)
+    starts, stops = boxdim._window_bounds(coords, 0.0, 4, delta, 1.0)
+    runs, offs = boxdim._candidate_runs(coords, 0.0, 1.0, delta, starts, stops)
+    assert 0.5 in runs[offs[1] : offs[2]] and 0.5 in runs[offs[2] : offs[3]]

@@ -526,3 +526,60 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "variation" in proc.stdout
+
+
+def _outcomes(capsys, calls):
+    results = []
+    for argv in calls:
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        results.append((code, captured.out, captured.err))
+    return results
+
+
+def test_reused_parser_leaks_no_state_between_calls(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "syn.csv"
+    path.write_text("delta,count\n0.5,5\n0.25,17\n0.125,70\n0.0625,260\n")
+    calls = [
+        ["integrate", "--fn", "constant:1", "--rect", "1,2,1,2", "--alpha", ".5", "--beta", ".5", "--grid", "3,3", "--panels", "8"],
+        ["dimension", "--counts-from", str(path), "--which", "upper"],
+        ["dimension", "--fn", "plane", "--grid", "33,33", "--deltas", "0.5,abc"],
+        ["dimension", "--counts-from", str(path)],
+    ]
+    shared = _outcomes(capsys, calls)
+    assert cli._shared_parser() is cli._shared_parser()
+    monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)
+    fresh = _outcomes(capsys, calls)
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0]
+    assert "(upper)" in shared[1][1] and "(lower)" in shared[3][1]
+
+
+def test_help_exits_0_with_the_shared_parser(capsys):
+    for argv in (["--help"], ["dimension", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        assert "usage: fracdim2d" in capsys.readouterr().out
+    code, out, err = run_cli(capsys, "variation", "--fn", "constant:1", "--grid", "5,5")
+    assert code == 0 and err is None and out.startswith("variation")
+
+
+def test_parser_is_not_built_at_import():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import fracdim2d.cli as c; print(c._shared_parser.cache_info().currsize)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0 and proc.stdout.strip() == "0"
+
+
+@pytest.mark.parametrize("fn", ["sinxy", "plane"])
+def test_integrate_over_the_work_budget_is_a_size_error(capsys, fn):
+    # sinxy takes the two-axis mesh, whose G buffer alone would be 298 GiB;
+    # plane takes the split mesh, whose weights would run for minutes
+    code, out, err = run_cli(
+        capsys, "integrate", "--fn", fn, "--alpha", ".5", "--beta", ".5", "--grid", "200000,200000", "--panels", "8"
+    )
+    assert code == 3 and out == ""
+    assert err["code"] == 3 and "budget" in err["message"]

@@ -722,3 +722,35 @@ def test_sup_gap_requires_matching_specs():
     b = katugampola_2d_grid(make_source("constant:1"), GridSpec(BOX, 5, 5), HALF)
     with pytest.raises(ParameterError):
         sup_gap(a, b)
+
+
+# ---------------------------------------------------------------------------
+# the grid work budget
+
+
+@pytest.mark.parametrize("m", [2, 17, 1025])
+@pytest.mark.parametrize("panels", [4, 300, 16384])
+@pytest.mark.parametrize("edge", [None, 0.1, 0.5, 2.0])
+def test_mesh_node_prediction_bounds_the_mesh(m, panels, edge):
+    mesh = fracint._mesh(1.0, np.linspace(1.0, 2.0, m), 0.3, panels, edge)
+    assert mesh.s.size <= fracint._mesh_nodes(m, panels, edge)
+
+
+@pytest.mark.parametrize(
+    "src, grid, panels, method",
+    [
+        ("sinxy", (3000, 3000), 128, "tensor"),  # m n P^2 source evaluations
+        ("plane", (20000, 20000), 8, "separable"),  # the output alone is 3 GiB
+        ("plane", (2, 200000), 8, "auto"),  # split mesh: 200000^2 hat weights
+        ("sinxy", (200000, 200000), 8, "auto"),  # two-axis mesh: a 298 GiB G buffer
+    ],
+)
+def test_grid_over_budget_is_refused_before_any_work(monkeypatch, src, grid, panels, method):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started on an over-budget grid")
+
+    for name in ("_mesh", "_tensor", "_apply_1d"):
+        monkeypatch.setattr(fracint, name, refuse)
+    monkeypatch.setattr(GridSpec, "xs", refuse)
+    with pytest.raises(SizeError, match="budget"):
+        katugampola_2d_grid(make_source(src), GridSpec(BOX, *grid), HALF, QuadratureSpec(panels=panels), method=method)

@@ -45,3 +45,10 @@ def test_check_and_report_logic():
     doc = rep.to_json()
     assert doc["passed"] is False
     assert doc["checks"][1]["note"] == "too big"
+
+
+def test_sandwich_passes_at_full_scale():
+    report = run_suite("sandwich", "full")
+    assert report.passed, [c.name for c in report.checks if not c.passed]
+    assert report.scale == "full"
+    assert all(c.gap == 0.0 for c in report.checks)
