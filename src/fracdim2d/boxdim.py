@@ -14,6 +14,17 @@ oscillation is taken over the sample values falling in each closed cell
 which is exact for the piecewise-bilinear interpolant whenever the cell
 edges align with sample lines.
 
+The dimension estimate fits these counts over a ladder of deltas
+(Falconer, *Fractal Geometry*, ch. 11), usually halving ones.  The
+ladder is counted in one pass over the samples: the finest delta reads
+the sample matrix, taking each cell's max and min, and a coarser delta
+takes its cells' max and min from a finer delta's cell arrays when, on
+both axes, each of its [start, stop) node windows is exactly the union
+of a contiguous run of the finer windows (checked on the index ranges,
+since the edge slack scales with delta).  A delta that fails the check
+reads the matrix itself.  max and min are exact, so every count is the
+one a direct read gives; ``oscillation_counts`` is the one-delta case.
+
 ``boxcount_bruteforce_3d`` recounts small cases directly from the
 bilinear interpolant: over each cell it stacks the minimal run of
 z-cubes covering the interpolant's range there.  Cut cells are handled
@@ -31,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,20 +135,22 @@ def _window_bounds(coords: np.ndarray, lo: float, count: int, delta: float, hi: 
     return starts.astype(np.int64), stops.astype(np.int64)
 
 
-def _strip_reduce(mat: np.ndarray, starts: np.ndarray, stops: np.ndarray, op) -> np.ndarray:
-    out = np.empty((starts.size,) + mat.shape[1:], dtype=np.float64)
-    for k in range(starts.size):
-        out[k] = op(mat[starts[k] : stops[k]], axis=0)
-    return out
+class _Level(NamedTuple):
+    """The delta-cells of a grid: their counts per side and node windows per axis, each (starts, stops)."""
+
+    delta: float
+    m: int
+    n: int
+    xwin: tuple[np.ndarray, np.ndarray]
+    ywin: tuple[np.ndarray, np.ndarray]
 
 
-def oscillation_counts(g: GridSamples, delta: float) -> BoxCount:
-    """Oscillation-based cube-count bracket at mesh size ``delta``.
+def _level(g: GridSamples, delta: float) -> _Level:
+    """The delta-cells of ``g``.
 
-    Every closed cell must contain at least a 2 x 2 block of sample
-    nodes, otherwise the grid cannot resolve the cell oscillation and a
-    ResolutionError is raised.  ``delta`` at or above the short side of
-    the rectangle is likewise rejected.
+    Raises ParameterError for a bad grid or delta, and ResolutionError for
+    a delta that does not split the rectangle or leaves a cell with fewer
+    than 2 x 2 sample nodes.
     """
     if not isinstance(g, GridSamples):
         raise ParameterError("expected GridSamples")
@@ -148,19 +162,70 @@ def oscillation_counts(g: GridSamples, delta: float) -> BoxCount:
         raise ResolutionError(f"delta={delta:g} does not split the rectangle")
     mc = _cells_1d(box.a, box.b, delta)
     nc = _cells_1d(box.c, box.d, delta)
-    xs, ys = g.spec.xs(), g.spec.ys()
-    xst, xsp = _window_bounds(xs, box.a, mc, delta, box.b)
-    yst, ysp = _window_bounds(ys, box.c, nc, delta, box.d)
-    if np.any(xsp - xst < 2) or np.any(ysp - yst < 2):
+    xwin = _window_bounds(g.spec.xs(), box.a, mc, delta, box.b)
+    ywin = _window_bounds(g.spec.ys(), box.c, nc, delta, box.d)
+    if np.any(xwin[1] - xwin[0] < 2) or np.any(ywin[1] - ywin[0] < 2):
         raise ResolutionError(
             f"delta={delta:g} leaves a cell with fewer than 2x2 sample nodes on a {g.spec.m}x{g.spec.n} grid"
         )
-    mat = g.matrix
-    col_max = _strip_reduce(mat, xst, xsp, np.max)
-    col_min = _strip_reduce(mat, xst, xsp, np.min)
-    cell_max = _strip_reduce(col_max.T, yst, ysp, np.max).T
-    cell_min = _strip_reduce(col_min.T, yst, ysp, np.min).T
-    osc = (cell_max - cell_min) / delta
+    return _Level(delta, mc, nc, xwin, ywin)
+
+
+def _window_extrema(mat: np.ndarray, xwin, ywin) -> tuple[np.ndarray, np.ndarray]:
+    """Max and min of the sample matrix over every cell, in one pass over the matrix.
+
+    Each row window's max and min are taken back to back while its rows
+    are in cache.  Neighbouring y windows share their edge nodes, so the
+    reduction along a row is one ``reduceat`` over the interleaved
+    bounds (start_0, stop_0, start_1, stop_1, ...), keeping every other
+    result; a last stop at the end of the row is left out, as
+    ``reduceat`` runs the last window to the end anyway.
+    """
+    (xst, xsp), (yst, ysp) = xwin, ywin
+    col_max = np.empty((xst.size, mat.shape[1]), dtype=np.float64)
+    col_min = np.empty_like(col_max)
+    for k in range(xst.size):
+        rows = mat[xst[k] : xsp[k]]
+        np.max(rows, axis=0, out=col_max[k])
+        np.min(rows, axis=0, out=col_min[k])
+    bounds = np.stack((yst, ysp), axis=1).reshape(-1)
+    if bounds[-1] == mat.shape[1]:
+        bounds = bounds[:-1]
+    return np.maximum.reduceat(col_max, bounds, axis=1)[:, ::2], np.minimum.reduceat(col_min, bounds, axis=1)[:, ::2]
+
+
+def _runs(fine, coarse) -> np.ndarray | None:
+    """Where each coarse window's run of fine windows starts, or None unless the fine windows tile the coarse ones.
+
+    ``fine`` and ``coarse`` are (starts, stops) along one axis.  The fine
+    windows tile the coarse ones when they split into contiguous runs,
+    one per coarse window, each without gaps and covering exactly the
+    coarse window's [start, stop).  Starts and stops never decrease
+    along an axis, so a run covers [its first start, its last stop).
+    The edge slack scales with delta, so a node between the fine and the
+    coarse slack of a shared edge breaks the tiling.
+    """
+    (fs, fe), (cs, ce) = fine, coarse
+    first = np.searchsorted(fs, cs, side="left")
+    if first[0] != 0 or np.any(np.diff(first) <= 0) or first[-1] >= fs.size:
+        return None
+    last = np.append(first[1:], fs.size) - 1
+    if not (np.array_equal(fs[first], cs) and np.array_equal(fe[last], ce)):
+        return None
+    inside = np.ones(fs.size - 1, dtype=bool)
+    inside[first[1:] - 1] = False  # neighbours in two different runs need not touch
+    if np.any(fs[1:][inside] > fe[:-1][inside]):
+        return None
+    return first
+
+
+def _box_count(level: _Level, cell_max: np.ndarray, cell_min: np.ndarray) -> BoxCount:
+    delta, mc, nc = level.delta, level.m, level.n
+    # the oscillations are summed in column-major order, whatever the
+    # layout of the cell arrays, so the sums keep their bits
+    osc = np.empty((mc, nc), dtype=np.float64, order="F")
+    np.subtract(cell_max, cell_min, out=osc)
+    osc /= delta
     s_low = float(np.sum(np.maximum(osc, 1.0)))
     s_high = 2.0 * mc * nc + float(np.sum(osc))
     guard_lo = _EDGE_TOL * (1.0 + abs(s_low))
@@ -172,6 +237,58 @@ def oscillation_counts(g: GridSamples, delta: float) -> BoxCount:
         m=mc,
         n=nc,
     )
+
+
+def _count_levels(g: GridSamples, levels: list[_Level]) -> list[BoxCount]:
+    """The BoxCount of each level from ``_level``, in the order given.
+
+    Distinct deltas are counted from finest to coarsest.  A level whose
+    windows are tiled on both axes by those of a finer level already
+    counted (``_runs``; the nearest such level serves) takes its cell max
+    and min by ``reduceat`` over that level's cell arrays.  Any other
+    level, the finest among them, reads the sample matrix
+    (``_window_extrema``).  max and min are exact, so each count is the
+    one a direct read of the matrix gives.
+    """
+    done: list[tuple] = []  # (level, cell max, cell min), finest first
+    counts: dict[float, BoxCount] = {}
+    for level in sorted({lv.delta: lv for lv in levels}.values(), key=lambda lv: lv.delta):
+        for finer, fmax, fmin in reversed(done):
+            rx, ry = _runs(finer.xwin, level.xwin), _runs(finer.ywin, level.ywin)
+            if rx is not None and ry is not None:
+                cmax = np.maximum.reduceat(np.maximum.reduceat(fmax, rx, axis=0), ry, axis=1)
+                cmin = np.minimum.reduceat(np.minimum.reduceat(fmin, rx, axis=0), ry, axis=1)
+                break
+        else:
+            cmax, cmin = _window_extrema(g.matrix, level.xwin, level.ywin)
+        done.append((level, cmax, cmin))
+        counts[level.delta] = _box_count(level, cmax, cmin)
+    return [counts[lv.delta] for lv in levels]
+
+
+def _ladder(g: GridSamples, deltas) -> tuple[list[BoxCount], list[float]]:
+    """BoxCounts of the usable deltas in the caller's order, and the deltas dropped as unresolved."""
+    levels: list[_Level] = []
+    dropped: list[float] = []
+    for d in deltas:
+        try:
+            levels.append(_level(g, float(d)))
+        except ResolutionError:
+            dropped.append(float(d))
+    return _count_levels(g, levels), dropped
+
+
+def oscillation_counts(g: GridSamples, delta: float) -> BoxCount:
+    """Oscillation-based cube-count bracket at mesh size ``delta``.
+
+    Every closed cell must contain at least a 2 x 2 block of sample
+    nodes, otherwise the grid cannot resolve the cell oscillation and a
+    ResolutionError is raised.  ``delta`` at or above the short side of
+    the rectangle is likewise rejected.  This is the one-delta case of
+    the ladder that ``dimension_fit`` counts: a delta gives the same
+    count alone as among others.
+    """
+    return _count_levels(g, [_level(g, delta)])[0]
 
 
 def _candidate_runs(coords: np.ndarray, lo: float, hi: float, delta: float, starts: np.ndarray, stops: np.ndarray):
@@ -288,19 +405,22 @@ def dimension_fit(g: GridSamples, deltas, which: str = "lower") -> DimensionFit:
 
     Deltas the grid cannot support (too coarse for the rectangle or too
     fine for the sample spacing) are dropped and reported; fewer than 3
-    usable deltas is a ResolutionError.
+    usable deltas is a ResolutionError.  The usable deltas are counted as
+    one ladder (``_count_levels``): the sample matrix is read once for
+    the finest delta, and each coarser delta whose cell windows are
+    unions of a finer delta's windows, checked on the index ranges of
+    both axes, is reduced from that delta's cell max and min.  Deltas
+    that do not nest, as 0.3 and 0.1, read the matrix themselves.
+    Either way each count equals ``oscillation_counts`` at that delta.
     """
     if which not in ("lower", "upper"):
         raise ParameterError("which must be lower or upper", parameter="which")
-    usable: list[tuple[float, int]] = []
-    dropped: list[float] = []
-    for d in deltas:
-        try:
-            bc = oscillation_counts(g, float(d))
-        except ResolutionError:
-            dropped.append(float(d))
-            continue
-        usable.append((bc.delta, bc.n_lower if which == "lower" else bc.n_upper))
+    return _fit_counts(*_ladder(g, deltas), which)
+
+
+def _fit_counts(counts: list[BoxCount], dropped: list[float], which: str) -> DimensionFit:
+    """``dimension_fit`` of counts from ``_ladder``, on the ``which`` bound."""
+    usable = [(bc.delta, bc.n_lower if which == "lower" else bc.n_upper) for bc in counts]
     if len(usable) < 3:
         raise ResolutionError(f"need at least 3 usable deltas, got {len(usable)} (dropped {len(dropped)})")
     return fit_loglog(usable, which=which, dropped=dropped)

@@ -25,10 +25,11 @@ import warnings
 
 import numpy as np
 
-from .boxdim import (
+from .boxdim import (  # oscillation_counts stays bound here for callers that patch it
+    _fit_counts,
+    _ladder,
     boxcount_bruteforce_3d,
     default_deltas,
-    dimension_fit,
     fit_loglog,
     oscillation_counts,
 )
@@ -65,6 +66,12 @@ from .variation import arzela_variation, variation_trend
 from .verify import run_suite
 
 __all__ = ["main"]
+
+# source evaluations, m n P^2, that --op riemann-liouville or hadamard may
+# spend calling the point operator at every node.  A call just under it
+# takes 1-2 s on a 2-vCPU Xeon; the largest such call of the tests, the
+# benchmark and the README (17 x 17 nodes at 64 panels) is 28 times smaller.
+_MAX_POINT_WORK = 1 << 25
 
 
 class _UsageError(Exception):
@@ -126,13 +133,13 @@ def _resolve_source(args: argparse.Namespace) -> tuple[FunctionSource, Box, Grid
     if spec_text is None:
         raise ParameterError("--fn is required", parameter="fn")
     raw = None
-    if spec_text.startswith("csv:"):
-        raw = read_samples_csv(spec_text[4:])
+    if spec_text.startswith(("csv:", "json:")):
+        kind, _, path = spec_text.partition(":")
+        try:
+            raw = (read_samples_csv if kind == "csv" else read_samples_json)(path)
+        except ParameterError as exc:
+            raise ParameterError(str(exc), parameter="fn") from None
         src: FunctionSource = SampledSource(raw, name=spec_text)
-        box = raw.spec.rect
-    elif spec_text.startswith("json:"):
-        raw = read_samples_json(spec_text[5:])
-        src = SampledSource(raw, name=spec_text)
         box = raw.spec.rect
     else:
         src = make_source(spec_text)
@@ -236,6 +243,12 @@ def cmd_integrate(args: argparse.Namespace) -> int:
         gs = katugampola_2d_grid(src, spec, order, quad, method=args.method, threads=args.threads)
     else:
         op = riemann_liouville_2d if args.op == "riemann-liouville" else hadamard_2d
+        work = m * n * quad.panels**2
+        if work > _MAX_POINT_WORK:
+            raise SizeError(
+                f"--op {args.op} on a {m}x{n} grid at {quad.panels} panels needs about {work:.3g} source "
+                f"evaluations, one point operator per node; the budget is {_MAX_POINT_WORK:.3g}"
+            )
         vals = np.empty((m, n), dtype=np.float64)
         for i in range(m):
             for j in range(n):
@@ -290,17 +303,19 @@ def cmd_dimension(args: argparse.Namespace) -> int:
     deltas = _parse_floats(args.deltas, None, "--deltas") if args.deltas else default_deltas(gs.spec)
     if not deltas:
         raise ResolutionError("no usable deltas for this grid; refine the grid or pass --deltas")
-    fit = dimension_fit(gs, deltas, which=args.which)
+    # one ladder of counts feeds the fit and, with both bounds, the --out file
+    counts, dropped = _ladder(gs, deltas)
+    fit = _fit_counts(counts, dropped, args.which)
 
     if args.out:
         # only this file reads the direct 3-d counts; they are all counted
         # before it is opened
         oracle = {d: boxcount_bruteforce_3d(gs, d) for d, _ in fit.points} if args.oracle else {}
-        # the fit keeps one bound per delta; the file holds both
+        by_delta = {bc.delta: bc for bc in counts}
         with open(args.out, "w", newline="\n") as fh:
             fh.write("delta,count_lower,count_upper" + (",count_oracle\n" if oracle else "\n"))
             for d, _ in fit.points:
-                bc = oscillation_counts(gs, d)
+                bc = by_delta[d]
                 tail = f",{oracle[d]}" if oracle else ""
                 fh.write(f"{d:.17g},{bc.n_lower},{bc.n_upper}{tail}\n")
     if args.fit_out:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -541,9 +542,15 @@ def read_samples_csv(path: str) -> GridSamples:
 
     Grid shape is inferred from the row-major ordering: the leading run of
     equal x entries gives n, the total row count gives m.  Values survive
-    the round trip exactly.
+    the round trip exactly.  A cell that is not a number, or a row whose
+    length differs, is a ParameterError, as is a file without rows.
     """
-    data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.float64, ndmin=2)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a file without rows is reported below
+            data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.float64, ndmin=2)
+    except ValueError as exc:
+        raise ParameterError(f"{path}: expected numeric rows of x,y,value ({exc})") from None
     if data.ndim != 2 or data.shape[1] != 3 or data.shape[0] < 4:
         raise ParameterError(f"{path}: expected rows of x,y,value with at least a 2x2 grid")
     x, y, v = data[:, 0], data[:, 1], data[:, 2]
@@ -577,12 +584,26 @@ def write_samples_json(gs: GridSamples, path: str) -> None:
 
 
 def read_samples_json(path: str) -> GridSamples:
+    """Read a JSON document produced by ``write_samples_json``.
+
+    Text that is not JSON, missing or malformed keys, and values that are
+    not numbers are each a ParameterError.
+    """
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # RecursionError: arrays nested too deep to decode
+            raise ParameterError(f"{path}: not a JSON document ({exc})") from None
     try:
         rect = Box(doc["rect"]["a"], doc["rect"]["b"], doc["rect"]["c"], doc["rect"]["d"])
         spec = GridSpec(rect, int(doc["m"]), int(doc["n"]))
         values = doc["values"]
-    except (KeyError, TypeError):
-        raise ParameterError(f"{path}: expected keys rect{{a,b,c,d}}, m, n, values")
-    return GridSamples(spec, np.asarray(values, dtype=np.float64))
+    except ParameterError:
+        raise
+    except (KeyError, TypeError, ValueError):
+        raise ParameterError(f"{path}: expected keys rect{{a,b,c,d}}, integer m and n, and values") from None
+    try:
+        values = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ParameterError(f"{path}: values must be a list of numbers") from None
+    return GridSamples(spec, values)

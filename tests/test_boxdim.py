@@ -296,3 +296,212 @@ def test_candidate_runs_hold_each_cells_own_set():
     starts, stops = boxdim._window_bounds(coords, 0.0, 4, delta, 1.0)
     runs, offs = boxdim._candidate_runs(coords, 0.0, 1.0, delta, starts, stops)
     assert 0.5 in runs[offs[1] : offs[2]] and 0.5 in runs[offs[2] : offs[3]]
+
+
+# ---------------------------------------------------------------------------
+# the one-pass ladder against a plain per-delta count
+
+
+def _strip_reduce(mat, starts, stops, op):
+    out = np.empty((starts.size,) + mat.shape[1:], dtype=np.float64)
+    for k in range(starts.size):
+        out[k] = op(mat[starts[k] : stops[k]], axis=0)
+    return out
+
+
+def _reference_counts(g, delta):
+    """``oscillation_counts`` one delta at a time: a max and a min pass over the matrix per axis."""
+    if not isinstance(g, GridSamples):
+        raise ParameterError("expected GridSamples")
+    delta = float(delta)
+    if not (delta > 0 and math.isfinite(delta)):
+        raise ParameterError("delta must be positive and finite", parameter="delta")
+    box = g.spec.rect
+    if delta >= min(box.width, box.height):
+        raise ResolutionError(f"delta={delta:g} does not split the rectangle")
+    mc = boxdim._cells_1d(box.a, box.b, delta)
+    nc = boxdim._cells_1d(box.c, box.d, delta)
+    xst, xsp = boxdim._window_bounds(g.spec.xs(), box.a, mc, delta, box.b)
+    yst, ysp = boxdim._window_bounds(g.spec.ys(), box.c, nc, delta, box.d)
+    if np.any(xsp - xst < 2) or np.any(ysp - yst < 2):
+        raise ResolutionError(
+            f"delta={delta:g} leaves a cell with fewer than 2x2 sample nodes on a {g.spec.m}x{g.spec.n} grid"
+        )
+    col_max = _strip_reduce(g.matrix, xst, xsp, np.max)
+    col_min = _strip_reduce(g.matrix, xst, xsp, np.min)
+    osc = (_strip_reduce(col_max.T, yst, ysp, np.max).T - _strip_reduce(col_min.T, yst, ysp, np.min).T) / delta
+    s_low = float(np.sum(np.maximum(osc, 1.0)))
+    s_high = 2.0 * mc * nc + float(np.sum(osc))
+    return BoxCount(
+        delta=delta,
+        n_lower=int(math.ceil(s_low - boxdim._EDGE_TOL * (1.0 + abs(s_low)))),
+        n_upper=int(math.floor(s_high + boxdim._EDGE_TOL * (1.0 + abs(s_high)))),
+        m=mc,
+        n=nc,
+    )
+
+
+def _reference_fit(g, deltas, which="lower"):
+    """``dimension_fit`` with one ``_reference_counts`` call per delta, in the caller's order."""
+    if which not in ("lower", "upper"):
+        raise ParameterError("which must be lower or upper", parameter="which")
+    usable, dropped = [], []
+    for d in deltas:
+        try:
+            bc = _reference_counts(g, float(d))
+        except ResolutionError:
+            dropped.append(float(d))
+            continue
+        usable.append((bc.delta, bc.n_lower if which == "lower" else bc.n_upper))
+    if len(usable) < 3:
+        raise ResolutionError(f"need at least 3 usable deltas, got {len(usable)} (dropped {len(dropped)})")
+    return fit_loglog(usable, which=which, dropped=dropped)
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except (ParameterError, ResolutionError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "parameter", None)
+
+
+def _assert_ladder_matches(g, deltas):
+    counts, dropped = boxdim._ladder(g, deltas)
+    want, want_dropped = [], []
+    for d in deltas:
+        try:
+            want.append(_reference_counts(g, d))
+        except ResolutionError:
+            want_dropped.append(float(d))
+    assert counts == want and dropped == want_dropped, (g.spec, deltas)
+    for which in ("lower", "upper"):
+        assert _outcome(dimension_fit, g, deltas, which) == _outcome(_reference_fit, g, deltas, which)
+    for bc in want:
+        assert oscillation_counts(g, bc.delta) == bc
+
+
+@pytest.fixture
+def matrix_reads(monkeypatch):
+    """Counts the levels that read the sample matrix rather than a finer level's cells."""
+    reads = []
+    real = boxdim._window_extrema
+
+    def counted(mat, xwin, ywin):
+        reads.append(xwin[0].size)
+        return real(mat, xwin, ywin)
+
+    monkeypatch.setattr(boxdim, "_window_extrema", counted)
+    return reads
+
+
+def test_ladder_equals_per_delta_counts_on_catalog_grids(matrix_reads):
+    from fracdim2d import catalog_names, default_box
+
+    for name in catalog_names():
+        src = make_source(name)
+        box = src.domain if src.domain is not None else default_box(name)
+        g = sample(src, GridSpec(box, 257, 257))
+        _assert_ladder_matches(g, default_deltas(g.spec))
+        side = min(box.width, box.height)
+        _assert_ladder_matches(g, [side / 4, side / 8, side / 16, side / 32])
+    # a box away from the origin: cell edges lo + k delta carry rounding
+    g = sample(make_source("weierstrass"), GridSpec(Box(1.0, 2.0, 1.0, 2.0), 1025, 1025))
+    del matrix_reads[:]
+    counts, _ = boxdim._ladder(g, default_deltas(g.spec))
+    assert len(counts) == 6 and len(matrix_reads) == 1
+    _assert_ladder_matches(g, default_deltas(g.spec))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ladder_equals_per_delta_counts_on_random_fields(seed):
+    rng = np.random.default_rng(seed)
+    specs = (
+        GridSpec(UNIT, 129, 129),
+        GridSpec(UNIT, 129, 97),  # non-square grid
+        GridSpec(Box(1e3, 1e3 + 2.0, -7.3, -5.1), 161, 177),  # away from the origin
+    )
+    for spec in specs:
+        g = GridSamples.from_matrix(spec, rng.standard_normal((spec.m, spec.n)))
+        side = min(spec.rect.width, spec.rect.height)
+        _assert_ladder_matches(g, default_deltas(spec))
+        _assert_ladder_matches(g, [side * f for f in (0.3, 0.1, 0.07, 0.05, 0.25, 0.125)])
+        _assert_ladder_matches(g, [side * f / 4 * (1.0 + 1e-11) for f in (1.0, 0.5, 0.25, 0.125)])
+
+
+def test_ladder_on_deltas_that_do_not_nest_or_leave_a_short_cell(matrix_reads):
+    rng = np.random.default_rng(7)
+    g = GridSamples.from_matrix(GridSpec(UNIT, 129, 97), rng.standard_normal((129, 97)))
+    _assert_ladder_matches(g, [0.3, 0.1, 0.07])
+    del matrix_reads[:]
+    boxdim._ladder(g, [0.3, 0.1, 0.07])
+    assert matrix_reads == [15, 10]  # 0.07 and 0.1 do not nest; 0.3 is three cells of 0.1
+    # 0.3 leaves a short last cell on both axes; it is reduced from 0.15 and from 0.075
+    bc = oscillation_counts(g, 0.3)
+    assert (bc.m, bc.n) == (4, 4)
+    del matrix_reads[:]
+    counts, _ = boxdim._ladder(g, [0.3, 0.15, 0.075])
+    assert counts == [_reference_counts(g, d) for d in (0.3, 0.15, 0.075)]
+    assert len(matrix_reads) == 1
+
+
+def test_ladder_keeps_order_duplicates_drops_and_errors():
+    rng = np.random.default_rng(3)
+    g = GridSamples.from_matrix(GridSpec(UNIT, 65, 65), rng.standard_normal((65, 65)))
+    cases = [
+        [0.0625, 0.25, 1.5, 0.125, 1e-5],  # unsorted, two dropped
+        [0.125, 0.5, 0.25, 0.125, 0.0625],  # a duplicate: deltas must be distinct
+        [0.25, 0.25, 0.25],
+        [0.25, 0.125],  # too few
+        [1.5, 0.25, 1e-5, 0.125, 2.0],  # too few once the drops are out
+        [0.25, -1.0, 0.125, 0.0625],  # a bad delta after a good one
+        [1.5, float("nan"), 0.25],
+        [0.5, 0.25, 0.125, float("inf")],
+        [],
+    ]
+    for deltas in cases:
+        for which in ("lower", "upper", "oracle"):
+            assert _outcome(dimension_fit, g, deltas, which) == _outcome(_reference_fit, g, deltas, which), (deltas, which)
+        assert [_outcome(oscillation_counts, g, d) for d in deltas] == [_outcome(_reference_counts, g, d) for d in deltas]
+    counts, dropped = boxdim._ladder(g, [0.0625, 0.25, 1.5, 0.125, 0.25, 1e-5])
+    assert [bc.delta for bc in counts] == [0.0625, 0.25, 0.125, 0.25] and dropped == [1.5, 1e-5]
+    assert _outcome(dimension_fit, g.matrix, [0.5, 0.25, 0.125]) == _outcome(_reference_fit, g.matrix, [0.5, 0.25, 0.125])
+    assert _outcome(dimension_fit, g.matrix, []) == _outcome(_reference_fit, g.matrix, [])
+
+
+def test_ladder_reads_the_matrix_where_finer_windows_do_not_tile(matrix_reads):
+    # node 48 of 81 on [0, 1] (x = 0.6) sits 1.5e-9 fine deltas above the
+    # edge the two levels share: outside the fine slack (1e-9 fine
+    # deltas) and inside the coarse one (1e-9 coarse deltas), so it belongs
+    # to the coarse cells on both sides of the edge but to one fine cell
+    spec = GridSpec(UNIT, 81, 65)
+    x_node = spec.xs()[48]
+    fine = x_node / (4.0 + 1.5e-9)
+    coarse = 2.0 * fine
+    edge = 0.0 + coarse * 2
+    assert 1e-9 * fine < x_node - edge <= 1e-9 * coarse
+    flat = GridSamples.from_matrix(spec, np.zeros((81, 65)))
+    fine_win, coarse_win = boxdim._level(flat, fine).xwin, boxdim._level(flat, coarse).xwin
+    assert coarse_win[1][1] == 49 and fine_win[1][3] == 48  # the coarse cell left of the edge holds the node
+    assert boxdim._runs(fine_win, coarse_win) is None
+    rng = np.random.default_rng(11)
+    mat = 0.01 * rng.standard_normal((81, 65))
+    mat[48] += 50.0  # the node's row sets the oscillation of the cells around it
+    g = GridSamples.from_matrix(spec, mat)
+    deltas = [coarse, fine, fine / 2]
+    _assert_ladder_matches(g, deltas)
+    del matrix_reads[:]
+    counts, _ = boxdim._ladder(g, deltas)
+    assert counts[0] == _reference_counts(g, coarse)
+    # the edges drift apart along the axis, so every level reads the matrix
+    assert matrix_reads == [14, 7, 4]
+
+
+def test_dyadic_4097_ladder_reads_the_matrix_once(matrix_reads):
+    spec = GridSpec(UNIT, 4097, 4097)
+    xs = spec.xs()
+    g = GridSamples.from_matrix(spec, np.sin(37.0 * xs)[:, None] * np.cos(23.0 * xs)[None, :])
+    deltas = default_deltas(spec)
+    assert len(deltas) == 8
+    fit = dimension_fit(g, deltas)
+    assert len(fit.points) == 8 and matrix_reads == [512]  # the finest level, 1/512, alone
+    assert fit.points[-1][1] == _reference_counts(g, deltas[-1]).n_lower

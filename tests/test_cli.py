@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -583,3 +584,93 @@ def test_integrate_over_the_work_budget_is_a_size_error(capsys, fn):
     )
     assert code == 3 and out == ""
     assert err["code"] == 3 and "budget" in err["message"]
+
+
+# ---------------------------------------------------------------------------
+# one ladder of counts, malformed sample files, the point-operator budget
+
+
+def test_dimension_out_takes_both_bounds_from_the_one_ladder(capsys, monkeypatch, tmp_path):
+    calls = []
+    real = cli._ladder
+
+    def counted(gs, deltas):
+        calls.append(list(deltas))
+        return real(gs, deltas)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a delta counted a second time")
+
+    monkeypatch.setattr(cli, "_ladder", counted)
+    monkeypatch.setattr(cli, "oscillation_counts", refuse)
+    path = tmp_path / "counts.csv"
+    code, _, err = run_cli(capsys, "dimension", "--fn", "weierstrass", "--grid", "257,257", "--out", str(path))
+    assert code == 0 and err is None and len(calls) == 1
+    assert path.read_text() == PINNED_COUNTS[0][1]
+
+
+_GOOD_CSV = "x,y,value\n0,0,1\n0,1,2\n1,0,3\n1,1,4\n"
+_GOOD_JSON = '{"rect": {"a": 0, "b": 1, "c": 0, "d": 1}, "m": 2, "n": 2, "values": [1, 2, 3, 4]}'
+
+
+@pytest.mark.parametrize(
+    "name,body",
+    [
+        ("abc.csv", _GOOD_CSV.replace("0,0,1", "0,0,abc")),
+        ("hex.csv", _GOOD_CSV.replace("0,0,1", "0,0,0x10")),
+        ("underscore.csv", _GOOD_CSV.replace("0,0,1", "0,0,1_0")),
+        ("short-row.csv", _GOOD_CSV.replace("0,0,1", "0,0")),
+        ("long-row.csv", _GOOD_CSV.replace("0,0,1", "0,0,1,5")),
+        ("header-only.csv", "x,y,value\n"),
+        ("truncated.json", _GOOD_JSON[:60]),
+        ("text-value.json", _GOOD_JSON.replace("[1, 2, 3, 4]", '[1, 2, "x", 4]')),
+        ("text-m.json", _GOOD_JSON.replace('"m": 2', '"m": "x"')),
+        ("list.json", "[1, 2]"),
+        ("deep.json", "[" * 100000 + "]" * 100000),
+    ],
+)
+def test_malformed_sample_files_exit_2_naming_fn(capsys, tmp_path, name, body):
+    path = tmp_path / name
+    path.write_text(body)
+    kind = name.rsplit(".", 1)[1]
+    code, err = _one_json_error(capsys, "variation", "--fn", f"{kind}:{path}")
+    assert code == 2 and err["parameter"] == "fn" and name in err["message"]
+
+
+def test_well_formed_sample_files_still_read(capsys, tmp_path):
+    for name, body in (("good.csv", _GOOD_CSV), ("good.json", _GOOD_JSON)):
+        path = tmp_path / name
+        path.write_text(body)
+        code, out, err = run_cli(capsys, "variation", "--fn", f"{name.rsplit('.', 1)[1]}:{path}")
+        assert code == 0 and err is None and "on 2x2 grid: 3 " in out
+
+
+def test_header_only_sample_file_prints_one_json_error(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("x,y,value\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "fracdim2d", "dimension", "--fn", f"csv:{path}"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert json.loads(proc.stderr)["parameter"] == "fn"  # one JSON object, no warning before it
+
+
+@pytest.mark.parametrize("op", ["hadamard", "riemann-liouville"])
+def test_point_operator_loop_over_budget_exits_3_before_it_starts(capsys, monkeypatch, op):
+    def refuse(*args, **kwargs):
+        raise AssertionError("point operator called")
+
+    monkeypatch.setattr(cli, "hadamard_2d", refuse)
+    monkeypatch.setattr(cli, "riemann_liouville_2d", refuse)
+    t0 = time.perf_counter()
+    code, err = _one_json_error(
+        capsys, "integrate", "--op", op, "--fn", "constant:2", "--alpha", ".5", "--beta", ".5", "--grid", "3000,3000"
+    )
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3 and "budget" in err["message"]
+
+
+def test_point_operator_budget_sits_far_above_the_largest_documented_call():
+    assert cli._MAX_POINT_WORK >= 8 * 17 * 17 * 64**2

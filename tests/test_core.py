@@ -326,3 +326,37 @@ def test_read_samples_json_rejects_missing_keys(tmp_path):
     path.write_text('{"m": 2, "n": 2}')
     with pytest.raises(ParameterError):
         read_samples_json(str(path))
+
+
+@pytest.mark.parametrize("cell", ["abc", "0x10", "1_0"])
+def test_read_samples_csv_rejects_a_cell_that_is_not_a_number(tmp_path, cell):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"x,y,value\n0,0,{cell}\n0,1,2\n1,0,3\n1,1,4\n")
+    with pytest.raises(ParameterError):
+        read_samples_csv(str(path))
+
+
+def test_read_samples_csv_header_only_raises_without_a_warning(tmp_path):
+    import warnings
+
+    path = tmp_path / "empty.csv"
+    path.write_text("x,y,value\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError):
+            read_samples_csv(str(path))
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        '{"rect": {"a": 0, "b": 1, "c": 0, "d": 1}, "m": 2, "n": 2, "values": [1, 2,',
+        '{"rect": {"a": 0, "b": 1, "c": 0, "d": 1}, "m": 2, "n": 2, "values": [1, 2, "x", 4]}',
+        '{"rect": {"a": 0, "b": 1, "c": 0, "d": 1}, "m": "two", "n": 2, "values": [1, 2, 3, 4]}',
+    ],
+)
+def test_read_samples_json_rejects_malformed_documents(tmp_path, body):
+    path = tmp_path / "bad.json"
+    path.write_text(body)
+    with pytest.raises(ParameterError):
+        read_samples_json(str(path))
