@@ -25,14 +25,7 @@ import warnings
 
 import numpy as np
 
-from .boxdim import (  # oscillation_counts stays bound here for callers that patch it
-    _fit_counts,
-    _ladder,
-    boxcount_bruteforce_3d,
-    default_deltas,
-    fit_loglog,
-    oscillation_counts,
-)
+from .boxdim import _fit_counts, _ladder, boxcount_bruteforce_3d, default_deltas, fit_loglog
 from .constructions import catalog_entry, default_box, make_source
 from .core import (
     Box,
@@ -55,22 +48,18 @@ from .core import (
     write_samples_csv,
     write_samples_json,
 )
-from .fracint import (
-    QuadratureSpec,
-    boundedness_certificate,
-    hadamard_2d,
-    katugampola_2d_grid,
-    riemann_liouville_2d,
-)
+from .fracint import QuadratureSpec, _hadamard_grid, _rl_grid, boundedness_certificate, katugampola_2d_grid
 from .variation import arzela_variation, variation_trend
 from .verify import run_suite
 
 __all__ = ["main"]
 
 # source evaluations, m n P^2, that --op riemann-liouville or hadamard may
-# spend calling the point operator at every node.  A call just under it
-# takes 1-2 s on a 2-vCPU Xeon; the largest such call of the tests, the
-# benchmark and the README (17 x 17 nodes at 64 panels) is 28 times smaller.
+# spend: both evaluate f at P^2 points per node.  A call just under it
+# (32 x 32 nodes at 181 panels) takes up to 2 s for riemann-liouville and
+# under 1 s for hadamard on a 2-vCPU Xeon; the largest such call of the
+# tests, the benchmark and the README (17 x 17 nodes at 64 panels) is 28
+# times smaller.
 _MAX_POINT_WORK = 1 << 25
 
 
@@ -242,19 +231,14 @@ def cmd_integrate(args: argparse.Namespace) -> int:
         order = FracOrder(alpha, beta, p, q)
         gs = katugampola_2d_grid(src, spec, order, quad, method=args.method, threads=args.threads)
     else:
-        op = riemann_liouville_2d if args.op == "riemann-liouville" else hadamard_2d
         work = m * n * quad.panels**2
         if work > _MAX_POINT_WORK:
             raise SizeError(
                 f"--op {args.op} on a {m}x{n} grid at {quad.panels} panels needs about {work:.3g} source "
-                f"evaluations, one point operator per node; the budget is {_MAX_POINT_WORK:.3g}"
+                f"evaluations, panels^2 per node; the budget is {_MAX_POINT_WORK:.3g}"
             )
-        vals = np.empty((m, n), dtype=np.float64)
-        for i in range(m):
-            for j in range(n):
-                x, y = spec.node(i, j)
-                vals[i, j] = op(src, box, x, y, alpha, beta, quad)
-        gs = GridSamples.from_matrix(spec, vals)
+        op = _rl_grid if args.op == "riemann-liouville" else _hadamard_grid
+        gs = GridSamples.from_matrix(spec, op(src, box, spec.xs(), spec.ys(), alpha, beta, quad))
 
     corner = gs.value(m - 1, n - 1)
     note = ""

@@ -537,13 +537,19 @@ def write_samples_csv(gs: GridSamples, path: str) -> None:
             fh.write(template.replace("{x}", xs[i]) % tuple(mat[i].tolist()))
 
 
+def _refuse_non_finite(path: str, data: np.ndarray) -> None:
+    # nan, inf and -inf parse as floats in both formats; a sample file must not hold them
+    if not np.all(np.isfinite(data)):
+        raise ParameterError(f"{path}: cells must be finite numbers, found nan or inf")
+
+
 def read_samples_csv(path: str) -> GridSamples:
     """Read a CSV produced by ``write_samples_csv``.
 
     Grid shape is inferred from the row-major ordering: the leading run of
     equal x entries gives n, the total row count gives m.  Values survive
-    the round trip exactly.  A cell that is not a number, or a row whose
-    length differs, is a ParameterError, as is a file without rows.
+    the round trip exactly.  A cell that is not a finite number, or a row
+    whose length differs, is a ParameterError, as is a file without rows.
     """
     try:
         with warnings.catch_warnings():
@@ -553,6 +559,7 @@ def read_samples_csv(path: str) -> GridSamples:
         raise ParameterError(f"{path}: expected numeric rows of x,y,value ({exc})") from None
     if data.ndim != 2 or data.shape[1] != 3 or data.shape[0] < 4:
         raise ParameterError(f"{path}: expected rows of x,y,value with at least a 2x2 grid")
+    _refuse_non_finite(path, data)
     x, y, v = data[:, 0], data[:, 1], data[:, 2]
     changes = np.nonzero(x != x[0])[0]
     n = int(changes[0]) if changes.size else data.shape[0]
@@ -587,7 +594,7 @@ def read_samples_json(path: str) -> GridSamples:
     """Read a JSON document produced by ``write_samples_json``.
 
     Text that is not JSON, missing or malformed keys, and values that are
-    not numbers are each a ParameterError.
+    not finite numbers are each a ParameterError.
     """
     with open(path) as fh:
         try:
@@ -606,4 +613,5 @@ def read_samples_json(path: str) -> GridSamples:
         values = np.asarray(values, dtype=np.float64)
     except (TypeError, ValueError):
         raise ParameterError(f"{path}: values must be a list of numbers") from None
+    _refuse_non_finite(path, values)
     return GridSamples(spec, values)

@@ -659,14 +659,18 @@ def katugampola_2d_grid(
 # independent cross-check route (classical kernel, plain-float arithmetic)
 
 
-def riemann_liouville_2d(f, rect: Box, x: float, y: float, alpha: float, beta: float, quad: QuadratureSpec | None = None) -> float:
-    """Two-dimensional Riemann-Liouville integral, implemented directly.
+def _clip_axes(rect: Box, xs, ys) -> tuple[list[float], list[float]]:
+    xs = [_clip_to(rect.a, rect.b, x, "x") for x in np.ravel(xs)]
+    return xs, [_clip_to(rect.c, rect.d, y, "y") for y in np.ravel(ys)]
 
-    Same panel geometry as the mixed operator at p = q = 0, but the
-    kernel, midpoints, and moments are computed from their untransformed
-    definitions in plain float arithmetic, and the accumulation runs
-    through ``math.fsum``.  Serves as an independent check of the p = q = 0
-    reduction; agreement is to rounding, not bit for bit.
+
+def _rl_grid(f, rect: Box, xs, ys, alpha: float, beta: float, quad: QuadratureSpec | None = None) -> np.ndarray:
+    """``riemann_liouville_2d`` at every (x_i, y_j), an array of shape (len(xs), len(ys)).
+
+    Each node evaluates f on its own P x P midpoints and sums its P^2
+    terms in one ``math.fsum``, the same terms as a point call, so the
+    values are the point oracle's bit for bit; only the rules, which
+    depend on one coordinate each, are shared between nodes.
     """
     src = _as_source(f)
     quad = quad or QuadratureSpec()
@@ -675,8 +679,7 @@ def riemann_liouville_2d(f, rect: Box, x: float, y: float, alpha: float, beta: f
     _check_operator_box(rect)
     if not src.covers(rect):
         raise DomainError(f"rectangle {rect} is not inside the domain of source {src.name!r}")
-    x = _clip_to(rect.a, rect.b, x, "x")
-    y = _clip_to(rect.c, rect.d, y, "y")
+    xs, ys = _clip_axes(rect, xs, ys)
     P = quad.panels
     if P > _MAX_TENSOR_PANELS:
         raise SizeError(f"evaluation capped at {_MAX_TENSOR_PANELS} panels, got {P}")
@@ -686,23 +689,44 @@ def riemann_liouville_2d(f, rect: Box, x: float, y: float, alpha: float, beta: f
         edges = [hi - (hi - lo) * (((P - k) / P) ** gr) for k in range(P + 1)]
         mids = [(edges[k] + edges[k + 1]) / 2.0 for k in range(P)]
         moms = [((hi - edges[k]) ** order - (hi - edges[k + 1]) ** order) / order for k in range(P)]
-        return mids, moms
+        return np.asarray(mids), np.asarray(moms)
 
+    out = np.empty((len(xs), len(ys)))
     try:  # plain floats raise on overflow
-        sm, mx = rule(rect.a, x, alpha)
-        tm, my = rule(rect.c, y, beta)
-        F = np.broadcast_to(
-            np.asarray(src.eval(np.asarray(sm)[:, None], np.asarray(tm)[None, :]), dtype=np.float64), (P, P)
-        )
-        W = np.asarray(mx)[:, None] * np.asarray(my)[None, :]
-        total = math.fsum((W * F).reshape(-1).tolist())
+        xr = {x: rule(rect.a, x, alpha) for x in xs}
+        yr = {y: rule(rect.c, y, beta) for y in ys}
+        for i, x in enumerate(xs):
+            sm, mx = xr[x]
+            for j, y in enumerate(ys):
+                tm, my = yr[y]
+                prod = mx[:, None] * my[None, :]
+                prod *= np.asarray(src.eval(sm[:, None], tm[None, :]), dtype=np.float64)
+                out[i, j] = math.fsum(memoryview(prod.reshape(-1)))
     except OverflowError:
         raise NumericError("Riemann-Liouville rule overflows float64: order too large for this box") from None
     if max(alpha, beta) < 171.0:
-        return _clean(total / (math.gamma(alpha) * math.gamma(beta)))
+        return _clean(out / (math.gamma(alpha) * math.gamma(beta)))
     # Gamma overflows float64 past 171: the constant in log space (below, exp of
     # lgamma sums would move values by up to a few ulps)
-    return _clean(total * math.exp(-math.lgamma(alpha) - math.lgamma(beta)))
+    return _clean(out * math.exp(-math.lgamma(alpha) - math.lgamma(beta)))
+
+
+def riemann_liouville_2d(f, rect: Box, x: float, y: float, alpha: float, beta: float, quad: QuadratureSpec | None = None) -> float:
+    """Two-dimensional Riemann-Liouville integral, implemented directly.
+
+    Same panel geometry as the mixed operator at p = q = 0, but the
+    kernel, midpoints, and moments are computed from their untransformed
+    definitions in plain float arithmetic, and the accumulation runs
+    through ``math.fsum``.  Serves as an independent check of the p = q = 0
+    reduction; agreement is to rounding, not bit for bit.
+
+    This is the 1x1 case of ``_rl_grid``: rules are built once per
+    distinct coordinate, each node's terms are summed by one ``math.fsum``
+    read straight from the product buffer, and the quadrature engine it
+    checks is never called.  A grid node and the point call there agree
+    bit for bit.
+    """
+    return float(_rl_grid(f, rect, x, y, alpha, beta, quad)[0, 0])
 
 
 def hadamard_2d(f, rect: Rectangle, x: float, y: float, alpha: float, beta: float, quad: QuadratureSpec | None = None) -> float:
@@ -712,9 +736,19 @@ def hadamard_2d(f, rect: Rectangle, x: float, y: float, alpha: float, beta: floa
     with C = 1/(Gamma(alpha) Gamma(beta)).  This is the p, q -> -1 limit of
     the mixed power-weight operator.  Requires a strictly positive rectangle.
     """
+    return float(_hadamard_grid(f, rect, x, y, alpha, beta, quad)[0, 0])
+
+
+def _hadamard_grid(f, rect: Rectangle, xs, ys, alpha: float, beta: float, quad: QuadratureSpec | None = None) -> np.ndarray:
+    """``hadamard_2d`` at every (x_i, y_j), as one tensor contraction in u = log s, v = log t.
+
+    A node of the grid and the point call there agree bit for bit, as
+    every node of ``_tensor`` does.  Returns an array of shape (len(xs), len(ys)).
+    """
     order = FracOrder(alpha, beta)  # p = q = 0: the constant is 1/(Gamma(alpha) Gamma(beta))
-    src, quad, (x, y) = _checked(f, rect, quad, (x, y))
-    return float(_tensor(src, rect, x, y, order, quad, threads=1, maps=(_LOG_MAP, _LOG_MAP))[0, 0])
+    src, quad, _ = _checked(f, rect, quad)
+    xs, ys = _clip_axes(rect, xs, ys)
+    return _tensor(src, rect, xs, ys, order, quad, threads=1, maps=(_LOG_MAP, _LOG_MAP))
 
 
 # ---------------------------------------------------------------------------

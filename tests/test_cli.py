@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 
 import fracdim2d.cli as cli
 import fracdim2d.fracint as fracint
-from fracdim2d import Box, GridSpec, read_samples_csv
+from fracdim2d import Box, GridSpec, ParameterError, read_samples_csv, read_samples_json
 from fracdim2d.special import log_normaliser
 
 
@@ -336,13 +337,32 @@ def test_dimension_counts_file_bytes_are_pinned(capsys, tmp_path, argv, expected
     assert path.read_bytes() == expected.encode()
 
 
-def test_dimension_without_out_counts_only_for_the_fit(capsys, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("counts computed again for a file nobody asked for")
+class _Reached(Exception):
+    """Raised by a patched callee: the command got as far as calling it."""
 
-    monkeypatch.setattr(cli, "oscillation_counts", refuse)
-    code, out, err = run_cli(capsys, "dimension", "--fn", "weierstrass", "--grid", "257,257")
+
+def test_dimension_without_out_counts_only_for_the_fit(capsys, monkeypatch, tmp_path):
+    ladders, brute = [], []
+    real = cli._ladder
+
+    def counted(gs, deltas):
+        ladders.append(list(deltas))
+        return real(gs, deltas)
+
+    def refuse(gs, delta):
+        brute.append(delta)
+        raise _Reached("direct 3-d counts")
+
+    monkeypatch.setattr(cli, "_ladder", counted)
+    monkeypatch.setattr(cli, "boxcount_bruteforce_3d", refuse)
+    argv = ["dimension", "--fn", "weierstrass", "--grid", "257,257"]
+    code, out, err = run_cli(capsys, *argv)
     assert code == 0 and err is None and "slope = 2.441915" in out
+    assert len(ladders) == 1 and brute == []
+    # positive control: both patches sit on names cmd_dimension calls
+    with pytest.raises(_Reached):
+        cli.main(argv + ["--oracle", "--out", str(tmp_path / "counts.csv")])
+    assert len(ladders) == 2 and len(brute) == 1
 
 
 def test_dimension_oracle_without_out_counts_nothing_and_prints_the_same(capsys, monkeypatch):
@@ -598,11 +618,7 @@ def test_dimension_out_takes_both_bounds_from_the_one_ladder(capsys, monkeypatch
         calls.append(list(deltas))
         return real(gs, deltas)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("a delta counted a second time")
-
     monkeypatch.setattr(cli, "_ladder", counted)
-    monkeypatch.setattr(cli, "oscillation_counts", refuse)
     path = tmp_path / "counts.csv"
     code, _, err = run_cli(capsys, "dimension", "--fn", "weierstrass", "--grid", "257,257", "--out", str(path))
     assert code == 0 and err is None and len(calls) == 1
@@ -627,6 +643,8 @@ _GOOD_JSON = '{"rect": {"a": 0, "b": 1, "c": 0, "d": 1}, "m": 2, "n": 2, "values
         ("text-m.json", _GOOD_JSON.replace('"m": 2', '"m": "x"')),
         ("list.json", "[1, 2]"),
         ("deep.json", "[" * 100000 + "]" * 100000),
+        ("nan-x.csv", _GOOD_CSV.replace("1,0,3", "nan,0,3")),  # a coordinate, not a value
+        ("overflow.json", _GOOD_JSON.replace("[1, 2, 3, 4]", "[1, 1e999, 3, 4]")),  # decodes to inf
     ],
 )
 def test_malformed_sample_files_exit_2_naming_fn(capsys, tmp_path, name, body):
@@ -635,6 +653,24 @@ def test_malformed_sample_files_exit_2_naming_fn(capsys, tmp_path, name, body):
     kind = name.rsplit(".", 1)[1]
     code, err = _one_json_error(capsys, "variation", "--fn", f"{kind}:{path}")
     assert code == 2 and err["parameter"] == "fn" and name in err["message"]
+
+
+_JSON_TOKENS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("kind", ["csv", "json"])
+def test_non_finite_sample_cells_exit_2_naming_fn(capsys, tmp_path, kind, cell):
+    if kind == "csv":
+        body = _GOOD_CSV.replace("0,1,2", f"0,1,{cell}")
+    else:
+        body = _GOOD_JSON.replace("[1, 2, 3, 4]", f"[1, {_JSON_TOKENS[cell]}, 3, 4]")
+    path = tmp_path / f"cells.{kind}"
+    path.write_text(body)
+    code, err = _one_json_error(capsys, "variation", "--fn", f"{kind}:{path}")
+    assert code == 2 and err["parameter"] == "fn" and str(path) in err["message"]
+    with pytest.raises(ParameterError, match="finite"):
+        (read_samples_csv if kind == "csv" else read_samples_json)(str(path))
 
 
 def test_well_formed_sample_files_still_read(capsys, tmp_path):
@@ -660,16 +696,46 @@ def test_header_only_sample_file_prints_one_json_error(tmp_path):
 @pytest.mark.parametrize("op", ["hadamard", "riemann-liouville"])
 def test_point_operator_loop_over_budget_exits_3_before_it_starts(capsys, monkeypatch, op):
     def refuse(*args, **kwargs):
-        raise AssertionError("point operator called")
+        raise _Reached("classical operator called")
 
-    monkeypatch.setattr(cli, "hadamard_2d", refuse)
-    monkeypatch.setattr(cli, "riemann_liouville_2d", refuse)
+    monkeypatch.setattr(cli, "_hadamard_grid", refuse)
+    monkeypatch.setattr(cli, "_rl_grid", refuse)
+    argv = ["integrate", "--op", op, "--fn", "constant:2", "--alpha", ".5", "--beta", ".5"]
     t0 = time.perf_counter()
-    code, err = _one_json_error(
-        capsys, "integrate", "--op", op, "--fn", "constant:2", "--alpha", ".5", "--beta", ".5", "--grid", "3000,3000"
-    )
+    code, err = _one_json_error(capsys, *argv, "--grid", "3000,3000")
     assert time.perf_counter() - t0 < 1.0
     assert code == 3 and "budget" in err["message"]
+    # positive control: under the budget the same patches are reached
+    with pytest.raises(_Reached):
+        cli.main(argv + ["--grid", "3,3"])
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("verify", "special-cases", "--scale", "full"), "6d73325968b96d605ce09d49ce06dd1604deb3ef4328ff75fc292144eb5f2105"),
+        (
+            ("integrate", "--op", "riemann-liouville", "--fn", "plane", "--alpha", ".5", "--beta", ".5", "--grid", "17,17"),
+            "1a227112ec685548722be5e4d773e940d8a9b58fcbf9e79ddca587adbe4c300c",
+        ),
+        (
+            ("integrate", "--op", "hadamard", "--fn", "constant:1", "--rect", f"1,{math.e!r},1,{math.e!r}",
+             "--alpha", ".5", "--beta", ".5", "--grid", "3,3"),
+            "7445e0c9da5ccc4774c6732ea9506ef5e16c5dd501c4c7e50efbb31e483e7621",
+        ),
+        (
+            ("integrate", "--op", "hadamard", "--fn", "sinxy", "--shift", "1,1",
+             "--alpha", ".5", "--beta", ".5", "--grid", "9,9"),
+            "e5b5c8e476914ec15067d8587b183acb5b6c35dae799083b087f9d5da47b4d12",
+        ),
+    ],
+)
+def test_classical_operator_artifacts_keep_their_bytes(capsys, tmp_path, argv, digest):
+    # digests of the files these commands wrote when each node was its own point call
+    path = tmp_path / "artifact"
+    code, _, err = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 0 and err is None
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_point_operator_budget_sits_far_above_the_largest_documented_call():

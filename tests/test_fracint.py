@@ -33,7 +33,7 @@ from fracdim2d import (
     positive_source,
     sup_gap,
 )
-from fracdim2d import fracint
+from fracdim2d import fracint, verify
 
 BOX = Box(1.0, 2.0, 1.0, 2.0)
 HALF = FracOrder(0.5, 0.5)
@@ -169,6 +169,78 @@ def test_hadamard_closed_form_and_limit():
     eps = 1e-4
     k = katugampola_2d(one, box, e, e, FracOrder(0.5, 0.5, p=-1 + eps, q=-1 + eps), quad)
     assert k == pytest.approx(h, rel=1e-2)
+
+
+# ---------------------------------------------------------------------------
+# the Riemann-Liouville oracle on a grid: riemann_liouville_2d node by node
+
+
+def _rl_points(src, box, xs, ys, alpha, beta, quad):
+    return np.array([[riemann_liouville_2d(src, box, x, y, alpha, beta, quad) for y in ys] for x in xs])
+
+
+@pytest.mark.parametrize("name", verify._smooth_names())
+def test_rl_grid_is_the_point_oracle_at_every_node(name):
+    src, box = positive_source(name)
+    spec = GridSpec(box, 5, 5)
+    quad = QuadratureSpec(panels=24)
+    grid = fracint._rl_grid(src, box, spec.xs(), spec.ys(), 0.5, 0.5, quad)
+    assert grid.shape == (5, 5)
+    assert grid.tobytes() == _rl_points(src, box, spec.xs(), spec.ys(), 0.5, 0.5, quad).tobytes()
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, grading",
+    [(0.3, 0.7, None), (0.5, 0.5, 3.0), (1.5, 2.5, None)],  # graded (orders below 1), graded by hand, uniform
+)
+def test_rl_grid_keeps_bits_on_a_non_square_grid(alpha, beta, grading):
+    src = make_source("sinxy")
+    spec = GridSpec(BOX, 5, 7)
+    quad = QuadratureSpec(panels=16, grading=grading)
+    grid = fracint._rl_grid(src, BOX, spec.xs(), spec.ys(), alpha, beta, quad)
+    assert grid.shape == (5, 7)
+    assert grid.tobytes() == _rl_points(src, BOX, spec.xs(), spec.ys(), alpha, beta, quad).tobytes()
+    # nodes on the lower edges integrate over nothing: +0.0
+    assert grid[0].tobytes() == np.zeros(7).tobytes() and grid[:, 0].tobytes() == np.zeros(5).tobytes()
+    assert np.all(grid[1:, 1:] != 0.0)
+
+
+def test_rl_grid_keeps_the_log_space_constant_from_order_171():
+    src, box = make_source("plane"), Box(1.0, 31.0, 1.0, 2.0)
+    xs, ys = [1.0, 16.0, 31.0], [1.5, 2.0]
+    quad = QuadratureSpec(panels=8)
+    grid = fracint._rl_grid(src, box, xs, ys, 171.0, 0.5, quad)
+    assert grid.tobytes() == _rl_points(src, box, xs, ys, 171.0, 0.5, quad).tobytes()
+    assert np.all(np.isfinite(grid)) and np.all(grid[1:] > 0.0)
+
+
+def test_rl_grid_overflow_is_a_numeric_error():
+    src, box = make_source("plane"), Box(1.0, 1000.0, 1.0, 2.0)  # 999^200 is past float64
+    quad = QuadratureSpec(panels=8)
+    with pytest.raises(NumericError, match="overflows"):
+        fracint._rl_grid(src, box, [1.0, 1000.0], [2.0], 200.0, 0.5, quad)
+    with pytest.raises(NumericError, match="overflows"):
+        riemann_liouville_2d(src, box, 1000.0, 2.0, 200.0, 0.5, quad)
+
+
+def test_rl_grid_never_enters_the_quadrature_engine(monkeypatch):
+    src, box = positive_source("sinxy")
+    spec = GridSpec(box, 4, 4)
+    quad = QuadratureSpec(panels=16)
+    before = fracint._rl_grid(src, box, spec.xs(), spec.ys(), 0.5, 0.5, quad)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle called the engine it checks")
+
+    for name in ("_tensor", "_axis_rules", "_apply_1d", "_unit_rule"):
+        monkeypatch.setattr(fracint, name, refuse)
+    monkeypatch.setattr(np, "einsum", refuse)
+    after = fracint._rl_grid(src, box, spec.xs(), spec.ys(), 0.5, 0.5, quad)
+    assert after.tobytes() == before.tobytes()
+    assert riemann_liouville_2d(src, box, *spec.node(3, 2), 0.5, 0.5, quad) == after[3, 2]
+    # positive control: the patches are live for the route the oracle checks
+    with pytest.raises(AssertionError, match="engine"):
+        katugampola_2d(src, box, *spec.node(3, 2), HALF, quad)
 
 
 def test_thread_count_never_changes_grid_bits():
