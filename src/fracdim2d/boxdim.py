@@ -145,12 +145,13 @@ class _Level(NamedTuple):
     ywin: tuple[np.ndarray, np.ndarray]
 
 
-def _level(g: GridSamples, delta: float) -> _Level:
+def _level(g: GridSamples, delta: float, brute: bool = False) -> _Level:
     """The delta-cells of ``g``.
 
     Raises ParameterError for a bad grid or delta, and ResolutionError for
     a delta that does not split the rectangle or leaves a cell with fewer
-    than 2 x 2 sample nodes.
+    than 2 x 2 sample nodes.  With ``brute``, more than
+    ``_BRUTE_CELL_LIMIT`` cells is a SizeError, checked before the windows.
     """
     if not isinstance(g, GridSamples):
         raise ParameterError("expected GridSamples")
@@ -162,6 +163,8 @@ def _level(g: GridSamples, delta: float) -> _Level:
         raise ResolutionError(f"delta={delta:g} does not split the rectangle")
     mc = _cells_1d(box.a, box.b, delta)
     nc = _cells_1d(box.c, box.d, delta)
+    if brute and mc * nc > _BRUTE_CELL_LIMIT:
+        raise SizeError(f"brute-force count limited to {_BRUTE_CELL_LIMIT} cells, got {mc}x{nc}")
     xwin = _window_bounds(g.spec.xs(), box.a, mc, delta, box.b)
     ywin = _window_bounds(g.spec.ys(), box.c, nc, delta, box.d)
     if np.any(xwin[1] - xwin[0] < 2) or np.any(ywin[1] - ywin[0] < 2):
@@ -322,29 +325,13 @@ def boxcount_bruteforce_3d(g: GridSamples, delta: float) -> int:
     evaluates the interpolant on its x-run times the y candidates, in
     strips of whole cells of at most ``_BRUTE_BLOCK`` values, takes the
     max and min over x, then over each cell's y-run.  Every value is the
-    one a per-cell evaluation gives, so the count is too.
+    one a per-cell evaluation gives, so the count is too.  The cells and
+    their node windows, and the argument checks, are ``_level``'s.
     """
-    if not isinstance(g, GridSamples):
-        raise ParameterError("expected GridSamples")
-    delta = float(delta)
-    if not (delta > 0 and math.isfinite(delta)):
-        raise ParameterError("delta must be positive and finite", parameter="delta")
-    box = g.spec.rect
-    if delta >= min(box.width, box.height):
-        raise ResolutionError(f"delta={delta:g} does not split the rectangle")
-    mc = _cells_1d(box.a, box.b, delta)
-    nc = _cells_1d(box.c, box.d, delta)
-    if mc * nc > _BRUTE_CELL_LIMIT:
-        raise SizeError(f"brute-force count limited to {_BRUTE_CELL_LIMIT} cells, got {mc}x{nc}")
-    xs, ys = g.spec.xs(), g.spec.ys()
-    xst, xsp = _window_bounds(xs, box.a, mc, delta, box.b)
-    yst, ysp = _window_bounds(ys, box.c, nc, delta, box.d)
-    if np.any(xsp - xst < 2) or np.any(ysp - yst < 2):
-        raise ResolutionError(
-            f"delta={delta:g} leaves a cell with fewer than 2x2 sample nodes on a {g.spec.m}x{g.spec.n} grid"
-        )
-    cand_x, xoff = _candidate_runs(xs, box.a, box.b, delta, xst, xsp)
-    cand_y, yoff = _candidate_runs(ys, box.c, box.d, delta, yst, ysp)
+    level = _level(g, delta, brute=True)
+    delta, mc, nc, box = level.delta, level.m, level.n, g.spec.rect
+    cand_x, xoff = _candidate_runs(g.spec.xs(), box.a, box.b, delta, *level.xwin)
+    cand_y, yoff = _candidate_runs(g.spec.ys(), box.c, box.d, delta, *level.ywin)
     # strips of whole y-cells, cut so a column's widest x-run times a strip fits the block
     per_strip = max(1, _BRUTE_BLOCK // int(np.max(np.diff(xoff))))
     cuts = [0]

@@ -20,6 +20,7 @@ the function is safe to feed to quadrature and dimension pipelines.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -139,8 +140,7 @@ def t_eval(tc: TConstruction, x, y):
     xv = np.asarray(x, dtype=np.float64)
     yv = np.asarray(y, dtype=np.float64)
     if math.prod(np.broadcast_shapes(xv.shape, yv.shape)):
-        tol_x = 1e-9 * max(1.0, abs(r.a), abs(r.b))
-        tol_y = 1e-9 * max(1.0, abs(r.c), abs(r.d))
+        tol_x, tol_y = r.slack()
         if xv.min() < r.a - tol_x or xv.max() > r.b + tol_x or yv.min() < r.c - tol_y or yv.max() > r.d + tol_y:
             raise DomainError("query outside the construction rectangle")
     w = r.width
@@ -203,15 +203,8 @@ class CatalogEntry:
     params: str = ""
 
 
-def _sup_abs_parab(lo: float, hi: float) -> float:
-    # extrema of x(x - 1/2) on [lo, hi]: endpoints plus the vertex at 1/4
-    cands = [abs(lo * (lo - 0.5)), abs(hi * (hi - 0.5))]
-    if lo <= 0.25 <= hi:
-        cands.append(0.0625)
-    return max(cands)
-
-
 def _parab_range(lo: float, hi: float) -> tuple[float, float]:
+    # extrema of x(x - 1/2) on [lo, hi]: endpoints plus the vertex at 1/4
     vals = [lo * (lo - 0.5), hi * (hi - 0.5)]
     if lo <= 0.25 <= hi:
         vals.append(-0.0625)
@@ -257,7 +250,7 @@ def _parabola_sine() -> FunctionSource:
     return CallableSource(
         lambda x, y: x * (x - 0.5) * np.sin(y),
         name="parabola-sine",
-        sup_bound=lambda box: _sup_abs_parab(box.a, box.b) * _sup_abs_sin(box.c, box.d),
+        sup_bound=lambda box: max(map(abs, _parab_range(box.a, box.b))) * _sup_abs_sin(box.c, box.d),
         smooth=True,
     )
 
@@ -281,11 +274,15 @@ _T_SEED_BOX = Box(0.0, 0.5, 0.0, 1.0)
 _T_BOX = Box(0.0, 1.0, 0.0, 1.0)
 
 
-def _t_over(seed_builder: Callable[[], FunctionSource], seed_box: Box, name: str) -> FunctionSource:
-    seed = seed_builder()
-    dom = seed.domain if seed.domain is not None else seed_box
-    rect = Box(dom.a, dom.a + 2.0 * dom.width, dom.c, dom.d)
-    return TSource(TConstruction(rect=rect, phi=seed), name=name)
+def _staircase_box(seed_box: Box) -> Box:
+    """The box of a staircase construction: its seed's box, twice as wide."""
+    return Box(seed_box.a, seed_box.a + 2.0 * seed_box.width, seed_box.c, seed_box.d)
+
+
+def _t_over(seed: FunctionSource, seed_box: Box, name: str) -> FunctionSource:
+    # the staircase over the seed's own domain, or over ``seed_box`` for a seed without one
+    box = _staircase_box(seed.domain if seed.domain is not None else seed_box)
+    return TSource(TConstruction(rect=box, phi=seed), name=name)
 
 
 def _weier_amps(lam: float, s: float, kmax: int) -> tuple[np.ndarray, np.ndarray]:
@@ -303,6 +300,8 @@ def _weierstrass(lam: float = 2.0, s: float = 2.5, kmax: float = 12) -> Function
         raise ParameterError("lam must exceed 1", parameter="lam")
     if not (2.0 < s < 3.0):
         raise ParameterError("s must lie in (2, 3)", parameter="s")
+    if k * math.log2(lam) > sys.float_info.mant_dig:  # from 2^53 on, one ulp of lam^kmax t is a third of a period
+        raise ParameterError(f"kmax={k}: {lam:g}^{k} exceeds 2^53, beyond float64's phase resolution", parameter="fn")
     freqs, amps = _weier_amps(lam, s, k)
 
     def univ(t):
@@ -401,7 +400,7 @@ CATALOG: dict[str, CatalogEntry] = {
             bounded_variation=False,
             holder=None,
             quadrature_safe=True,
-            builder=lambda: _t_over(_parabola_sine, _T_SEED_BOX, "t-parabola-sine"),
+            builder=lambda: _t_over(_parabola_sine(), _T_SEED_BOX, "t-parabola-sine"),
         ),
         CatalogEntry(
             name="t-sine-parabola",
@@ -411,7 +410,7 @@ CATALOG: dict[str, CatalogEntry] = {
             bounded_variation=False,
             holder=None,
             quadrature_safe=True,
-            builder=lambda: _t_over(_sine_parabola, _T_SEED_BOX, "t-sine-parabola"),
+            builder=lambda: _t_over(_sine_parabola(), _T_SEED_BOX, "t-sine-parabola"),
         ),
         CatalogEntry(
             name="weierstrass",
@@ -460,10 +459,7 @@ def make_source(spec: str) -> FunctionSource:
     if not spec:
         raise ParameterError("empty function spec", parameter="fn")
     if spec.startswith("t:"):
-        seed = make_source(spec[2:])
-        dom = seed.domain if seed.domain is not None else default_box(spec[2:])
-        rect = Box(dom.a, dom.a + 2.0 * dom.width, dom.c, dom.d)
-        return TSource(TConstruction(rect=rect, phi=seed), name=spec)
+        return _t_over(make_source(spec[2:]), default_box(spec[2:]), spec)
     name, _, argstr = spec.partition(":")
     ent = catalog_entry(name)
     args: list[float] = []
@@ -485,8 +481,7 @@ def default_box(spec: str) -> Box:
     """Default rectangle for a catalog spec (the seed box doubled for t:)."""
     spec = spec.strip()
     if spec.startswith("t:"):
-        inner = default_box(spec[2:])
-        return Box(inner.a, inner.a + 2.0 * inner.width, inner.c, inner.d)
+        return _staircase_box(default_box(spec[2:]))
     return catalog_entry(spec.partition(":")[0]).box
 
 

@@ -22,7 +22,8 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable
 
 import numpy as np
@@ -93,6 +94,21 @@ class CatalogError(KeyError):
 # ---------------------------------------------------------------------------
 # domains
 
+# relative slack of every box-membership test (``Box.slack``)
+_BOX_SLACK = 1e-9
+
+
+def _finite_fields(obj, label: str = "") -> None:
+    """Coerce every field of a frozen dataclass to a finite float; ParameterError names the first that is not."""
+    for f in fields(obj):
+        try:
+            v = float(getattr(obj, f.name))
+        except (TypeError, ValueError):
+            raise ParameterError(f"{label}{f.name} must be a real number", parameter=f.name)
+        if not math.isfinite(v):
+            raise ParameterError(f"{label}{f.name} must be finite", parameter=f.name)
+        object.__setattr__(obj, f.name, v)
+
 
 @dataclass(frozen=True)
 class Box:
@@ -104,15 +120,7 @@ class Box:
     d: float
 
     def __post_init__(self):
-        for name in ("a", "b", "c", "d"):
-            v = getattr(self, name)
-            try:
-                v = float(v)
-            except (TypeError, ValueError):
-                raise ParameterError(f"box coordinate {name} must be a real number", parameter=name)
-            if not math.isfinite(v):
-                raise ParameterError(f"box coordinate {name} must be finite", parameter=name)
-            object.__setattr__(self, name, v)
+        _finite_fields(self, "box coordinate ")
         if not self.a < self.b:
             raise ParameterError(f"box requires a < b, got a={self.a}, b={self.b}", parameter="b")
         if not self.c < self.d:
@@ -126,10 +134,13 @@ class Box:
     def height(self) -> float:
         return self.d - self.c
 
-    def covers(self, other: "Box", tol: float = 1e-9) -> bool:
-        """True when ``other`` sits inside this box, up to relative slack."""
-        sx = tol * max(1.0, abs(self.a), abs(self.b))
-        sy = tol * max(1.0, abs(self.c), abs(self.d))
+    def slack(self) -> tuple[float, float]:
+        """How far past its bounds an (x, y) coordinate may fall and still count as inside: every test reads it here."""
+        return _BOX_SLACK * max(1.0, abs(self.a), abs(self.b)), _BOX_SLACK * max(1.0, abs(self.c), abs(self.d))
+
+    def covers(self, other: "Box") -> bool:
+        """True when ``other`` sits inside this box, up to ``slack``."""
+        sx, sy = self.slack()
         return (
             other.a >= self.a - sx
             and other.b <= self.b + sx
@@ -175,15 +186,7 @@ class FracOrder:
     q: float = 0.0
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "p", "q"):
-            v = getattr(self, name)
-            try:
-                v = float(v)
-            except (TypeError, ValueError):
-                raise ParameterError(f"{name} must be a real number", parameter=name)
-            if not math.isfinite(v):
-                raise ParameterError(f"{name} must be finite", parameter=name)
-            object.__setattr__(self, name, v)
+        _finite_fields(self)
         if self.alpha <= 0.0:
             raise ParameterError(f"alpha must be positive, got {self.alpha}", parameter="alpha")
         if self.beta <= 0.0:
@@ -353,8 +356,8 @@ class SampledSource(FunctionSource):
     """Bilinear interpolation of grid samples.
 
     Exact at the grid nodes: querying a node coordinate reproduces the
-    stored sample bit for bit.  Queries outside the grid's box (beyond a
-    relative slack of 1e-9) raise ``DomainError``.
+    stored sample bit for bit.  Queries outside the grid's box (beyond
+    ``Box.slack``) raise ``DomainError``.
     """
 
     def __init__(self, samples: GridSamples, name: str = "sampled"):
@@ -370,8 +373,7 @@ class SampledSource(FunctionSource):
         xf = xb.reshape(-1)
         yf = yb.reshape(-1)
         r = self.domain
-        tx = 1e-9 * max(1.0, abs(r.a), abs(r.b))
-        ty = 1e-9 * max(1.0, abs(r.c), abs(r.d))
+        tx, ty = r.slack()
         if xf.size and (xf.min() < r.a - tx or xf.max() > r.b + tx or yf.min() < r.c - ty or yf.max() > r.d + ty):
             raise DomainError("query outside the sampled box")
         xf = np.clip(xf, r.a, r.b)
@@ -464,15 +466,28 @@ def row_blocks(count: int, workers: int) -> list[range]:
     return [range(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
+def _spread(run: Callable[[range], None], items: range, threads: int | None) -> None:
+    """Run ``run`` over contiguous slices of ``items`` from ``row_blocks``, one per worker thread.
+
+    Each call must write only its own slice's outputs, so the bits never depend on the thread count.
+    """
+    blocks = [items[b.start : b.stop] for b in row_blocks(len(items), worker_count(threads))]
+    if len(blocks) <= 1:
+        run(items)
+    else:
+        with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
+            list(pool.map(run, blocks))
+
+
 def sample(src: FunctionSource, spec: GridSpec, threads: int | None = None) -> GridSamples:
     """Evaluate ``src`` at every grid node of ``spec``, row-major.
 
     The grid box must sit inside the source's declared domain, and the
     grid may hold at most ``_MAX_SAMPLE_NODES`` nodes (``SizeError`` before
-    anything is allocated).  With more than one worker the rows are split
-    into contiguous blocks evaluated concurrently; block results are
-    written to disjoint slots, so the output is bit-identical to a
-    sequential run.
+    anything is allocated).  With one worker f is evaluated in one call;
+    with more, ``_spread`` evaluates contiguous blocks of rows
+    concurrently into disjoint slots, so the output is bit-identical to
+    a sequential run.
     """
     if not src.covers(spec.rect):
         raise DomainError(f"grid box {spec.rect} is not inside the domain of source {src.name!r}")
@@ -480,18 +495,16 @@ def sample(src: FunctionSource, spec: GridSpec, threads: int | None = None) -> G
         raise SizeError(f"a {spec.m}x{spec.n} grid exceeds the sampling budget of {_MAX_SAMPLE_NODES} nodes")
     xs = spec.xs()
     ys = spec.ys()
-    blocks = row_blocks(spec.m, worker_count(threads))
-    if len(blocks) <= 1 or spec.m < 2 * len(blocks):
+    if len(row_blocks(spec.m, worker_count(threads))) <= 1:
         vals = np.broadcast_to(np.asarray(src.eval(xs[:, None], ys[None, :]), dtype=np.float64), (spec.m, spec.n))
         return GridSamples(spec, vals.reshape(-1))  # GridSamples keeps its own copy
     out = np.empty((spec.m, spec.n), dtype=np.float64)
 
-    def run(block: range) -> None:
-        sub = np.asarray(src.eval(xs[block.start : block.stop, None], ys[None, :]), dtype=np.float64)
-        out[block.start : block.stop, :] = np.broadcast_to(sub, (block.stop - block.start, spec.n))
+    def run(rows: range) -> None:
+        sub = np.asarray(src.eval(xs[rows.start : rows.stop, None], ys[None, :]), dtype=np.float64)
+        out[rows.start : rows.stop, :] = np.broadcast_to(sub, (len(rows), spec.n))
 
-    with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-        list(pool.map(run, blocks))
+    _spread(run, range(spec.m), threads)
     return GridSamples(spec, out.reshape(-1))
 
 
@@ -537,10 +550,19 @@ def write_samples_csv(gs: GridSamples, path: str) -> None:
             fh.write(template.replace("{x}", xs[i]) % tuple(mat[i].tolist()))
 
 
-def _refuse_non_finite(path: str, data: np.ndarray) -> None:
+@contextmanager
+def _naming(path: str):
+    # a fault in a sample file names the file, whichever check finds it
+    try:
+        yield
+    except ParameterError as exc:
+        raise ParameterError(f"{path}: {exc}") from None
+
+
+def _refuse_non_finite(data: np.ndarray) -> None:
     # nan, inf and -inf parse as floats in both formats; a sample file must not hold them
     if not np.all(np.isfinite(data)):
-        raise ParameterError(f"{path}: cells must be finite numbers, found nan or inf")
+        raise ParameterError("cells must be finite numbers, found nan or inf")
 
 
 def read_samples_csv(path: str) -> GridSamples:
@@ -549,33 +571,35 @@ def read_samples_csv(path: str) -> GridSamples:
     Grid shape is inferred from the row-major ordering: the leading run of
     equal x entries gives n, the total row count gives m.  Values survive
     the round trip exactly.  A cell that is not a finite number, or a row
-    whose length differs, is a ParameterError, as is a file without rows.
+    whose length differs, is a ParameterError, as is a file without rows;
+    every such message starts with the path.
     """
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # a file without rows is reported below
-            data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.float64, ndmin=2)
-    except ValueError as exc:
-        raise ParameterError(f"{path}: expected numeric rows of x,y,value ({exc})") from None
-    if data.ndim != 2 or data.shape[1] != 3 or data.shape[0] < 4:
-        raise ParameterError(f"{path}: expected rows of x,y,value with at least a 2x2 grid")
-    _refuse_non_finite(path, data)
-    x, y, v = data[:, 0], data[:, 1], data[:, 2]
-    changes = np.nonzero(x != x[0])[0]
-    n = int(changes[0]) if changes.size else data.shape[0]
-    if n < 2 or data.shape[0] % n != 0:
-        raise ParameterError(f"{path}: rows are not in row-major grid order")
-    m = data.shape[0] // n
-    if m < 2:
-        raise ParameterError(f"{path}: need at least 2 grid rows")
-    rect = Box(float(x[0]), float(x[-1]), float(y[0]), float(y[n - 1]))
-    spec = GridSpec(rect, m, n)
-    gx = np.repeat(spec.xs(), n)
-    gy = np.tile(spec.ys(), m)
-    tol = 1e-9 * max(1.0, float(np.max(np.abs(data[:, :2]))))
-    if np.max(np.abs(gx - x)) > tol or np.max(np.abs(gy - y)) > tol:
-        raise ParameterError(f"{path}: node coordinates are not a uniform grid")
-    return GridSamples(spec, v)
+    with _naming(path):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # a file without rows is reported below
+                data = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.float64, ndmin=2)
+        except ValueError as exc:
+            raise ParameterError(f"expected numeric rows of x,y,value ({exc})") from None
+        if data.ndim != 2 or data.shape[1] != 3 or data.shape[0] < 4:
+            raise ParameterError("expected rows of x,y,value with at least a 2x2 grid")
+        _refuse_non_finite(data)
+        x, y, v = data[:, 0], data[:, 1], data[:, 2]
+        changes = np.nonzero(x != x[0])[0]
+        n = int(changes[0]) if changes.size else data.shape[0]
+        if n < 2 or data.shape[0] % n != 0:
+            raise ParameterError("rows are not in row-major grid order")
+        m = data.shape[0] // n
+        if m < 2:
+            raise ParameterError("need at least 2 grid rows")
+        rect = Box(float(x[0]), float(x[-1]), float(y[0]), float(y[n - 1]))
+        spec = GridSpec(rect, m, n)
+        gx = np.repeat(spec.xs(), n)
+        gy = np.tile(spec.ys(), m)
+        tol = 1e-9 * max(1.0, float(np.max(np.abs(data[:, :2]))))
+        if np.max(np.abs(gx - x)) > tol or np.max(np.abs(gy - y)) > tol:
+            raise ParameterError("node coordinates are not a uniform grid")
+        return GridSamples(spec, v)
 
 
 def write_samples_json(gs: GridSamples, path: str) -> None:
@@ -593,25 +617,26 @@ def write_samples_json(gs: GridSamples, path: str) -> None:
 def read_samples_json(path: str) -> GridSamples:
     """Read a JSON document produced by ``write_samples_json``.
 
-    Text that is not JSON, missing or malformed keys, and values that are
-    not finite numbers are each a ParameterError.
+    Text that is not JSON, missing or malformed keys, values that are not
+    finite numbers, and a box, grid or value count that does not hold are
+    each a ParameterError whose message starts with the path.
     """
-    with open(path) as fh:
+    with open(path) as fh, _naming(path):
         try:
             doc = json.load(fh)
         except (ValueError, RecursionError) as exc:  # RecursionError: arrays nested too deep to decode
-            raise ParameterError(f"{path}: not a JSON document ({exc})") from None
-    try:
-        rect = Box(doc["rect"]["a"], doc["rect"]["b"], doc["rect"]["c"], doc["rect"]["d"])
-        spec = GridSpec(rect, int(doc["m"]), int(doc["n"]))
-        values = doc["values"]
-    except ParameterError:
-        raise
-    except (KeyError, TypeError, ValueError):
-        raise ParameterError(f"{path}: expected keys rect{{a,b,c,d}}, integer m and n, and values") from None
-    try:
-        values = np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ParameterError(f"{path}: values must be a list of numbers") from None
-    _refuse_non_finite(path, values)
-    return GridSamples(spec, values)
+            raise ParameterError(f"not a JSON document ({exc})") from None
+        try:
+            rect = Box(doc["rect"]["a"], doc["rect"]["b"], doc["rect"]["c"], doc["rect"]["d"])
+            spec = GridSpec(rect, int(doc["m"]), int(doc["n"]))
+            values = doc["values"]
+        except ParameterError:
+            raise
+        except (KeyError, TypeError, ValueError):
+            raise ParameterError("expected keys rect{a,b,c,d}, integer m and n, and values") from None
+        try:
+            values = np.asarray(values, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ParameterError("values must be a list of numbers") from None
+        _refuse_non_finite(values)
+        return GridSamples(spec, values)

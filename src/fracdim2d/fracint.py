@@ -41,10 +41,9 @@ tensor route, whose graded midpoint rule does not need f to be smooth.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -63,9 +62,8 @@ from .core import (
     SampledSource,
     SizeError,
     VerificationError,
-    row_blocks,
+    _spread,
     sample,
-    worker_count,
 )
 from .special import log_normaliser
 
@@ -228,22 +226,32 @@ def _tensor(src: FunctionSource, rect: Box, xs, ys, order: FracOrder, quad, thre
     return _clean(out)
 
 
-def _apply_1d(g: Callable, lo: float, his, order: float, weight: float, panels: int, grading: float):
-    """Per upper limit i: (sum_k M[i,k] g(S[i,k]), sum_k M[i,k]) in u = s^(weight+1).
+def _distinct(fns) -> tuple[list, list[int]]:
+    """``fns`` without repeats (matched by identity), and where each of ``fns`` sits among them."""
+    uniq = list({id(f): f for f in fns}.values())
+    at = {id(f): k for k, f in enumerate(uniq)}
+    return uniq, [at[id(f)] for f in fns]
+
+
+def _apply_1d(fns, lo: float, his, order: float, weight: float, panels: int, grading: float):
+    """([sum_k M[i,k] g(S[i,k]) for g in fns], sum_k M[i,k]) per upper limit i, in u = s^(weight+1).
 
     The rules are built a block of rows at a time, so the node arrays stay
-    small however many panels the axis has.
+    small however many panels the axis has; each block serves every
+    function, and one that appears twice is applied once.
     """
     his = np.asarray(his, dtype=np.float64).reshape(-1)
-    weighted = np.empty(his.size)
+    uniq, at = _distinct(fns)
+    weighted = np.empty((len(uniq), his.size))
     mass = np.empty(his.size)
     rows = max(1, _APPLY_BLOCK // panels)
     for r0 in range(0, his.size, rows):
         S, M = _axis_rules(lo, his[r0 : r0 + rows], order, panels, grading, _power_map(weight))
-        G = np.broadcast_to(np.asarray(g(S), dtype=np.float64), S.shape)
-        weighted[r0 : r0 + rows] = np.einsum("ik,ik->i", M, G, optimize=False)
+        for k, g in enumerate(uniq):
+            G = np.broadcast_to(np.asarray(g(S), dtype=np.float64), S.shape)
+            weighted[k, r0 : r0 + rows] = np.einsum("ik,ik->i", M, G, optimize=False)
         mass[r0 : r0 + rows] = np.einsum("ik->i", M, optimize=False)
-    return weighted, mass
+    return [weighted[k] for k in at], mass
 
 
 def _hat_weights(U, u, h, order: float):
@@ -392,16 +400,6 @@ def _grid_budget(route: str, m: int, n: int, panels: int, edges=None) -> None:
         )
 
 
-def _spread(run: Callable[[range], None], items: range, threads: int | None) -> None:
-    """Run ``run`` over contiguous slices of ``items``, one per worker."""
-    blocks = [items[b.start : b.stop] for b in row_blocks(len(items), worker_count(threads))]
-    if len(blocks) <= 1:
-        run(items)
-    else:
-        with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-            list(pool.map(run, blocks))
-
-
 def _hat_apply(mesh: _Mesh, order: float, vals, threads: int | None = None) -> list[np.ndarray]:
     """[sum_k W[i,k] v[k, ...] for v in vals], one row i per output: the product-trapezoid rule.
 
@@ -436,15 +434,16 @@ def _hat_apply(mesh: _Mesh, order: float, vals, threads: int | None = None) -> l
 def _mesh_apply(fns, lo: float, his, order: float, weight: float, panels: int, threads: int | None = None):
     """Shared-mesh rule on one axis, for upper limits ``his`` >= lo.
 
-    Each function in ``fns`` is evaluated once per node of ``_mesh``.
-    Returns ([sum_k W[i,k] f(s_k) for f in fns], int_lo^hi_i of the
-    kernel), the second in closed form.
+    Each function in ``fns`` is evaluated once per node of ``_mesh``, one
+    that appears twice only once.  Returns ([sum_k W[i,k] f(s_k) for f in
+    fns], int_lo^hi_i of the kernel), the second in closed form.
     """
     mesh = _mesh(lo, his, weight, panels)
-    vals = [np.broadcast_to(np.asarray(f(mesh.s), dtype=np.float64), mesh.s.shape) for f in fns]
+    uniq, at = _distinct(fns)
+    vals = [np.broadcast_to(np.asarray(f(mesh.s), dtype=np.float64), mesh.s.shape) for f in uniq]
     outs = _hat_apply(mesh, order, vals, threads)
     with _no_overflow():
-        return outs, (mesh.U - mesh.u[0]) ** order / order
+        return [outs[k] for k in at], (mesh.U - mesh.u[0]) ** order / order
 
 
 def _mesh_2d(src: FunctionSource, rect: Box, xs, ys, order: FracOrder, panels: int, threads: int | None) -> np.ndarray:
@@ -501,22 +500,18 @@ def _as_source(f) -> FunctionSource:
     raise ParameterError("f must be a FunctionSource or a callable")
 
 
-def _check_operator_box(rect: Box) -> None:
-    # the operators uniformly require a strictly positive rectangle, even
-    # for weights where a = 0 would be integrable; shift the domain to use
-    # functions defined near the axes
-    if not isinstance(rect, Box):
-        raise ParameterError("rect must be a Box", parameter="rect")
-    if rect.a <= 0.0 or rect.c <= 0.0:
-        raise DomainError(f"operators need a > 0 and c > 0, got a={rect.a}, c={rect.c}")
-
-
-def _clip_to(lo: float, hi: float, v: float, what: str) -> float:
-    tol = 1e-9 * max(1.0, abs(lo), abs(hi))
+def _clip_to(lo: float, hi: float, tol: float, v: float, what: str) -> float:
     v = float(v)
     if not math.isfinite(v) or v < lo - tol or v > hi + tol:
         raise DomainError(f"{what}={v} outside [{lo}, {hi}]")
     return min(max(v, lo), hi)
+
+
+def _clip_axes(rect: Box, xs, ys) -> tuple[list[float], list[float]]:
+    # coordinates beyond the rectangle's slack are refused, the rest clipped into it
+    tx, ty = rect.slack()
+    xs = [_clip_to(rect.a, rect.b, tx, x, "x") for x in np.ravel(xs)]
+    return xs, [_clip_to(rect.c, rect.d, ty, y, "y") for y in np.ravel(ys)]
 
 
 def _clean(v):
@@ -525,22 +520,26 @@ def _clean(v):
     return v + 0.0  # normalize -0.0
 
 
-def _checked(f, rect: Box, quad: QuadratureSpec | None, point=None, tensor: bool = True):
+def _checked(f, rect: Box, quad: QuadratureSpec | None, tensor: bool = True):
     """The preconditions every operator route shares.
 
-    Returns the source, the quadrature spec and ``point`` clipped into the
-    rectangle.  ``tensor`` applies the panel cap of the tensor contraction.
+    Returns the source and the quadrature spec.  ``tensor`` applies the
+    panel cap of the tensor contraction.
     """
     src = _as_source(f)
     quad = quad or QuadratureSpec()
-    _check_operator_box(rect)
+    # the operators uniformly require a strictly positive rectangle, even
+    # for weights where a = 0 would be integrable; shift the domain to use
+    # functions defined near the axes
+    if not isinstance(rect, Box):
+        raise ParameterError("rect must be a Box", parameter="rect")
+    if rect.a <= 0.0 or rect.c <= 0.0:
+        raise DomainError(f"operators need a > 0 and c > 0, got a={rect.a}, c={rect.c}")
     if not src.covers(rect):
         raise DomainError(f"rectangle {rect} is not inside the domain of source {src.name!r}")
     if tensor and quad.panels > _MAX_TENSOR_PANELS:
         raise SizeError(f"tensor evaluation capped at {_MAX_TENSOR_PANELS} panels, got {quad.panels}")
-    if point is not None:
-        point = (_clip_to(rect.a, rect.b, point[0], "x"), _clip_to(rect.c, rect.d, point[1], "y"))
-    return src, quad, point
+    return src, quad
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +559,7 @@ def katugampola_1d(g: Callable, a: float, x: float, alpha: float, p: float = 0.0
     x = float(x)
     if not math.isfinite(x) or x < a:
         raise DomainError(f"upper limit x={x} must lie in [a, inf)")
-    weighted, _ = _apply_1d(g, a, x, alpha, p, quad.panels, quad.graded(alpha))
+    (weighted,), _ = _apply_1d([g], a, x, alpha, p, quad.panels, quad.graded(alpha))
     return _clean(_unlog(log_normaliser(alpha, p)) * float(weighted[0]))
 
 
@@ -570,8 +569,9 @@ def katugampola_2d(f, rect: Box, x: float, y: float, order: FracOrder, quad: Qua
     The lower limits are the rectangle's lower-left corner; (x, y) must lie
     inside the rectangle.  Values on the edges x == a or y == c are 0.
     """
-    src, quad, (x, y) = _checked(f, rect, quad, (x, y))
-    return float(_tensor(src, rect, x, y, order, quad, threads=1)[0, 0])
+    src, quad = _checked(f, rect, quad)
+    xs, ys = _clip_axes(rect, x, y)
+    return float(_tensor(src, rect, xs, ys, order, quad, threads=1)[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -603,15 +603,17 @@ def katugampola_2d_grid(
         mesh: one mesh per axis holding every grid coordinate, at least
         ``quad.panels`` intervals long, with g and h evaluated once per
         mesh node and the kernel integrated exactly against hat
-        functions (``quad.grading`` is unused there).  When both axes
-        share lower limit, nodes, order and weight, one set of weights
-        serves g and h.  A source without a split whose ``smooth`` is
-        true takes the same meshes on both axes, with f evaluated once
-        per node of their product (the tensor panel cap still applies);
-        if it declares ``edges``, each mesh opens with a lead-in graded
-        toward the lower limit (``_lead_in``), which keeps the rule
-        second order on f = g (x - a)^sigma_x (y - c)^sigma_y.
-        Other sources take the tensor route.
+        functions (``quad.grading`` is unused there).  A source without
+        a split whose ``smooth`` is true takes the same meshes on both
+        axes, with f evaluated once per node of their product (the
+        tensor panel cap still applies); if it declares ``edges``, each
+        mesh opens with a lead-in graded toward the lower limit
+        (``_lead_in``), which keeps the rule second order on
+        f = g (x - a)^sigma_x (y - c)^sigma_y.  Other sources take the
+        tensor route.
+
+    On both split routes, axes that share lower limit, nodes, order and
+    weight share one rule, and a function that is both g and h is applied once.
 
     ``threads`` overrides FRACDIM2D_THREADS.  Thread count never changes
     the computed bits: rows are assigned to workers in contiguous blocks
@@ -625,7 +627,7 @@ def katugampola_2d_grid(
     if method == "separable" and split is None:
         raise ParameterError(f"source {src.name!r} has no additive split; use method='tensor'", parameter="method")
     use_split = split is not None and method in ("separable", "auto")
-    src, quad, _ = _checked(src, spec.rect, quad, tensor=not use_split)
+    src, quad = _checked(src, spec.rect, quad, tensor=not use_split)
     if use_split:
         route = "separable" if method == "separable" else "mesh-split"
     else:
@@ -639,29 +641,21 @@ def katugampola_2d_grid(
         out = _tensor(src, rect, xs, ys, order, quad, threads)
     else:
         if route == "separable":
-            gr = quad.graded(order.alpha, order.beta)
-            gu, su = _apply_1d(split[0], rect.a, xs, order.alpha, order.p, quad.panels, gr)
-            if same_axes and split[0] is split[1]:
-                hv, sv = gu, su
-            else:
-                hv, sv = _apply_1d(split[1], rect.c, ys, order.beta, order.q, quad.panels, gr)
-        elif same_axes:
-            (gu, hv), su = _mesh_apply(split, rect.a, xs, order.alpha, order.p, quad.panels, threads)
+            axis = partial(_apply_1d, panels=quad.panels, grading=quad.graded(order.alpha, order.beta))
+        else:
+            axis = partial(_mesh_apply, panels=quad.panels, threads=threads)
+        if same_axes:  # one rule serves g and h
+            (gu, hv), su = axis(split, rect.a, xs, order.alpha, order.p)
             sv = su
         else:
-            (gu,), su = _mesh_apply(split[:1], rect.a, xs, order.alpha, order.p, quad.panels, threads)
-            (hv,), sv = _mesh_apply(split[1:], rect.c, ys, order.beta, order.q, quad.panels, threads)
+            (gu,), su = axis(split[:1], rect.a, xs, order.alpha, order.p)
+            (hv,), sv = axis(split[1:], rect.c, ys, order.beta, order.q)
         out = _clean(_prefactor(order) * (gu[:, None] * sv[None, :] + su[:, None] * hv[None, :]))
     return GridSamples(spec, out.reshape(-1))
 
 
 # ---------------------------------------------------------------------------
 # independent cross-check route (classical kernel, plain-float arithmetic)
-
-
-def _clip_axes(rect: Box, xs, ys) -> tuple[list[float], list[float]]:
-    xs = [_clip_to(rect.a, rect.b, x, "x") for x in np.ravel(xs)]
-    return xs, [_clip_to(rect.c, rect.d, y, "y") for y in np.ravel(ys)]
 
 
 def _rl_grid(f, rect: Box, xs, ys, alpha: float, beta: float, quad: QuadratureSpec | None = None) -> np.ndarray:
@@ -673,12 +667,9 @@ def _rl_grid(f, rect: Box, xs, ys, alpha: float, beta: float, quad: QuadratureSp
     depend on one coordinate each, are shared between nodes.
     """
     src = _as_source(f)
-    quad = quad or QuadratureSpec()
     if alpha <= 0.0 or beta <= 0.0:
         raise ParameterError("orders must be positive", parameter="alpha")
-    _check_operator_box(rect)
-    if not src.covers(rect):
-        raise DomainError(f"rectangle {rect} is not inside the domain of source {src.name!r}")
+    src, quad = _checked(src, rect, quad, tensor=False)
     xs, ys = _clip_axes(rect, xs, ys)
     P = quad.panels
     if P > _MAX_TENSOR_PANELS:
@@ -746,7 +737,7 @@ def _hadamard_grid(f, rect: Rectangle, xs, ys, alpha: float, beta: float, quad: 
     every node of ``_tensor`` does.  Returns an array of shape (len(xs), len(ys)).
     """
     order = FracOrder(alpha, beta)  # p = q = 0: the constant is 1/(Gamma(alpha) Gamma(beta))
-    src, quad, _ = _checked(f, rect, quad)
+    src, quad = _checked(f, rect, quad)
     xs, ys = _clip_axes(rect, xs, ys)
     return _tensor(src, rect, xs, ys, order, quad, threads=1, maps=(_LOG_MAP, _LOG_MAP))
 
@@ -784,13 +775,12 @@ def compose_semigroup(
     first: FracOrder,
     second: FracOrder,
     quad: QuadratureSpec | None = None,
-    inner_spec: GridSpec | None = None,
     threads: int | None = None,
 ) -> tuple[GridSamples, GridSamples]:
     """Both sides of the composition law on a grid.
 
     Returns (lhs, rhs): lhs applies ``second`` to f, materializes the
-    result on ``inner_spec``, and applies ``first`` to its interpolant;
+    result on an inner grid, and applies ``first`` to its interpolant;
     rhs applies the single operator of summed orders (alpha1+alpha2,
     beta1+beta2) directly.  The orders must share their power weights.
 
@@ -810,24 +800,18 @@ def compose_semigroup(
     about 4x per panel doubling; an edge exponent outside (0, 1) needs no
     grading and gets the plain mesh.
 
-    ``inner_spec`` defaults to (2*panels+1) nodes per side with the inner
-    integral at panels/2 (floor 32); both scale with ``quad.panels`` so
-    every error term refines together.
+    The inner grid has 2*panels+1 nodes per side on the same box, and the
+    inner integral runs at panels/2 (floor 32); both scale with
+    ``quad.panels`` so every error term refines together.
     """
     if first.p != second.p or first.q != second.q:
         raise ParameterError("composed orders must share the power weights p and q", parameter="p")
     quad = quad or QuadratureSpec()
-    rect = spec.rect
-    _check_operator_box(rect)
+    rect = spec.rect  # the first operator call below checks it
     total = FracOrder(first.alpha + second.alpha, first.beta + second.beta, first.p, first.q)
     rhs = katugampola_2d_grid(f, spec, total, quad, method="auto", threads=threads)
-    inner_quad = quad
-    if inner_spec is None:
-        side = 2 * quad.panels + 1
-        inner_spec = GridSpec(rect, side, side)
-        inner_quad = QuadratureSpec(panels=max(32, quad.panels // 2), grading=quad.grading)
-    elif inner_spec.rect != rect:
-        raise ParameterError("inner grid must live on the same box", parameter="inner_spec")
+    inner_spec = GridSpec(rect, 2 * quad.panels + 1, 2 * quad.panels + 1)
+    inner_quad = QuadratureSpec(panels=max(32, quad.panels // 2), grading=quad.grading)
     inner = katugampola_2d_grid(f, inner_spec, second, inner_quad, method="auto", threads=threads)
 
     def edge_profile(x, y):
@@ -851,14 +835,11 @@ def compose_semigroup(
     return lhs, rhs
 
 
-def sup_gap(lhs: GridSamples, rhs: GridSamples, relative: bool = True) -> float:
-    """Sup-norm gap between two grids; relative form divides by max(1, sup|lhs|)."""
+def sup_gap(lhs: GridSamples, rhs: GridSamples) -> float:
+    """Relative sup-norm gap between two grids: sup|lhs - rhs| / max(1, sup|lhs|)."""
     if lhs.spec != rhs.spec:
         raise ParameterError("grids must share a spec")
-    gap = float(np.max(np.abs(lhs.values - rhs.values)))
-    if relative:
-        gap /= max(1.0, float(np.max(np.abs(lhs.values))))
-    return gap
+    return float(np.max(np.abs(lhs.values - rhs.values))) / max(1.0, float(np.max(np.abs(lhs.values))))
 
 
 @dataclass(frozen=True)
@@ -893,15 +874,14 @@ def boundedness_certificate(
     order: FracOrder,
     quad: QuadratureSpec | None = None,
     M: float | None = None,
-    tolerance: float | None = None,
     threads: int | None = None,
 ) -> BoundCertificate:
     """Certify |If| <= M * (integral of 1 at the far corner) on a grid.
 
     ``M`` must dominate sup|f| on the box; it defaults to the source's own
     declared bound, and either way is sanity-checked against the sampled
-    sup of |f|.  ``tolerance`` defaults to a quadrature error budget from
-    ``quad_error_probe``.  The operator is evaluated on the grid and the
+    sup of |f|.  The certificate's tolerance is the quadrature error
+    budget of ``quad_error_probe``.  The operator is evaluated on the grid and the
     observed sup compared against the closed-form bound.  ``spec`` may
     instead be the ``GridSamples`` of If that the caller already computed
     with the same ``order`` and ``quad``; those values are certified as
@@ -909,7 +889,7 @@ def boundedness_certificate(
     """
     vals = spec if isinstance(spec, GridSamples) else None
     spec = vals.spec if vals is not None else spec
-    src, quad, _ = _checked(f, spec.rect, quad, tensor=False)
+    src, quad = _checked(f, spec.rect, quad, tensor=False)
     rect = spec.rect
     if M is None and src.sup_bound is None:
         raise ParameterError("source declares no sup bound; pass M", parameter="M")
@@ -920,8 +900,7 @@ def boundedness_certificate(
             f"claimed sup bound M={M:g} is below a sampled value {observed_f:.17g} of |f|",
             parameter="M",
         )
-    if tolerance is None:
-        tolerance = quad_error_probe(src, rect, order, quad)
+    tolerance = quad_error_probe(src, rect, order, quad)
     if vals is None:
         vals = katugampola_2d_grid(src, spec, order, quad, method="auto", threads=threads)
     k = int(np.argmax(np.abs(vals.values)))
@@ -930,21 +909,21 @@ def boundedness_certificate(
         bound=bound,
         sup_abs_observed=float(abs(vals.values[k])),
         attained_at=spec.node(*divmod(k, spec.n)),
-        tolerance=float(tolerance),
+        tolerance=tolerance,
     )
 
 
-def quad_error_probe(f, rect: Box, order: FracOrder, quad: QuadratureSpec | None = None, probe: int = 9) -> float:
+def quad_error_probe(f, rect: Box, order: FracOrder, quad: QuadratureSpec | None = None) -> float:
     """Crude a-posteriori quadrature error bound via panel halving.
 
-    Evaluates the operator on a small probe grid at the requested panel
+    Evaluates the operator on a 9 x 9 probe grid at the requested panel
     count and at half that count; returns twice the largest disagreement
     plus a rounding floor.  Conservative for the second-order rule.
     """
     quad = quad or QuadratureSpec()
     if quad.panels < 8:
         raise ParameterError("error probe needs at least 8 panels", parameter="panels")
-    spec = GridSpec(rect, probe, probe)
+    spec = GridSpec(rect, 9, 9)
     fine = katugampola_2d_grid(f, spec, order, quad, method="auto")
     half = QuadratureSpec(panels=quad.panels // 2, grading=quad.grading)
     coarse = katugampola_2d_grid(f, spec, order, half, method="auto")

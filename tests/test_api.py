@@ -1,0 +1,134 @@
+"""The public API's signatures, pinned.
+
+Every callable in ``fracdim2d.__all__`` is listed with its
+``inspect.signature``, so an option added to or removed from the public
+API shows up here as a change to this file.  The exception types take
+their constructors from the builtins and have no signature to read
+(``None``).
+"""
+
+import inspect
+
+import fracdim2d
+
+SIGNATURES = {
+    "Box": "(a: 'float', b: 'float', c: 'float', d: 'float') -> None",
+    "Rectangle": "(a: 'float', b: 'float', c: 'float', d: 'float') -> None",
+    "FracOrder": "(alpha: 'float', beta: 'float', p: 'float' = 0.0, q: 'float' = 0.0) -> None",
+    "GridSpec": "(rect: 'Box', m: 'int', n: 'int') -> None",
+    "GridSamples": "(spec: 'GridSpec', values: 'np.ndarray') -> None",
+    "FunctionSource": '()',
+    "CallableSource": (
+        "(fn: 'Callable', name: 'str' = 'callable', domain: 'Box | None' = None, "
+        "split: 'tuple[Callable, Callable] | None' = None, sup_bound: 'Callable[[Box], float] | None' = None, "
+        "smooth: 'bool' = False, edges: 'tuple[float, float] | None' = None)"
+    ),
+    "SampledSource": "(samples: 'GridSamples', name: 'str' = 'sampled')",
+    "ShiftedSource": "(base: 'FunctionSource', dx: 'float', dy: 'float')",
+    "sample": "(src: 'FunctionSource', spec: 'GridSpec', threads: 'int | None' = None) -> 'GridSamples'",
+    "stable_sum": "(terms: 'Iterable[float] | np.ndarray') -> 'float'",
+    "worker_count": "(override: 'int | None' = None) -> 'int'",
+    "read_samples_csv": "(path: 'str') -> 'GridSamples'",
+    "write_samples_csv": "(gs: 'GridSamples', path: 'str') -> 'None'",
+    "read_samples_json": "(path: 'str') -> 'GridSamples'",
+    "write_samples_json": "(gs: 'GridSamples', path: 'str') -> 'None'",
+    "DomainError": None,
+    "ParameterError": "(message: 'str', parameter: 'str | None' = None)",
+    "NumericError": None,
+    "ResolutionError": None,
+    "SizeError": None,
+    "VerificationError": None,
+    "CatalogError": None,
+    "QuadratureSpec": "(panels: 'int' = 64, grading: 'float | None' = None) -> None",
+    "katugampola_1d": (
+        "(g: 'Callable', a: 'float', x: 'float', alpha: 'float', p: 'float' = 0.0, "
+        "quad: 'QuadratureSpec | None' = None) -> 'float'"
+    ),
+    "katugampola_2d": (
+        "(f, rect: 'Box', x: 'float', y: 'float', order: 'FracOrder', "
+        "quad: 'QuadratureSpec | None' = None) -> 'float'"
+    ),
+    "katugampola_2d_grid": (
+        "(f, spec: 'GridSpec', order: 'FracOrder', quad: 'QuadratureSpec | None' = None, "
+        "method: 'str' = 'tensor', threads: 'int | None' = None) -> 'GridSamples'"
+    ),
+    "riemann_liouville_2d": (
+        "(f, rect: 'Box', x: 'float', y: 'float', alpha: 'float', beta: 'float', "
+        "quad: 'QuadratureSpec | None' = None) -> 'float'"
+    ),
+    "hadamard_2d": (
+        "(f, rect: 'Rectangle', x: 'float', y: 'float', alpha: 'float', beta: 'float', "
+        "quad: 'QuadratureSpec | None' = None) -> 'float'"
+    ),
+    "axis_unit_factor": "(lo: 'float', x: 'float', order: 'float', weight: 'float' = 0.0) -> 'float'",
+    "integral_of_one": "(rect: 'Box', order: 'FracOrder', x: 'float', y: 'float') -> 'float'",
+    "compose_semigroup": (
+        "(f, spec: 'GridSpec', first: 'FracOrder', second: 'FracOrder', "
+        "quad: 'QuadratureSpec | None' = None, threads: 'int | None' = None) -> 'tuple[GridSamples, GridSamples]'"
+    ),
+    "sup_gap": "(lhs: 'GridSamples', rhs: 'GridSamples') -> 'float'",
+    "BoundCertificate": (
+        "(bound: 'float', sup_abs_observed: 'float', attained_at: 'tuple[float, float]', "
+        "tolerance: 'float') -> None"
+    ),
+    "boundedness_certificate": (
+        "(f, spec: 'GridSpec | GridSamples', order: 'FracOrder', "
+        "quad: 'QuadratureSpec | None' = None, M: 'float | None' = None, "
+        "threads: 'int | None' = None) -> 'BoundCertificate'"
+    ),
+    "quad_error_probe": "(f, rect: 'Box', order: 'FracOrder', quad: 'QuadratureSpec | None' = None) -> 'float'",
+    "VariationResult": "(value: 'float', argpath: 'tuple[tuple[int, int], ...]') -> None",
+    "arzela_variation": "(g, pinned: 'bool' = False) -> 'VariationResult'",
+    "arzela_variation_bruteforce": "(g) -> 'float'",
+    "variation_trend": (
+        "(src: 'FunctionSource', rect: 'Box', levels, "
+        "threads: 'int | None' = None) -> 'list[tuple[int, float]]'"
+    ),
+    "BoxCount": "(delta: 'float', n_lower: 'int', n_upper: 'int', m: 'int', n: 'int') -> None",
+    "DimensionFit": (
+        "(points: 'tuple[tuple[float, int], ...]', slope: 'float', intercept: 'float', "
+        "r_squared: 'float', which: 'str', dropped: 'tuple[float, ...]' = ()) -> None"
+    ),
+    "oscillation_counts": "(g: 'GridSamples', delta: 'float') -> 'BoxCount'",
+    "boxcount_bruteforce_3d": "(g: 'GridSamples', delta: 'float') -> 'int'",
+    "dimension_fit": "(g: 'GridSamples', deltas, which: 'str' = 'lower') -> 'DimensionFit'",
+    "fit_loglog": "(points, which: 'str' = 'lower', dropped=()) -> 'DimensionFit'",
+    "default_deltas": "(spec) -> 'list[float]'",
+    "TConstruction": "(rect: 'Box', phi: 'FunctionSource', depth: 'int' = 24) -> None",
+    "TSource": "(tc: 'TConstruction', name: 'str | None' = None)",
+    "psi_n": "(x, n: 'int', a: 'float', b: 'float')",
+    "t_eval": "(tc: 'TConstruction', x, y)",
+    "CatalogEntry": (
+        "(name: 'str', summary: 'str', box: 'Box', continuous: 'bool', bounded_variation: 'bool', "
+        "holder: 'float | None', quadrature_safe: 'bool', builder: 'Callable[..., FunctionSource]', "
+        "params: 'str' = '') -> None"
+    ),
+    "catalog_names": "() -> 'tuple[str, ...]'",
+    "catalog_entry": "(name: 'str') -> 'CatalogEntry'",
+    "make_source": "(spec: 'str') -> 'FunctionSource'",
+    "default_box": "(spec: 'str') -> 'Box'",
+    "positive_source": "(spec: 'str') -> 'tuple[FunctionSource, Box]'",
+    "Check": "(name: 'str', gap: 'float', tolerance: 'float', passed: 'bool', note: 'str' = '') -> None",
+    "SuiteReport": "(suite: 'str', scale: 'str', checks: 'tuple[Check, ...]' = <factory>) -> None",
+    "run_suite": (
+        "(name: 'str', scale: 'str' = 'quick', fn: 'str | None' = None, g: 'str | None' = None, "
+        "threads: 'int | None' = None) -> 'SuiteReport'"
+    ),
+}
+
+
+def _signature(obj):
+    try:
+        return str(inspect.signature(obj))
+    except ValueError:  # a builtin constructor, as the exception types inherit
+        return None
+
+
+def test_every_public_callable_is_pinned():
+    public = [name for name in fracdim2d.__all__ if callable(getattr(fracdim2d, name))]
+    assert sorted(public) == sorted(SIGNATURES)
+
+
+def test_public_signatures_match_the_snapshot():
+    got = {name: _signature(getattr(fracdim2d, name)) for name in SIGNATURES}
+    assert got == SIGNATURES

@@ -120,6 +120,26 @@ def test_bruteforce_cell_cap():
         boxcount_bruteforce_3d(g, 1.0 / 256.0)
 
 
+@pytest.mark.parametrize(
+    "delta, error, message",
+    [
+        # 256 x 256 cells also leave cells without 2 x 2 nodes: the cell cap is checked first
+        (1.0 / 256.0, SizeError, "brute-force count limited to 16384 cells, got 256x256"),
+        (0.01, ResolutionError, "delta=0.01 leaves a cell with fewer than 2x2 sample nodes on a 65x65 grid"),
+        (2.0, ResolutionError, "delta=2 does not split the rectangle"),
+        (-0.5, ParameterError, "delta must be positive and finite"),
+        (math.nan, ParameterError, "delta must be positive and finite"),
+    ],
+)
+def test_bruteforce_error_precedence_and_messages(delta, error, message):
+    g = _grid(lambda x, y: x)
+    with pytest.raises(error) as info:
+        boxcount_bruteforce_3d(g, delta)
+    assert type(info.value) is error and str(info.value) == message
+    with pytest.raises(ParameterError, match="^expected GridSamples$"):
+        boxcount_bruteforce_3d(g.matrix, delta)  # the argument type is checked before anything else
+
+
 def test_boxcount_validation():
     with pytest.raises(ParameterError):
         BoxCount(delta=0.0, n_lower=1, n_upper=2, m=1, n=1)

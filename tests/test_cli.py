@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
 import time
@@ -671,6 +672,51 @@ def test_non_finite_sample_cells_exit_2_naming_fn(capsys, tmp_path, kind, cell):
     assert code == 2 and err["parameter"] == "fn" and str(path) in err["message"]
     with pytest.raises(ParameterError, match="finite"):
         (read_samples_csv if kind == "csv" else read_samples_json)(str(path))
+
+
+# each case in both formats; the messages come from Box, GridSpec, GridSamples or the reader itself
+_FILE_FAULTS = {
+    "value-count": (
+        "x,y,value\n0,0,1\n0,1,2\n1,0,3\n",
+        _GOOD_JSON.replace("[1, 2, 3, 4]", "[1, 2, 3]"),
+    ),
+    "nan-rect": (
+        _GOOD_CSV.replace("1,0,3", "nan,0,3"),
+        _GOOD_JSON.replace('"a": 0', '"a": NaN'),
+    ),
+    "one-row": (
+        "x,y,value\n0,0,1\n0,0.5,2\n0,0.75,3\n0,1,4\n",
+        _GOOD_JSON.replace('"m": 2', '"m": 1').replace("[1, 2, 3, 4]", "[1, 2]"),
+    ),
+    "flat-y": (
+        _GOOD_CSV.replace("0,1,2", "0,0,2").replace("1,1,4", "1,0,4"),
+        _GOOD_JSON.replace('"d": 1', '"d": 0'),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", ["csv", "json"])
+@pytest.mark.parametrize("fault", sorted(_FILE_FAULTS))
+def test_sample_file_faults_name_the_file(capsys, tmp_path, fault, kind):
+    path = tmp_path / f"{fault}.{kind}"
+    path.write_text(_FILE_FAULTS[fault][kind == "json"])
+    code, err = _one_json_error(capsys, "variation", "--fn", f"{kind}:{path}")
+    assert code == 2 and err["parameter"] == "fn" and err["message"].startswith(f"{path}: ")
+    with pytest.raises(ParameterError, match=f"^{re.escape(str(path))}: "):
+        (read_samples_csv if kind == "csv" else read_samples_json)(str(path))
+
+
+@pytest.mark.parametrize("kmax", ["2000", "100000000"])
+def test_weierstrass_kmax_past_float64_phase_is_one_json_error(capsys, kmax):
+    # 2000 overflowed lam^k into RuntimeWarnings before a JSON error; 10^8 ran for over a minute
+    argv = ["construct", "--fn", f"weierstrass:2,2.5,{kmax}", "--grid", "9,9"]
+    t0 = time.perf_counter()
+    code, err = _one_json_error(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and err["parameter"] == "fn" and "2^53" in err["message"]
+    # a fresh interpreter, whose warning registry hides nothing: stderr is that one object
+    proc = subprocess.run([sys.executable, "-m", "fracdim2d", *argv], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == "" and json.loads(proc.stderr) == err
 
 
 def test_well_formed_sample_files_still_read(capsys, tmp_path):

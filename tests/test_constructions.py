@@ -182,6 +182,18 @@ def test_t_eval_checks_each_coordinate_against_the_box():
     assert t_eval(tc, np.array([[2.0]]), np.empty((1, 0))).shape == (1, 0)
 
 
+def test_t_eval_accepts_queries_up_to_the_box_slack():
+    tc = make_source("t-parabola-sine").tc
+    r = tc.rect
+    sx, sy = r.slack()
+    assert (sx, sy) == (1e-9, 1e-9)  # the unit square: 1e-9 relative to a bound of magnitude 1
+    for x, y in ((r.b + sx, 0.5), (r.a - sx, 0.5), (0.5, r.d + sy), (0.5, r.c - sy)):
+        assert np.isfinite(t_eval(tc, x, y))
+    for x, y in ((np.nextafter(r.b + sx, 2.0), 0.5), (np.nextafter(r.a - sx, -1.0), 0.5), (0.5, np.nextafter(r.d + sy, 2.0))):
+        with pytest.raises(DomainError, match="^query outside the construction rectangle$"):
+            t_eval(tc, x, y)
+
+
 # ---------------------------------------------------------------------------
 # catalog
 
@@ -247,6 +259,17 @@ def test_weierstrass_parameter_validation():
         make_source("weierstrass:2,3.5,12")  # s must stay below 3
     with pytest.raises(ParameterError):
         make_source("weierstrass:2,2.5,2.5")  # kmax must be integral
+
+
+def test_weierstrass_refuses_a_top_frequency_float64_cannot_phase():
+    # lam^kmax up to 2^53 is accepted; one step past it is refused before any work
+    assert np.isfinite(make_source("weierstrass:2,2.5,53")(0.3, 0.7))
+    assert np.isfinite(make_source("weierstrass:8,2.5,17")(0.3, 0.7))  # 8^17 = 2^51
+    for spec in ("weierstrass:2,2.5,54", "weierstrass:8,2.5,18", "weierstrass:1.5,2.5,91", "weierstrass:2,2.5,100000000"):
+        with pytest.raises(ParameterError, match="2\\^53") as info:
+            make_source(spec)
+        assert info.value.parameter == "fn"
+    assert np.isfinite(make_source("weierstrass:1.5,2.5,90")(0.3, 0.7))  # 1.5^90 < 2^53 < 1.5^91
 
 
 def test_rational_indicator_detection():

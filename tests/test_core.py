@@ -146,6 +146,34 @@ def test_sampled_source_exact_at_nodes_and_bilinear_between():
         src(1.5, 0.5)
 
 
+def test_sampled_source_accepts_queries_up_to_the_box_slack():
+    box = Box(-3.0, 2.0, 10.0, 20.0)
+    src = SampledSource(sample(CallableSource(lambda x, y: x + y), GridSpec(box, 3, 3)))
+    sx, sy = box.slack()
+    assert (sx, sy) == (1e-9 * 3.0, 1e-9 * 20.0)  # relative to the larger of 1 and each axis's largest bound
+    for x, y in ((box.a - sx, 15.0), (box.b + sx, 15.0), (0.0, box.c - sy), (0.0, box.d + sy)):
+        assert np.isfinite(src.eval(x, y))
+    for x, y in ((np.nextafter(box.a - sx, -9.0), 15.0), (np.nextafter(box.b + sx, 9.0), 15.0), (0.0, np.nextafter(box.d + sy, 99.0))):
+        with pytest.raises(DomainError, match="^query outside the sampled box$"):
+            src.eval(x, y)
+    assert box.covers(Box(box.a - sx, box.b + sx, box.c - sy, box.d + sy))
+    assert not box.covers(Box(np.nextafter(box.a - sx, -9.0), box.b, box.c, box.d))
+
+
+def test_finite_field_messages_name_the_field():
+    cases = [
+        (lambda: Box("x", 1, 0, 1), "box coordinate a must be a real number", "a"),
+        (lambda: Box(0, 1, 0, math.inf), "box coordinate d must be finite", "d"),
+        (lambda: Rectangle(1, None, 1, 2), "box coordinate b must be a real number", "b"),
+        (lambda: FracOrder(0.5, [1]), "beta must be a real number", "beta"),
+        (lambda: FracOrder(0.5, 0.5, q=math.nan), "q must be finite", "q"),
+    ]
+    for build, message, name in cases:
+        with pytest.raises(ParameterError) as info:
+            build()
+        assert str(info.value) == message and info.value.parameter == name
+
+
 def test_sampled_source_interpolates_inside_cells():
     spec = GridSpec(Box(0, 1, 0, 1), 2, 2)
     gs = GridSamples(spec, np.array([0.0, 0.0, 0.0, 4.0]))
@@ -187,6 +215,26 @@ def test_sample_thread_count_never_changes_bits():
     base = sample(src, spec, threads=1).values
     for k in (2, 3, 8):
         assert np.array_equal(sample(src, spec, threads=k).values, base)
+
+
+def test_sample_threads_run_through_the_shared_block_runner(monkeypatch):
+    # two blocks on any host: the runner reads the CPU count through row_blocks
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    runs = []
+    real = core._spread
+
+    def counted(run, items, threads):
+        runs.append((items, threads))
+        return real(run, items, threads)
+
+    monkeypatch.setattr(core, "_spread", counted)
+    spec = GridSpec(Box(1, 2, 1, 2), 17, 13)
+    src = CallableSource(lambda x, y: np.sin(x * y) / (x + y), name="mix")
+    one = sample(src, spec, threads=1)
+    assert runs == []  # one worker: a single call, no runner
+    two = sample(src, spec, threads=2)
+    assert runs == [(range(17), 2)]
+    assert one.values.tobytes() == two.values.tobytes()
 
 
 def test_sample_rejects_uncovered_domain():

@@ -561,6 +561,51 @@ def test_separable_evaluates_a_shared_axis_function_once():
     assert sum(calls) == 2 * 9 * 32
 
 
+def test_split_mesh_evaluates_a_shared_axis_function_once():
+    calls = []
+
+    def univ(t):
+        calls.append(np.size(t))
+        return np.sin(3.0 * t)
+
+    src = ShiftedSource(CallableSource(lambda x, y: univ(x) + univ(y), split=(univ, univ)), 0.5, 0.5)
+    spec = GridSpec(Box(1.5, 2.5, 1.5, 2.5), 9, 9)
+    quad = QuadratureSpec(panels=32)
+    same = katugampola_2d_grid(src, spec, HALF, quad, method="auto")
+    assert len(calls) == 1  # one evaluation on the one mesh serves g and h
+    calls.clear()
+    katugampola_2d_grid(src, spec, FracOrder(0.5, 0.3), quad, method="auto")
+    assert len(calls) == 2  # the axes differ in order: a mesh each
+    # the one evaluation is the one each axis would have made alone
+    twice = CallableSource(lambda x, y: univ(x) + univ(y), split=(univ, lambda t: univ(t)))
+    apart = katugampola_2d_grid(ShiftedSource(twice, 0.5, 0.5), spec, HALF, quad, method="auto")
+    assert same.values.tobytes() == apart.values.tobytes()
+
+
+@pytest.mark.parametrize(
+    "method, digest",
+    [
+        ("separable", "10990b6133f304c953b89e0f3c16676392fea5096b1b0ba033dd96ade43a8d64"),
+        ("auto", "418c6a6c94cdeaba03c110748540b5677f2ebb856be55d26764b58f65e672716"),
+    ],
+)
+def test_split_routes_build_one_axis_rule_for_distinct_g_and_h_on_matching_axes(monkeypatch, method, digest):
+    # plane's g and h are two functions; on [1,2]^2 at equal orders the axes match
+    built = {"_axis_rules": 0, "_mesh": 0}
+    for name in built:
+        real = getattr(fracint, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            built[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(fracint, name, counted)
+    gs = katugampola_2d_grid(make_source("plane"), GridSpec(BOX, 17, 17), HALF, QuadratureSpec(panels=64), method=method)
+    assert built == ({"_axis_rules": 1, "_mesh": 0} if method == "separable" else {"_axis_rules": 0, "_mesh": 1})
+    # sha256 of the grid when each axis built its own rule
+    assert hashlib.sha256(gs.values.tobytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("order", [HALF, FracOrder(0.3, 1.7, 0.6, -0.4)])
 def test_graded_mesh_is_exact_for_constants_and_functions_linear_in_u(order):
     spec = GridSpec(BOX, 9, 7)
@@ -679,17 +724,6 @@ def test_semigroup_requires_shared_weights():
             GridSpec(BOX, 5, 5),
             FracOrder(0.5, 0.5, p=1.0),
             FracOrder(0.5, 0.5, p=0.0),
-        )
-
-
-def test_semigroup_rejects_foreign_inner_grid():
-    with pytest.raises(ParameterError):
-        compose_semigroup(
-            make_source("constant:1"),
-            GridSpec(BOX, 5, 5),
-            HALF,
-            HALF,
-            inner_spec=GridSpec(Box(1, 3, 1, 3), 9, 9),
         )
 
 
