@@ -121,8 +121,8 @@ class DimensionFit:
 
 
 def _cells_1d(lo: float, hi: float, delta: float) -> int:
-    # ceil with dust guard so an exact divisor yields exactly side/delta cells
-    return int(math.ceil((hi - lo) / delta - _EDGE_TOL))
+    # ceil with dust guard so an exact divisor yields exactly side/delta cells; capped where a subnormal delta gives inf
+    return int(math.ceil(min((hi - lo) / delta - _EDGE_TOL, 2.0**63)))
 
 
 def _window_bounds(coords: np.ndarray, lo: float, count: int, delta: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
@@ -165,13 +165,15 @@ def _level(g: GridSamples, delta: float, brute: bool = False) -> _Level:
     nc = _cells_1d(box.c, box.d, delta)
     if brute and mc * nc > _BRUTE_CELL_LIMIT:
         raise SizeError(f"brute-force count limited to {_BRUTE_CELL_LIMIT} cells, got {mc}x{nc}")
-    xwin = _window_bounds(g.spec.xs(), box.a, mc, delta, box.b)
-    ywin = _window_bounds(g.spec.ys(), box.c, nc, delta, box.d)
-    if np.any(xwin[1] - xwin[0] < 2) or np.any(ywin[1] - ywin[0] < 2):
-        raise ResolutionError(
-            f"delta={delta:g} leaves a cell with fewer than 2x2 sample nodes on a {g.spec.m}x{g.spec.n} grid"
-        )
-    return _Level(delta, mc, nc, xwin, ywin)
+    # more cells than grid intervals leave a cell one node: refused before the counts size the windows
+    if mc < g.spec.m and nc < g.spec.n:
+        xwin = _window_bounds(g.spec.xs(), box.a, mc, delta, box.b)
+        ywin = _window_bounds(g.spec.ys(), box.c, nc, delta, box.d)
+        if np.all(xwin[1] - xwin[0] >= 2) and np.all(ywin[1] - ywin[0] >= 2):
+            return _Level(delta, mc, nc, xwin, ywin)
+    raise ResolutionError(
+        f"delta={delta:g} leaves a cell with fewer than 2x2 sample nodes on a {g.spec.m}x{g.spec.n} grid"
+    )
 
 
 def _window_extrema(mat: np.ndarray, xwin, ywin) -> tuple[np.ndarray, np.ndarray]:

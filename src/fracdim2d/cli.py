@@ -48,7 +48,7 @@ from .core import (
     write_samples_csv,
     write_samples_json,
 )
-from .fracint import QuadratureSpec, _hadamard_grid, _rl_grid, boundedness_certificate, katugampola_2d_grid
+from .fracint import QuadratureSpec, _rl_grid, boundedness_certificate, katugampola_2d_grid
 from .variation import arzela_variation, variation_trend
 from .verify import run_suite
 
@@ -204,14 +204,7 @@ def cmd_integrate(args: argparse.Namespace) -> int:
     alpha = _require(args, "alpha")
     beta = _require(args, "beta")
     p, q = float(args.p), float(args.q)
-    if args.op == "katugampola":
-        if p <= -1.0 or q <= -1.0:
-            bad = "p" if p <= -1.0 else "q"
-            raise ParameterError(
-                f"{bad} must exceed -1; the p = q = -1 logarithmic kernel is a separate operator (--op hadamard)",
-                parameter=bad,
-            )
-    elif p != 0.0 or q != 0.0:
+    if args.op != "katugampola" and (p != 0.0 or q != 0.0):
         raise ParameterError(f"--op {args.op} takes no power weights; drop --p/--q", parameter="p" if p else "q")
 
     src, box, _ = _resolve_source(args)
@@ -237,8 +230,10 @@ def cmd_integrate(args: argparse.Namespace) -> int:
                 f"--op {args.op} on a {m}x{n} grid at {quad.panels} panels needs about {work:.3g} source "
                 f"evaluations, panels^2 per node; the budget is {_MAX_POINT_WORK:.3g}"
             )
-        op = _rl_grid if args.op == "riemann-liouville" else _hadamard_grid
-        gs = GridSamples.from_matrix(spec, op(src, box, spec.xs(), spec.ys(), alpha, beta, quad))
+        if args.op == "hadamard":  # the p = q = -1 member, on the route of its point calls
+            gs = katugampola_2d_grid(src, spec, FracOrder(alpha, beta, -1.0, -1.0), quad, method="tensor", threads=args.threads)
+        else:
+            gs = GridSamples.from_matrix(spec, _rl_grid(src, box, spec.xs(), spec.ys(), alpha, beta, quad))
 
     corner = gs.value(m - 1, n - 1)
     note = ""
@@ -397,8 +392,8 @@ def _add_common(sub: argparse.ArgumentParser, with_shift: bool = True) -> None:
 def _add_quadrature(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--alpha", type=float, default=None, help="fractional order along x")
     sub.add_argument("--beta", type=float, default=None, help="fractional order along y")
-    sub.add_argument("--p", type=float, default=0.0, help="power weight along x (katugampola only)")
-    sub.add_argument("--q", type=float, default=0.0, help="power weight along y (katugampola only)")
+    sub.add_argument("--p", type=float, default=0.0, help="power weight along x, -1 or more; -1 is the log kernel (katugampola only)")
+    sub.add_argument("--q", type=float, default=0.0, help="power weight along y, -1 or more; -1 is the log kernel (katugampola only)")
     sub.add_argument("--panels", type=int, default=64, help="quadrature panels per axis")
     sub.add_argument("--grading", type=float, default=None, help="panel grading exponent in [1,8]")
     sub.add_argument(

@@ -124,9 +124,6 @@ class TConstruction:
     def a1(self) -> float:
         return self.rect.a + 0.5 * self.rect.width
 
-    def piece_edge(self, n: int) -> float:
-        return _piece_edge(self.rect.a, self.rect.width, int(n))
-
 
 def t_eval(tc: TConstruction, x, y):
     """Evaluate the staircase construction at broadcastable coordinates.

@@ -176,8 +176,8 @@ class Rectangle(Box):
 class FracOrder:
     """Fractional orders (alpha, beta) and power weights (p, q).
 
-    Requires alpha > 0, beta > 0 and p > -1, q > -1.  The p, q -> -1 limit
-    is served by the separate Hadamard operator, not by this type.
+    Requires alpha > 0, beta > 0 and p, q >= -1.  A weight of -1 is the
+    Hadamard member of the family, the limit p -> -1 of its axis's kernel.
     """
 
     alpha: float
@@ -191,10 +191,10 @@ class FracOrder:
             raise ParameterError(f"alpha must be positive, got {self.alpha}", parameter="alpha")
         if self.beta <= 0.0:
             raise ParameterError(f"beta must be positive, got {self.beta}", parameter="beta")
-        if self.p <= -1.0:
-            raise ParameterError(f"p must exceed -1, got {self.p}", parameter="p")
-        if self.q <= -1.0:
-            raise ParameterError(f"q must exceed -1, got {self.q}", parameter="q")
+        if self.p < -1.0:
+            raise ParameterError(f"p must be at least -1, got {self.p}", parameter="p")
+        if self.q < -1.0:
+            raise ParameterError(f"q must be at least -1, got {self.q}", parameter="q")
 
 
 # ---------------------------------------------------------------------------

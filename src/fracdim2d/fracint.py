@@ -1,7 +1,7 @@
 """Mixed fractional integration of bivariate functions on rectangles.
 
-The central operator generalizes the two-dimensional Riemann-Liouville
-integral with per-axis power weights.  For orders alpha, beta > 0 and
+The central operator is Katugampola's generalized integral in two
+variables, with per-axis power weights.  For orders alpha, beta > 0 and
 weights p, q > -1 it maps f to
 
     (x, y) |-> C * int_a^x int_c^y (x^(p+1) - s^(p+1))^(alpha-1)
@@ -10,13 +10,17 @@ weights p, q > -1 it maps f to
 
     C = (p+1)^(1-alpha) (q+1)^(1-beta) / (Gamma(alpha) Gamma(beta)).
 
-Numerically everything runs in substituted coordinates u = s^(p+1),
-v = t^(q+1) (u = log s for the Hadamard kernel), where the kernel is a
-pure two-sided power singularity.  One rule builder gives each axis a
-product-midpoint rule: panels graded toward the singular endpoint,
-kernel moments integrated exactly per panel, the smooth factor sampled
-at panel midpoints.  The rule is exact for constant integrands and
-second-order accurate for smooth ones.
+p = 0 gives an axis the Riemann-Liouville kernel, and p = -1, the limit
+rho = p + 1 -> 0, the Hadamard kernel (log(x/s))^(alpha-1) ds/s.
+
+Every axis of every operator runs in one coordinate family, u = s^rho/rho
+up to a shift (log s at rho = 0; ``_power_map``), where the kernel is the
+pure power singularity (U - u)^(alpha-1) du with constant 1/Gamma(alpha)
+for every weight.  One rule builder gives each axis a product-midpoint
+rule: panels graded toward the singular endpoint, kernel moments
+integrated exactly per panel, the smooth factor sampled at panel
+midpoints.  The rule is exact for constant integrands and second-order
+accurate for smooth ones.
 
 Point values are 1x1 grids of the one tensor contraction, so a grid
 value and the matching single-point call agree bit for bit.  A 1-D apply
@@ -133,13 +137,20 @@ class QuadratureSpec:
 
 
 def _power_map(weight: float) -> tuple[Callable, Callable]:
-    """u = s^(weight+1) and its inverse."""
-    e = weight + 1.0
-    return (lambda s: s**e), (lambda u: u ** (1.0 / e))
+    """The coordinate u of an axis, rho = weight + 1, and its inverse.
 
-
-# the Hadamard kernel is the power-weight kernel in u = log s
-_LOG_MAP = (np.log, np.exp)
+    u is s^rho/rho up to a shift, which no rule sees.  Below rho = 1/32,
+    where s^rho crowds toward 1 but stays above 5e-11 for every positive
+    double, u = expm1(rho log s)/rho keeps the digits; at rho = 0 it is
+    log s, the Hadamard map.  From 1/32 on, u = s^rho/rho (s at rho = 1)
+    loses at most a factor 1/rho to crowding and keeps boxes near 0 whole.
+    """
+    rho = weight + 1.0
+    if rho == 0.0:
+        return np.log, np.exp
+    if rho < 1.0 / 32.0:
+        return (lambda s: np.expm1(rho * np.log(s)) / rho), (lambda u: np.exp(np.log1p(rho * u) / rho))
+    return (lambda s: s**rho / rho), (lambda u: (rho * u) ** (1.0 / rho))
 
 
 @lru_cache(maxsize=64)
@@ -167,11 +178,11 @@ def _no_overflow():
 def _mapped_widths(ds, du):
     """``du``, the mapped lengths of intervals of length ``ds``, refusing any that collapsed.
 
-    Near p = -1 the map u = s^(p+1) rounds a whole box to one float; a rule
-    built on zero-length intervals would print a confident 0.
+    ``Box(1e6, 1e6 + 3e-10, 1, 2)`` lies within one spacing of log s, so at weights near -1
+    u rounds it to one float; a rule built on zero-length intervals would print a confident 0.
     """
     if np.any((np.asarray(ds) > 0.0) & ~(np.asarray(du) > 0.0)):
-        raise NumericError("coordinate map rounds an interval to zero length in float64; move the power weight away from -1")
+        raise NumericError("coordinate map rounds an interval to zero length in float64; the box is too narrow for its coordinates")
     return du
 
 
@@ -194,19 +205,17 @@ def _axis_rules(lo: float, his, order: float, panels: int, grading: float, coord
         return back(hi_u - scale * mids), (scale**order) * diffs / order
 
 
-def _tensor(src: FunctionSource, rect: Box, xs, ys, order: FracOrder, quad, threads: int | None, maps=None) -> np.ndarray:
+def _tensor(src: FunctionSource, rect: Box, xs, ys, order: FracOrder, quad, threads: int | None) -> np.ndarray:
     """The operator at every (x_i, y_j), contracting both axis rules against f.
 
-    ``maps`` are the two coordinate maps, by default u = s^(p+1) and
-    v = t^(q+1).  einsum keeps each contraction on numpy's single-threaded
+    einsum keeps each contraction on numpy's single-threaded
     core loops, so a value depends only on its operands: a point call (a
     1x1 grid) and the matching node of a larger grid agree bit for bit.
     Rows go to workers in contiguous blocks with disjoint output slots.
     """
     gr = quad.graded(order.alpha, order.beta)
-    xmap, ymap = maps or (_power_map(order.p), _power_map(order.q))
-    Sx, Mx = _axis_rules(rect.a, xs, order.alpha, quad.panels, gr, xmap)
-    Sy, My = _axis_rules(rect.c, ys, order.beta, quad.panels, gr, ymap)
+    Sx, Mx = _axis_rules(rect.a, xs, order.alpha, quad.panels, gr, _power_map(order.p))
+    Sy, My = _axis_rules(rect.c, ys, order.beta, quad.panels, gr, _power_map(order.q))
     pref = _prefactor(order)
     (m, P), n = Sx.shape, Sy.shape[0]
     chunk = max(1, (1 << 22) // (P * P))
@@ -234,7 +243,7 @@ def _distinct(fns) -> tuple[list, list[int]]:
 
 
 def _apply_1d(fns, lo: float, his, order: float, weight: float, panels: int, grading: float):
-    """([sum_k M[i,k] g(S[i,k]) for g in fns], sum_k M[i,k]) per upper limit i, in u = s^(weight+1).
+    """([sum_k M[i,k] g(S[i,k]) for g in fns], sum_k M[i,k]) per upper limit i, in ``_power_map``'s u.
 
     The rules are built a block of rows at a time, so the node arrays stay
     small however many panels the axis has; each block serves every
@@ -313,14 +322,14 @@ def _lead_in(edge: float | None) -> tuple[float, float]:
 
 
 def _mesh(lo: float, his, weight: float, panels: int, edge: float | None = None) -> _Mesh:
-    """The shared mesh in u = s^(weight+1) for upper limits ``his`` >= lo.
+    """The shared mesh in ``_power_map``'s u for upper limits ``his`` >= lo.
 
     It holds lo and every upper limit, and splits each interval between
     consecutive ones into r = ceil(panels / intervals) equal parts in u, so
     it has at least ``panels`` intervals.  The output coordinates are mesh
     nodes exactly.
 
-    ``edge`` declares a factor (u - A)^edge of the integrand at A = lo^(weight+1).
+    ``edge`` declares a factor (u - A)^edge of the integrand at A = u(lo).
     Its lead-in (``_lead_in``: grading exponent g, share of the axis) then
     runs from lo to the first upper limit at or past that share, and
     holds n = ceil(g * n0) intervals, n0 the equal parts it would have
@@ -485,7 +494,7 @@ def _unlog(*logs: float) -> float:
 
 
 def _prefactor(order: FracOrder) -> float:
-    return _unlog(log_normaliser(order.alpha, order.p), log_normaliser(order.beta, order.q))
+    return _unlog(log_normaliser(order.alpha), log_normaliser(order.beta))
 
 
 # ---------------------------------------------------------------------------
@@ -549,9 +558,10 @@ def _checked(f, rect: Box, quad: QuadratureSpec | None, tensor: bool = True):
 def katugampola_1d(g: Callable, a: float, x: float, alpha: float, p: float = 0.0, quad: QuadratureSpec | None = None) -> float:
     """One-axis operator: C int_a^x (x^(p+1)-s^(p+1))^(alpha-1) s^p g(s) ds.
 
-    ``g`` must accept a numpy array.  Requires 0 < a <= x; x == a gives 0.
+    p = -1 is the Hadamard kernel.  ``g`` must accept a numpy array.
+    Requires 0 < a <= x; x == a gives 0.
     """
-    FracOrder(alpha, 1.0, p, 0.0)  # validate alpha > 0, p > -1
+    FracOrder(alpha, 1.0, p, 0.0)  # validate alpha > 0, p >= -1
     quad = quad or QuadratureSpec()
     a = float(a)
     if a <= 0.0:
@@ -560,7 +570,7 @@ def katugampola_1d(g: Callable, a: float, x: float, alpha: float, p: float = 0.0
     if not math.isfinite(x) or x < a:
         raise DomainError(f"upper limit x={x} must lie in [a, inf)")
     (weighted,), _ = _apply_1d([g], a, x, alpha, p, quad.panels, quad.graded(alpha))
-    return _clean(_unlog(log_normaliser(alpha, p)) * float(weighted[0]))
+    return _clean(_unlog(log_normaliser(alpha)) * float(weighted[0]))
 
 
 def katugampola_2d(f, rect: Box, x: float, y: float, order: FracOrder, quad: QuadratureSpec | None = None) -> float:
@@ -572,6 +582,16 @@ def katugampola_2d(f, rect: Box, x: float, y: float, order: FracOrder, quad: Qua
     src, quad = _checked(f, rect, quad)
     xs, ys = _clip_axes(rect, x, y)
     return float(_tensor(src, rect, xs, ys, order, quad, threads=1)[0, 0])
+
+
+def hadamard_2d(f, rect: Rectangle, x: float, y: float, alpha: float, beta: float, quad: QuadratureSpec | None = None) -> float:
+    """Mixed Hadamard integral: logarithmic kernel, measure ds/s dt/t.
+
+    C int_a^x int_c^y (log(x/s))^(alpha-1) (log(y/t))^(beta-1) f(s,t) dt/t ds/s
+    with C = 1/(Gamma(alpha) Gamma(beta)): ``katugampola_2d`` at the p = q = -1
+    member of the family.  Requires a strictly positive rectangle.
+    """
+    return katugampola_2d(f, rect, x, y, FracOrder(alpha, beta, -1.0, -1.0), quad)
 
 
 # ---------------------------------------------------------------------------
@@ -720,47 +740,25 @@ def riemann_liouville_2d(f, rect: Box, x: float, y: float, alpha: float, beta: f
     return float(_rl_grid(f, rect, x, y, alpha, beta, quad)[0, 0])
 
 
-def hadamard_2d(f, rect: Rectangle, x: float, y: float, alpha: float, beta: float, quad: QuadratureSpec | None = None) -> float:
-    """Mixed Hadamard integral: logarithmic kernel, measure ds/s dt/t.
-
-    C int_a^x int_c^y (log(x/s))^(alpha-1) (log(y/t))^(beta-1) f(s,t) dt/t ds/s
-    with C = 1/(Gamma(alpha) Gamma(beta)).  This is the p, q -> -1 limit of
-    the mixed power-weight operator.  Requires a strictly positive rectangle.
-    """
-    return float(_hadamard_grid(f, rect, x, y, alpha, beta, quad)[0, 0])
-
-
-def _hadamard_grid(f, rect: Rectangle, xs, ys, alpha: float, beta: float, quad: QuadratureSpec | None = None) -> np.ndarray:
-    """``hadamard_2d`` at every (x_i, y_j), as one tensor contraction in u = log s, v = log t.
-
-    A node of the grid and the point call there agree bit for bit, as
-    every node of ``_tensor`` does.  Returns an array of shape (len(xs), len(ys)).
-    """
-    order = FracOrder(alpha, beta)  # p = q = 0: the constant is 1/(Gamma(alpha) Gamma(beta))
-    src, quad = _checked(f, rect, quad)
-    xs, ys = _clip_axes(rect, xs, ys)
-    return _tensor(src, rect, xs, ys, order, quad, threads=1, maps=(_LOG_MAP, _LOG_MAP))
-
-
 # ---------------------------------------------------------------------------
 # closed form for constants, semigroup composition, boundedness
 
 
 def axis_unit_factor(lo: float, x: float, order: float, weight: float = 0.0) -> float:
-    """Exact one-axis integral of 1: (x^(w+1)-lo^(w+1))^order / ((w+1)^order Gamma(order+1))."""
+    """Exact one-axis integral of 1: (u(x) - u(lo))^order / Gamma(order+1), u of ``_power_map``."""
     if order <= 0.0:
         raise ParameterError("order must be positive", parameter="order")
-    if weight <= -1.0:
-        raise ParameterError("weight must exceed -1", parameter="weight")
+    if weight < -1.0:
+        raise ParameterError("weight must be at least -1", parameter="weight")
     if lo <= 0.0 or x < lo:
         raise DomainError(f"need 0 < lo <= x, got lo={lo}, x={x}")
     return float(_unit_profile(lo, x, order, weight))
 
 
 def _unit_profile(lo: float, x, order: float, weight: float):
-    # elementwise in x: (U(x)-U(lo))^order (w+1)^-order / Gamma(order+1), U = s^(w+1)
+    # elementwise in x: (u(x)-u(lo))^order / Gamma(order+1)
     fwd, _ = _power_map(weight)
-    scale = _unlog(log_normaliser(order, weight), -math.log(order))
+    scale = _unlog(log_normaliser(order), -math.log(order))
     return (fwd(np.asarray(x, dtype=np.float64)) - fwd(lo)) ** order * scale
 
 
@@ -789,7 +787,7 @@ def compose_semigroup(
     resolves poorly.  The interpolation stage therefore stores the inner
     result normalized by the closed-form integral of 1 for ``second`` - a
     field that extends smoothly to the edges - and multiplies the exact
-    edge profile (x^(p+1) - a^(p+1))^alpha2 (y^(q+1) - c^(q+1))^beta2 back
+    edge profile (u(x) - u(a))^alpha2 (v(y) - v(c))^beta2 back
     at evaluation time.  Constants round-trip exactly.
 
     The outer stage takes ``method="auto"``: the interpolant times the

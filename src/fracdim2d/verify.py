@@ -143,7 +143,7 @@ def suite_semigroup(scale: str = "quick", fn: str | None = None, threads: int | 
 
 
 def suite_special_cases(scale: str = "quick", fn: str | None = None, threads: int | None = None) -> SuiteReport:
-    """Power-weight zero against Riemann-Liouville; log-limit against Hadamard."""
+    """Power-weight zero against Riemann-Liouville; weights near -1 against Hadamard."""
     names = [fn] if fn else _smooth_names()
     grid, panels = (5, 48) if scale == "quick" else (17, 128)
     quad = QuadratureSpec(panels=panels)
@@ -161,6 +161,18 @@ def suite_special_cases(scale: str = "quick", fn: str | None = None, threads: in
     hv = hadamard_2d(one, box1, box1.b, box1.d, 0.5, 0.5, quad)
     kv = katugampola_2d(one, box1, box1.b, box1.d, FracOrder(0.5, 0.5, p=-1 + eps, q=-1 + eps), quad)
     checks.append(_bound_check("hadamard-limit:constant:1", abs(kv - hv) / abs(hv), 1e-2, f"eps={eps:g}"))
+    # p = q = -1 + eps nears Hadamard like eps: the spread of gap / eps (max / min - 1) shows lost digits
+    rhos = [(-1.0 + 10.0**-k) + 1.0 for k in range(2, 13)]  # eps = 1e-2 .. 1e-12 as the rules see it
+    for name in ("constant:1", "sinxy", "plane"):
+        src, box = positive_source(name)
+        spec = GridSpec(box, 5, 5)
+        had, *near = (
+            katugampola_2d_grid(src, spec, FracOrder(0.5, 0.5, e - 1.0, e - 1.0), QuadratureSpec(panels=32), threads=threads).values
+            for e in [0.0] + rhos
+        )
+        rates = [float(np.max(np.abs(v - had)) / np.max(np.abs(had))) / e for v, e in zip(near, rhos)]
+        spread = max(rates) / min(rates) - 1.0 if min(rates) > 0.0 else math.inf
+        checks.append(_bound_check(f"hadamard-rate:{name}", spread, 0.1, f"gap/eps {rates[0]:.4g} .. {rates[-1]:.4g}"))
     return SuiteReport("special-cases", scale, tuple(checks))
 
 

@@ -8,6 +8,10 @@ their constructors from the builtins and have no signature to read
 """
 
 import inspect
+import os
+import pathlib
+import subprocess
+import sys
 
 import fracdim2d
 
@@ -132,3 +136,16 @@ def test_every_public_callable_is_pinned():
 def test_public_signatures_match_the_snapshot():
     got = {name: _signature(getattr(fracdim2d, name)) for name in SIGNATURES}
     assert got == SIGNATURES
+
+
+def test_importing_the_package_loads_every_module():
+    # the benchmark's tracer finds the modules in sys.modules: ``import fracdim2d`` loads all
+    # but the command line, which ``import fracdim2d.cli`` adds; a module nothing imports is missed
+    pkg = pathlib.Path(fracdim2d.__file__).parent
+    want = sorted(p.stem for p in pkg.glob("*.py") if p.stem not in ("__init__", "__main__"))
+    loaded = "print(' '.join(sorted(m[10:] for m in sys.modules if m.startswith('fracdim2d.'))))"
+    probe = f"import sys, fracdim2d; {loaded}; import fracdim2d.cli; {loaded}"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(pkg.parent), os.environ.get("PYTHONPATH", "")])}
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    package, with_cli = (line.split() for line in res.stdout.splitlines())
+    assert package == [m for m in want if m != "cli"] and with_cli == want

@@ -140,6 +140,16 @@ def test_bruteforce_error_precedence_and_messages(delta, error, message):
         boxcount_bruteforce_3d(g.matrix, delta)  # the argument type is checked before anything else
 
 
+@pytest.mark.parametrize("delta", [1e-12, 1e-300, 5e-324])
+def test_delta_finer_than_the_grid_is_refused_before_its_cells_are_sized(delta):
+    # 1e12 cells per side would size 8 TB windows; at 5e-324 the side/delta quotient is inf
+    g = _grid(lambda x, y: x)
+    with pytest.raises(ResolutionError, match="fewer than 2x2 sample nodes on a 65x65 grid"):
+        oscillation_counts(g, delta)
+    with pytest.raises(SizeError, match="brute-force count limited to 16384 cells"):
+        boxcount_bruteforce_3d(g, delta)
+
+
 def test_boxcount_validation():
     with pytest.raises(ParameterError):
         BoxCount(delta=0.0, n_lower=1, n_upper=2, m=1, n=1)

@@ -45,11 +45,16 @@ def test_integrate_missing_alpha_names_parameter(capsys):
     assert err == {"code": 2, "message": "--alpha is required", "parameter": "alpha"}
 
 
-def test_integrate_p_minus_one_points_to_hadamard(capsys):
-    code, _, err = run_cli(capsys, "integrate", "--fn", "constant:1", "--alpha", ".5", "--beta", ".5", "--p", "-1")
-    assert code == 2
-    assert err["parameter"] == "p"
-    assert "hadamard" in err["message"]
+def test_integrate_p_minus_one_points_to_hadamard(capsys, tmp_path):
+    # p = q = -1 is the Hadamard member of the family: on the tensor route it writes --op hadamard's bytes
+    common = ("integrate", "--fn", "sinxy", "--shift", "1,1", "--alpha", ".5", "--beta", ".3", "--grid", "5,4", "--panels", "32")
+    code, out, err = run_cli(capsys, *common, "--p", "-1", "--q", "-1", "--method", "tensor", "--out", str(tmp_path / "k.csv"))
+    assert code == 0 and err is None and "bound ok" in out
+    code, _, err = run_cli(capsys, *common, "--op", "hadamard", "--out", str(tmp_path / "h.csv"))
+    assert code == 0 and err is None
+    assert (tmp_path / "k.csv").read_bytes() == (tmp_path / "h.csv").read_bytes()
+    code, _, err = run_cli(capsys, *common, "--p", "-1.5")
+    assert code == 2 and err["parameter"] == "p" and "at least -1" in err["message"]
 
 
 def test_integrate_writes_grid_csv(capsys, tmp_path):
@@ -68,10 +73,9 @@ def test_integrate_writes_grid_csv(capsys, tmp_path):
 
 
 def test_normaliser_matches_gamma_and_large_orders_exit_cleanly(capsys):
+    # in the coordinate u of any weight the constant is 1/Gamma(order)
     for order in (0.3, 0.5, 1.0, 2.5):
-        for weight in (0.0, 1.0):
-            expect = (1.0 + weight) ** -order / math.gamma(order)
-            assert math.exp(log_normaliser(order, weight)) == pytest.approx(expect, rel=1e-13)
+        assert math.exp(log_normaliser(order)) == pytest.approx(1.0 / math.gamma(order), rel=1e-13)
     # Gamma(200) overflows float64; the log-space constant does not
     code, out, err = run_cli(
         capsys, "integrate", "--fn", "sinxy", "--alpha", "200", "--beta", ".5", "--grid", "5,5", "--panels", "16"
@@ -119,13 +123,31 @@ def test_riemann_liouville_huge_order_exits_cleanly(capsys):
     assert (code == 0 and err is None and "value" in out) or (code == 3 and err["code"] == 3)
 
 
-def test_power_weight_rounding_the_box_away_is_a_numeric_error(capsys):
-    # u = s^(p+1) rounds to 1 on the whole box; the answer was a confident 0
+def test_power_weight_next_to_minus_one_meets_the_hadamard_member(capsys, tmp_path):
+    # s^(p+1) rounds to 1 on the whole box here; expm1(rho log s)/rho keeps the box, so the
+    # grid is within O(rho) = 1.1e-16 of the p = -1 grid
+    grids = []
+    for p in ("-0.9999999999999999", "-1"):
+        path = tmp_path / f"{p}.csv"
+        code, out, err = run_cli(
+            capsys, "integrate", "--fn", "sinxy", "--alpha", "20", "--beta", ".5", "--p", p,
+            "--grid", "3,3", "--panels", "8", "--out", str(path),
+        )
+        assert code == 0 and err is None and "bound ok" in out
+        grids.append(read_samples_csv(str(path)).values)
+    near, had = grids
+    assert np.max(np.abs(had)) > 0.0
+    assert np.max(np.abs(near - had)) <= 1e-14 * np.max(np.abs(had))
+
+
+@pytest.mark.parametrize("p", ["-1", "-0.99"])
+def test_box_narrower_than_its_coordinates_is_a_numeric_error(capsys, p):
+    # log s does not move across the box; the answer would be a confident 0
     code, out, err = run_cli(
-        capsys, "integrate", "--fn", "sinxy", "--alpha", "20", "--beta", ".5", "--p", "-0.9999999999999999",
-        "--grid", "3,3", "--panels", "8",
+        capsys, "integrate", "--fn", "constant:1", "--rect", "1e6,1000000.0000000003,1,2", "--alpha", ".5",
+        "--beta", ".5", "--p", p, "--grid", "3,3", "--panels", "8",
     )
-    assert code == 3 and err["code"] == 3 and out == ""
+    assert code == 3 and out == "" and "too narrow" in err["message"]
 
 
 def test_integrate_rejects_weights_for_classical_ops(capsys):
@@ -302,6 +324,15 @@ def test_dimension_too_coarse_grid_exit_3(capsys):
         capsys, "dimension", "--fn", "plane", "--grid", "5,5", "--deltas", "0.001,0.0005,0.00025"
     )
     assert code == 3 and "deltas" in err["message"]
+
+
+@pytest.mark.parametrize("deltas", ["1e-12,1e-13,1e-14", "1e-300", "5e-324"])
+def test_dimension_deltas_finer_than_the_grid_exit_3(capsys, deltas):
+    # each delta is dropped before its cell windows are sized, so the fit has no points
+    t0 = time.perf_counter()
+    code, err = _one_json_error(capsys, "dimension", "--fn", "sinxy", "--grid", "9,9", "--deltas", deltas)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3 and "usable deltas" in err["message"]
 
 
 def test_dimension_of_integral(capsys, tmp_path):
@@ -744,7 +775,7 @@ def test_point_operator_loop_over_budget_exits_3_before_it_starts(capsys, monkey
     def refuse(*args, **kwargs):
         raise _Reached("classical operator called")
 
-    monkeypatch.setattr(cli, "_hadamard_grid", refuse)
+    monkeypatch.setattr(cli, "katugampola_2d_grid", refuse)
     monkeypatch.setattr(cli, "_rl_grid", refuse)
     argv = ["integrate", "--op", op, "--fn", "constant:2", "--alpha", ".5", "--beta", ".5"]
     t0 = time.perf_counter()
@@ -759,7 +790,7 @@ def test_point_operator_loop_over_budget_exits_3_before_it_starts(capsys, monkey
 @pytest.mark.parametrize(
     "argv, digest",
     [
-        (("verify", "special-cases", "--scale", "full"), "6d73325968b96d605ce09d49ce06dd1604deb3ef4328ff75fc292144eb5f2105"),
+        (("verify", "special-cases", "--scale", "full"), "833b61c9b6758e2170ad1cae2eb23b14041c2ed70c1582efdef7cc0d2248e224"),
         (
             ("integrate", "--op", "riemann-liouville", "--fn", "plane", "--alpha", ".5", "--beta", ".5", "--grid", "17,17"),
             "1a227112ec685548722be5e4d773e940d8a9b58fcbf9e79ddca587adbe4c300c",
@@ -777,7 +808,9 @@ def test_point_operator_loop_over_budget_exits_3_before_it_starts(capsys, monkey
     ],
 )
 def test_classical_operator_artifacts_keep_their_bytes(capsys, tmp_path, argv, digest):
-    # digests of the files these commands wrote when each node was its own point call
+    # digests of the files these commands wrote when each node was its own point call; the
+    # special-cases report re-pinned when it gained hadamard-rate and hadamard-limit's gap
+    # moved by rounding (3.4658158906e-05 -> 3.4658159796e-05)
     path = tmp_path / "artifact"
     code, _, err = run_cli(capsys, *argv, "--out", str(path))
     assert code == 0 and err is None

@@ -75,9 +75,12 @@ def test_fracorder_validation():
         FracOrder(0.0, 1.0)
     with pytest.raises(ParameterError):
         FracOrder(1.0, -0.1)
-    with pytest.raises(ParameterError):
-        FracOrder(1.0, 1.0, p=-1.0)
-    with pytest.raises(ParameterError):
+    # -1 is the Hadamard member of the family; below it is refused
+    h = FracOrder(1.0, 1.0, p=-1.0, q=-1.0)
+    assert (h.p, h.q) == (-1.0, -1.0)
+    with pytest.raises(ParameterError, match="p must be at least -1"):
+        FracOrder(1.0, 1.0, p=-1.0000000000000002)
+    with pytest.raises(ParameterError, match="q must be at least -1"):
         FracOrder(1.0, 1.0, q=-1.5)
     with pytest.raises(ParameterError):
         FracOrder(math.inf, 1.0)

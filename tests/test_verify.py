@@ -1,6 +1,6 @@
 import pytest
 
-from fracdim2d import ParameterError, SUITES, run_suite
+from fracdim2d import ParameterError, SUITES, fracint, run_suite
 from fracdim2d.verify import Check, SuiteReport
 
 
@@ -52,3 +52,23 @@ def test_sandwich_passes_at_full_scale():
     assert report.passed, [c.name for c in report.checks if not c.passed]
     assert report.scale == "full"
     assert all(c.gap == 0.0 for c in report.checks)
+
+
+def test_hadamard_rate_fails_when_the_coordinate_crowds_toward_one(monkeypatch):
+    # u = s^rho/rho without the shift crowds toward 1/rho as rho -> 0 and loses about
+    # -log10(rho) digits; the O(eps) limit then turns around before eps = 1e-12
+    real = fracint._power_map
+
+    def crowded(weight):
+        rho = weight + 1.0
+        if 0.0 < rho < 1.0:
+            return (lambda s: s**rho / rho), (lambda u: (rho * u) ** (1.0 / rho))
+        return real(weight)
+
+    rates = [c for c in run_suite("special-cases", "quick").checks if c.name.startswith("hadamard-rate:")]
+    assert [c.name for c in rates] == ["hadamard-rate:constant:1", "hadamard-rate:sinxy", "hadamard-rate:plane"]
+    assert all(c.passed for c in rates)
+    monkeypatch.setattr(fracint, "_power_map", crowded)
+    checks = {c.name: c for c in run_suite("special-cases", "quick").checks}
+    assert checks["hadamard-limit:constant:1"].passed
+    assert not any(c.passed for name, c in checks.items() if name.startswith("hadamard-rate:"))
