@@ -399,8 +399,9 @@ def _add_quadrature(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--method",
         default="auto",
-        help="grid evaluation route: auto (shared mesh for split sources g(x)+h(y) and for smooth catalog "
-        "sources, else tensor), tensor, separable",
+        help="grid evaluation route: auto (shared mesh for split sources g(x)+h(y), for smooth catalog "
+        "sources, and, with their piece edges or sample nodes as mesh nodes, for t-* constructions over "
+        "smooth seeds and csv:/json: grids; else tensor), tensor, separable",
     )
 
 

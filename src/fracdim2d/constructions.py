@@ -35,6 +35,7 @@ from .core import (
     FunctionSource,
     ParameterError,
     ShiftedSource,
+    SizeError,
 )
 
 __all__ = [
@@ -58,6 +59,11 @@ _SEAM_GRID = 257
 def _piece_edge(a: float, width: float, n: int) -> float:
     # a_n = a + width (1 - 2^-n); exact for binary widths
     return a + width * (1.0 - math.ldexp(1.0, -n))
+
+
+def _piece_edges(tc: "TConstruction") -> np.ndarray:
+    # a_0 ... a_depth of the construction's box
+    return np.array([_piece_edge(tc.rect.a, tc.rect.width, n) for n in range(tc.depth + 1)])
 
 
 def psi_n(x, n: int, a: float, b: float):
@@ -146,8 +152,7 @@ def t_eval(tc: TConstruction, x, y):
     with np.errstate(divide="ignore"):
         kk = np.where(tail, 1, np.floor(-np.log2(np.where(tail, 1.0, rem))).astype(np.int64) + 1)
     kk = np.clip(kk, 1, tc.depth)
-    edges = np.array([_piece_edge(r.a, w, n) for n in range(tc.depth + 1)])
-    lo = edges[kk - 1]
+    lo = _piece_edges(tc)[kk - 1]
     psi = np.clip(r.a + np.ldexp(1.0, kk - 1) * (xv - lo), r.a, tc.a1)
     psi = np.where(tail, r.a, psi)
     kf = kk.astype(np.float64)
@@ -159,7 +164,12 @@ def t_eval(tc: TConstruction, x, y):
 
 
 class TSource(FunctionSource):
-    """FunctionSource view of a staircase construction."""
+    """FunctionSource view of a staircase construction.
+
+    Each piece is an affine copy of the seed in x, so over a smooth seed
+    the construction is smooth between its piece edges a_0 ... a_depth
+    (``knots``) and along y; over any other seed it declares nothing.
+    """
 
     def __init__(self, tc: TConstruction, name: str | None = None):
         self.tc = tc
@@ -176,6 +186,9 @@ class TSource(FunctionSource):
                 return phi.sup_bound(Box(strip_a, strip_b, yc, yd))
 
             self.sup_bound = bound
+
+    def knots(self):
+        return (_piece_edges(self.tc), ()) if self.tc.phi.smooth else None
 
     def eval(self, x, y):
         return t_eval(self.tc, x, y)
@@ -282,6 +295,11 @@ def _t_over(seed: FunctionSource, seed_box: Box, name: str) -> FunctionSource:
     return TSource(TConstruction(rect=box, phi=seed), name=name)
 
 
+# terms of one Weierstrass sum, each a pass of sin over the nodes: eight
+# times the largest kmax of the tests (90, at lam = 1.5)
+_MAX_WEIER_TERMS = 1024
+
+
 def _weier_amps(lam: float, s: float, kmax: int) -> tuple[np.ndarray, np.ndarray]:
     ks = np.arange(kmax + 1, dtype=np.float64)
     return lam**ks, lam ** ((s - 3.0) * ks)
@@ -299,6 +317,8 @@ def _weierstrass(lam: float = 2.0, s: float = 2.5, kmax: float = 12) -> Function
         raise ParameterError("s must lie in (2, 3)", parameter="s")
     if k * math.log2(lam) > sys.float_info.mant_dig:  # from 2^53 on, one ulp of lam^kmax t is a third of a period
         raise ParameterError(f"kmax={k}: {lam:g}^{k} exceeds 2^53, beyond float64's phase resolution", parameter="fn")
+    if k >= _MAX_WEIER_TERMS:
+        raise SizeError(f"weierstrass kmax={k} needs {k + 1} terms per evaluation; the budget is {_MAX_WEIER_TERMS}")
     freqs, amps = _weier_amps(lam, s, k)
 
     def univ(t):

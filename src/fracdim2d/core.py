@@ -296,6 +296,9 @@ class FunctionSource:
     (y - c)^sigma_y with g twice continuously differentiable and (a, c)
     the lower-left corner of the box the source is integrated over (the
     lower limits); the shared mesh then grades toward that corner.
+    ``knots()`` declares per-axis breakpoints (xs, ys) between which f is
+    twice continuously differentiable, the promise ``smooth`` makes with
+    none; the shared mesh then holds every breakpoint as a node.
     """
 
     name: str = "source"
@@ -315,6 +318,13 @@ class FunctionSource:
 
     def xy_split(self) -> tuple[Callable, Callable] | None:
         return None
+
+    def knots(self) -> tuple[np.ndarray | tuple, np.ndarray | tuple] | None:
+        """Breakpoints (xs, ys) between which f is twice continuously differentiable, or None.
+
+        A smooth source has none, ((), ()); a source that declares nothing returns None.
+        """
+        return ((), ()) if self.smooth else None
 
     def covers(self, rect: Box) -> bool:
         return self.domain is None or self.domain.covers(rect)
@@ -357,7 +367,8 @@ class SampledSource(FunctionSource):
 
     Exact at the grid nodes: querying a node coordinate reproduces the
     stored sample bit for bit.  Queries outside the grid's box (beyond
-    ``Box.slack``) raise ``DomainError``.
+    ``Box.slack``) raise ``DomainError``.  The interpolant is bilinear on
+    every grid cell, so its knots are the grid nodes.
     """
 
     def __init__(self, samples: GridSamples, name: str = "sampled"):
@@ -367,17 +378,19 @@ class SampledSource(FunctionSource):
         self._xs = samples.spec.xs()
         self._ys = samples.spec.ys()
 
+    def knots(self):
+        return self._xs, self._ys
+
     def eval(self, x, y):
-        xb, yb = np.broadcast_arrays(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
-        shape = xb.shape
-        xf = xb.reshape(-1)
-        yf = yb.reshape(-1)
+        # cells and offsets on each axis's own shape; only the blend runs at the broadcast shape
+        xv = np.asarray(x, dtype=np.float64)
+        yv = np.asarray(y, dtype=np.float64)
+        shape = np.broadcast_shapes(xv.shape, yv.shape)
         r = self.domain
         tx, ty = r.slack()
-        if xf.size and (xf.min() < r.a - tx or xf.max() > r.b + tx or yf.min() < r.c - ty or yf.max() > r.d + ty):
+        if math.prod(shape) and (xv.min() < r.a - tx or xv.max() > r.b + tx or yv.min() < r.c - ty or yv.max() > r.d + ty):
             raise DomainError("query outside the sampled box")
-        xf = np.clip(xf, r.a, r.b)
-        yf = np.clip(yf, r.c, r.d)
+        xf, yf = np.clip(xv, r.a, r.b), np.clip(yv, r.c, r.d)
         m, n = self.samples.spec.m, self.samples.spec.n
         i = np.clip(np.searchsorted(self._xs, xf, side="right") - 1, 0, m - 2)
         j = np.clip(np.searchsorted(self._ys, yf, side="right") - 1, 0, n - 2)
@@ -390,7 +403,7 @@ class SampledSource(FunctionSource):
             + (1.0 - fx) * fy * v[i, j + 1]
             + fx * fy * v[i + 1, j + 1]
         )
-        return out.reshape(shape)
+        return np.asarray(out).reshape(shape)
 
 
 class ShiftedSource(FunctionSource):
@@ -409,6 +422,12 @@ class ShiftedSource(FunctionSource):
 
     def eval(self, x, y):
         return self.base.eval(np.asarray(x, dtype=np.float64) - self.dx, np.asarray(y, dtype=np.float64) - self.dy)
+
+    def knots(self):
+        knots = self.base.knots()
+        if knots is None:
+            return None
+        return np.asarray(knots[0], dtype=np.float64) + self.dx, np.asarray(knots[1], dtype=np.float64) + self.dy
 
     def xy_split(self):
         split = self.base.xy_split()

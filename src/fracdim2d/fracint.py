@@ -34,9 +34,13 @@ kernel exactly against the hat functions of the mesh (product-trapezoid
 integration, the weights of the fractional Adams scheme of Diethelm,
 Ford and Freed), so the rule is exact for functions linear in u and
 second-order accurate for smooth ones.  A source without a split that
-declares itself smooth (``FunctionSource.smooth``) takes the same rule
-on both axes: f is evaluated once on the product of the two meshes, F,
-and I f = C W_x F W_y^T, contracted one axis at a time.  When it also
+declares its knots (``FunctionSource.knots``: per-axis breakpoints
+between which f is C^2, none for a smooth source) takes the same rule on
+both axes: each mesh also holds the knots, every piece between them
+takes as many parts as the widest (``_mesh_knots``), f is evaluated once
+on the product of the two meshes, F, and I f = C W_x F W_y^T, contracted
+one axis at a time.  Staircase constructions over smooth seeds declare
+their piece edges, and grids of samples their nodes.  When a source also
 declares algebraic edges (``FunctionSource.edges``), each mesh opens
 with a lead-in graded toward the lower limit.  Other sources take the
 tensor route, whose graded midpoint rule does not need f to be smooth.
@@ -166,13 +170,16 @@ def _unit_rule(panels: int, grading: float, order: float) -> tuple[np.ndarray, n
 
 
 @contextmanager
-def _no_overflow():
-    # a large power weight or order overflows a rule: a numeric failure, not a crash
+def _no_overflow(message: str = "quadrature rule overflows float64: order or power weight too large for this box"):
+    # a large power weight, order or source value overflows: a numeric failure, not a crash
     try:
         with np.errstate(over="raise"):
             yield
     except FloatingPointError:
-        raise NumericError("quadrature rule overflows float64: order or power weight too large for this box") from None
+        raise NumericError(message) from None
+
+
+_SUM_OVERFLOW = "fractional integral overflows float64: the source's values are too large"
 
 
 def _mapped_widths(ds, du):
@@ -321,41 +328,102 @@ def _lead_in(edge: float | None) -> tuple[float, float]:
     return 3.0 / (1.0 + edge), (1.0 - edge) / (2.0 - edge)
 
 
-def _mesh(lo: float, his, weight: float, panels: int, edge: float | None = None) -> _Mesh:
+def _mesh_knots(lo: float, his, weight: float, panels: int, knots=()):
+    """The knots of ``_mesh`` in s and in u, and the equal parts (in u) of each knot interval.
+
+    The knots are lo, every upper limit, and the source's ``knots`` strictly
+    between lo and the last upper limit.  A source knot is dropped within
+    tol of the knot below it or of the next upper limit, tol being 1e-9 of
+    the axis length in u plus 64 (panels + 1) float spacings of u, so no
+    part of an interval it would cut off is rounding noise wide.
+
+    Without source knots every knot interval takes r0 = ceil(panels /
+    intervals) parts, so the mesh has at least ``panels`` intervals.  With
+    them f is smooth on each source piece, between consecutive source
+    knots, but the pieces may differ widely in width and in how fast f
+    turns on them.  The staircase's pieces are affine copies of one seed:
+    piece n has width w 2^-n and second derivative ~ 4^n / n in x, so with
+    r parts its trapezoid error near the far corner, where the kernel
+    (U - u)^(order-1) is ~ (w 2^-n)^(order-1), scales like
+    (w 2^-n / r)^2 (4^n / n) (w 2^-n)^order ~ 2^(-n order) / (n r^2):
+    2^(-n/2) / (n r^2) at order 1/2.  Equal parts per piece keep every
+    piece's error below the first's, and the total O(r^-2); parts in
+    proportion to width would give piece n r 2^-n of them and an error
+    growing like 2^((2 - order) n).  So every piece takes at least
+    r = ceil(panels * (widest piece) / (axis length)) parts, which gives
+    the widest piece the plain mesh's spacing and scales with ``panels``,
+    so that a panel halving halves every part count.  Inside a piece of
+    length L they are split over its knot intervals in proportion to
+    length, ceil(r h / L) each, and every knot interval keeps at least r0.
+    A grid of samples has equal pieces and gets r = ceil(panels / cells)
+    parts per cell.
+    """
+    fwd, _ = _power_map(weight)
+    outs = np.unique(np.append(np.float64(lo), np.asarray(his, dtype=np.float64).reshape(-1)))
+    extra = np.asarray(knots, dtype=np.float64).reshape(-1)
+    extra = extra[(extra > outs[0]) & (extra < outs[-1])]
+    with _no_overflow():
+        if not extra.size:
+            return outs, fwd(outs), np.full(outs.size - 1, max(1, -(-panels // max(1, outs.size - 1))))
+        ks = np.concatenate([outs, extra])
+        perm = np.argsort(ks, kind="stable")
+        ks, src = ks[perm], perm >= outs.size
+        uk = fwd(ks)
+    span = _mapped_widths(ks[-1] - ks[0], uk[-1] - uk[0])
+    tol = 1e-9 * span + 64 * (panels + 1) * np.spacing(max(abs(uk[0]), abs(uk[-1])))
+    below = np.diff(uk, prepend=-np.inf)
+    above = np.minimum.accumulate(np.where(src, np.inf, uk)[::-1])[::-1] - uk  # to the next upper limit
+    keep = ~src | ((below > tol) & (above > tol))
+    us = uk[src]
+    ks, uk = ks[keep], uk[keep]
+    # every source knot, kept or not, ends a piece at the knot nearest to it
+    at = np.clip(np.searchsorted(uk, us), 1, uk.size - 1)
+    at -= us - uk[at - 1] < uk[at] - us
+    ends = np.zeros(uk.size, dtype=bool)
+    ends[[0, -1]] = True
+    ends[at] = True
+    pieces = np.diff(uk[ends])
+    r = math.ceil(panels * pieces.max() / span)
+    share = np.ceil(r * (np.diff(uk) / pieces[np.cumsum(ends)[:-1] - 1]) - 1e-9)
+    return ks, uk, np.maximum(-(-panels // (uk.size - 1)), share).astype(np.int64)
+
+
+def _mesh(lo: float, his, weight: float, panels: int, edge: float | None = None, knots=()) -> _Mesh:
     """The shared mesh in ``_power_map``'s u for upper limits ``his`` >= lo.
 
-    It holds lo and every upper limit, and splits each interval between
-    consecutive ones into r = ceil(panels / intervals) equal parts in u, so
-    it has at least ``panels`` intervals.  The output coordinates are mesh
-    nodes exactly.
+    It holds lo, every upper limit and the source's ``knots`` between
+    them, and splits each interval between consecutive knots into equal
+    parts in u (``_mesh_knots``), at least ``panels`` intervals in all.
+    The output coordinates and the knots are mesh nodes exactly.
 
     ``edge`` declares a factor (u - A)^edge of the integrand at A = u(lo).
     Its lead-in (``_lead_in``: grading exponent g, share of the axis) then
-    runs from lo to the first upper limit at or past that share, and
-    holds n = ceil(g * n0) intervals, n0 the equal parts it would have
-    had, so its last widths meet the equal parts beyond it.  Its nodes are
-    A + L t^g: the upper limits inside it sit at t_k = ((U_k - A)/L)^(1/g),
-    and [t_k, t_(k+1)] takes round(n t_(k+1)) - round(n t_k) equal parts
-    (at least one).  ``top`` is then each output's node index.  Without an
-    edge the mesh is the ungraded one bit for bit.
+    runs from lo to the first knot at or past that share, and holds
+    n = ceil(g * n0) intervals, n0 the equal parts it would have had, so
+    its last widths meet the equal parts beyond it.  Its nodes are
+    A + L t^g: the knots inside it sit at t_k = ((U_k - A)/L)^(1/g), and
+    [t_k, t_(k+1)] takes round(n t_(k+1)) - round(n t_k) equal parts (at
+    least one).  ``top`` is then each output's node index.  Without an
+    edge or knots the mesh is the ungraded one bit for bit.
     """
-    fwd, back = _power_map(weight)
+    _, back = _power_map(weight)
     his = np.asarray(his, dtype=np.float64).reshape(-1)
-    knots = np.unique(np.append(np.float64(lo), his))
-    r = max(1, -(-panels // max(1, knots.size - 1)))
+    knots, uk, counts = _mesh_knots(lo, his, weight, panels, knots)
     grade, share = _lead_in(edge)
-    counts = np.full(knots.size - 1, r)
     with _no_overflow():
-        uk = fwd(knots)
-        # knot intervals [0, lead) form the graded lead-in; the rest take r equal parts in u
+        # knot intervals [0, lead) form the graded lead-in; the rest take their equal parts in u
         lead = 0
         if grade > 1.0 and knots.size > 1:
             lead = max(1, int(np.searchsorted(uk - uk[0], share * (uk[-1] - uk[0]))))
-        parts = [(uk[lead:-1, None] + np.diff(uk[lead:])[:, None] * (np.arange(r) / r)).reshape(-1), uk[-1:]]
+        c = counts[lead:]
+        frac = (np.arange(c.sum()) - np.repeat(np.cumsum(c) - c, c)) / np.repeat(c, c)
+        parts = [np.repeat(uk[lead:-1], c) + np.repeat(np.diff(uk[lead:]), c) * frac, uk[-1:]]
         if lead:
             span = _mapped_widths(knots[lead] - knots[0], uk[lead] - uk[0])
             t = ((uk[: lead + 1] - uk[0]) / span) ** (1.0 / grade)
-            counts[:lead] = np.maximum(1, np.diff(np.round(math.ceil(grade * lead * r) * t)))
+            # n0 = lead times its mean share, multiplied in this order so an equal share r rounds as g * lead * r
+            n = math.ceil(grade * lead * (int(counts[:lead].sum()) / lead))
+            counts[:lead] = np.maximum(1, np.diff(np.round(n * t)))
             tt = np.concatenate([np.linspace(t0, t1, c, endpoint=False) for t0, t1, c in zip(t[:-1], t[1:], counts[:lead])])
             parts.insert(0, uk[0] + span * tt**grade)
         u = np.concatenate(parts)
@@ -371,15 +439,16 @@ def _mesh(lo: float, his, weight: float, panels: int, edge: float | None = None)
 def _mesh_nodes(m: int, panels: int, edge: float | None) -> int:
     """An upper bound on the node count of ``_mesh`` for m upper limits, without building it.
 
-    At most m + 1 knots with r = ceil(panels / intervals) parts each give
-    fewer than panels + m intervals; a lead-in of grading g multiplies
-    its share by at most g and adds at most one interval per knot.
+    Without source knots, at most m + 1 knots with r = ceil(panels /
+    intervals) parts each give fewer than panels + m intervals; a lead-in
+    of grading g multiplies its share by at most g and adds at most one
+    interval per knot.
     """
     grade = _lead_in(edge)[0]
     return math.ceil(grade * (panels + m)) + m + 2
 
 
-def _grid_budget(route: str, m: int, n: int, panels: int, edges=None) -> None:
+def _grid_budget(route: str, m: int, n: int, panels: int, edges=None, nodes=(None, None)) -> None:
     """Refuse a grid call whose predicted size exceeds the budget, before it allocates.
 
     Predicted per route, for m x n outputs: the largest array's entries
@@ -387,7 +456,9 @@ def _grid_budget(route: str, m: int, n: int, panels: int, edges=None) -> None:
     m n P^2 source evaluations for the tensor route, (m + n) P for
     ``separable``, m N_x + n N_y hat weights for the split mesh, and
     N_x n (N_y + m) products for the two passes of ``_mesh_2d``, with
-    N_x, N_y the mesh sizes of ``_mesh_nodes``.
+    N_x, N_y the mesh sizes of ``_mesh_nodes``, or ``nodes`` where one is
+    given (a knot mesh's fewest nodes before it is built, its real size
+    after).
     """
     entries = m * n
     if route == "tensor":
@@ -396,7 +467,8 @@ def _grid_budget(route: str, m: int, n: int, panels: int, edges=None) -> None:
         work = (m + n) * panels
     else:
         ex, ey = edges or (None, None)
-        nx, ny = _mesh_nodes(m, panels, ex), _mesh_nodes(n, panels, ey)
+        nx = nodes[0] or _mesh_nodes(m, panels, ex)
+        ny = nodes[1] or _mesh_nodes(n, panels, ey)
         if route == "mesh-split":
             work = m * nx + n * ny
         else:
@@ -431,10 +503,11 @@ def _hat_apply(mesh: _Mesh, order: float, vals, threads: int | None = None) -> l
                 c1 = min(c0 + width, end)
                 with _no_overflow():
                     left, right = _hat_weights(mesh.U[i0:i1], mesh.u[c0 : c1 + 1], mesh.h[c0:c1], order)
-                for v, acc in zip(vals, outs):
-                    acc[i0:i1] += np.einsum("ik,k...->i...", left, v[c0:c1], optimize=False) + np.einsum(
-                        "ik,k...->i...", right, v[c0 + 1 : c1 + 1], optimize=False
-                    )
+                with _no_overflow(_SUM_OVERFLOW):
+                    for v, acc in zip(vals, outs):
+                        acc[i0:i1] += np.einsum("ik,k...->i...", left, v[c0:c1], optimize=False) + np.einsum(
+                            "ik,k...->i...", right, v[c0 + 1 : c1 + 1], optimize=False
+                        )
 
     _spread(run, range(0, n_out, rows), threads)
     return outs
@@ -455,7 +528,7 @@ def _mesh_apply(fns, lo: float, his, order: float, weight: float, panels: int, t
         return [outs[k] for k in at], (mesh.U - mesh.u[0]) ** order / order
 
 
-def _mesh_2d(src: FunctionSource, rect: Box, xs, ys, order: FracOrder, panels: int, threads: int | None) -> np.ndarray:
+def _mesh_2d(src: FunctionSource, mx: _Mesh, my: _Mesh, order: FracOrder, threads: int | None) -> np.ndarray:
     """C W_x F W_y^T: the shared-mesh rule on both axes, F = f on the product of the meshes.
 
     F is evaluated a block of x-node rows at a time, at most
@@ -464,9 +537,6 @@ def _mesh_2d(src: FunctionSource, rect: Box, xs, ys, order: FracOrder, panels: i
     Block boundaries depend only on the mesh sizes, and workers take whole
     blocks, so the bits do not depend on the thread count.
     """
-    ex, ey = src.edges or (None, None)
-    mx = _mesh(rect.a, xs, order.p, panels, ex)
-    my = _mesh(rect.c, ys, order.q, panels, ey)
     nx, ny = mx.s.size, my.s.size
     blocks = -(-nx // max(1, _APPLY_BLOCK // ny))
     rows = -(-nx // blocks)  # equal blocks, as many as the entry budget needs
@@ -481,7 +551,8 @@ def _mesh_2d(src: FunctionSource, rect: Box, xs, ys, order: FracOrder, panels: i
 
     _spread(run, range(0, nx, rows), threads)
     (out,) = _hat_apply(mx, order.alpha, [G], threads)
-    return _clean(_prefactor(order) * out)
+    with _no_overflow(_SUM_OVERFLOW):
+        return _clean(_prefactor(order) * out)
 
 
 def _unlog(*logs: float) -> float:
@@ -624,11 +695,14 @@ def katugampola_2d_grid(
         ``quad.panels`` intervals long, with g and h evaluated once per
         mesh node and the kernel integrated exactly against hat
         functions (``quad.grading`` is unused there).  A source without
-        a split whose ``smooth`` is true takes the same meshes on both
-        axes, with f evaluated once per node of their product (the
-        tensor panel cap still applies); if it declares ``edges``, each
-        mesh opens with a lead-in graded toward the lower limit
-        (``_lead_in``), which keeps the rule second order on
+        a split whose ``knots()`` is not None (every smooth source, a
+        staircase over a smooth seed, a grid of samples) takes the same
+        meshes on both axes, each also holding the source's knots with
+        as many parts per piece between them as the widest piece gets
+        (``_mesh_knots``), and f is evaluated once per node of their
+        product (the tensor panel cap still applies); if it declares
+        ``edges``, each mesh opens with a lead-in graded toward the lower
+        limit (``_lead_in``), which keeps the rule second order on
         f = g (x - a)^sigma_x (y - c)^sigma_y.  Other sources take the
         tensor route.
 
@@ -648,15 +722,24 @@ def katugampola_2d_grid(
         raise ParameterError(f"source {src.name!r} has no additive split; use method='tensor'", parameter="method")
     use_split = split is not None and method in ("separable", "auto")
     src, quad = _checked(src, spec.rect, quad, tensor=not use_split)
+    knots = src.knots() if method == "auto" and not use_split else None
     if use_split:
         route = "separable" if method == "separable" else "mesh-split"
     else:
-        route = "mesh-2d" if method == "auto" and src.smooth else "tensor"
-    _grid_budget(route, spec.m, spec.n, quad.panels, src.edges)
-    rect, xs, ys = spec.rect, spec.xs(), spec.ys()
+        route = "tensor" if knots is None else "mesh-2d"
+    rect = spec.rect
+    # a knot mesh holds every output and at least panels intervals: that floor is
+    # refused before any axis is built, the real size once the meshes are
+    floor = [max(size, quad.panels + 1) if len(k) else None for k, size in zip(knots or ((), ()), (spec.m, spec.n))]
+    _grid_budget(route, spec.m, spec.n, quad.panels, src.edges, floor)
+    xs, ys = spec.xs(), spec.ys()
     same_axes = (rect.a, order.alpha, order.p) == (rect.c, order.beta, order.q) and np.array_equal(xs, ys)
     if route == "mesh-2d":
-        out = _mesh_2d(src, rect, xs, ys, order, quad.panels, threads)
+        ex, ey = src.edges or (None, None)
+        mx = _mesh(rect.a, xs, order.p, quad.panels, ex, knots[0])
+        my = _mesh(rect.c, ys, order.q, quad.panels, ey, knots[1])
+        _grid_budget(route, spec.m, spec.n, quad.panels, nodes=(mx.s.size, my.s.size))
+        out = _mesh_2d(src, mx, my, order, threads)
     elif route == "tensor":
         out = _tensor(src, rect, xs, ys, order, quad, threads)
     else:
@@ -670,7 +753,8 @@ def katugampola_2d_grid(
         else:
             (gu,), su = axis(split[:1], rect.a, xs, order.alpha, order.p)
             (hv,), sv = axis(split[1:], rect.c, ys, order.beta, order.q)
-        out = _clean(_prefactor(order) * (gu[:, None] * sv[None, :] + su[:, None] * hv[None, :]))
+        with _no_overflow(_SUM_OVERFLOW):
+            out = _clean(_prefactor(order) * (gu[:, None] * sv[None, :] + su[:, None] * hv[None, :]))
     return GridSamples(spec, out.reshape(-1))
 
 
@@ -916,14 +1000,28 @@ def quad_error_probe(f, rect: Box, order: FracOrder, quad: QuadratureSpec | None
 
     Evaluates the operator on a 9 x 9 probe grid at the requested panel
     count and at half that count; returns twice the largest disagreement
-    plus a rounding floor.  Conservative for the second-order rule.
+    plus a rounding floor.  Conservative for the second-order rule.  Where
+    the halved count gives the same bits (a knot mesh whose knots already
+    outnumber the panels), it compares against doubled counts instead,
+    the first that changes them: twice that disagreement bounds the
+    error wherever the finer mesh at least halves it (a second-order rule
+    quarters it when every part is split).
     """
     quad = quad or QuadratureSpec()
     if quad.panels < 8:
         raise ParameterError("error probe needs at least 8 panels", parameter="panels")
     spec = GridSpec(rect, 9, 9)
-    fine = katugampola_2d_grid(f, spec, order, quad, method="auto")
-    half = QuadratureSpec(panels=quad.panels // 2, grading=quad.grading)
-    coarse = katugampola_2d_grid(f, spec, order, half, method="auto")
-    scale = max(1.0, float(np.max(np.abs(fine.values))))
-    return 2.0 * float(np.max(np.abs(fine.values - coarse.values))) + 1e-12 * scale
+
+    def grid(panels: int) -> np.ndarray:
+        return katugampola_2d_grid(f, spec, order, QuadratureSpec(panels=panels, grading=quad.grading), method="auto").values
+
+    fine = grid(quad.panels)
+    other, panels = grid(quad.panels // 2), quad.panels
+    # a knot mesh with one part per knot interval (a grid of samples finer than
+    # the panels) is the same mesh at half the panels, and may be at twice
+    # them: double until the mesh, and so the bits, change
+    while np.array_equal(other, fine) and np.any(fine) and 2 * panels <= _MAX_TENSOR_PANELS:
+        panels *= 2
+        other = grid(panels)
+    scale = max(1.0, float(np.max(np.abs(fine))))
+    return 2.0 * float(np.max(np.abs(fine - other))) + 1e-12 * scale

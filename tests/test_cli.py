@@ -11,7 +11,7 @@ import pytest
 
 import fracdim2d.cli as cli
 import fracdim2d.fracint as fracint
-from fracdim2d import Box, GridSpec, ParameterError, read_samples_csv, read_samples_json
+from fracdim2d import Box, GridSpec, ParameterError, make_source, read_samples_csv, read_samples_json, sample, write_samples_csv
 from fracdim2d.special import log_normaliser
 
 
@@ -768,6 +768,63 @@ def test_header_only_sample_file_prints_one_json_error(tmp_path):
     )
     assert proc.returncode == 2 and proc.stdout == ""
     assert json.loads(proc.stderr)["parameter"] == "fn"  # one JSON object, no warning before it
+
+
+def _sinxy_csv(path, m: int) -> None:
+    write_samples_csv(sample(make_source("sinxy"), GridSpec(Box(1.0, 2.0, 1.0, 2.0), m, m)), str(path))
+
+
+def test_sampled_integrate_at_129_takes_the_knot_mesh_in_under_a_second(capsys, tmp_path):
+    path = tmp_path / "s129.csv"
+    _sinxy_csv(path, 129)
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "integrate", "--fn", f"csv:{path}", "--grid", "129,129", "--panels", "64", "--alpha", ".5", "--beta", ".5")
+    assert time.perf_counter() - t0 < 1.0
+    # the exact integral of the bilinear interpolant: within its interpolation error of sinxy's
+    value = float(out.split("= ")[1])
+    assert code == 0 and err is None and abs(value - 0.34218882577947983698) < 1e-5
+
+
+def test_oversized_sampled_integrate_is_refused_before_it_allocates(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "s33.csv"
+    _sinxy_csv(path, 33)
+
+    def refuse(*args, **kwargs):
+        raise _Reached("mesh built")
+
+    monkeypatch.setattr(fracint, "_mesh", refuse)
+    monkeypatch.setattr(fracint, "_tensor", refuse)
+    monkeypatch.setattr(fracint, "_MAX_GRID_WORK", 1000)
+    code, err = _one_json_error(capsys, "integrate", "--fn", f"csv:{path}", "--grid", "33,33", "--alpha", ".5", "--beta", ".5")
+    assert code == 3 and "mesh-2d route" in err["message"] and "budget" in err["message"]
+    monkeypatch.setattr(fracint, "_MAX_GRID_WORK", 1 << 36)
+    with pytest.raises(_Reached):
+        cli.main(["integrate", "--fn", f"csv:{path}", "--grid", "33,33", "--alpha", ".5", "--beta", ".5"])
+
+
+@pytest.mark.parametrize("route", ["mesh-split", "mesh-2d"])
+def test_overflowing_integral_is_one_json_object(tmp_path, route):
+    # a split constant and a sampled grid of the same level: the sums overflow in the hat rule
+    if route == "mesh-split":
+        fn = "constant:1e308"
+    else:
+        path = tmp_path / "huge.csv"
+        path.write_text("x,y,value\n" + "".join(f"{x},{y},1e308\n" for x in (1, 1.5, 2) for y in (1, 1.5, 2)))
+        fn = f"csv:{path}"
+    argv = ["integrate", "--fn", fn, "--grid", "9,9", "--alpha", ".5", "--beta", ".5"]
+    proc = subprocess.run([sys.executable, "-m", "fracdim2d", *argv], capture_output=True, text=True, timeout=60)
+    err = json.loads(proc.stderr)  # the one object, with no RuntimeWarning before it
+    assert proc.returncode == 3 and proc.stdout == "" and err["code"] == 3 and "overflows" in err["message"]
+
+
+def test_weierstrass_term_budget_is_one_json_error(capsys):
+    argv = ["construct", "--fn", "weierstrass:1.00001,2.5,2000000", "--grid", "9,9"]
+    t0 = time.perf_counter()
+    code, err = _one_json_error(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3 and "kmax=2000000" in err["message"] and "budget" in err["message"]
+    proc = subprocess.run([sys.executable, "-m", "fracdim2d", *argv], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3 and proc.stdout == "" and json.loads(proc.stderr) == err
 
 
 @pytest.mark.parametrize("op", ["hadamard", "riemann-liouville"])

@@ -10,6 +10,7 @@ from fracdim2d import (
     DomainError,
     GridSpec,
     ParameterError,
+    SizeError,
     TConstruction,
     TSource,
     catalog_entry,
@@ -141,6 +142,22 @@ def test_t_over_t_composes():
     assert np.isfinite(src(1.25, 0.5))
 
 
+def test_staircase_knots_are_its_piece_edges_over_a_smooth_seed():
+    src = make_source("t-parabola-sine")
+    kx, ky = src.knots()
+    assert kx.tolist() == [1.0 - 0.5**n for n in range(25)] and len(ky) == 0
+    # between consecutive edges the construction is one affine copy of the seed, a quadratic in x
+    # (from piece 13 on, psi's slope 2^12 and up magnifies the rounding of x past the tolerance)
+    for lo, hi in zip(kx[:12], kx[1:13]):
+        t = np.linspace(0.0, 1.0, 7)[1:-1]
+        v = src.eval(lo + (hi - lo) * t, 0.6)
+        assert np.allclose(np.polyval(np.polyfit(t, v, 2), t), v, rtol=0, atol=1e-12)
+    assert make_source("t-sine-parabola").knots()[0].size == 25
+    # a seed that promises nothing gives a staircase that promises nothing
+    assert make_source("t:rational-indicator").knots() is None
+    assert make_source("t:t-parabola-sine").knots() is None
+
+
 def test_direct_t_eval_matches_source():
     tc = TConstruction(rect=Box(0, 1, 0, 1), phi=_seed())
     src = TSource(tc, name="direct")
@@ -270,6 +287,21 @@ def test_weierstrass_refuses_a_top_frequency_float64_cannot_phase():
             make_source(spec)
         assert info.value.parameter == "fn"
     assert np.isfinite(make_source("weierstrass:1.5,2.5,90")(0.3, 0.7))  # 1.5^90 < 2^53 < 1.5^91
+
+
+def test_weierstrass_term_count_has_a_budget(monkeypatch):
+    from fracdim2d import constructions
+
+    def refuse(*args):
+        raise AssertionError("amplitudes allocated for an over-budget kmax")
+
+    assert constructions._MAX_WEIER_TERMS >= 8 * 90  # the largest kmax above
+    monkeypatch.setattr(constructions, "_weier_amps", refuse)
+    for kmax in (constructions._MAX_WEIER_TERMS, 2000000):
+        with pytest.raises(SizeError, match=f"kmax={kmax} .*budget"):
+            make_source(f"weierstrass:1.00001,2.5,{kmax}")
+    monkeypatch.undo()
+    assert np.isfinite(make_source(f"weierstrass:1.00001,2.5,{constructions._MAX_WEIER_TERMS - 1}")(0.3, 0.7))
 
 
 def test_rational_indicator_detection():

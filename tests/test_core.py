@@ -163,6 +163,55 @@ def test_sampled_source_accepts_queries_up_to_the_box_slack():
     assert not box.covers(Box(np.nextafter(box.a - sx, -9.0), box.b, box.c, box.d))
 
 
+def _broadcast_bilinear(src: SampledSource, x, y):
+    # the interpolant with cells found on the broadcast inputs
+    xb, yb = np.broadcast_arrays(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
+    r, (m, n) = src.domain, (src.samples.spec.m, src.samples.spec.n)
+    xs, ys = src.samples.spec.xs(), src.samples.spec.ys()
+    xf, yf = np.clip(xb.reshape(-1), r.a, r.b), np.clip(yb.reshape(-1), r.c, r.d)
+    i = np.clip(np.searchsorted(xs, xf, side="right") - 1, 0, m - 2)
+    j = np.clip(np.searchsorted(ys, yf, side="right") - 1, 0, n - 2)
+    fx = (xf - xs[i]) / (xs[i + 1] - xs[i])
+    fy = (yf - ys[j]) / (ys[j + 1] - ys[j])
+    v = src.samples.matrix
+    out = (1.0 - fx) * (1.0 - fy) * v[i, j] + fx * (1.0 - fy) * v[i + 1, j] + (1.0 - fx) * fy * v[i, j + 1] + fx * fy * v[i + 1, j + 1]
+    return out.reshape(xb.shape)
+
+
+@pytest.mark.parametrize(
+    "box, m, n",
+    [(Box(1.0, 2.0, 1.0, 2.0), 129, 129), (Box(-3.0, 1e-3, 2.0, 9.0), 5, 7), (Box(0.1, 0.7, -1.0, 1.0), 1025, 3), (Box(1e6, 1e6 + 1.0, -0.5, 0.25), 33, 2)],
+)
+def test_sampled_source_eval_on_axis_shapes_matches_the_broadcast_interpolant(box, m, n):
+    # cells are found on each axis's own shape; the values are those of the broadcast form, bit for bit
+    rng = np.random.default_rng(m * n)
+    spec = GridSpec(box, m, n)
+    src = SampledSource(GridSamples.from_matrix(spec, rng.standard_normal((m, n))))
+    xs, ys = spec.xs(), spec.ys()
+    sx, sy = box.slack()
+    qx = np.concatenate([rng.uniform(box.a - sx, box.b + sx, 4000), xs, np.nextafter(xs, -np.inf), np.nextafter(xs, np.inf)])
+    qy = np.concatenate([rng.uniform(box.c - sy, box.d + sy, qx.size - 3 * n), ys, np.nextafter(ys, -np.inf), np.nextafter(ys, np.inf)])
+    qx = np.clip(qx, box.a - sx, box.b + sx)
+    qy = np.clip(rng.permutation(qy), box.c - sy, box.d + sy)
+    for x, y in ((qx, qy), (qx[:, None], ys[None, :]), (xs[:, None], qy[None, :64]), (qx[7], qy)):
+        assert src.eval(x, y).tobytes() == _broadcast_bilinear(src, x, y).tobytes()
+    # every node passes through exactly
+    assert src.eval(xs[:, None], ys[None, :]).tobytes() == src.samples.matrix.tobytes()
+
+
+def test_knots_are_declared_by_smooth_sampled_and_shifted_sources():
+    assert CallableSource(lambda x, y: x).knots() is None
+    assert CallableSource(lambda x, y: x, smooth=True).knots() == ((), ())
+    spec = GridSpec(Box(0.0, 1.0, 2.0, 4.0), 5, 3)
+    src = SampledSource(sample(CallableSource(lambda x, y: x * y), spec))
+    kx, ky = src.knots()
+    assert np.array_equal(kx, spec.xs()) and np.array_equal(ky, spec.ys())
+    kx, ky = ShiftedSource(src, 1.0, -0.5).knots()
+    assert np.array_equal(kx, spec.xs() + 1.0) and np.array_equal(ky, spec.ys() - 0.5)
+    assert ShiftedSource(CallableSource(lambda x, y: x), 1.0, 1.0).knots() is None
+    assert [k.size for k in ShiftedSource(CallableSource(lambda x, y: x, smooth=True), 1.0, 1.0).knots()] == [0, 0]
+
+
 def test_finite_field_messages_name_the_field():
     cases = [
         (lambda: Box("x", 1, 0, 1), "box coordinate a must be a real number", "a"),

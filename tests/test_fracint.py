@@ -18,6 +18,8 @@ from fracdim2d import (
     SampledSource,
     ShiftedSource,
     SizeError,
+    TConstruction,
+    TSource,
     VerificationError,
     axis_unit_factor,
     boundedness_certificate,
@@ -31,6 +33,7 @@ from fracdim2d import (
     quad_error_probe,
     riemann_liouville_2d,
     positive_source,
+    sample,
     sup_gap,
 )
 from fracdim2d import fracint, verify
@@ -486,17 +489,136 @@ def test_auto_2d_mesh_blocks_stay_under_apply_block(monkeypatch):
     assert sup_gap(small, ref) < 1e-13
 
 
+def _weierstrass_staircase():
+    # a staircase over x(x - 1/2) + W(y), W the catalog's Weierstrass sum: the seed joins
+    # across the seam but is nowhere smooth in y (the catalog Weierstrass itself cannot join)
+    _, w = make_source("weierstrass").xy_split()
+    seed = CallableSource(lambda x, y: x * (x - 0.5) + w(y), name="weierstrass-seed", domain=Box(0.0, 0.5, 0.0, 1.0))
+    return ShiftedSource(TSource(TConstruction(rect=Box(0.0, 1.0, 0.0, 1.0), phi=seed)), 1.0, 1.0)
+
+
 def test_non_smooth_sources_keep_the_tensor_route_under_auto():
+    quad = QuadratureSpec(panels=16)
+    plain = CallableSource(lambda x, y: np.sin(x * y), name="undeclared")
+    stairs = (_weierstrass_staircase(), positive_source("t:rational-indicator")[0])
+    for src in (plain, *stairs):  # the staircases sit on [1, 2]^2 = BOX
+        assert src.knots() is None, src.name
+        auto = katugampola_2d_grid(src, GridSpec(BOX, 5, 5), HALF, quad, method="auto")
+        tensor = katugampola_2d_grid(src, GridSpec(BOX, 5, 5), HALF, quad, method="tensor")
+        assert auto.values.tobytes() == tensor.values.tobytes(), src.name
+
+
+def _sampled_sinxy(m: int) -> SampledSource:
+    return SampledSource(sample(SINXY, GridSpec(BOX, m, m)), name=f"sinxy-{m}")
+
+
+def _recording_meshes(monkeypatch) -> list:
+    meshes, real = [], fracint._mesh
+
+    def record(*args, **kwargs):
+        meshes.append(real(*args, **kwargs))
+        return meshes[-1]
+
+    monkeypatch.setattr(fracint, "_mesh", record)
+    return meshes
+
+
+def test_knotted_sources_take_the_knot_mesh_under_auto_and_keep_their_tensor_bytes(monkeypatch):
+    # the tensor route ignores knots: its digests are pinned
+    tparab, box = positive_source("t-parabola-sine")
+    sampled = _sampled_sinxy(5)
+    # at 16 panels the staircase's 25 pieces (24 edges inside the box) take 8 parts each on x, and
+    # y is the plain mesh; the 4 sampled cells take 4 parts each on both axes
+    cases = [
+        (tparab, GridSpec(box, 9, 9), HALF, "52722d66b4415e518ad7f51d", (201, 17)),
+        (tparab, GridSpec(box, 9, 5), FracOrder(0.5, 0.3, 0.6, -0.4), "9e54919f0053524e8133092c", None),
+        (sampled, GridSpec(BOX, 9, 9), HALF, "fe36c805ad614fb6e332bdcc", (17, 17)),
+    ]
+    quad = QuadratureSpec(panels=16)
+    meshes = _recording_meshes(monkeypatch)
+    for src, spec, order, digest, sizes in cases:
+        tensor = katugampola_2d_grid(src, spec, order, quad, method="tensor")
+        assert _digest(tensor.values) == digest
+        meshes.clear()
+        auto = katugampola_2d_grid(src, spec, order, quad, method="auto")
+        (mx, my), (kx, ky) = meshes, src.knots()
+        assert np.all(np.isin(kx, mx.s)) and np.all(np.isin(ky, my.s)) and np.array_equal(mx.s[mx.top], spec.xs())
+        assert sizes in (None, (mx.s.size, my.s.size))
+        # tensor's midpoint rule is first order across a kink, so at 16 panels the two differ visibly
+        assert auto.values.tobytes() != tensor.values.tobytes() and sup_gap(auto, tensor) < 1e-2
+
+
+def test_staircase_knot_mesh_is_second_order():
+    # shifted t-parabola-sine at (2, 2): the plain mesh converged like h^0.6 there
     src, box = positive_source("t-parabola-sine")
     spec = GridSpec(box, 9, 9)
-    quad = QuadratureSpec(panels=16)
-    auto = katugampola_2d_grid(src, spec, HALF, quad, method="auto")
-    tensor = katugampola_2d_grid(src, spec, HALF, quad, method="tensor")
-    assert auto.values.tobytes() == tensor.values.tobytes()
-    plain = CallableSource(lambda x, y: np.sin(x * y), name="undeclared")
-    auto = katugampola_2d_grid(plain, GridSpec(BOX, 5, 5), HALF, quad, method="auto")
-    tensor = katugampola_2d_grid(plain, GridSpec(BOX, 5, 5), HALF, quad, method="tensor")
-    assert auto.values.tobytes() == tensor.values.tobytes()
+    ref = katugampola_2d_grid(src, spec, HALF, QuadratureSpec(panels=1024), method="auto")
+    errs = [sup_gap(katugampola_2d_grid(src, spec, HALF, QuadratureSpec(panels=p), method="auto"), ref) for p in (16, 32, 64, 128)]
+    orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    assert np.all(orders >= 1.9), orders
+    # at 64 panels it beats the tensor route's graded midpoint rule
+    tensor = katugampola_2d_grid(src, spec, HALF, QuadratureSpec(panels=64), method="tensor")
+    assert errs[2] < 0.5 * sup_gap(tensor, ref)
+
+
+def test_sampled_grid_integral_does_not_depend_on_panels_at_p0():
+    # the mesh holds every sample node, and the hat rule is exact for the bilinear interpolant
+    src = _sampled_sinxy(9)
+    for spec in (GridSpec(BOX, 9, 9), GridSpec(BOX, 13, 6)):
+        for order in (HALF, FracOrder(0.7, 0.3)):
+            coarse = katugampola_2d_grid(src, spec, order, QuadratureSpec(panels=16), method="auto")
+            fine = katugampola_2d_grid(src, spec, order, QuadratureSpec(panels=256), method="auto")
+            assert sup_gap(coarse, fine) < 1e-13
+
+
+def test_knot_mesh_thread_count_never_changes_bits(monkeypatch):
+    tparab, box = positive_source("t-parabola-sine")
+    cases = [(tparab, GridSpec(box, 33, 17)), (_sampled_sinxy(17), GridSpec(BOX, 33, 33))]
+    for block in (fracint._APPLY_BLOCK, 2000):
+        monkeypatch.setattr(fracint, "_APPLY_BLOCK", block)
+        for src, spec in cases:
+            for order in (HALF, FracOrder(0.5, 0.3, 0.6, -0.4)):
+                quad = QuadratureSpec(panels=64)
+                one = katugampola_2d_grid(src, spec, order, quad, method="auto", threads=1)
+                two = katugampola_2d_grid(src, spec, order, quad, method="auto", threads=2)
+                assert one.values.tobytes() == two.values.tobytes()
+
+
+def test_quad_error_probe_on_a_knotted_source_exceeds_its_rounding_floor():
+    # the knot mesh's part counts scale with panels, so the halving sees a coarser mesh
+    src, box = positive_source("t-parabola-sine")
+    err = quad_error_probe(src, box, HALF, QuadratureSpec(panels=64))
+    fine = katugampola_2d_grid(src, GridSpec(box, 9, 9), HALF, QuadratureSpec(panels=64), method="auto")
+    floor = 1e-12 * max(1.0, float(np.max(np.abs(fine.values))))
+    assert 100.0 * floor < err < 1e-3
+
+
+def test_quad_error_probe_on_a_fine_sampled_grid_bounds_its_error():
+    # 128 cells outnumber 64 panels: the knot mesh is the grid's own nodes at 64 and at 32
+    # panels, so the probe must look at a finer mesh; at p, q != 0 the rule is not exact
+    src, order = _sampled_sinxy(129), FracOrder(0.5, 0.5, 0.6, -0.4)
+    spec = GridSpec(BOX, 9, 9)
+    grid = katugampola_2d_grid(src, spec, order, QuadratureSpec(panels=64), method="auto")
+    ref = katugampola_2d_grid(src, spec, order, QuadratureSpec(panels=2048), method="auto")
+    real = sup_gap(grid, ref)
+    err = quad_error_probe(src, BOX, order, QuadratureSpec(panels=64))
+    assert real > 1e-8 and real < err < 100.0 * real
+
+
+def test_knots_near_an_output_or_each_other_are_dropped():
+    his = np.linspace(1.0, 2.0, 5)
+    # one knot a rounding error off an output, two a rounding error apart, one well inside a cell
+    knots = [1.25 + 1e-15, 1.6, 1.6 + 1e-14, 1.9]
+    s, u, counts = fracint._mesh_knots(1.0, his, 0.3, 64, knots)
+    assert s.tolist() == [1.0, 1.25, 1.5, 1.6, 1.75, 1.9, 2.0]
+    assert np.all(counts >= 1) and counts.size == s.size - 1
+    mesh = fracint._mesh(1.0, his, 0.3, 64, knots=knots)
+    assert np.all(mesh.h > 0.0) and np.all(np.isin(s, mesh.s)) and np.array_equal(mesh.s[mesh.top], his)
+    # knots outside (lo, hi) or none inside leave the plain mesh, bit for bit
+    plain = fracint._mesh(1.0, his, 0.3, 64)
+    for outside in ((), [0.5, 1.0, 2.0, 3.0], [1.0 + 1e-17]):
+        mesh = fracint._mesh(1.0, his, 0.3, 64, knots=outside)
+        assert all(getattr(mesh, f).tobytes() == getattr(plain, f).tobytes() for f in ("s", "u", "h", "U", "top"))
 
 
 def test_smooth_declarations_of_catalog_and_shifted_sources():
@@ -885,6 +1007,55 @@ def test_sup_gap_requires_matching_specs():
 def test_mesh_node_prediction_bounds_the_mesh(m, panels, edge):
     mesh = fracint._mesh(1.0, np.linspace(1.0, 2.0, m), 0.3, panels, edge)
     assert mesh.s.size <= fracint._mesh_nodes(m, panels, edge)
+
+
+@pytest.mark.parametrize("m", [9, 1025])
+@pytest.mark.parametrize("panels", [16, 64, 1024])
+@pytest.mark.parametrize("weight", [0.0, 0.6])
+def test_knot_mesh_floor_never_exceeds_the_knot_mesh(m, panels, weight):
+    # the staircase's edges and a 129^2 sample grid's nodes (what csv: and json: sources declare):
+    # the budget's floor, refused before any axis is built, never refuses a mesh that fits
+    his = np.linspace(1.0, 2.0, m)
+    for knots in (positive_source("t-parabola-sine")[0].knots()[0], _sampled_sinxy(129).knots()[0]):
+        for edge in (None, 0.5):
+            mesh = fracint._mesh(1.0, his, weight, panels, edge, knots)
+            assert max(m, panels + 1) <= mesh.s.size
+
+
+def test_knotted_grid_budget_counts_the_built_knot_mesh(monkeypatch):
+    # at 64 panels the staircase's x mesh has 801 nodes for 33 outputs, far past the
+    # panels + outputs of the plain mesh; the budget counts them before the 2-D pass
+    src, box = positive_source("t-parabola-sine")
+    spec = GridSpec(box, 33, 33)
+    nx = fracint._mesh(box.a, spec.xs(), 0.0, 64, None, src.knots()[0]).s.size
+    ny = fracint._mesh(box.c, spec.ys(), 0.0, 64).s.size
+    assert nx == 801 > 4 * fracint._mesh_nodes(33, 64, None) and ny == 65
+    work = nx * 33 * (ny + 33)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(fracint, "_MAX_GRID_WORK", work - 1)
+    monkeypatch.setattr(fracint, "_mesh_2d", refuse)
+    with pytest.raises(SizeError, match="budget"):
+        katugampola_2d_grid(src, spec, HALF, QuadratureSpec(panels=64), method="auto")
+    monkeypatch.setattr(fracint, "_MAX_GRID_WORK", work)
+    with pytest.raises(AssertionError, match="work started"):
+        katugampola_2d_grid(src, spec, HALF, QuadratureSpec(panels=64), method="auto")
+
+
+def test_oversized_knotted_grid_is_refused_before_any_axis_is_built(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("axis built")
+
+    tparab, box = positive_source("t-parabola-sine")
+    sources = ((tparab, box), (_sampled_sinxy(9), BOX))
+    monkeypatch.setattr(GridSpec, "xs", refuse)
+    monkeypatch.setattr(GridSpec, "ys", refuse)
+    for src, rect in sources:
+        for m, n in ((2_000_000_000, 2), (2, 2_000_000_000), (200_000, 200)):
+            with pytest.raises(SizeError, match="mesh-2d route"):
+                katugampola_2d_grid(src, GridSpec(rect, m, n), HALF, QuadratureSpec(panels=64), method="auto")
 
 
 @pytest.mark.parametrize(
