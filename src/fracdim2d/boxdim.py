@@ -51,7 +51,7 @@ from .core import (
     ParameterError,
     ResolutionError,
     SampledSource,
-    SizeError,
+    _within,
     stable_sum,
 )
 
@@ -65,7 +65,6 @@ __all__ = [
     "default_deltas",
 ]
 
-_BRUTE_CELL_LIMIT = 2**14
 # interpolant values per evaluation of the brute-force count (2 MB of
 # float64), unless a single cell holds more
 _BRUTE_BLOCK = 1 << 18
@@ -150,8 +149,8 @@ def _level(g: GridSamples, delta: float, brute: bool = False) -> _Level:
 
     Raises ParameterError for a bad grid or delta, and ResolutionError for
     a delta that does not split the rectangle or leaves a cell with fewer
-    than 2 x 2 sample nodes.  With ``brute``, more than
-    ``_BRUTE_CELL_LIMIT`` cells is a SizeError, checked before the windows.
+    than 2 x 2 sample nodes.  With ``brute``, more cells than the
+    ``cells`` budget is a SizeError, checked before the windows.
     """
     if not isinstance(g, GridSamples):
         raise ParameterError("expected GridSamples")
@@ -163,8 +162,8 @@ def _level(g: GridSamples, delta: float, brute: bool = False) -> _Level:
         raise ResolutionError(f"delta={delta:g} does not split the rectangle")
     mc = _cells_1d(box.a, box.b, delta)
     nc = _cells_1d(box.c, box.d, delta)
-    if brute and mc * nc > _BRUTE_CELL_LIMIT:
-        raise SizeError(f"brute-force count limited to {_BRUTE_CELL_LIMIT} cells, got {mc}x{nc}")
+    if brute:
+        _within("cells", mc * nc, f"brute-force count at delta={delta:g}")
     # more cells than grid intervals leave a cell one node: refused before the counts size the windows
     if mc < g.spec.m and nc < g.spec.n:
         xwin = _window_bounds(g.spec.xs(), box.a, mc, delta, box.b)
@@ -355,15 +354,18 @@ def boxcount_bruteforce_3d(g: GridSamples, delta: float) -> int:
 
 
 def fit_loglog(points, which: str = "lower", dropped=()) -> DimensionFit:
-    """Fit log(count) = slope * log(1/delta) + intercept by least squares."""
-    pts = sorted(((float(d), int(c)) for d, c in points), key=lambda p: -p[0])
+    """Fit log(count) = slope * log(1/delta) + intercept by least squares; counts must be integers, 4.0 but not 4.9."""
+    pts = sorted(((float(d), float(c)) for d, c in points), key=lambda p: -p[0])
+    if not all(0.0 < d < math.inf for d, _ in pts):
+        raise ParameterError("deltas must be positive and finite", parameter="deltas")
+    if not all(c >= 1.0 and c.is_integer() for _, c in pts):
+        raise ParameterError("counts must be positive integers", parameter="counts")
+    pts = [(d, int(c)) for d, c in pts]
     if len(pts) < 3:
         raise ResolutionError(f"need at least 3 usable deltas, got {len(pts)}")
     seen = [p[0] for p in pts]
     if any(a == b for a, b in zip(seen, seen[1:])):
         raise ParameterError("deltas must be distinct", parameter="deltas")
-    if any(c < 1 for _, c in pts):
-        raise ParameterError("counts must be positive", parameter="counts")
     xv = [-math.log(d) for d, _ in pts]
     yv = [math.log(c) for _, c in pts]
     k = float(len(pts))

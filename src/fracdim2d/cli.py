@@ -54,14 +54,6 @@ from .verify import run_suite
 
 __all__ = ["main"]
 
-# source evaluations, m n P^2, that --op riemann-liouville or hadamard may
-# spend: both evaluate f at P^2 points per node.  A call just under it
-# (32 x 32 nodes at 181 panels) takes up to 2 s for riemann-liouville and
-# under 1 s for hadamard on a 2-vCPU Xeon; the largest such call of the
-# tests, the benchmark and the README (17 x 17 nodes at 64 panels) is 28
-# times smaller.
-_MAX_POINT_WORK = 1 << 25
-
 
 class _UsageError(Exception):
     """Raised in place of argparse's sys.exit so errors share one format."""
@@ -184,10 +176,7 @@ def _refuse_quadrature_unsafe(spec_text: str) -> None:
 
 
 def _write_grid(gs: GridSamples, path: str, fmt: str) -> None:
-    if fmt == "json":
-        write_samples_json(gs, path)
-    else:
-        write_samples_csv(gs, path)
+    (write_samples_json if fmt == "json" else write_samples_csv)(gs, path)
 
 
 def _write_json(doc: dict, path: str) -> None:
@@ -223,17 +212,10 @@ def cmd_integrate(args: argparse.Namespace) -> int:
     if args.op == "katugampola":
         order = FracOrder(alpha, beta, p, q)
         gs = katugampola_2d_grid(src, spec, order, quad, method=args.method, threads=args.threads)
+    elif args.op == "hadamard":  # the p = q = -1 member, on the route of its point calls
+        gs = katugampola_2d_grid(src, spec, FracOrder(alpha, beta, -1.0, -1.0), quad, method="tensor", threads=args.threads)
     else:
-        work = m * n * quad.panels**2
-        if work > _MAX_POINT_WORK:
-            raise SizeError(
-                f"--op {args.op} on a {m}x{n} grid at {quad.panels} panels needs about {work:.3g} source "
-                f"evaluations, panels^2 per node; the budget is {_MAX_POINT_WORK:.3g}"
-            )
-        if args.op == "hadamard":  # the p = q = -1 member, on the route of its point calls
-            gs = katugampola_2d_grid(src, spec, FracOrder(alpha, beta, -1.0, -1.0), quad, method="tensor", threads=args.threads)
-        else:
-            gs = GridSamples.from_matrix(spec, _rl_grid(src, box, spec.xs(), spec.ys(), alpha, beta, quad))
+        gs = GridSamples.from_matrix(spec, _rl_grid(src, spec, alpha, beta, quad))
 
     corner = gs.value(m - 1, n - 1)
     note = ""
@@ -262,8 +244,7 @@ def cmd_dimension(args: argparse.Namespace) -> int:
             raise ParameterError(f"{args.counts_from}: non-numeric delta,count row", parameter="counts-from") from None
         if rows.size == 0 or rows.shape[1] < 2 or not np.all(np.isfinite(rows[:, :2])):
             raise ParameterError(f"{args.counts_from}: expected rows of delta,count", parameter="counts-from")
-        pts = sorted(((float(d), int(c)) for d, c in rows[:, :2]), key=lambda t: -t[0])
-        fit = fit_loglog(pts, which=args.which)
+        fit = fit_loglog(rows[:, :2].tolist(), which=args.which)
         if args.fit_out:
             _write_json(_fit_doc(fit), args.fit_out)
         print(_fit_line(fit, source=args.counts_from))
@@ -469,7 +450,11 @@ def main(argv=None) -> int:
         args = _shared_parser().parse_args(argv)
         if not getattr(args, "subcommand", None):
             raise _UsageError("a subcommand is required (integrate, dimension, variation, construct, verify)")
-        return args.run(args)
+        # a non-finite intermediate ends the command as one NumericError; underflow to 0 is a result
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.run(args)
+    except (FloatingPointError, OverflowError) as exc:
+        return _fail(3, f"a floating-point result left float64: {exc}")
     except _UsageError as exc:
         return _fail(2, str(exc))
     except ParameterError as exc:

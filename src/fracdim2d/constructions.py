@@ -35,7 +35,7 @@ from .core import (
     FunctionSource,
     ParameterError,
     ShiftedSource,
-    SizeError,
+    _within,
 )
 
 __all__ = [
@@ -295,11 +295,6 @@ def _t_over(seed: FunctionSource, seed_box: Box, name: str) -> FunctionSource:
     return TSource(TConstruction(rect=box, phi=seed), name=name)
 
 
-# terms of one Weierstrass sum, each a pass of sin over the nodes: eight
-# times the largest kmax of the tests (90, at lam = 1.5)
-_MAX_WEIER_TERMS = 1024
-
-
 def _weier_amps(lam: float, s: float, kmax: int) -> tuple[np.ndarray, np.ndarray]:
     ks = np.arange(kmax + 1, dtype=np.float64)
     return lam**ks, lam ** ((s - 3.0) * ks)
@@ -317,8 +312,7 @@ def _weierstrass(lam: float = 2.0, s: float = 2.5, kmax: float = 12) -> Function
         raise ParameterError("s must lie in (2, 3)", parameter="s")
     if k * math.log2(lam) > sys.float_info.mant_dig:  # from 2^53 on, one ulp of lam^kmax t is a third of a period
         raise ParameterError(f"kmax={k}: {lam:g}^{k} exceeds 2^53, beyond float64's phase resolution", parameter="fn")
-    if k >= _MAX_WEIER_TERMS:
-        raise SizeError(f"weierstrass kmax={k} needs {k + 1} terms per evaluation; the budget is {_MAX_WEIER_TERMS}")
+    _within("terms", k + 1, f"weierstrass kmax={k}")
     freqs, amps = _weier_amps(lam, s, k)
 
     def univ(t):

@@ -17,6 +17,7 @@ bit-identical arrays.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import math
 import os
@@ -77,7 +78,7 @@ class ResolutionError(RuntimeError):
 
 
 class SizeError(RuntimeError):
-    """Input too large: over a node budget, or for an intentionally small exhaustive algorithm."""
+    """Input too large: a predicted need over its ``_BUDGET`` entry, refused by ``_within`` before allocating."""
 
 
 class VerificationError(RuntimeError):
@@ -442,11 +443,30 @@ class ShiftedSource(FunctionSource):
 
 
 # ---------------------------------------------------------------------------
-# sampling
+# resource budget
 
-# 2^27 nodes (1 GiB per float64 grid): eight times the largest grid the
-# tests and benchmarks sample (4097^2)
-_MAX_SAMPLE_NODES = 1 << 27
+# Every size limit of the package, named by the unit it counts.  tests/test_core.py pins each against
+# the largest call of the tests, the benchmark, the full verify suites and the README commands.
+_BUDGET = {
+    "entries": 1 << 27,  # float64 entries of one array (1 GiB): a sampled grid, an operator's output, mesh or rule
+    "evaluations": 1 << 28,  # source evaluations m n P^2 of the tensor route and the RL oracle
+    "operations": 1 << 36,  # evaluations plus kernel-weight products of a separable or mesh grid call
+    "panels": 1 << 13,  # panels per axis of the tensor rule, the RL oracle and the knot mesh
+    "cells": 1 << 14,  # delta-cells of one brute-force box count
+    "nodes": 1 << 4,  # grid nodes of the brute-force variation, whose chains grow exponentially in them
+    "terms": 1 << 10,  # terms of one weierstrass sum, each a pass of sin over the nodes
+}
+
+
+def _within(limit: str, need: float, what: str) -> None:
+    """Refuse ``what`` with a SizeError when ``need``, its predicted use of ``limit``, exceeds the budget."""
+    budget = _BUDGET[limit]
+    if need > budget:
+        raise SizeError(f"{what} needs about {need:.6g} {limit}; the budget is {budget:.6g}")
+
+
+# ---------------------------------------------------------------------------
+# sampling
 
 
 def worker_count(override: int | None = None) -> int:
@@ -489,29 +509,30 @@ def _spread(run: Callable[[range], None], items: range, threads: int | None) -> 
     """Run ``run`` over contiguous slices of ``items`` from ``row_blocks``, one per worker thread.
 
     Each call must write only its own slice's outputs, so the bits never depend on the thread count.
+    Each runs in a copy of the caller's context, so a worker keeps the caller's ``np.errstate``.
     """
     blocks = [items[b.start : b.stop] for b in row_blocks(len(items), worker_count(threads))]
     if len(blocks) <= 1:
         run(items)
     else:
+        contexts = [contextvars.copy_context() for _ in blocks]
         with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-            list(pool.map(run, blocks))
+            list(pool.map(lambda ctx, block: ctx.run(run, block), contexts, blocks))
 
 
 def sample(src: FunctionSource, spec: GridSpec, threads: int | None = None) -> GridSamples:
     """Evaluate ``src`` at every grid node of ``spec``, row-major.
 
     The grid box must sit inside the source's declared domain, and the
-    grid may hold at most ``_MAX_SAMPLE_NODES`` nodes (``SizeError`` before
-    anything is allocated).  With one worker f is evaluated in one call;
+    grid may hold at most the ``entries`` budget of nodes (``SizeError``
+    before anything is allocated).  With one worker f is evaluated in one call;
     with more, ``_spread`` evaluates contiguous blocks of rows
     concurrently into disjoint slots, so the output is bit-identical to
     a sequential run.
     """
     if not src.covers(spec.rect):
         raise DomainError(f"grid box {spec.rect} is not inside the domain of source {src.name!r}")
-    if spec.m * spec.n > _MAX_SAMPLE_NODES:
-        raise SizeError(f"a {spec.m}x{spec.n} grid exceeds the sampling budget of {_MAX_SAMPLE_NODES} nodes")
+    _within("entries", spec.m * spec.n, f"a {spec.m}x{spec.n} grid")
     xs = spec.xs()
     ys = spec.ys()
     if len(row_blocks(spec.m, worker_count(threads))) <= 1:

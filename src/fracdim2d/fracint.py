@@ -68,9 +68,10 @@ from .core import (
     ParameterError,
     Rectangle,
     SampledSource,
-    SizeError,
     VerificationError,
+    _BUDGET,
     _spread,
+    _within,
     sample,
 )
 from .special import log_normaliser
@@ -91,16 +92,9 @@ __all__ = [
     "quad_error_probe",
 ]
 
-_MAX_TENSOR_PANELS = 8192
 # nodes per block of the 1-D apply and weights per block of the shared mesh
 # (2 MB per float64 array)
 _APPLY_BLOCK = 1 << 18
-# one grid call's budget, checked before it allocates (``_grid_budget``):
-# entries of its largest array (1 GiB of float64) and operations (source
-# evaluations plus kernel-weight products); each is at least eight times
-# the largest grid call of the tests and benchmarks
-_MAX_GRID_ENTRIES = 1 << 27
-_MAX_GRID_WORK = 1 << 36
 
 
 @dataclass(frozen=True)
@@ -175,7 +169,9 @@ def _no_overflow(message: str = "quadrature rule overflows float64: order or pow
     try:
         with np.errstate(over="raise"):
             yield
-    except FloatingPointError:
+    except FloatingPointError as exc:
+        if "overflow" not in str(exc):
+            raise  # invalid or divide, raised only under the caller's own errstate: not an overflow
         raise NumericError(message) from None
 
 
@@ -449,36 +445,34 @@ def _mesh_nodes(m: int, panels: int, edge: float | None) -> int:
 
 
 def _grid_budget(route: str, m: int, n: int, panels: int, edges=None, nodes=(None, None)) -> None:
-    """Refuse a grid call whose predicted size exceeds the budget, before it allocates.
+    """Refuse a grid call whose predicted size exceeds the budget (``core._within``), before it allocates.
 
     Predicted per route, for m x n outputs: the largest array's entries
-    (the output, or ``_mesh_2d``'s G buffer of N_x x n) and the work,
-    m n P^2 source evaluations for the tensor route, (m + n) P for
-    ``separable``, m N_x + n N_y hat weights for the split mesh, and
+    (the output, a mesh, a separable rule row of P, or ``_mesh_2d``'s G
+    buffer of N_x x n), then m n P^2 source evaluations for the tensor
+    route and the RL oracle, or the operations of the others: (m + n) P
+    for ``separable``, m N_x + n N_y hat weights for the split mesh, and
     N_x n (N_y + m) products for the two passes of ``_mesh_2d``, with
     N_x, N_y the mesh sizes of ``_mesh_nodes``, or ``nodes`` where one is
     given (a knot mesh's fewest nodes before it is built, its real size
     after).
     """
-    entries = m * n
-    if route == "tensor":
-        work = m * n * panels * panels
+    entries, limit = m * n, "operations"
+    if route in ("tensor", "oracle"):
+        limit, work = "evaluations", m * n * panels * panels
     elif route == "separable":
-        work = (m + n) * panels
+        entries, work = max(entries, panels), (m + n) * panels
     else:
         ex, ey = edges or (None, None)
         nx = nodes[0] or _mesh_nodes(m, panels, ex)
         ny = nodes[1] or _mesh_nodes(n, panels, ey)
         if route == "mesh-split":
-            work = m * nx + n * ny
+            entries, work = max(entries, nx, ny), m * nx + n * ny
         else:
-            entries = max(entries, nx * n)
-            work = nx * n * (ny + m)
-    if entries > _MAX_GRID_ENTRIES or work > _MAX_GRID_WORK:
-        raise SizeError(
-            f"a {m}x{n} grid at {panels} panels ({route} route) needs about {entries:.3g} array "
-            f"entries and {work:.3g} operations; the budget is {_MAX_GRID_ENTRIES:.3g} and {_MAX_GRID_WORK:.3g}"
-        )
+            entries, work = max(entries, nx * n, ny), nx * n * (ny + m)
+    what = f"a {m}x{n} grid at {panels} panels ({route} route)"
+    _within("entries", entries, what)
+    _within(limit, work, what)
 
 
 def _hat_apply(mesh: _Mesh, order: float, vals, threads: int | None = None) -> list[np.ndarray]:
@@ -603,8 +597,8 @@ def _clean(v):
 def _checked(f, rect: Box, quad: QuadratureSpec | None, tensor: bool = True):
     """The preconditions every operator route shares.
 
-    Returns the source and the quadrature spec.  ``tensor`` applies the
-    panel cap of the tensor contraction.
+    Returns the source and the quadrature spec.  ``tensor`` applies the ``panels``
+    budget of the tensor rule, which the RL oracle and the knot mesh share.
     """
     src = _as_source(f)
     quad = quad or QuadratureSpec()
@@ -617,8 +611,8 @@ def _checked(f, rect: Box, quad: QuadratureSpec | None, tensor: bool = True):
         raise DomainError(f"operators need a > 0 and c > 0, got a={rect.a}, c={rect.c}")
     if not src.covers(rect):
         raise DomainError(f"rectangle {rect} is not inside the domain of source {src.name!r}")
-    if tensor and quad.panels > _MAX_TENSOR_PANELS:
-        raise SizeError(f"tensor evaluation capped at {_MAX_TENSOR_PANELS} panels, got {quad.panels}")
+    if tensor:
+        _within("panels", quad.panels, "a tensor rule")
     return src, quad
 
 
@@ -640,6 +634,7 @@ def katugampola_1d(g: Callable, a: float, x: float, alpha: float, p: float = 0.0
     x = float(x)
     if not math.isfinite(x) or x < a:
         raise DomainError(f"upper limit x={x} must lie in [a, inf)")
+    _within("entries", quad.panels, "a one-axis rule")
     (weighted,), _ = _apply_1d([g], a, x, alpha, p, quad.panels, quad.graded(alpha))
     return _clean(_unlog(log_normaliser(alpha)) * float(weighted[0]))
 
@@ -762,7 +757,13 @@ def katugampola_2d_grid(
 # independent cross-check route (classical kernel, plain-float arithmetic)
 
 
-def _rl_grid(f, rect: Box, xs, ys, alpha: float, beta: float, quad: QuadratureSpec | None = None) -> np.ndarray:
+def _rl_grid(f, spec: GridSpec, alpha: float, beta: float, quad: QuadratureSpec | None = None) -> np.ndarray:
+    """``_rl_nodes`` on the axes of ``spec``; its m n P^2 evaluations meet the budget before either axis is built."""
+    _grid_budget("oracle", spec.m, spec.n, _checked(f, spec.rect, quad)[1].panels)
+    return _rl_nodes(f, spec.rect, spec.xs(), spec.ys(), alpha, beta, quad)
+
+
+def _rl_nodes(f, rect: Box, xs, ys, alpha: float, beta: float, quad: QuadratureSpec | None = None) -> np.ndarray:
     """``riemann_liouville_2d`` at every (x_i, y_j), an array of shape (len(xs), len(ys)).
 
     Each node evaluates f on its own P x P midpoints and sums its P^2
@@ -770,14 +771,11 @@ def _rl_grid(f, rect: Box, xs, ys, alpha: float, beta: float, quad: QuadratureSp
     values are the point oracle's bit for bit; only the rules, which
     depend on one coordinate each, are shared between nodes.
     """
-    src = _as_source(f)
     if alpha <= 0.0 or beta <= 0.0:
         raise ParameterError("orders must be positive", parameter="alpha")
-    src, quad = _checked(src, rect, quad, tensor=False)
-    xs, ys = _clip_axes(rect, xs, ys)
+    src, quad = _checked(f, rect, quad)
     P = quad.panels
-    if P > _MAX_TENSOR_PANELS:
-        raise SizeError(f"evaluation capped at {_MAX_TENSOR_PANELS} panels, got {P}")
+    xs, ys = _clip_axes(rect, xs, ys)
     gr = quad.graded(alpha, beta)
 
     def rule(lo: float, hi: float, order: float):
@@ -815,13 +813,13 @@ def riemann_liouville_2d(f, rect: Box, x: float, y: float, alpha: float, beta: f
     through ``math.fsum``.  Serves as an independent check of the p = q = 0
     reduction; agreement is to rounding, not bit for bit.
 
-    This is the 1x1 case of ``_rl_grid``: rules are built once per
+    This is the 1x1 case of ``_rl_nodes``: rules are built once per
     distinct coordinate, each node's terms are summed by one ``math.fsum``
     read straight from the product buffer, and the quadrature engine it
     checks is never called.  A grid node and the point call there agree
     bit for bit.
     """
-    return float(_rl_grid(f, rect, x, y, alpha, beta, quad)[0, 0])
+    return float(_rl_nodes(f, rect, x, y, alpha, beta, quad)[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -1020,7 +1018,7 @@ def quad_error_probe(f, rect: Box, order: FracOrder, quad: QuadratureSpec | None
     # a knot mesh with one part per knot interval (a grid of samples finer than
     # the panels) is the same mesh at half the panels, and may be at twice
     # them: double until the mesh, and so the bits, change
-    while np.array_equal(other, fine) and np.any(fine) and 2 * panels <= _MAX_TENSOR_PANELS:
+    while np.array_equal(other, fine) and np.any(fine) and 2 * panels <= _BUDGET["panels"]:
         panels *= 2
         other = grid(panels)
     scale = max(1.0, float(np.max(np.abs(fine))))

@@ -37,7 +37,7 @@ from .core import (
     GridSpec,
     NumericError,
     ParameterError,
-    SizeError,
+    _within,
     sample,
 )
 
@@ -47,8 +47,6 @@ __all__ = [
     "arzela_variation_bruteforce",
     "variation_trend",
 ]
-
-_BRUTE_LIMIT = 16
 
 
 @dataclass(frozen=True)
@@ -188,13 +186,12 @@ def arzela_variation_bruteforce(g) -> float:
 
     Chains may jump several rows or columns per step and start or end
     anywhere; this is the definition-level supremum on the grid, used as
-    the oracle for the saturated-chain dynamic program.  Grids beyond
-    16 nodes are rejected.
+    the oracle for the saturated-chain dynamic program.  Grids over the
+    ``nodes`` budget are rejected.
     """
     mat = _as_matrix(g)
     m, n = mat.shape
-    if m * n > _BRUTE_LIMIT:
-        raise SizeError(f"brute force limited to {_BRUTE_LIMIT} nodes, got {m}x{n}")
+    _within("nodes", m * n, f"the brute-force variation of a {m}x{n} grid")
     vals = mat.reshape(-1).tolist()
     succs: list[list[int]] = []
     for i in range(m):

@@ -15,6 +15,7 @@ and dimension suites because point sampling cannot represent them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -153,7 +154,7 @@ def suite_special_cases(scale: str = "quick", fn: str | None = None, threads: in
         src, box = positive_source(name)
         spec = GridSpec(box, grid, grid)
         gk = katugampola_2d_grid(src, spec, order, quad, threads=threads)
-        rv = _rl_grid(src, box, spec.xs(), spec.ys(), 0.5, 0.5, quad)
+        rv = _rl_grid(src, spec, 0.5, 0.5, quad)
         worst = float(np.max(np.abs(gk.matrix - rv)))
         checks.append(_bound_check(f"riemann-liouville:{name}", worst, 1e-6, f"{grid}x{grid} grid"))
     one, box1 = positive_source("constant:1")
@@ -273,6 +274,7 @@ def suite_dimension_bounds(scale: str = "quick", fn: str | None = None, threads:
     side = 257 if scale == "quick" else 1025
     checks = []
 
+    @functools.cache  # the named checks and the dimension-floor loop share their grids
     def slope_of(spec_name: str) -> float:
         src = make_source(spec_name)
         box = src.domain if src.domain is not None else default_box(spec_name)

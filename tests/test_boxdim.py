@@ -124,7 +124,7 @@ def test_bruteforce_cell_cap():
     "delta, error, message",
     [
         # 256 x 256 cells also leave cells without 2 x 2 nodes: the cell cap is checked first
-        (1.0 / 256.0, SizeError, "brute-force count limited to 16384 cells, got 256x256"),
+        (1.0 / 256.0, SizeError, "brute-force count at delta=0.00390625 needs about 65536 cells; the budget is 16384"),
         (0.01, ResolutionError, "delta=0.01 leaves a cell with fewer than 2x2 sample nodes on a 65x65 grid"),
         (2.0, ResolutionError, "delta=2 does not split the rectangle"),
         (-0.5, ParameterError, "delta must be positive and finite"),
@@ -146,7 +146,7 @@ def test_delta_finer_than_the_grid_is_refused_before_its_cells_are_sized(delta):
     g = _grid(lambda x, y: x)
     with pytest.raises(ResolutionError, match="fewer than 2x2 sample nodes on a 65x65 grid"):
         oscillation_counts(g, delta)
-    with pytest.raises(SizeError, match="brute-force count limited to 16384 cells"):
+    with pytest.raises(SizeError, match="brute-force count at delta=.* cells; the budget is 16384"):
         boxcount_bruteforce_3d(g, delta)
 
 
@@ -188,6 +188,25 @@ def test_fit_loglog_constant_counts_degenerate_r2():
     fit = fit_loglog(pts, which="lower")
     assert fit.slope == pytest.approx(0.0, abs=1e-12)
     assert fit.r_squared == 1.0  # zero total variance: perfectly explained
+
+
+@pytest.mark.parametrize(
+    "row, parameter",
+    [
+        ((-0.125, 64), "deltas"),
+        ((0.0, 64), "deltas"),
+        ((math.inf, 64), "deltas"),
+        ((0.125, 64.7), "counts"),  # not truncated to 64
+        ((0.125, 0), "counts"),
+        ((0.125, math.nan), "counts"),
+    ],
+)
+def test_fit_loglog_refuses_bad_rows(row, parameter):
+    with pytest.raises(ParameterError) as info:
+        fit_loglog([(0.5, 4), (0.25, 16), row], which="lower")
+    assert info.value.parameter == parameter
+    # a count that is an integer stored as a float is one
+    assert fit_loglog([(0.5, 4.0), (0.25, 16.0), (0.125, 64.0)]).points == ((0.5, 4), (0.25, 16), (0.125, 64))
 
 
 def test_dimension_fit_drops_unusable_deltas():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import fracdim2d.cli as cli
+import fracdim2d.core as core
 import fracdim2d.fracint as fracint
 from fracdim2d import Box, GridSpec, ParameterError, make_source, read_samples_csv, read_samples_json, sample, write_samples_csv
 from fracdim2d.special import log_normaliser
@@ -284,6 +285,18 @@ def test_dimension_counts_from_excludes_fn(capsys, tmp_path):
 def test_dimension_malformed_deltas_exit_2(capsys, deltas):
     code, _, err = run_cli(capsys, "dimension", "--fn", "plane", "--grid", "33,33", "--deltas", deltas)
     assert code == 2 and err["parameter"] == "deltas"
+
+
+@pytest.mark.parametrize(
+    "row, parameter",
+    [("-0.125,64", "deltas"), ("0,64", "deltas"), ("0.125,64.7", "counts")],
+)
+def test_dimension_counts_from_bad_row_is_a_parameter_error(capsys, tmp_path, row, parameter):
+    # a delta that is not positive, or a count that is not an integer, is refused, not fitted or truncated
+    path = tmp_path / "counts.csv"
+    path.write_text(f"delta,count\n0.5,4\n0.25,16\n{row}\n")
+    code, err = _one_json_error(capsys, "dimension", "--counts-from", str(path))
+    assert code == 2 and err["parameter"] == parameter
 
 
 def test_dimension_counts_from_non_numeric_exit_2(capsys, tmp_path):
@@ -794,10 +807,11 @@ def test_oversized_sampled_integrate_is_refused_before_it_allocates(capsys, monk
 
     monkeypatch.setattr(fracint, "_mesh", refuse)
     monkeypatch.setattr(fracint, "_tensor", refuse)
-    monkeypatch.setattr(fracint, "_MAX_GRID_WORK", 1000)
+    budget = core._BUDGET["operations"]
+    monkeypatch.setitem(core._BUDGET, "operations", 1000)
     code, err = _one_json_error(capsys, "integrate", "--fn", f"csv:{path}", "--grid", "33,33", "--alpha", ".5", "--beta", ".5")
     assert code == 3 and "mesh-2d route" in err["message"] and "budget" in err["message"]
-    monkeypatch.setattr(fracint, "_MAX_GRID_WORK", 1 << 36)
+    monkeypatch.setitem(core._BUDGET, "operations", budget)
     with pytest.raises(_Reached):
         cli.main(["integrate", "--fn", f"csv:{path}", "--grid", "33,33", "--alpha", ".5", "--beta", ".5"])
 
@@ -832,16 +846,48 @@ def test_point_operator_loop_over_budget_exits_3_before_it_starts(capsys, monkey
     def refuse(*args, **kwargs):
         raise _Reached("classical operator called")
 
-    monkeypatch.setattr(cli, "katugampola_2d_grid", refuse)
-    monkeypatch.setattr(cli, "_rl_grid", refuse)
+    # the library checks the budget first: the contraction and the oracle's axis clipping come after it
+    monkeypatch.setattr(fracint, "_tensor", refuse)
+    monkeypatch.setattr(fracint, "_clip_axes", refuse)
     argv = ["integrate", "--op", op, "--fn", "constant:2", "--alpha", ".5", "--beta", ".5"]
     t0 = time.perf_counter()
     code, err = _one_json_error(capsys, *argv, "--grid", "3000,3000")
     assert time.perf_counter() - t0 < 1.0
-    assert code == 3 and "budget" in err["message"]
+    assert code == 3 and "evaluations; the budget is" in err["message"]
     # positive control: under the budget the same patches are reached
     with pytest.raises(_Reached):
         cli.main(argv + ["--grid", "3,3"])
+
+
+@pytest.mark.parametrize("op", ["riemann-liouville", "hadamard"])
+@pytest.mark.parametrize("grid", ["2000000000,2", "2,2000000000"])
+def test_oversized_point_operator_grid_is_refused_before_any_axis_is_built(capsys, monkeypatch, op, grid):
+    # one axis of 2e9 nodes is 16 GB of float64: the budget must speak before GridSpec.xs or ys runs
+    def refuse(self):
+        raise _Reached("axis built")
+
+    monkeypatch.setattr(GridSpec, "xs", refuse)
+    monkeypatch.setattr(GridSpec, "ys", refuse)
+    argv = ["integrate", "--op", op, "--fn", "constant:2", "--alpha", ".5", "--beta", ".5"]
+    code, err = _one_json_error(capsys, *argv, "--grid", grid)
+    assert code == 3 and re.match(f"a {grid.replace(',', 'x')} grid at 64 panels .* entries; the budget is", err["message"])
+    with pytest.raises(_Reached):  # positive control: under the budget the patches are reached
+        cli.main(argv + ["--grid", "3,3"])
+
+
+def test_tensor_route_over_the_evaluation_budget_exits_3_before_it_starts(capsys, monkeypatch):
+    # 32^2 outputs at 8192 panels are 2^36 source evaluations, 15-20 minutes of work
+    def refuse(*args, **kwargs):
+        raise _Reached("contraction started")
+
+    monkeypatch.setattr(fracint, "_tensor", refuse)
+    argv = ["integrate", "--fn", "sinxy", "--method", "tensor", "--alpha", ".5", "--beta", ".5", "--grid", "32,32"]
+    t0 = time.perf_counter()
+    code, err = _one_json_error(capsys, *argv, "--panels", "8192")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3 and "(tensor route) needs about 6.87195e+10 evaluations; the budget is" in err["message"]
+    with pytest.raises(_Reached):
+        cli.main(argv + ["--panels", "64"])
 
 
 @pytest.mark.parametrize(
@@ -872,7 +918,3 @@ def test_classical_operator_artifacts_keep_their_bytes(capsys, tmp_path, argv, d
     code, _, err = run_cli(capsys, *argv, "--out", str(path))
     assert code == 0 and err is None
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
-
-
-def test_point_operator_budget_sits_far_above_the_largest_documented_call():
-    assert cli._MAX_POINT_WORK >= 8 * 17 * 17 * 64**2

@@ -290,18 +290,18 @@ def test_weierstrass_refuses_a_top_frequency_float64_cannot_phase():
 
 
 def test_weierstrass_term_count_has_a_budget(monkeypatch):
-    from fracdim2d import constructions
+    from fracdim2d import constructions, core
 
     def refuse(*args):
         raise AssertionError("amplitudes allocated for an over-budget kmax")
 
-    assert constructions._MAX_WEIER_TERMS >= 8 * 90  # the largest kmax above
+    terms = core._BUDGET["terms"]
     monkeypatch.setattr(constructions, "_weier_amps", refuse)
-    for kmax in (constructions._MAX_WEIER_TERMS, 2000000):
-        with pytest.raises(SizeError, match=f"kmax={kmax} .*budget"):
+    for kmax in (terms, 2000000):
+        with pytest.raises(SizeError, match=f"kmax={kmax} .*terms; the budget"):
             make_source(f"weierstrass:1.00001,2.5,{kmax}")
     monkeypatch.undo()
-    assert np.isfinite(make_source(f"weierstrass:1.00001,2.5,{constructions._MAX_WEIER_TERMS - 1}")(0.3, 0.7))
+    assert np.isfinite(make_source(f"weierstrass:1.00001,2.5,{terms - 1}")(0.3, 0.7))
 
 
 def test_rational_indicator_detection():

@@ -1,5 +1,8 @@
+import inspect
 import math
 import os
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -327,11 +330,80 @@ def test_sample_refuses_grids_over_the_node_budget(monkeypatch):
     src = CallableSource(never, name="never")
     with pytest.raises(SizeError):
         sample(src, GridSpec(Box(0, 1, 0, 1), 200000, 200000))
-    monkeypatch.setattr(core, "_MAX_SAMPLE_NODES", 100)
+    monkeypatch.setitem(core._BUDGET, "entries", 100)
     with pytest.raises(SizeError):
         sample(src, GridSpec(Box(0, 1, 0, 1), 10, 11))
     ok = sample(CallableSource(lambda x, y: x + y, name="sum"), GridSpec(Box(0, 1, 0, 1), 10, 10))
     assert ok.values.size == 100
+
+
+# ---------------------------------------------------------------------------
+# the one resource budget
+
+_SRC = pathlib.Path(core.__file__).parent
+
+# The largest need of each limit, among calls that ran to the end, that core._within saw over
+# tier-1, the three bench/run.py workloads, every `verify --scale full` suite and the README
+# commands (a wrapper around the helper logged them), with the call that made it.
+_LARGEST_CALL = {
+    "entries": 4097 * 4097,  # bench geometry: sampling the 4097^2 staircase
+    "evaluations": 33 * 33 * 128 * 128,  # bench operator weighted-sinxy-33, tensor route
+    "operations": 989_763_732,  # criterion 3: the semigroup's outer stage, 513^2 on the mesh at 128 panels
+    "panels": 2048,  # a 65^2 mesh-2d grid at 2048 panels, and the error probe doubling 1024
+    "cells": 2048,  # verify sandwich: 32 x 64 cells on [0, 0.5] x [0, 1]
+    "nodes": 16,  # the variation oracle on 4 x 4 grids
+    "terms": 91,  # weierstrass kmax = 90 at lam = 1.5
+}
+# limits whose value sits below eight times their largest call, and the ratio they keep
+_BELOW_EIGHT = {
+    "entries": 7.99,  # 2^27 is eight times 4096^2, one node short per side
+    "panels": 4.0,  # the knot mesh shares the tensor rule's panel cap
+    "nodes": 1.0,  # the oracle enumerates chains, exponentially many in its nodes: capped at the grids it checks
+}
+
+
+def test_every_limit_sits_far_above_the_largest_logged_call():
+    assert set(_LARGEST_CALL) == set(core._BUDGET)
+    for limit, need in _LARGEST_CALL.items():
+        assert core._BUDGET[limit] >= _BELOW_EIGHT.get(limit, 8.0) * need, limit
+    # the evaluation budget is the smallest power of two at least eight times its largest call
+    assert core._BUDGET["evaluations"] // 2 < 8 * _LARGEST_CALL["evaluations"] <= core._BUDGET["evaluations"]
+
+
+def test_every_size_refusal_is_the_budget_helper():
+    texts = {path.name: path.read_text() for path in _SRC.glob("*.py")}
+    sites = [(name, line) for name, text in texts.items() for line in text.splitlines() if "SizeError(" in line]
+    assert sites == [("core.py", "class SizeError(RuntimeError):"), ("core.py", inspect.getsource(core._within).splitlines()[-1])]
+    assert "raise SizeError(" in inspect.getsource(core._within)
+    assert "_within" not in texts["cli.py"] and "_BUDGET" not in texts["cli.py"]
+    for name, text in texts.items():
+        assert not re.search(r"_MAX_[A-Z]|_BRUTE_(CELL_)?LIMIT", text), name
+
+
+def test_each_limit_literal_appears_once():
+    table = re.search(r"_BUDGET = \{(.*?)\n\}", (_SRC / "core.py").read_text(), re.S).group(1)
+    literals = dict(re.findall(r'"(\w+)": ([^,]+),', table))
+    assert set(literals) == set(core._BUDGET)
+    code = "".join(path.read_text() for path in _SRC.glob("*.py"))
+    for limit, literal in literals.items():
+        k = int(math.log2(core._BUDGET[limit]))
+        assert literal == f"1 << {k}", limit
+        assert len(re.findall(rf"1\s*<<\s*{k}\b|2\s*\*\*\s*{k}\b", code)) == 1, limit
+
+
+def test_workers_keep_the_callers_floating_point_state(monkeypatch):
+    # numpy's errstate is a context variable: each block runs in a copy of the caller's context
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    big = np.full(4, 1e308)
+
+    def run(rows):
+        big[rows.start : rows.stop] * 10.0
+
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            core._spread(run, range(4), threads=2)
+    with np.errstate(over="ignore"):
+        core._spread(run, range(4), threads=2)
 
 
 @given(st.integers(1, 200), st.integers(1, 16))

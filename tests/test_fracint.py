@@ -36,7 +36,7 @@ from fracdim2d import (
     sample,
     sup_gap,
 )
-from fracdim2d import fracint, verify
+from fracdim2d import core, fracint, verify
 
 BOX = Box(1.0, 2.0, 1.0, 2.0)
 HALF = FracOrder(0.5, 0.5)
@@ -191,7 +191,7 @@ def test_rl_grid_is_the_point_oracle_at_every_node(name):
     src, box = positive_source(name)
     spec = GridSpec(box, 5, 5)
     quad = QuadratureSpec(panels=24)
-    grid = fracint._rl_grid(src, box, spec.xs(), spec.ys(), 0.5, 0.5, quad)
+    grid = fracint._rl_grid(src, spec, 0.5, 0.5, quad)
     assert grid.shape == (5, 5)
     assert grid.tobytes() == _rl_points(src, box, spec.xs(), spec.ys(), 0.5, 0.5, quad).tobytes()
 
@@ -204,7 +204,7 @@ def test_rl_grid_keeps_bits_on_a_non_square_grid(alpha, beta, grading):
     src = make_source("sinxy")
     spec = GridSpec(BOX, 5, 7)
     quad = QuadratureSpec(panels=16, grading=grading)
-    grid = fracint._rl_grid(src, BOX, spec.xs(), spec.ys(), alpha, beta, quad)
+    grid = fracint._rl_grid(src, spec, alpha, beta, quad)
     assert grid.shape == (5, 7)
     assert grid.tobytes() == _rl_points(src, BOX, spec.xs(), spec.ys(), alpha, beta, quad).tobytes()
     # nodes on the lower edges integrate over nothing: +0.0
@@ -216,7 +216,7 @@ def test_rl_grid_keeps_the_log_space_constant_from_order_171():
     src, box = make_source("plane"), Box(1.0, 31.0, 1.0, 2.0)
     xs, ys = [1.0, 16.0, 31.0], [1.5, 2.0]
     quad = QuadratureSpec(panels=8)
-    grid = fracint._rl_grid(src, box, xs, ys, 171.0, 0.5, quad)
+    grid = fracint._rl_nodes(src, box, xs, ys, 171.0, 0.5, quad)
     assert grid.tobytes() == _rl_points(src, box, xs, ys, 171.0, 0.5, quad).tobytes()
     assert np.all(np.isfinite(grid)) and np.all(grid[1:] > 0.0)
 
@@ -225,16 +225,27 @@ def test_rl_grid_overflow_is_a_numeric_error():
     src, box = make_source("plane"), Box(1.0, 1000.0, 1.0, 2.0)  # 999^200 is past float64
     quad = QuadratureSpec(panels=8)
     with pytest.raises(NumericError, match="overflows"):
-        fracint._rl_grid(src, box, [1.0, 1000.0], [2.0], 200.0, 0.5, quad)
+        fracint._rl_nodes(src, box, [1.0, 1000.0], [2.0], 200.0, 0.5, quad)
     with pytest.raises(NumericError, match="overflows"):
         riemann_liouville_2d(src, box, 1000.0, 2.0, 200.0, 0.5, quad)
+
+
+def test_only_an_overflow_reads_as_one():
+    big = np.array([1e308])
+    with pytest.raises(NumericError, match="overflows"):
+        with fracint._no_overflow():
+            big * 10.0
+    # under a caller's errstate an invalid step keeps numpy's own message
+    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError, match="invalid"):
+        with fracint._no_overflow():
+            np.array([np.inf]) - np.inf
 
 
 def test_rl_grid_never_enters_the_quadrature_engine(monkeypatch):
     src, box = positive_source("sinxy")
     spec = GridSpec(box, 4, 4)
     quad = QuadratureSpec(panels=16)
-    before = fracint._rl_grid(src, box, spec.xs(), spec.ys(), 0.5, 0.5, quad)
+    before = fracint._rl_grid(src, spec, 0.5, 0.5, quad)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle called the engine it checks")
@@ -242,7 +253,7 @@ def test_rl_grid_never_enters_the_quadrature_engine(monkeypatch):
     for name in ("_tensor", "_axis_rules", "_apply_1d", "_unit_rule"):
         monkeypatch.setattr(fracint, name, refuse)
     monkeypatch.setattr(np, "einsum", refuse)
-    after = fracint._rl_grid(src, box, spec.xs(), spec.ys(), 0.5, 0.5, quad)
+    after = fracint._rl_grid(src, spec, 0.5, 0.5, quad)
     assert after.tobytes() == before.tobytes()
     assert riemann_liouville_2d(src, box, *spec.node(3, 2), 0.5, 0.5, quad) == after[3, 2]
     # positive control: the patches are live for the route the oracle checks
@@ -1035,11 +1046,11 @@ def test_knotted_grid_budget_counts_the_built_knot_mesh(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("work started")
 
-    monkeypatch.setattr(fracint, "_MAX_GRID_WORK", work - 1)
+    monkeypatch.setitem(core._BUDGET, "operations", work - 1)
     monkeypatch.setattr(fracint, "_mesh_2d", refuse)
     with pytest.raises(SizeError, match="budget"):
         katugampola_2d_grid(src, spec, HALF, QuadratureSpec(panels=64), method="auto")
-    monkeypatch.setattr(fracint, "_MAX_GRID_WORK", work)
+    monkeypatch.setitem(core._BUDGET, "operations", work)
     with pytest.raises(AssertionError, match="work started"):
         katugampola_2d_grid(src, spec, HALF, QuadratureSpec(panels=64), method="auto")
 
@@ -1056,6 +1067,20 @@ def test_oversized_knotted_grid_is_refused_before_any_axis_is_built(monkeypatch)
         for m, n in ((2_000_000_000, 2), (2, 2_000_000_000), (200_000, 200)):
             with pytest.raises(SizeError, match="mesh-2d route"):
                 katugampola_2d_grid(src, GridSpec(rect, m, n), HALF, QuadratureSpec(panels=64), method="auto")
+
+
+@pytest.mark.parametrize("method", ["separable", "auto"])
+def test_split_routes_count_their_rule_and_mesh_arrays(monkeypatch, method):
+    # at 10^9 panels a separable rule row, or a split mesh, alone holds 8 GB: refused before it is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("_mesh", "_apply_1d"):
+        monkeypatch.setattr(fracint, name, refuse)
+    with pytest.raises(SizeError, match="needs about 1e\\+09 entries"):
+        katugampola_2d_grid(make_source("plane"), GridSpec(BOX, 9, 9), HALF, QuadratureSpec(panels=10**9), method=method)
+    with pytest.raises(SizeError, match="one-axis rule needs about 1e\\+09 entries"):
+        katugampola_1d(np.sin, 1.0, 2.0, 0.5, quad=QuadratureSpec(panels=10**9))
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
+from types import SimpleNamespace
+
 import pytest
 
-from fracdim2d import ParameterError, SUITES, fracint, run_suite
+from fracdim2d import ParameterError, SUITES, fracint, run_suite, verify
 from fracdim2d.verify import Check, SuiteReport
 
 
@@ -72,3 +74,14 @@ def test_hadamard_rate_fails_when_the_coordinate_crowds_toward_one(monkeypatch):
     checks = {c.name: c for c in run_suite("special-cases", "quick").checks}
     assert checks["hadamard-limit:constant:1"].passed
     assert not any(c.passed for name, c in checks.items() if name.startswith("hadamard-rate:"))
+
+
+def test_dimension_bounds_samples_each_grid_once(monkeypatch):
+    # at full scale the named checks and the dimension-floor loop share their 1025^2 grids
+    sampled = []
+    monkeypatch.setattr(verify, "sample", lambda src, spec, threads=None: sampled.append((src.name, spec.m)))
+    monkeypatch.setattr(verify, "dimension_fit", lambda g, deltas, which: SimpleNamespace(slope=2.0))
+    monkeypatch.setattr(verify, "katugampola_2d_grid", lambda *args, **kwargs: None)
+    report = run_suite("dimension-bounds", "full")
+    assert len(sampled) == len(set(sampled)) >= 4 and {m for _, m in sampled} == {1025}
+    assert [c.name for c in report.checks][:3] == ["dimension:plane", "dimension:t-parabola-sine", "dimension:weierstrass"]
