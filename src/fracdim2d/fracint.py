@@ -44,6 +44,16 @@ their piece edges, and grids of samples their nodes.  When a source also
 declares algebraic edges (``FunctionSource.edges``), each mesh opens
 with a lead-in graded toward the lower limit.  Other sources take the
 tensor route, whose graded midpoint rule does not need f to be smooth.
+
+A mesh of equal steps whose nodes all lie on one exact binary lattice
+(integer multiples of one power of two, below 2^52 of them: a p = 0 axis
+on a box with dyadic ends, m - 1 and the parts per output interval powers
+of two) has the same weights
+in every row, shifted: each U_i - u_k is then the exact float
+(top_i - k) h, so the weight formula sees the very inputs of the last
+node's row.  That row is built once and each output's weights are copied
+out of it (``_hat_blocks``), the same bits at a fraction of the cost;
+any other mesh builds its weights block by block.
 """
 
 from __future__ import annotations
@@ -95,6 +105,9 @@ __all__ = [
 # nodes per block of the 1-D apply and weights per block of the shared mesh
 # (2 MB per float64 array)
 _APPLY_BLOCK = 1 << 18
+# one hat weight, a power and six more passes over its entries (``_hat_weights``), costs
+# about as much as 40 multiply-adds of the contraction: 21-25 ns against 0.6 ns on a 2-vCPU Xeon VM
+_HAT_COST = 40
 
 
 @dataclass(frozen=True)
@@ -444,6 +457,11 @@ def _mesh_nodes(m: int, panels: int, edge: float | None) -> int:
     return math.ceil(grade * (panels + m)) + m + 2
 
 
+def _f_blocks(nx: int, ny: int) -> int:
+    """How many blocks of x-node rows ``_mesh_2d`` evaluates f in, at most ``_APPLY_BLOCK`` entries each."""
+    return -(-nx // max(1, _APPLY_BLOCK // ny))
+
+
 def _grid_budget(route: str, m: int, n: int, panels: int, edges=None, nodes=(None, None)) -> None:
     """Refuse a grid call whose predicted size exceeds the budget (``core._within``), before it allocates.
 
@@ -451,11 +469,13 @@ def _grid_budget(route: str, m: int, n: int, panels: int, edges=None, nodes=(Non
     (the output, a mesh, a separable rule row of P, or ``_mesh_2d``'s G
     buffer of N_x x n), then m n P^2 source evaluations for the tensor
     route and the RL oracle, or the operations of the others: (m + n) P
-    for ``separable``, m N_x + n N_y hat weights for the split mesh, and
-    N_x n (N_y + m) products for the two passes of ``_mesh_2d``, with
-    N_x, N_y the mesh sizes of ``_mesh_nodes``, or ``nodes`` where one is
-    given (a knot mesh's fewest nodes before it is built, its real size
-    after).
+    for ``separable``; for the two mesh routes, ``_HAT_COST`` for each hat
+    weight a per-block build makes (even where a lattice mesh builds them
+    from one row), plus the products of ``_mesh_2d``'s two passes: m N_x +
+    n N_y weights for the split mesh, and for ``_mesh_2d`` N_x n (N_y + m)
+    products, n N_y weights per block of F and m N_x.  N_x and N_y are
+    the mesh sizes of ``_mesh_nodes``, or ``nodes`` where one is given (a
+    knot mesh's fewest nodes before it is built, its real size after).
     """
     entries, limit = m * n, "operations"
     if route in ("tensor", "oracle"):
@@ -467,26 +487,91 @@ def _grid_budget(route: str, m: int, n: int, panels: int, edges=None, nodes=(Non
         nx = nodes[0] or _mesh_nodes(m, panels, ex)
         ny = nodes[1] or _mesh_nodes(n, panels, ey)
         if route == "mesh-split":
-            entries, work = max(entries, nx, ny), m * nx + n * ny
+            entries, work = max(entries, nx, ny), _HAT_COST * (m * nx + n * ny)
         else:
-            entries, work = max(entries, nx * n, ny), nx * n * (ny + m)
+            weights = _f_blocks(nx, ny) * n * ny + m * nx
+            entries, work = max(entries, nx * n, ny), nx * n * (ny + m) + _HAT_COST * weights
     what = f"a {m}x{n} grid at {panels} panels ({route} route)"
     _within("entries", entries, what)
     _within(limit, work, what)
+
+
+def _lattice(u: np.ndarray) -> bool:
+    """Whether the nodes ``u`` step by one constant on one exact binary lattice.
+
+    That is, u_k = (q_0 + k d) 2^t for integers q_0 and d > 0, with every
+    |u_k| / 2^t below 2^52.  Then a difference u_j - u_k of two nodes is an
+    integer multiple of 2^t below 2^53 of them, so float64 holds it exactly:
+    it is the float (j - k) d 2^t, whatever j and k are.  O(size).
+    """
+    if u.size < 2 or not (np.isfinite(u).all() and u[-1] > u[0]):
+        return False
+    mant, exp = np.frexp(u[u != 0.0])  # |u| = |mant| 2^exp with 1/2 <= |mant| < 1
+    ints = np.ldexp(mant, 53).astype(np.int64)
+    t = int((exp - 54 + np.frexp((ints & -ints).astype(np.float64))[1]).min())  # 2^t divides every node
+    if exp.max() - t > 52:  # some |u_k| / 2^t reaches 2^52
+        return False
+    q = np.ldexp(u, -t)
+    return bool(np.all(np.diff(q) == q[1] - q[0]))
+
+
+def _hat_blocks(mesh: _Mesh, order: float) -> Callable:
+    """``weights(i0, i1, c0, c1)``: ``_hat_weights`` of outputs [i0, i1) on mesh intervals [c0, c1).
+
+    On a mesh that ``_lattice`` accepts, with K intervals, every U_i - u_k is
+    the exact float (top_i - k) h, so output i's weight on interval k takes
+    the very inputs, and so the very bits, of the last node's weight on
+    interval K - top_i + k, and is 0 from k = top_i on, where D is 0 at both
+    ends.  That row is built once, ``_APPLY_BLOCK`` entries at a time, and
+    each block copies its rows out of it into zeroed arrays, the arrays a
+    per-block build would give.
+    """
+    if not _lattice(mesh.u):
+
+        def weights(i0: int, i1: int, c0: int, c1: int):
+            with _no_overflow():
+                return _hat_weights(mesh.U[i0:i1], mesh.u[c0 : c1 + 1], mesh.h[c0:c1], order)
+
+        return weights
+    K = mesh.h.size
+    lrow, rrow = np.empty(K), np.empty(K)  # the last node's left and right weights
+    chunk = max(1, _APPLY_BLOCK - 1)  # intervals, so at most _APPLY_BLOCK nodes
+    for c0 in range(0, K, chunk):
+        c1 = min(c0 + chunk, K)
+        with _no_overflow():
+            left, right = _hat_weights(mesh.u[-1:], mesh.u[c0 : c1 + 1], mesh.h[c0:c1], order)
+        lrow[c0:c1], rrow[c0:c1] = left[0], right[0]
+
+    def weights(i0: int, i1: int, c0: int, c1: int):
+        left, right = np.zeros((i1 - i0, c1 - c0)), np.zeros((i1 - i0, c1 - c0))
+        for r, top in enumerate(mesh.top[i0:i1].tolist()):
+            at, n = K - top + c0, max(0, min(c1, top) - c0)  # from interval top on the weights are 0
+            left[r, :n], right[r, :n] = lrow[at : at + n], rrow[at : at + n]
+        return left, right
+
+    return weights
 
 
 def _hat_apply(mesh: _Mesh, order: float, vals, threads: int | None = None) -> list[np.ndarray]:
     """[sum_k W[i,k] v[k, ...] for v in vals], one row i per output: the product-trapezoid rule.
 
     Each ``v`` holds values at the mesh nodes along its first axis; any
-    trailing axes are columns carried through.  Weights are built a block
-    of at most ``_APPLY_BLOCK`` entries at a time (cut by columns too when
-    one mesh row is longer) and applied to every ``v`` in the same pass.
+    trailing axes are columns carried through.  Weights come a block of at
+    most ``_APPLY_BLOCK`` entries at a time (cut by columns too when one
+    mesh row is longer) and are applied to every ``v`` in the same pass.
     Blocks do not depend on the thread count, so neither do the bits.
+
+    On a mesh of equal steps on one exact binary lattice (``_lattice``: a
+    p = 0 axis on a box with dyadic ends, m - 1 and the parts per output
+    interval powers of two), every
+    output's weights are a shifted slice of the last node's, which is built
+    once (``_hat_blocks``); each block still holds the same weights, so
+    the contraction, and the bits, are those of a per-block build.
     """
     n_out, size = mesh.U.size, mesh.u.size
     rows = max(1, _APPLY_BLOCK // size)
     width = max(1, _APPLY_BLOCK // rows - 1)  # intervals per block
+    weights = _hat_blocks(mesh, order)
     outs = [np.zeros((n_out,) + v.shape[1:]) for v in vals]
 
     def run(starts: range) -> None:
@@ -495,8 +580,7 @@ def _hat_apply(mesh: _Mesh, order: float, vals, threads: int | None = None) -> l
             end = int(mesh.top[i0:i1].max())
             for c0 in range(0, end, width):
                 c1 = min(c0 + width, end)
-                with _no_overflow():
-                    left, right = _hat_weights(mesh.U[i0:i1], mesh.u[c0 : c1 + 1], mesh.h[c0:c1], order)
+                left, right = weights(i0, i1, c0, c1)
                 with _no_overflow(_SUM_OVERFLOW):
                     for v, acc in zip(vals, outs):
                         acc[i0:i1] += np.einsum("ik,k...->i...", left, v[c0:c1], optimize=False) + np.einsum(
@@ -532,8 +616,7 @@ def _mesh_2d(src: FunctionSource, mx: _Mesh, my: _Mesh, order: FracOrder, thread
     blocks, so the bits do not depend on the thread count.
     """
     nx, ny = mx.s.size, my.s.size
-    blocks = -(-nx // max(1, _APPLY_BLOCK // ny))
-    rows = -(-nx // blocks)  # equal blocks, as many as the entry budget needs
+    rows = -(-nx // _f_blocks(nx, ny))  # equal blocks, as many as the entry budget needs
     G = np.empty((nx, my.U.size))
 
     def run(starts: range) -> None:
@@ -795,13 +878,13 @@ def _rl_nodes(f, rect: Box, xs, ys, alpha: float, beta: float, quad: QuadratureS
                 prod = mx[:, None] * my[None, :]
                 prod *= np.asarray(src.eval(sm[:, None], tm[None, :]), dtype=np.float64)
                 out[i, j] = math.fsum(memoryview(prod.reshape(-1)))
+        if max(alpha, beta) < 171.0:
+            return _clean(out / (math.gamma(alpha) * math.gamma(beta)))
+        # Gamma overflows float64 past 171: the constant in log space (below, exp of
+        # lgamma sums would move values by up to a few ulps), until log Gamma does too
+        return _clean(out * math.exp(-math.lgamma(alpha) - math.lgamma(beta)))
     except OverflowError:
         raise NumericError("Riemann-Liouville rule overflows float64: order too large for this box") from None
-    if max(alpha, beta) < 171.0:
-        return _clean(out / (math.gamma(alpha) * math.gamma(beta)))
-    # Gamma overflows float64 past 171: the constant in log space (below, exp of
-    # lgamma sums would move values by up to a few ulps)
-    return _clean(out * math.exp(-math.lgamma(alpha) - math.lgamma(beta)))
 
 
 def riemann_liouville_2d(f, rect: Box, x: float, y: float, alpha: float, beta: float, quad: QuadratureSpec | None = None) -> float:

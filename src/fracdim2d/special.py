@@ -6,9 +6,14 @@ from __future__ import annotations
 
 import math
 
+from .core import NumericError
+
 __all__ = ["log_normaliser"]
 
 
 def log_normaliser(order: float) -> float:
-    """log(1 / Gamma(order)) for order > 0."""
-    return -math.lgamma(order)
+    """log(1 / Gamma(order)) for order > 0; past about 2.6e305, where log Gamma leaves float64, a NumericError."""
+    try:
+        return -math.lgamma(order)
+    except OverflowError:
+        raise NumericError(f"log Gamma({order:g}) overflows float64: order too large") from None

@@ -816,6 +816,16 @@ def test_oversized_sampled_integrate_is_refused_before_it_allocates(capsys, monk
         cli.main(["integrate", "--fn", f"csv:{path}", "--grid", "33,33", "--alpha", ".5", "--beta", ".5"])
 
 
+@pytest.mark.parametrize("fn, grid", [("plane", "2,185000"), ("plane", "2,29307"), ("sinxy", "28600,2")])
+def test_thin_mesh_grid_weighs_its_hat_weights(capsys, fn, grid):
+    # each hat weight counts as what building one costs: thin grids whose per-output weights would
+    # take minutes end at once as one JSON error, just past the largest ones accepted
+    t0 = time.perf_counter()
+    code, err = _one_json_error(capsys, "integrate", "--fn", fn, "--alpha", ".5", "--beta", ".5", "--grid", grid, "--panels", "8")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3 and "operations; the budget" in err["message"]
+
+
 @pytest.mark.parametrize("route", ["mesh-split", "mesh-2d"])
 def test_overflowing_integral_is_one_json_object(tmp_path, route):
     # a split constant and a sampled grid of the same level: the sums overflow in the hat rule

@@ -348,7 +348,7 @@ _SRC = pathlib.Path(core.__file__).parent
 _LARGEST_CALL = {
     "entries": 4097 * 4097,  # bench geometry: sampling the 4097^2 staircase
     "evaluations": 33 * 33 * 128 * 128,  # bench operator weighted-sinxy-33, tensor route
-    "operations": 989_763_732,  # criterion 3: the semigroup's outer stage, 513^2 on the mesh at 128 panels
+    "operations": 1_511_752_000,  # bench operator and the README: weierstrass 1025^2 on the split mesh at 16384 panels
     "panels": 2048,  # a 65^2 mesh-2d grid at 2048 panels, and the error probe doubling 1024
     "cells": 2048,  # verify sandwich: 32 x 64 cells on [0, 0.5] x [0, 1]
     "nodes": 16,  # the variation oracle on 4 x 4 grids

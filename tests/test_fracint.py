@@ -36,7 +36,7 @@ from fracdim2d import (
     sample,
     sup_gap,
 )
-from fracdim2d import core, fracint, verify
+from fracdim2d import cli, core, fracint, verify
 
 BOX = Box(1.0, 2.0, 1.0, 2.0)
 HALF = FracOrder(0.5, 0.5)
@@ -230,6 +230,22 @@ def test_rl_grid_overflow_is_a_numeric_error():
         riemann_liouville_2d(src, box, 1000.0, 2.0, 200.0, 0.5, quad)
 
 
+def test_an_order_past_log_gamma_is_a_numeric_error():
+    # log Gamma(1e308) is past float64: every operator constant ends as a NumericError, not a bare OverflowError
+    huge = FracOrder(1e308, 0.5)
+    calls = [
+        lambda: katugampola_2d_grid(make_source("sinxy"), GridSpec(BOX, 3, 3), huge),
+        lambda: katugampola_2d_grid(make_source("plane"), GridSpec(BOX, 3, 3), huge, method="auto"),
+        lambda: katugampola_1d(np.sin, 1.0, 2.0, 1e308),
+        lambda: axis_unit_factor(1.0, 2.0, 1e308),
+        lambda: compose_semigroup(make_source("sinxy"), GridSpec(BOX, 3, 3), huge, HALF, QuadratureSpec(panels=8)),
+        lambda: riemann_liouville_2d(make_source("sinxy"), BOX, 1.5, 1.5, 1e308, 0.5),
+    ]
+    for call in calls:
+        with pytest.raises(NumericError, match="overflows float64"):
+            call()
+
+
 def test_only_an_overflow_reads_as_one():
     big = np.array([1e308])
     with pytest.raises(NumericError, match="overflows"):
@@ -357,6 +373,66 @@ def test_auto_mesh_weight_blocks_stay_under_apply_block(monkeypatch):
     small = katugampola_2d_grid(SIN_COS, spec, HALF, quad, method="auto")
     assert max(seen) <= 1000
     assert sup_gap(small, ref) < 1e-13
+
+
+@pytest.mark.parametrize("m", [9, 65, 1025])
+@pytest.mark.parametrize("panels", [64, 16384])
+def test_lattice_weights_are_the_per_block_weights_bit_for_bit(monkeypatch, m, panels):
+    # on [1, 2] with m - 1 a power of two the p = 0 mesh is a lattice: each output's weights are
+    # a slice of the last node's row; the per-block build, reached by refusing the lattice, is the reference
+    mesh = fracint._mesh(1.0, np.linspace(1.0, 2.0, m), 0.0, panels)
+    assert fracint._lattice(mesh.u)
+    vals = [np.sin(3.0 * mesh.s), np.cos(mesh.s)[:, None]]  # a column, as the two-axis mesh passes them
+    real = fracint._lattice
+
+    def same(order, threads):
+        monkeypatch.setattr(fracint, "_lattice", real)
+        fast = fracint._hat_apply(mesh, order, vals, threads)
+        monkeypatch.setattr(fracint, "_lattice", lambda u: False)
+        slow = fracint._hat_apply(mesh, order, vals, threads)
+        return all(a.tobytes() == b.tobytes() for a, b in zip(fast, slow))
+
+    for order, threads in ((0.2, 1), (0.5, 2), (1.0, 1), (1.7, 2)):
+        assert same(order, threads), (order, threads)
+    # a block of 1000 entries cuts every row of the larger meshes into column chunks
+    monkeypatch.setattr(fracint, "_APPLY_BLOCK", 1000)
+    assert same(0.2, 2)
+
+
+def test_only_a_lattice_mesh_takes_one_row_weights(monkeypatch):
+    his = np.linspace(1.0, 2.0, 65)
+    moved = fracint._mesh(1.0, his, 0.0, 64).u.copy()
+    moved[7] = np.nextafter(moved[7], np.inf)  # one node one ulp off the lattice
+    tparab, box = positive_source("t-parabola-sine")
+    spec = GridSpec(box, 33, 33)
+    for u in (
+        moved,
+        fracint._mesh(1.0, np.linspace(1.0, 2.0, 100), 0.0, 64).u,  # steps of 1/99 in u = s
+        fracint._mesh(1.0, his, 0.6, 64).u,  # p = 0.6: u = s^1.6/1.6, unequal steps
+        fracint._mesh(1.0, his, -1.0, 64).u,  # Hadamard: u = log s
+        fracint._mesh(1.0, his, 0.0, 64, 0.5).u,  # the lead-in graded toward the lower limit
+        fracint._mesh(box.a, spec.xs(), 0.0, 64, None, tparab.knots()[0]).u,  # the staircase's knot mesh
+    ):
+        assert not fracint._lattice(u)
+    # the README's dimension of the integral of the Weierstrass surface: one mesh of N nodes for both
+    # axes, whose weights take one row of N - 1 entries, not about m N / 2 of them
+    built, meshes = [], []
+    real_weights, real_lattice = fracint._hat_weights, fracint._lattice
+
+    def weights(U, u, h, order):
+        built.append(U.size * h.size)
+        return real_weights(U, u, h, order)
+
+    def lattice(u):
+        meshes.append((u.size, real_lattice(u)))
+        return meshes[-1][1]
+
+    monkeypatch.setattr(fracint, "_hat_weights", weights)
+    monkeypatch.setattr(fracint, "_lattice", lattice)
+    argv = "dimension --fn weierstrass --shift 1,1 --integral --alpha .5 --beta .5 --panels 16384 --grid 1025,1025"
+    assert cli.main(argv.split()) == 0
+    (size, on_lattice), = meshes
+    assert on_lattice and size > 16384 and 0 < sum(built) <= 2 * size
 
 
 def test_power_weight_near_minus_one_meets_the_hadamard_member():
@@ -1035,13 +1111,15 @@ def test_knot_mesh_floor_never_exceeds_the_knot_mesh(m, panels, weight):
 
 def test_knotted_grid_budget_counts_the_built_knot_mesh(monkeypatch):
     # at 64 panels the staircase's x mesh has 801 nodes for 33 outputs, far past the
-    # panels + outputs of the plain mesh; the budget counts them before the 2-D pass
+    # panels + outputs of the plain mesh; the budget counts them before the 2-D pass:
+    # the products of both passes, and the hat weights of the y pass (one block of f) and of the x pass
     src, box = positive_source("t-parabola-sine")
     spec = GridSpec(box, 33, 33)
     nx = fracint._mesh(box.a, spec.xs(), 0.0, 64, None, src.knots()[0]).s.size
     ny = fracint._mesh(box.c, spec.ys(), 0.0, 64).s.size
     assert nx == 801 > 4 * fracint._mesh_nodes(33, 64, None) and ny == 65
-    work = nx * 33 * (ny + 33)
+    assert fracint._f_blocks(nx, ny) == 1
+    work = nx * 33 * (ny + 33) + fracint._HAT_COST * (33 * ny + 33 * nx)
 
     def refuse(*args, **kwargs):
         raise AssertionError("work started")
