@@ -365,7 +365,7 @@ def _add_common(sub: argparse.ArgumentParser, with_shift: bool = True) -> None:
     sub.add_argument("--fn", help="catalog spec (name[:params], t:<spec>) or csv:/json: sample file")
     sub.add_argument("--rect", help="rectangle a,b,c,d")
     sub.add_argument("--grid", help="grid sizes m,n")
-    sub.add_argument("--threads", type=int, default=None, help="worker threads (default: FRACDIM2D_THREADS or 1)")
+    sub.add_argument("--threads", type=int, default=None, help="worker threads (default: FRACDIM2D_THREADS, else one per CPU)")
     if with_shift:
         sub.add_argument("--shift", help="translate the function by dx,dy before use")
 

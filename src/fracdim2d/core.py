@@ -9,10 +9,10 @@ numpy-broadcastable ``eval``.
 
 Determinism notes: every reduction in this package either runs through
 ``stable_sum`` (``math.fsum``, correctly rounded) or through numpy core
-loops whose result depends only on operand values and shapes.  Optional
-thread parallelism partitions index space into contiguous blocks that
-write disjoint output slots, so threaded and sequential runs produce
-bit-identical arrays.
+loops whose result depends only on operand values and shapes.  Thread
+parallelism (every CPU by default, on one reused pool) partitions index
+space into contiguous blocks that write disjoint output slots, so threaded
+and sequential runs produce bit-identical arrays.
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ import contextvars
 import json
 import math
 import os
+import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from typing import Callable, Iterable
@@ -265,6 +266,21 @@ class GridSamples:
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
+    @classmethod
+    def _adopt(cls, spec: GridSpec, values: np.ndarray) -> "GridSamples":
+        """Samples that keep ``values``, a fresh float64 array of m*n entries no one else holds.
+
+        It is checked finite and frozen as the constructor does, but not copied.
+        """
+        v = values.reshape(-1)
+        if not np.all(np.isfinite(v)):
+            raise NumericError("grid samples must be finite")
+        v.flags.writeable = False
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "spec", spec)
+        object.__setattr__(obj, "values", v)
+        return obj
+
     @property
     def matrix(self) -> np.ndarray:
         """(m, n) read-only view, first axis indexes x."""
@@ -468,20 +484,27 @@ def _within(limit: str, need: float, what: str) -> None:
 # ---------------------------------------------------------------------------
 # sampling
 
+# float64 entries per block of a blocked evaluation or contraction (2 MB per array)
+_APPLY_BLOCK = 1 << 18
+# entries of work (source evaluations, samples) that earn a block-parallel loop one more worker
+_GRAIN = _APPLY_BLOCK >> 2
+
 
 def worker_count(override: int | None = None) -> int:
     """Worker count for block-parallel loops.
 
-    Resolution order: explicit override, then FRACDIM2D_THREADS (0 = auto,
-    meaning cpu_count), else 1.  ``row_blocks`` caps what is used at the CPU
-    count.  Thread count never changes computed values, only wall time.
+    Resolution order: explicit override, then FRACDIM2D_THREADS, else the
+    CPU count; 0 in either means the CPU count.  ``row_blocks`` caps what is
+    used at the CPU count, and ``_spread`` at one worker per ``_GRAIN``
+    entries of work.  Thread count never changes computed values, only wall
+    time.
     """
     if override is not None:
         k = int(override)
         return max(1, (os.cpu_count() or 1) if k == 0 else k)
     env = os.environ.get("FRACDIM2D_THREADS", "").strip()
     if not env:
-        return 1
+        return os.cpu_count() or 1
     try:
         k = int(env)
     except ValueError:
@@ -505,19 +528,60 @@ def row_blocks(count: int, workers: int) -> list[range]:
     return [range(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
-def _spread(run: Callable[[range], None], items: range, threads: int | None) -> None:
-    """Run ``run`` over contiguous slices of ``items`` from ``row_blocks``, one per worker thread.
+# The package's one thread pool, built on first use and kept for the life of the process (or of
+# a forked child, which drops its parent's: the threads serving it do not exist there).
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+# set in the context of every block ``_spread`` hands out: a loop nested in a block runs inline
+_in_block = contextvars.ContextVar("fracdim2d_in_block", default=False)
 
-    Each call must write only its own slice's outputs, so the bits never depend on the thread count.
-    Each runs in a copy of the caller's context, so a worker keeps the caller's ``np.errstate``.
+
+def _workers() -> ThreadPoolExecutor:
+    """The pool: cpu_count - 1 threads, the calling thread being the last worker."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max(1, (os.cpu_count() or 1) - 1), thread_name_prefix="fracdim2d")
+        return _pool
+
+
+def _drop_pool() -> None:
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()  # the lock too: another thread may have held it at the fork
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _block(run: Callable[[range], None], items: range) -> None:
+    _in_block.set(True)
+    run(items)
+
+
+def _spread(run: Callable[[range], None], items: range, threads: int | None, cost: int = _GRAIN) -> None:
+    """Run ``run`` over contiguous slices of ``items`` from ``row_blocks``, one per worker.
+
+    ``cost`` is the entries of work one item takes; a worker is added only
+    for each ``_GRAIN`` of them, so small loops stay on the caller.  The
+    calling thread runs the first slice and the pool the others.  Each call
+    must write only its own slice's outputs, so the bits never depend on
+    the thread count.  Each runs in a copy of the caller's context, so a
+    worker keeps the caller's ``np.errstate``.
     """
-    blocks = [items[b.start : b.stop] for b in row_blocks(len(items), worker_count(threads))]
+    workers = 1 if _in_block.get() else min(worker_count(threads), max(1, len(items) * cost // _GRAIN))
+    blocks = [items[b.start : b.stop] for b in row_blocks(len(items), workers)]
     if len(blocks) <= 1:
         run(items)
-    else:
-        contexts = [contextvars.copy_context() for _ in blocks]
-        with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-            list(pool.map(lambda ctx, block: ctx.run(run, block), contexts, blocks))
+        return
+    pool = _workers()
+    futures = [pool.submit(contextvars.copy_context().run, _block, run, block) for block in blocks[1:]]
+    try:
+        contextvars.copy_context().run(_block, run, blocks[0])
+    finally:
+        wait(futures)  # no block outlives the call, even when the caller's raised
+    for future in futures:
+        future.result()
 
 
 def sample(src: FunctionSource, spec: GridSpec, threads: int | None = None) -> GridSamples:
@@ -525,27 +589,26 @@ def sample(src: FunctionSource, spec: GridSpec, threads: int | None = None) -> G
 
     The grid box must sit inside the source's declared domain, and the
     grid may hold at most the ``entries`` budget of nodes (``SizeError``
-    before anything is allocated).  With one worker f is evaluated in one call;
-    with more, ``_spread`` evaluates contiguous blocks of rows
-    concurrently into disjoint slots, so the output is bit-identical to
-    a sequential run.
+    before anything is allocated).  f is evaluated a block of whole rows
+    at a time, at most ``_APPLY_BLOCK`` entries, straight into the one
+    output array; ``_spread`` hands contiguous runs of rows to its
+    workers, so the output is bit-identical at any thread count.
     """
     if not src.covers(spec.rect):
         raise DomainError(f"grid box {spec.rect} is not inside the domain of source {src.name!r}")
     _within("entries", spec.m * spec.n, f"a {spec.m}x{spec.n} grid")
     xs = spec.xs()
-    ys = spec.ys()
-    if len(row_blocks(spec.m, worker_count(threads))) <= 1:
-        vals = np.broadcast_to(np.asarray(src.eval(xs[:, None], ys[None, :]), dtype=np.float64), (spec.m, spec.n))
-        return GridSamples(spec, vals.reshape(-1))  # GridSamples keeps its own copy
+    ys = spec.ys()[None, :]
     out = np.empty((spec.m, spec.n), dtype=np.float64)
+    step = max(1, _APPLY_BLOCK // spec.n)
 
     def run(rows: range) -> None:
-        sub = np.asarray(src.eval(xs[rows.start : rows.stop, None], ys[None, :]), dtype=np.float64)
-        out[rows.start : rows.stop, :] = np.broadcast_to(sub, (len(rows), spec.n))
+        for r0 in range(rows.start, rows.stop, step):
+            r1 = min(r0 + step, rows.stop)
+            out[r0:r1] = np.asarray(src.eval(xs[r0:r1, None], ys), dtype=np.float64)
 
-    _spread(run, range(spec.m), threads)
-    return GridSamples(spec, out.reshape(-1))
+    _spread(run, range(spec.m), threads, spec.n)
+    return GridSamples._adopt(spec, out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
 import inspect
 import math
+import multiprocessing
 import os
 import pathlib
 import re
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -273,22 +277,22 @@ def test_sample_thread_count_never_changes_bits():
 
 
 def test_sample_threads_run_through_the_shared_block_runner(monkeypatch):
-    # two blocks on any host: the runner reads the CPU count through row_blocks
+    # the runner, not sample, decides how many workers a grid gets, from the thread count and the work
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     runs = []
     real = core._spread
 
-    def counted(run, items, threads):
-        runs.append((items, threads))
-        return real(run, items, threads)
+    def counted(run, items, threads, cost):
+        runs.append((items, threads, cost))
+        return real(run, items, threads, cost)
 
     monkeypatch.setattr(core, "_spread", counted)
     spec = GridSpec(Box(1, 2, 1, 2), 17, 13)
     src = CallableSource(lambda x, y: np.sin(x * y) / (x + y), name="mix")
     one = sample(src, spec, threads=1)
-    assert runs == []  # one worker: a single call, no runner
+    assert runs == [(range(17), 1, 13)]  # one runner call at every worker count, a row of n entries per item
     two = sample(src, spec, threads=2)
-    assert runs == [(range(17), 2)]
+    assert runs[1:] == [(range(17), 2, 13)]
     assert one.values.tobytes() == two.values.tobytes()
 
 
@@ -300,8 +304,10 @@ def test_sample_rejects_uncovered_domain():
 
 def test_worker_count_env(monkeypatch):
     monkeypatch.delenv("FRACDIM2D_THREADS", raising=False)
-    assert worker_count() == 1
+    assert worker_count() == (os.cpu_count() or 1)  # every core by default
     assert worker_count(5) == 5
+    monkeypatch.setenv("FRACDIM2D_THREADS", "1")
+    assert worker_count() == 1
     monkeypatch.setenv("FRACDIM2D_THREADS", "3")
     assert worker_count() == 3
     monkeypatch.setenv("FRACDIM2D_THREADS", "0")
@@ -404,6 +410,69 @@ def test_workers_keep_the_callers_floating_point_state(monkeypatch):
             core._spread(run, range(4), threads=2)
     with np.errstate(over="ignore"):
         core._spread(run, range(4), threads=2)
+
+
+@pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork on this platform")
+def test_a_forked_child_builds_its_own_pool(monkeypatch):
+    # the pool's threads do not survive a fork: a child handed its parent's pool would queue
+    # its blocks for a thread that is not there and wait for ever
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    src = CallableSource(lambda x, y: np.sin(x * y), name="sinxy")
+    spec = GridSpec(Box(1, 2, 1, 2), 512, 512)  # 2^18 samples: two workers
+    expect = sample(src, spec, threads=2).values.tobytes()
+    assert core._pool is not None  # the parent's pool, its worker now idle
+
+    def child():
+        if sample(src, spec, threads=2).values.tobytes() != expect:
+            raise SystemExit(1)
+
+    proc = multiprocessing.get_context("fork").Process(target=child)
+    proc.start()
+    try:
+        proc.join(10)
+        hung = proc.is_alive()
+    finally:
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
+    assert not hung, "the forked child did not finish its grid within 10 s"
+    assert proc.exitcode == 0
+
+
+def test_concurrent_callers_build_one_pool_and_keep_their_bits(monkeypatch):
+    # many callers at once, switching threads every microsecond: the pool is still built
+    # once, and every caller's grid has the bits of a one-worker run
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    built = []
+
+    class Counted(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(core, "ThreadPoolExecutor", Counted)
+    monkeypatch.setattr(core, "_pool", None)
+    src = CallableSource(lambda x, y: np.sin(x * y), name="sinxy")
+    spec = GridSpec(Box(1, 2, 1, 2), 512, 257)  # over 2^17 samples: two workers
+    expect = sample(src, spec, threads=1).values.tobytes()
+    start = threading.Barrier(8)
+
+    def caller():
+        start.wait(timeout=60)  # all eight reach the first grid, and the unbuilt pool, at once
+        return [sample(src, spec, threads=2).values.tobytes() for _ in range(4)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as callers:
+            futures = [callers.submit(caller) for _ in range(8)]
+            got = [g for f in futures for g in f.result(timeout=60)]
+    finally:
+        sys.setswitchinterval(interval)
+        if core._pool is not None:
+            core._pool.shutdown()  # this test's pool; the one before it comes back at teardown
+    assert built == [1]
+    assert all(g == expect for g in got)
 
 
 @given(st.integers(1, 200), st.integers(1, 16))

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 
 import numpy as np
 import pytest
@@ -286,6 +287,58 @@ def test_thread_count_never_changes_grid_bits():
         assert np.array_equal(base.values, again.values)
 
 
+def _tensor_per_output(src, rect, xs, ys, order, quad):
+    # the tensor route as one contraction per output, f evaluated in (k, j, l) order for each row
+    gr = quad.graded(order.alpha, order.beta)
+    Sx, Mx = fracint._axis_rules(rect.a, xs, order.alpha, quad.panels, gr, fracint._power_map(order.p))
+    Sy, My = fracint._axis_rules(rect.c, ys, order.beta, quad.panels, gr, fracint._power_map(order.q))
+    pref = fracint._prefactor(order)
+    (m, P), n = Sx.shape, Sy.shape[0]
+    out = np.empty((m, n))
+    for i in range(m):
+        F = np.broadcast_to(np.asarray(src.eval(Sx[i][:, None, None], Sy[None, :, :]), dtype=np.float64), (P, n, P))
+        for j in range(n):
+            inner = np.einsum("kl,l->k", np.ascontiguousarray(F[:, j, :]), My[j], optimize=False)
+            out[i, j] = pref * float(np.einsum("k,k->", Mx[i], inner, optimize=False))
+    return out + 0.0
+
+
+@pytest.mark.parametrize("name", ["sinxy", "constant:3", "t-parabola-sine"])
+def test_tensor_blocks_are_the_per_output_contraction_bit_for_bit(monkeypatch, name):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    src, box = positive_source(name)
+    spec = GridSpec(box, 8, 7)
+    quad = QuadratureSpec(panels=64)  # 8 * 7 * 64^2 evaluations: two workers
+    for order in (HALF, FracOrder(0.3, 1.7, 0.6, -0.4), FracOrder(0.7, 0.4, -1.0, -1.0)):
+        ref = _tensor_per_output(src, box, spec.xs(), spec.ys(), order, quad)
+        # the second block size holds three outputs: blocks split every row
+        for block in (fracint._APPLY_BLOCK, 4 * 3 * 64 * 64):
+            monkeypatch.setattr(fracint, "_APPLY_BLOCK", block)
+            for threads in (1, 2):
+                got = katugampola_2d_grid(src, spec, order, quad, threads=threads)
+                assert got.matrix.tobytes() == ref.tobytes(), (order, block, threads)
+
+
+def test_small_grids_stay_on_the_calling_thread(monkeypatch):
+    # a worker is added only for a block of 2^16 evaluations: a 9 x 9 grid at 16 panels
+    # (20,736 of them) never reaches the pool; the weighted 33 x 33 grid at 128 panels does
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    pool = core._workers()
+    submitted = []
+    real = pool.submit
+
+    def spy(fn, *args, **kwargs):
+        submitted.append(fn)
+        return real(fn, *args, **kwargs)
+
+    monkeypatch.setattr(pool, "submit", spy)
+    src = make_source("sinxy")
+    katugampola_2d_grid(src, GridSpec(BOX, 9, 9), HALF, QuadratureSpec(panels=16))
+    assert submitted == []
+    katugampola_2d_grid(src, GridSpec(BOX, 33, 33), FracOrder(0.5, 0.5, 0.6, -0.4), QuadratureSpec(panels=128))
+    assert len(submitted) == 1
+
+
 # ---------------------------------------------------------------------------
 # shared-mesh route: method="auto" on sources with an additive split
 
@@ -385,18 +438,18 @@ def test_lattice_weights_are_the_per_block_weights_bit_for_bit(monkeypatch, m, p
     vals = [np.sin(3.0 * mesh.s), np.cos(mesh.s)[:, None]]  # a column, as the two-axis mesh passes them
     real = fracint._lattice
 
-    def same(order, threads):
+    def same(order):
         monkeypatch.setattr(fracint, "_lattice", real)
-        fast = fracint._hat_apply(mesh, order, vals, threads)
+        fast = fracint._hat_apply(mesh, order, vals)
         monkeypatch.setattr(fracint, "_lattice", lambda u: False)
-        slow = fracint._hat_apply(mesh, order, vals, threads)
+        slow = fracint._hat_apply(mesh, order, vals)
         return all(a.tobytes() == b.tobytes() for a, b in zip(fast, slow))
 
-    for order, threads in ((0.2, 1), (0.5, 2), (1.0, 1), (1.7, 2)):
-        assert same(order, threads), (order, threads)
+    for order in (0.2, 0.5, 1.0, 1.7):
+        assert same(order), order
     # a block of 1000 entries cuts every row of the larger meshes into column chunks
     monkeypatch.setattr(fracint, "_APPLY_BLOCK", 1000)
-    assert same(0.2, 2)
+    assert same(0.2)
 
 
 def test_only_a_lattice_mesh_takes_one_row_weights(monkeypatch):
@@ -796,6 +849,16 @@ def test_separable_grids_keep_their_bits():
     for order, digest in pinned.items():
         gs = katugampola_2d_grid(src, GridSpec(box, 33, 33), order, QuadratureSpec(panels=256), method="separable")
         assert _digest(gs.values) == digest
+
+
+def test_split_grid_blocks_keep_the_whole_array_bits(monkeypatch):
+    rng = np.random.default_rng(7)
+    gu, su, hv, sv = rng.standard_normal(37), rng.random(37), rng.standard_normal(23), rng.random(23)
+    gu[0], su[0] = -0.0, 0.0  # row 0 is -0 wherever h < 0, until + 0.0
+    whole = 0.7 * (gu[:, None] * sv[None, :] + su[:, None] * hv[None, :]) + 0.0
+    for block in (fracint._APPLY_BLOCK, 5 * 23, 10):  # one block, five rows a block, one row a block
+        monkeypatch.setattr(fracint, "_APPLY_BLOCK", block)
+        assert fracint._split_grid(0.7, gu, su, hv, sv).tobytes() == whole.tobytes(), block
 
 
 def test_separable_evaluates_a_shared_axis_function_once():
