@@ -51,9 +51,10 @@ on a box with dyadic ends, m - 1 and the parts per output interval powers
 of two) has the same weights
 in every row, shifted: each U_i - u_k is then the exact float
 (top_i - k) h, so the weight formula sees the very inputs of the last
-node's row.  That row is built once and each output's weights are copied
-out of it (``_hat_blocks``), the same bits at a fraction of the cost;
-any other mesh builds its weights block by block.
+node's row.  That row is built once; when the outputs sit equally many
+intervals apart, every block of weights is a read-only strided view of it
+(``_hat_blocks``), so no m x N weight matrix exists, and the bits are the
+same.  Any other mesh builds its weights block by block.
 """
 
 from __future__ import annotations
@@ -524,57 +525,61 @@ def _hat_blocks(mesh: _Mesh, order: float) -> Callable:
     the very inputs, and so the very bits, of the last node's weight on
     interval K - top_i + k, and is 0 from k = top_i on, where D is 0 at both
     ends.  That row is built once, ``_APPLY_BLOCK`` entries at a time, and
-    each block copies its rows out of it into zeroed arrays, the arrays a
-    per-block build would give.
+    followed by zeros.  When ``top`` also steps by one constant tau, row i of
+    a block starts tau entries before row i - 1 in that padded row, so every
+    block is a read-only strided view of it: no weight block is written, and
+    no m x N weight matrix exists.  Any other mesh builds its weights block
+    by block.
     """
-    if not _lattice(mesh.u):
+    top, K = mesh.top, mesh.h.size
+    tau = int(top[1] - top[0]) if top.size > 1 else 0
+    if not (_lattice(mesh.u) and np.all(np.diff(top) == tau)):
 
         def weights(i0: int, i1: int, c0: int, c1: int):
             with _no_overflow():
                 return _hat_weights(mesh.U[i0:i1], mesh.u[c0 : c1 + 1], mesh.h[c0:c1], order)
 
         return weights
-    K = mesh.h.size
-    lrow, rrow = np.empty(K), np.empty(K)  # the last node's left and right weights
+    # the last node's left and right weights, then zeros: a block of several rows has K < _APPLY_BLOCK,
+    # and a block of one row ends at its own top, so no view reads past them
+    padded = np.zeros((2, K + min(K, _APPLY_BLOCK)))
     chunk = max(1, _APPLY_BLOCK - 1)  # intervals, so at most _APPLY_BLOCK nodes
     for c0 in range(0, K, chunk):
         c1 = min(c0 + chunk, K)
         with _no_overflow():
-            left, right = _hat_weights(mesh.u[-1:], mesh.u[c0 : c1 + 1], mesh.h[c0:c1], order)
-        lrow[c0:c1], rrow[c0:c1] = left[0], right[0]
+            padded[0, c0:c1], padded[1, c0:c1] = _hat_weights(mesh.u[-1:], mesh.u[c0 : c1 + 1], mesh.h[c0:c1], order)
+    padded.flags.writeable = False  # and so is every view of it
+    strides = (padded.strides[0], -tau * padded.itemsize, padded.itemsize)
 
     def weights(i0: int, i1: int, c0: int, c1: int):
-        left, right = np.zeros((i1 - i0, c1 - c0)), np.zeros((i1 - i0, c1 - c0))
-        for r, top in enumerate(mesh.top[i0:i1].tolist()):
-            at, n = K - top + c0, max(0, min(c1, top) - c0)  # from interval top on the weights are 0
-            left[r, :n], right[r, :n] = lrow[at : at + n], rrow[at : at + n]
-        return left, right
+        at = (K - int(top[i0]) + c0) * padded.itemsize  # numpy refuses a view that would leave ``padded``
+        return np.ndarray((2, i1 - i0, c1 - c0), buffer=padded, offset=at, strides=strides)
 
     return weights
 
 
-def _hat_apply(mesh: _Mesh, order: float, vals) -> list[np.ndarray]:
+def _hat_apply(mesh: _Mesh, weights: Callable, vals) -> list[np.ndarray]:
     """[sum_k W[i,k] v[k, ...] for v in vals], one row i per output: the product-trapezoid rule.
 
-    Each ``v`` holds values at the mesh nodes along its first axis; any
-    trailing axes are columns carried through.  Weights come a block of at
-    most ``_APPLY_BLOCK`` entries at a time (cut by columns too when one
-    mesh row is longer) and are applied to every ``v`` in the same pass,
-    on the calling thread: on a 2-vCPU Xeon VM a second worker took the
-    1025 x 1025 split mesh at 16384 panels only from 0.064-0.088 s to
-    0.062-0.071 s, and held a second set of blocks (6 MB) in memory.
+    ``weights`` is ``_hat_blocks`` of the mesh.  Each ``v`` holds values at
+    the mesh nodes along its first axis; any trailing axes are columns
+    carried through.  Weights come a block of at most ``_APPLY_BLOCK``
+    entries at a time (cut by columns too when one mesh row is longer) and
+    are applied to every ``v`` in the same pass, on the calling thread: on
+    a 2-vCPU Xeon VM a second worker took the 1025 x 1025 split mesh at
+    16384 panels only from 0.064-0.088 s to 0.062-0.071 s, and held a
+    second set of blocks (6 MB) in memory.
 
     On a mesh of equal steps on one exact binary lattice (``_lattice``: a
     p = 0 axis on a box with dyadic ends, m - 1 and the parts per output
-    interval powers of two), every
-    output's weights are a shifted slice of the last node's, which is built
-    once (``_hat_blocks``); each block still holds the same weights, so
-    the contraction, and the bits, are those of a per-block build.
+    interval powers of two), each block is a read-only strided view of
+    one row built once (``_hat_blocks``).  It holds the very weights of a
+    per-block build, and the partition of the sums is the same, so are
+    the bits.
     """
     n_out, size = mesh.U.size, mesh.u.size
     rows = max(1, _APPLY_BLOCK // size)
     width = max(1, _APPLY_BLOCK // rows - 1)  # intervals per block
-    weights = _hat_blocks(mesh, order)
     outs = [np.zeros((n_out,) + v.shape[1:]) for v in vals]
     for i0 in range(0, n_out, rows):
         i1 = min(i0 + rows, n_out)
@@ -600,7 +605,7 @@ def _mesh_apply(fns, lo: float, his, order: float, weight: float, panels: int):
     mesh = _mesh(lo, his, weight, panels)
     uniq, at = _distinct(fns)
     vals = [np.broadcast_to(np.asarray(f(mesh.s), dtype=np.float64), mesh.s.shape) for f in uniq]
-    outs = _hat_apply(mesh, order, vals)
+    outs = _hat_apply(mesh, _hat_blocks(mesh, order), vals)
     with _no_overflow():
         return [outs[k] for k in at], (mesh.U - mesh.u[0]) ** order / order
 
@@ -618,16 +623,17 @@ def _mesh_2d(src: FunctionSource, mx: _Mesh, my: _Mesh, order: FracOrder, thread
     nx, ny = mx.s.size, my.s.size
     rows = -(-nx // _f_blocks(nx, ny))  # equal blocks, as many as the entry budget needs
     G = np.empty((nx, my.U.size))
+    wy = _hat_blocks(my, order.beta)  # once for every block of F
 
     def run(starts: range) -> None:
         for a0 in starts:
             a1 = min(a0 + rows, nx)
             F = np.broadcast_to(np.asarray(src.eval(mx.s[None, a0:a1], my.s[:, None]), dtype=np.float64), (ny, a1 - a0))
-            (Gt,) = _hat_apply(my, order.beta, [F])
+            (Gt,) = _hat_apply(my, wy, [F])
             G[a0:a1] = Gt.T
 
     _spread(run, range(0, nx, rows), threads, rows * ny)
-    (out,) = _hat_apply(mx, order.alpha, [G])
+    (out,) = _hat_apply(mx, _hat_blocks(mx, order.alpha), [G])
     with _no_overflow(_SUM_OVERFLOW):
         return _clean(_prefactor(order) * out)
 

@@ -435,14 +435,18 @@ def test_lattice_weights_are_the_per_block_weights_bit_for_bit(monkeypatch, m, p
     # a slice of the last node's row; the per-block build, reached by refusing the lattice, is the reference
     mesh = fracint._mesh(1.0, np.linspace(1.0, 2.0, m), 0.0, panels)
     assert fracint._lattice(mesh.u)
+    # equally spaced outputs take the strided views: one interval apart at 64 panels for m = 65 and 1025
+    assert np.all(np.diff(mesh.top) == max(1, panels // (m - 1)))
     vals = [np.sin(3.0 * mesh.s), np.cos(mesh.s)[:, None]]  # a column, as the two-axis mesh passes them
+    if panels == 64:  # and a block of F, 129 columns
+        vals.append(np.sin(np.outer(mesh.s, np.linspace(1.0, 2.0, 129))))
     real = fracint._lattice
 
     def same(order):
         monkeypatch.setattr(fracint, "_lattice", real)
-        fast = fracint._hat_apply(mesh, order, vals)
+        fast = fracint._hat_apply(mesh, fracint._hat_blocks(mesh, order), vals)
         monkeypatch.setattr(fracint, "_lattice", lambda u: False)
-        slow = fracint._hat_apply(mesh, order, vals)
+        slow = fracint._hat_apply(mesh, fracint._hat_blocks(mesh, order), vals)
         return all(a.tobytes() == b.tobytes() for a, b in zip(fast, slow))
 
     for order in (0.2, 0.5, 1.0, 1.7):
@@ -450,6 +454,68 @@ def test_lattice_weights_are_the_per_block_weights_bit_for_bit(monkeypatch, m, p
     # a block of 1000 entries cuts every row of the larger meshes into column chunks
     monkeypatch.setattr(fracint, "_APPLY_BLOCK", 1000)
     assert same(0.2)
+
+
+def _blocks(mesh, weights):
+    # every weight block that ``_hat_apply`` asks for, in its order
+    seen = []
+    fracint._hat_apply(mesh, lambda *block: seen.append(weights(*block)) or seen[-1], [np.ones(mesh.u.size)])
+    return seen
+
+
+def test_a_lattice_with_unequally_spaced_outputs_takes_the_per_block_build(monkeypatch):
+    u = 1.0 + np.arange(65) / 64.0  # lattice nodes; the outputs end 16, 32 and 64 of 64 intervals up
+    top = np.array([16, 32, 64])
+    mesh = fracint._Mesh(u, u, np.diff(u), u[top], top)
+    assert fracint._lattice(mesh.u)
+    vals = [np.sin(3.0 * mesh.s), np.cos(np.outer(mesh.s, np.linspace(1.0, 2.0, 101)))]
+    built, real = [], fracint._hat_weights
+
+    def spy(U, u, h, order):
+        built.append(U.size)
+        return real(U, u, h, order)
+
+    monkeypatch.setattr(fracint, "_hat_weights", spy)
+    orders = (0.2, 0.5, 1.7)
+    fast = [fracint._hat_apply(mesh, fracint._hat_blocks(mesh, order), vals) for order in orders]
+    assert built == [3] * len(orders)  # every output's weights, not the last node's row
+    monkeypatch.setattr(fracint, "_lattice", lambda u: False)
+    slow = [fracint._hat_apply(mesh, fracint._hat_blocks(mesh, order), vals) for order in orders]
+    assert all(a.tobytes() == b.tobytes() for f, g in zip(fast, slow) for a, b in zip(f, g))
+
+
+@pytest.mark.parametrize("block", [fracint._APPLY_BLOCK, 1000])
+def test_lattice_weight_blocks_are_read_only_views_of_one_row(monkeypatch, block):
+    # no weight block is written: on equally spaced outputs every block is a view of one array, the
+    # last node's left and right rows and their zeros, far smaller than the blocks, and no caller can
+    # write to it
+    monkeypatch.setattr(fracint, "_APPLY_BLOCK", block)
+    for m, panels in ((9, 64), (65, 64), (1025, 16384)):
+        mesh = fracint._mesh(1.0, np.linspace(1.0, 2.0, m), 0.0, panels)
+        blocks = [w for pair in _blocks(mesh, fracint._hat_blocks(mesh, 0.5)) for w in pair]
+        row = blocks[0].base
+        assert row.shape == (2, mesh.h.size + min(mesh.h.size, block)) and row.nbytes < sum(w.nbytes for w in blocks)
+        assert all(w.base is row and np.shares_memory(w, row) and not w.flags.writeable for w in blocks)
+
+
+def test_the_y_axis_weights_are_built_once_per_call(monkeypatch):
+    # p = q = 0 on a 17 x 17 grid at 1024 panels: two lattice axes, F in several blocks; each axis
+    # builds its one row once, however many blocks of F read it
+    spec = GridSpec(BOX, 17, 17)
+    mesh = fracint._mesh(1.0, spec.ys(), 0.0, 1024)
+    assert fracint._lattice(mesh.u) and fracint._f_blocks(mesh.u.size, mesh.u.size) > 2
+    built, real = [], fracint._hat_weights
+
+    def spy(U, u, h, order):
+        built.append(U.size * h.size)
+        return real(U, u, h, order)
+
+    monkeypatch.setattr(fracint, "_hat_weights", spy)
+    order, quad = FracOrder(0.5, 0.5), QuadratureSpec(panels=1024)
+    grid = katugampola_2d_grid(make_source("sinxy"), spec, order, quad, method="auto", threads=2)
+    assert built == [mesh.h.size] * 2  # y pass, x pass
+    again = katugampola_2d_grid(make_source("sinxy"), spec, order, quad, method="auto", threads=1)
+    assert again.values.tobytes() == grid.values.tobytes()
 
 
 def test_only_a_lattice_mesh_takes_one_row_weights(monkeypatch):
