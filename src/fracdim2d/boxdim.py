@@ -178,24 +178,30 @@ def _level(g: GridSamples, delta: float, brute: bool = False) -> _Level:
 def _window_extrema(mat: np.ndarray, xwin, ywin) -> tuple[np.ndarray, np.ndarray]:
     """Max and min of the sample matrix over every cell, in one pass over the matrix.
 
-    Each row window's max and min are taken back to back while its rows
-    are in cache.  Neighbouring y windows share their edge nodes, so the
-    reduction along a row is one ``reduceat`` over the interleaved
-    bounds (start_0, stop_0, start_1, stop_1, ...), keeping every other
-    result; a last stop at the end of the row is left out, as
-    ``reduceat`` runs the last window to the end anyway.
+    Each row window's column max and min are taken back to back while its
+    rows are in cache, and at once reduced along y into its row of cells,
+    so the arrays hold O(cells + n) floats, not x windows x n (at the
+    finest default delta of a 4097 x 4097 grid, 4 MB instead of 33.5 MB).
+    Neighbouring y windows share their edge nodes, so the reduction along
+    a row is one ``reduceat`` over the interleaved bounds (start_0, stop_0,
+    start_1, stop_1, ...), keeping every other result; a last stop at the
+    end of the row is left out, as ``reduceat`` runs the last window to the
+    end anyway.
     """
     (xst, xsp), (yst, ysp) = xwin, ywin
-    col_max = np.empty((xst.size, mat.shape[1]), dtype=np.float64)
-    col_min = np.empty_like(col_max)
-    for k in range(xst.size):
-        rows = mat[xst[k] : xsp[k]]
-        np.max(rows, axis=0, out=col_max[k])
-        np.min(rows, axis=0, out=col_min[k])
     bounds = np.stack((yst, ysp), axis=1).reshape(-1)
     if bounds[-1] == mat.shape[1]:
         bounds = bounds[:-1]
-    return np.maximum.reduceat(col_max, bounds, axis=1)[:, ::2], np.minimum.reduceat(col_min, bounds, axis=1)[:, ::2]
+    col_max, col_min = np.empty((2, mat.shape[1]))
+    cell_max = np.empty((xst.size, yst.size))
+    cell_min = np.empty_like(cell_max)
+    for k in range(xst.size):
+        rows = mat[xst[k] : xsp[k]]
+        np.max(rows, axis=0, out=col_max)
+        np.min(rows, axis=0, out=col_min)
+        cell_max[k] = np.maximum.reduceat(col_max, bounds)[::2]
+        cell_min[k] = np.minimum.reduceat(col_min, bounds)[::2]
+    return cell_max, cell_min
 
 
 def _runs(fine, coarse) -> np.ndarray | None:

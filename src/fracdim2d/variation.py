@@ -16,9 +16,11 @@ reported path for callers that want the fixed-endpoint form.
 The program sweeps the anti-diagonals i + j = d in order.  A node's three
 predecessors lie on the two diagonals before it, so the sweep keeps only
 those two diagonals' samples and best sums, in contiguous buffers indexed
-by row, and each diagonal of the grid is read once as a strided slice.
-Traceback choices are stored as bytes in a skewed table whose row d
-holds diagonal d; no m x n table of sums is allocated.
+by row.  Alone, a diagonal is a slice of step n - 1 of the row-major
+samples, one memory page per node on a large grid, so one copy gathers 64
+diagonals at a time, 64 neighbouring samples of each row.  Traceback
+choices are stored as bytes in a skewed table whose row d holds diagonal
+d; no m x n table of sums is allocated.
 
 A brute-force enumerator over all monotone chains (saturated or not, any
 start and end) serves as the oracle on small grids.
@@ -47,6 +49,9 @@ __all__ = [
     "arzela_variation_bruteforce",
     "variation_trend",
 ]
+
+# anti-diagonals ``_dp_tables`` gathers per copy
+_SWEEP_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -92,13 +97,22 @@ def _dp_tables(mat: np.ndarray) -> tuple[np.ndarray, float, float, int]:
     (i-1, j-1), 0 where the chain starts (only (0, 0)).  Ties go to the
     lowest code, as ``argmax`` over the three candidates in that order.
 
-    The sweep runs over anti-diagonals d = i + j.  Each diagonal of ``mat``
-    is read once, as a strided slice of the flat array, into a row-indexed
-    buffer; the two previous diagonals' samples and best sums are all the
-    recurrence needs, so three buffers of length m rotate and no m x n
-    table of sums is held.  Choices go to a skewed (m + n - 1) x min(m, n)
-    uint8 table: node (i, j) sits at row i + j, column min(i, n - 1 - j),
-    its place along the diagonal, so a thin grid keeps a thin table.
+    The sweep runs over anti-diagonals d = i + j.  The two previous
+    diagonals' samples and best sums are all the recurrence needs, so
+    three row-indexed buffers of length m rotate and no m x n table of
+    sums is held.  Node (i, d - i) sits at d + i (n - 1) in the flat
+    row-major array, and ``skew[d, i]`` is a read-only view of it, row
+    stride n - 1 (0 when n = 1).  Its every address lies in the array,
+    off the grid too: the largest is (m + n - 2) + (m - 1)(n - 1) = mn - 1.
+    A diagonal read on its own takes one page per node, but along d the
+    view is contiguous, so one ``copyto`` gathers ``_SWEEP_BLOCK``
+    diagonals into a column-major block, from which each diagonal's buffer
+    is filled.  Their rows span at most min(m, n + 63), and the block is
+    sized by that span, never by m.  Only where samples are read changes,
+    so every sum, comparison and choice keeps its bits.  Choices go to a
+    skewed (m + n - 1) x min(m, n) uint8 table: node (i, j) sits at row
+    i + j, column min(i, n - 1 - j), its place along the diagonal, so a
+    thin grid keeps a thin table.
 
     Returns ``(choice, corner, peak, peak_index)``: the best sum at
     (m-1, n-1), the largest best sum, and the row-major index of the first
@@ -106,22 +120,27 @@ def _dp_tables(mat: np.ndarray) -> tuple[np.ndarray, float, float, int]:
     """
     m, n = mat.shape
     flat = np.ascontiguousarray(mat).reshape(-1)
-    step = max(n - 1, 1)  # a 1-wide grid has one node per diagonal
+    skew = np.ndarray((m + n - 1, m), buffer=flat, strides=(flat.itemsize, (n - 1) * flat.itemsize))
+    skew.flags.writeable = False
+    block = np.empty((_SWEEP_BLOCK, min(m, n + _SWEEP_BLOCK - 1)), order="F")
     row_run = np.zeros(n)
-    np.cumsum(np.abs(np.diff(mat[0, :])), out=row_run[1:])
+    np.abs(mat[0, 1:] - mat[0, :-1]).cumsum(out=row_run[1:])
     col_run = np.zeros(m)
-    np.cumsum(np.abs(np.diff(mat[:, 0])), out=col_run[1:])
+    np.abs(mat[1:, 0] - mat[:-1, 0]).cumsum(out=col_run[1:])
     choice = np.zeros((m + n - 1, min(m, n)), dtype=np.uint8)
     choice[1:n, 0] = 2
-    edge = np.arange(1, m)
-    choice[edge, np.minimum(edge, n - 1)] = 1
+    choice[np.arange(1, m), np.minimum(np.arange(1, m), n - 1)] = 1
     vals = [np.empty(m) for _ in range(3)]
     sums = [np.empty(m) for _ in range(3)]
     peak, peak_index = 0.0, 0
     for d in range(m + n - 1):
         lo, hi = max(0, d - n + 1), min(m - 1, d)
+        if not d % _SWEEP_BLOCK:
+            r0, r1 = lo, min(m, d + _SWEEP_BLOCK)
+            diags = skew[d : d + _SWEEP_BLOCK, r0:r1]
+            np.copyto(block[: diags.shape[0], : r1 - r0], diags)
         v, s = vals[d % 3], sums[d % 3]
-        v[lo : hi + 1] = flat[d + lo * (n - 1) : d + hi * (n - 1) + 1 : step]
+        v[lo : hi + 1] = block[d % _SWEEP_BLOCK, lo - r0 : hi - r0 + 1]
         if lo == 0:
             s[0] = row_run[d]
         if hi == d:
@@ -140,7 +159,7 @@ def _dp_tables(mat: np.ndarray) -> tuple[np.ndarray, float, float, int]:
             np.maximum(up, left, out=up)
             np.copyto(code, 3, where=diag > up)
             np.maximum(up, diag, out=s[a : b + 1])
-        k = lo + int(np.argmax(s[lo : hi + 1]))
+        k = lo + int(s[lo : hi + 1].argmax())
         top, at = float(s[k]), d + k * (n - 1)
         if top > peak or (top == peak and at < peak_index):
             peak, peak_index = top, at

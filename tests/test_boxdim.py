@@ -554,3 +554,23 @@ def test_dyadic_4097_ladder_reads_the_matrix_once(matrix_reads):
     fit = dimension_fit(g, deltas)
     assert len(fit.points) == 8 and matrix_reads == [512]  # the finest level, 1/512, alone
     assert fit.points[-1][1] == _reference_counts(g, deltas[-1]).n_lower
+
+
+def test_window_extrema_holds_cells_not_column_tables():
+    # each row window's column max and min are reduced along y at once: the traced peak is O(cells + n)
+    # floats, where x windows x n column extrema (2.1 MB here) would not fit
+    import tracemalloc
+
+    g = sample(make_source("weierstrass"), GridSpec(UNIT, 1025, 1025))
+    level = boxdim._level(g, min(default_deltas(g.spec)))
+    cells = level.m * level.n
+    assert cells == 128 * 128
+    tracemalloc.start()
+    try:
+        cmax, cmin = boxdim._window_extrema(g.matrix, level.xwin, level.ywin)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cmax.shape == cmin.shape == (level.m, level.n)
+    assert peak < 3 * 8 * (cells + g.spec.n)
+    assert peak < 8 * level.m * g.spec.n

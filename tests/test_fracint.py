@@ -108,6 +108,19 @@ def test_integral_of_one_and_axis_factor():
         axis_unit_factor(1.0, 2.0, 0.5, -1.5)
 
 
+def test_axis_factor_is_zero_at_its_lower_limit_for_every_weight():
+    # u(lo) of a float and of an array may round apart: at alpha = 1/2, p = 2, lo = 0.01 and at
+    # p = 11.25, lo = 7.5 the difference was one ulp below 0 and the factor NaN
+    for p in np.arange(-1.0, 12.001, 0.25):
+        for lo in (0.01, 0.3, 1.0, 2.0, 7.5):
+            for order in (0.5, 1.3):
+                assert axis_unit_factor(lo, lo, order, float(p)) == 0.0, (p, lo, order)
+                # above the limit the clamp leaves the difference, and so every bit, alone
+                fwd, x = fracint._power_map(float(p))[0], 1.25 * lo
+                scale = math.exp(fracint.log_normaliser(order) - math.log(order))
+                assert axis_unit_factor(lo, x, order, float(p)) == (fwd(np.asarray(x)) - fwd(lo)) ** order * scale
+
+
 def test_order_one_reduces_to_plain_integration():
     # alpha = beta = 1, p = q = 0 is the ordinary double integral
     src = make_source("plane")
@@ -516,6 +529,32 @@ def test_the_y_axis_weights_are_built_once_per_call(monkeypatch):
     assert built == [mesh.h.size] * 2  # y pass, x pass
     again = katugampola_2d_grid(make_source("sinxy"), spec, order, quad, method="auto", threads=1)
     assert again.values.tobytes() == grid.values.tobytes()
+
+
+def test_off_lattice_y_weights_are_built_once_per_call(monkeypatch):
+    # p = q = 1/2 on a 65 x 65 grid at 2048 panels: no lattice, F in several blocks, and the y
+    # weights fit in one block, so they are built once, not once per block of F (2.4e6 entries)
+    spec, order, quad = GridSpec(BOX, 65, 65), FracOrder(0.5, 0.5, 0.5, 0.5), QuadratureSpec(panels=2048)
+    ref = katugampola_2d_grid(make_source("sinxy"), spec, order, quad, method="auto", threads=1)
+    built, real = [], fracint._hat_weights
+
+    def spy(U, u, h, order):
+        built.append(U.size * h.size)
+        return real(U, u, h, order)
+
+    monkeypatch.setattr(fracint, "_hat_weights", spy)
+    for threads in (1, 2):
+        built.clear()
+        grid = katugampola_2d_grid(make_source("sinxy"), spec, order, quad, method="auto", threads=threads)
+        assert grid.values.tobytes() == ref.values.tobytes()
+        (wy, wx) = built  # y pass once, x pass once
+        blocks = fracint._f_blocks(wx // 65 + 1, wy // 65 + 1)  # 65 outputs x (N - 1) intervals per axis
+        assert blocks * wy > 2_000_000 and sum(built) < 300_000
+    # a W_y larger than one block is still built block by block, for every block of F
+    monkeypatch.setattr(fracint, "_APPLY_BLOCK", wy // 2)
+    built.clear()
+    grid = katugampola_2d_grid(make_source("sinxy"), spec, order, quad, method="auto", threads=1)
+    assert sup_gap(grid, ref) < 1e-13 and len(built) > 2 * blocks
 
 
 def test_only_a_lattice_mesh_takes_one_row_weights(monkeypatch):

@@ -133,23 +133,32 @@ def test_bruteforce_size_cap():
 # the diagonal sweep against the plain recurrence
 
 
-def _scalar_dp(mat, pinned):
-    """Node-by-node recurrence in plain Python, with the documented tie order.
+_STEPS = ((1, 0), (0, 1), (1, 1))  # choice codes 1, 2 and 3
+
+
+def _scalar_tables(mat):
+    """Best sums and steps, node by node in plain Python, with the documented tie order.
 
     Candidates come in the order (i-1, j), (i, j-1), (i-1, j-1) and the
-    first largest wins; the free endpoint is the first node, in row-major
-    order, of largest best sum.
+    first largest wins; (0, 0) has no step.
     """
     m, n = len(mat), len(mat[0])
     best = [[0.0] * n for _ in range(m)]
     step = [[None] * n for _ in range(m)]
     for i in range(m):
         for j in range(n):
-            for di, dj in ((1, 0), (0, 1), (1, 1)):
+            for di, dj in _STEPS:
                 if i >= di and j >= dj:
                     cand = best[i - di][j - dj] + abs(mat[i][j] - mat[i - di][j - dj])
                     if step[i][j] is None or cand > best[i][j]:
                         best[i][j], step[i][j] = cand, (di, dj)
+    return best, step
+
+
+def _scalar_dp(mat, pinned):
+    """The recurrence's value and path; the free endpoint is the first node, in row-major order, of largest best sum."""
+    m, n = len(mat), len(mat[0])
+    best, step = _scalar_tables(mat)
     if pinned:
         i, j = m - 1, n - 1
     else:
@@ -167,7 +176,12 @@ def _scalar_dp(mat, pinned):
     return value, tuple(reversed(path))
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (2, 9), (3, 7), (7, 3), (40, 25)])
+# the last eight cross the 64-diagonal blocks the sweep gathers, on thin and square grids
+@pytest.mark.parametrize(
+    "shape",
+    [(1, 1), (1, 7), (7, 1), (2, 9), (3, 7), (7, 3), (40, 25)]
+    + [(64, 1), (65, 1), (1, 65), (32, 33), (33, 33), (40, 90), (300, 2), (2, 300)],
+)
 @pytest.mark.parametrize("pinned", [False, True])
 def test_diagonal_sweep_matches_scalar_recurrence(shape, pinned):
     # small integers make ties between candidates and between endpoints common
@@ -176,6 +190,50 @@ def test_diagonal_sweep_matches_scalar_recurrence(shape, pinned):
         mat = rng.integers(-2, 3, size=shape).astype(np.float64)
         res = arzela_variation(mat, pinned=pinned)
         assert (res.value, res.argpath) == _scalar_dp(mat.tolist(), pinned)
+
+
+@pytest.mark.parametrize("shape", [(300, 2), (2, 300), (130, 70), (70, 130)])
+def test_every_choice_matches_scalar_recurrence(shape):
+    # float samples, so each node's winner depends on every sample it reads: a sample gathered from
+    # the wrong place in any 64-diagonal block shows in some node's choice code
+    from fracdim2d.variation import _dp_tables
+
+    m, n = shape
+    rng = np.random.default_rng(m * 1000 + n)
+    for _ in range(5):
+        mat = rng.standard_normal(shape)
+        choice = _dp_tables(mat)[0]
+        _, step = _scalar_tables(mat.tolist())
+        for i in range(m):
+            for j in range(n):
+                want = 0 if step[i][j] is None else 1 + _STEPS.index(step[i][j])
+                assert choice[i + j, min(i, n - 1 - j)] == want, (i, j)
+
+
+@pytest.mark.parametrize("pinned", [False, True])
+def test_diagonal_sweep_reads_any_memory_layout(pinned):
+    # a Fortran-ordered matrix and a strided view of a larger one give the recurrence's result too
+    rng = np.random.default_rng(71)
+    for _ in range(5):
+        wide = rng.integers(-2, 3, size=(140, 210)).astype(np.float64)
+        for mat in (np.asfortranarray(wide[:70, :97]), wide[::2, ::3]):
+            assert not mat.flags.c_contiguous
+            res = arzela_variation(mat, pinned=pinned)
+            assert (res.value, res.argpath) == _scalar_dp(mat.tolist(), pinned)
+
+
+def test_diagonal_sweep_keeps_its_bits():
+    # pinned from a sweep that read each diagonal as its own strided slice: gathering diagonals in
+    # blocks changes where samples are read, never a sum, a comparison or a tie
+    import hashlib
+
+    from fracdim2d.variation import _dp_tables
+
+    choice, corner, peak, peak_index = _dp_tables(np.random.default_rng(257).standard_normal((257, 193)))
+    assert hashlib.sha256(choice.tobytes()).hexdigest() == (
+        "c7aebcaf67ba391fa3a75ce5aaa0c5c0c769f04aaf08731dcd304fbdf882d5bf"
+    )
+    assert (repr(corner), repr(peak), repr(peak_index)) == ("960.6801071817833", "960.6801071817833", "49600")
 
 
 def test_diagonal_sweep_holds_no_float_table():
@@ -195,6 +253,23 @@ def test_diagonal_sweep_holds_no_float_table():
     finally:
         tracemalloc.stop()
     assert peak < 8 * m * n  # one m x n float64 table would not fit
+
+
+def test_diagonal_block_is_sized_by_the_diagonal_span():
+    # the gathered block holds 64 diagonals of at most min(m, n + 63) rows, never m: on a 3000 x 2
+    # grid the traced peak stays within 64 (n + 64) floats of the per-diagonal sweep's 201689 bytes
+    import tracemalloc
+
+    from fracdim2d.variation import _dp_tables
+
+    mat = np.random.default_rng(5).integers(-2, 3, size=(3000, 2)).astype(np.float64)
+    tracemalloc.start()
+    try:
+        _dp_tables(mat)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 201689 + 64 * (2 + 64) * 8
 
 
 # ---------------------------------------------------------------------------
