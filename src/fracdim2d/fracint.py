@@ -475,8 +475,7 @@ def _grid_budget(route: str, m: int, n: int, panels: int, edges=None, nodes=(Non
     weight a per-block build makes (even where a lattice mesh builds them
     from one row), plus the products of ``_mesh_2d``'s two passes: m N_x +
     n N_y weights for the split mesh, and for ``_mesh_2d`` N_x n (N_y + m)
-    products, n N_y weights per block of F (once where they fit one block)
-    and m N_x.  N_x and N_y are
+    products, n N_y weights per block of F and m N_x.  N_x and N_y are
     the mesh sizes of ``_mesh_nodes``, or ``nodes`` where one is given (a
     knot mesh's fewest nodes before it is built, its real size after).
     """
@@ -617,8 +616,6 @@ def _mesh_2d(src: FunctionSource, mx: _Mesh, my: _Mesh, order: FracOrder, thread
     F is evaluated a block of x-node rows at a time, at most
     ``_APPLY_BLOCK`` entries, and each block is reduced at once to its rows
     of G = F W_y^T; then out = W_x G.  Both passes are ``_hat_apply``.
-    When W_y fits in one ``_APPLY_BLOCK``, it is built once and every block
-    of F reads it; a larger one is built block by block, per block of F.
     Block boundaries depend only on the mesh sizes, and workers take whole
     blocks of F, so the bits do not depend on the thread count; the x pass
     runs on the caller.
@@ -627,10 +624,6 @@ def _mesh_2d(src: FunctionSource, mx: _Mesh, my: _Mesh, order: FracOrder, thread
     rows = -(-nx // _f_blocks(nx, ny))  # equal blocks, as many as the entry budget needs
     G = np.empty((nx, my.U.size))
     wy = _hat_blocks(my, order.beta)  # once for every block of F
-    if my.U.size * my.u.size <= _APPLY_BLOCK:  # then every block of F asks for this one block of weights
-        wy = lru_cache(maxsize=1)(wy)
-        for w in wy(0, my.U.size, 0, int(my.top.max())):
-            w.flags.writeable = False  # built here, before the workers share it, and read only
 
     def run(starts: range) -> None:
         for a0 in starts:

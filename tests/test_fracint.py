@@ -531,32 +531,6 @@ def test_the_y_axis_weights_are_built_once_per_call(monkeypatch):
     assert again.values.tobytes() == grid.values.tobytes()
 
 
-def test_off_lattice_y_weights_are_built_once_per_call(monkeypatch):
-    # p = q = 1/2 on a 65 x 65 grid at 2048 panels: no lattice, F in several blocks, and the y
-    # weights fit in one block, so they are built once, not once per block of F (2.4e6 entries)
-    spec, order, quad = GridSpec(BOX, 65, 65), FracOrder(0.5, 0.5, 0.5, 0.5), QuadratureSpec(panels=2048)
-    ref = katugampola_2d_grid(make_source("sinxy"), spec, order, quad, method="auto", threads=1)
-    built, real = [], fracint._hat_weights
-
-    def spy(U, u, h, order):
-        built.append(U.size * h.size)
-        return real(U, u, h, order)
-
-    monkeypatch.setattr(fracint, "_hat_weights", spy)
-    for threads in (1, 2):
-        built.clear()
-        grid = katugampola_2d_grid(make_source("sinxy"), spec, order, quad, method="auto", threads=threads)
-        assert grid.values.tobytes() == ref.values.tobytes()
-        (wy, wx) = built  # y pass once, x pass once
-        blocks = fracint._f_blocks(wx // 65 + 1, wy // 65 + 1)  # 65 outputs x (N - 1) intervals per axis
-        assert blocks * wy > 2_000_000 and sum(built) < 300_000
-    # a W_y larger than one block is still built block by block, for every block of F
-    monkeypatch.setattr(fracint, "_APPLY_BLOCK", wy // 2)
-    built.clear()
-    grid = katugampola_2d_grid(make_source("sinxy"), spec, order, quad, method="auto", threads=1)
-    assert sup_gap(grid, ref) < 1e-13 and len(built) > 2 * blocks
-
-
 def test_only_a_lattice_mesh_takes_one_row_weights(monkeypatch):
     his = np.linspace(1.0, 2.0, 65)
     moved = fracint._mesh(1.0, his, 0.0, 64).u.copy()
