@@ -253,8 +253,10 @@ def cmd_dimension(args: argparse.Namespace) -> int:
     src, box, raw = _resolve_source(args)
     if args.integral:
         _refuse_quadrature_unsafe(args.fn)
-        # the integral needs only the grid, not samples of f on it
-        order = FracOrder(float(args.alpha or 0.5), float(args.beta or 0.5), float(args.p), float(args.q))
+        # the integral needs only the grid, not samples of f on it; an order left out is 1/2
+        alpha = 0.5 if args.alpha is None else args.alpha
+        beta = 0.5 if args.beta is None else args.beta
+        order = FracOrder(alpha, beta, float(args.p), float(args.q))
         spec = _spec_of(args, box, raw, default=257)
         gs = katugampola_2d_grid(src, spec, order, _quad_of(args), method=args.method, threads=args.threads)
     else:
@@ -361,13 +363,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # parser
 
 
-def _add_common(sub: argparse.ArgumentParser, with_shift: bool = True) -> None:
+def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--fn", help="catalog spec (name[:params], t:<spec>) or csv:/json: sample file")
     sub.add_argument("--rect", help="rectangle a,b,c,d")
     sub.add_argument("--grid", help="grid sizes m,n")
     sub.add_argument("--threads", type=int, default=None, help="worker threads (default: FRACDIM2D_THREADS, else one per CPU)")
-    if with_shift:
-        sub.add_argument("--shift", help="translate the function by dx,dy before use")
+    sub.add_argument("--shift", help="translate the function by dx,dy before use")
 
 
 def _add_quadrature(sub: argparse.ArgumentParser) -> None:

@@ -54,6 +54,8 @@ __all__ = [
 
 _SEAM_TOL = 1e-12
 _SEAM_GRID = 257
+# pieces the staircase resolves; past a_24 the value is the limit column
+_DEPTH = 24
 
 
 def _piece_edge(a: float, width: float, n: int) -> float:
@@ -62,8 +64,8 @@ def _piece_edge(a: float, width: float, n: int) -> float:
 
 
 def _piece_edges(tc: "TConstruction") -> np.ndarray:
-    # a_0 ... a_depth of the construction's box
-    return np.array([_piece_edge(tc.rect.a, tc.rect.width, n) for n in range(tc.depth + 1)])
+    # a_0 ... a_24 of the construction's box
+    return np.array([_piece_edge(tc.rect.a, tc.rect.width, n) for n in range(_DEPTH + 1)])
 
 
 def psi_n(x, n: int, a: float, b: float):
@@ -96,22 +98,17 @@ class TConstruction:
     ``phi`` must be defined on the left half-strip [a, (a+b)/2] x [c, d]
     and take the same values on its two vertical edges (checked on a
     257-point seam grid, tolerance 1e-12); otherwise the pieces cannot
-    join continuously and construction fails.  ``depth`` bounds how many
-    pieces are resolved; beyond the last piece (and at x = b) the value
-    is the limit column phi(a, y).
+    join continuously and construction fails.  The first 24 pieces are
+    resolved; beyond them (and at x = b) the value is the limit column
+    phi(a, y).
     """
 
     rect: Box
     phi: FunctionSource
-    depth: int = 24
 
     def __post_init__(self):
         if not isinstance(self.rect, Box):
             raise ParameterError("rect must be a Box", parameter="rect")
-        d = int(self.depth)
-        if d < 1 or d > 60:
-            raise ParameterError("depth must be in 1..60", parameter="depth")
-        object.__setattr__(self, "depth", d)
         r = self.rect
         strip = Box(r.a, self.a1, r.c, r.d)
         if not self.phi.covers(strip):
@@ -142,16 +139,14 @@ def t_eval(tc: TConstruction, x, y):
     r = tc.rect
     xv = np.asarray(x, dtype=np.float64)
     yv = np.asarray(y, dtype=np.float64)
-    if math.prod(np.broadcast_shapes(xv.shape, yv.shape)):
-        tol_x, tol_y = r.slack()
-        if xv.min() < r.a - tol_x or xv.max() > r.b + tol_x or yv.min() < r.c - tol_y or yv.max() > r.d + tol_y:
-            raise DomainError("query outside the construction rectangle")
+    if r._outside(xv, yv):
+        raise DomainError("query outside the construction rectangle")
     w = r.width
     rem = np.clip((r.b - xv) / w, 0.0, 1.0)
-    tail = rem <= math.ldexp(1.0, -tc.depth)
+    tail = rem <= math.ldexp(1.0, -_DEPTH)
     with np.errstate(divide="ignore"):
         kk = np.where(tail, 1, np.floor(-np.log2(np.where(tail, 1.0, rem))).astype(np.int64) + 1)
-    kk = np.clip(kk, 1, tc.depth)
+    kk = np.clip(kk, 1, _DEPTH)
     lo = _piece_edges(tc)[kk - 1]
     psi = np.clip(r.a + np.ldexp(1.0, kk - 1) * (xv - lo), r.a, tc.a1)
     psi = np.where(tail, r.a, psi)
@@ -167,7 +162,7 @@ class TSource(FunctionSource):
     """FunctionSource view of a staircase construction.
 
     Each piece is an affine copy of the seed in x, so over a smooth seed
-    the construction is smooth between its piece edges a_0 ... a_depth
+    the construction is smooth between its piece edges a_0 ... a_24
     (``knots``) and along y; over any other seed it declares nothing.
     """
 

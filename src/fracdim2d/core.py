@@ -150,6 +150,13 @@ class Box:
             and other.d <= self.d + sy
         )
 
+    def _outside(self, x: np.ndarray, y: np.ndarray) -> bool:
+        """True when a query at (x, y) reaches past this box by more than ``slack``; an empty query never does."""
+        sx, sy = self.slack()
+        return bool(x.size and y.size) and (
+            x.min() < self.a - sx or x.max() > self.b + sx or y.min() < self.c - sy or y.max() > self.d + sy
+        )
+
     def shifted(self, dx: float, dy: float) -> "Box":
         return Box(self.a + dx, self.b + dx, self.c + dy, self.d + dy)
 
@@ -404,8 +411,7 @@ class SampledSource(FunctionSource):
         yv = np.asarray(y, dtype=np.float64)
         shape = np.broadcast_shapes(xv.shape, yv.shape)
         r = self.domain
-        tx, ty = r.slack()
-        if math.prod(shape) and (xv.min() < r.a - tx or xv.max() > r.b + tx or yv.min() < r.c - ty or yv.max() > r.d + ty):
+        if r._outside(xv, yv):
             raise DomainError("query outside the sampled box")
         xf, yf = np.clip(xv, r.a, r.b), np.clip(yv, r.c, r.d)
         m, n = self.samples.spec.m, self.samples.spec.n

@@ -253,32 +253,24 @@ def _tensor(src: FunctionSource, rect: Box, xs, ys, order: FracOrder, quad, thre
     return _clean(out)
 
 
-def _distinct(fns) -> tuple[list, list[int]]:
-    """``fns`` without repeats (matched by identity), and where each of ``fns`` sits among them."""
-    uniq = list({id(f): f for f in fns}.values())
-    at = {id(f): k for k, f in enumerate(uniq)}
-    return uniq, [at[id(f)] for f in fns]
-
-
 def _apply_1d(fns, lo: float, his, order: float, weight: float, panels: int, grading: float):
     """([sum_k M[i,k] g(S[i,k]) for g in fns], sum_k M[i,k]) per upper limit i, in ``_power_map``'s u.
 
     The rules are built a block of rows at a time, so the node arrays stay
     small however many panels the axis has; each block serves every
-    function, and one that appears twice is applied once.
+    function.
     """
     his = np.asarray(his, dtype=np.float64).reshape(-1)
-    uniq, at = _distinct(fns)
-    weighted = np.empty((len(uniq), his.size))
+    weighted = np.empty((len(fns), his.size))
     mass = np.empty(his.size)
     rows = max(1, _APPLY_BLOCK // panels)
     for r0 in range(0, his.size, rows):
         S, M = _axis_rules(lo, his[r0 : r0 + rows], order, panels, grading, _power_map(weight))
-        for k, g in enumerate(uniq):
+        for k, g in enumerate(fns):
             G = np.broadcast_to(np.asarray(g(S), dtype=np.float64), S.shape)
             weighted[k, r0 : r0 + rows] = np.einsum("ik,ik->i", M, G, optimize=False)
         mass[r0 : r0 + rows] = np.einsum("ik->i", M, optimize=False)
-    return [weighted[k] for k in at], mass
+    return list(weighted), mass
 
 
 def _hat_weights(U, u, h, order: float):
@@ -598,16 +590,15 @@ def _hat_apply(mesh: _Mesh, weights: Callable, vals) -> list[np.ndarray]:
 def _mesh_apply(fns, lo: float, his, order: float, weight: float, panels: int):
     """Shared-mesh rule on one axis, for upper limits ``his`` >= lo.
 
-    Each function in ``fns`` is evaluated once per node of ``_mesh``, one
-    that appears twice only once.  Returns ([sum_k W[i,k] f(s_k) for f in
-    fns], int_lo^hi_i of the kernel), the second in closed form.
+    Each function in ``fns`` is evaluated once per node of ``_mesh``.
+    Returns ([sum_k W[i,k] f(s_k) for f in fns], int_lo^hi_i of the
+    kernel), the second in closed form.
     """
     mesh = _mesh(lo, his, weight, panels)
-    uniq, at = _distinct(fns)
-    vals = [np.broadcast_to(np.asarray(f(mesh.s), dtype=np.float64), mesh.s.shape) for f in uniq]
+    vals = [np.broadcast_to(np.asarray(f(mesh.s), dtype=np.float64), mesh.s.shape) for f in fns]
     outs = _hat_apply(mesh, _hat_blocks(mesh, order), vals)
     with _no_overflow():
-        return [outs[k] for k in at], (mesh.U - mesh.u[0]) ** order / order
+        return outs, (mesh.U - mesh.u[0]) ** order / order
 
 
 def _mesh_2d(src: FunctionSource, mx: _Mesh, my: _Mesh, order: FracOrder, threads: int | None) -> np.ndarray:
@@ -832,9 +823,9 @@ def katugampola_2d_grid(
             axis = partial(_apply_1d, panels=quad.panels, grading=quad.graded(order.alpha, order.beta))
         else:
             axis = partial(_mesh_apply, panels=quad.panels)
-        if same_axes:  # one rule serves g and h
-            (gu, hv), su = axis(split, rect.a, xs, order.alpha, order.p)
-            sv = su
+        if same_axes:  # one rule serves g and h, and a function that is both is applied once
+            sums, su = axis(split[:1] if split[0] is split[1] else split, rect.a, xs, order.alpha, order.p)
+            gu, hv, sv = sums[0], sums[-1], su
         else:
             (gu,), su = axis(split[:1], rect.a, xs, order.alpha, order.p)
             (hv,), sv = axis(split[1:], rect.c, ys, order.beta, order.q)

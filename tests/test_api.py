@@ -98,7 +98,7 @@ SIGNATURES = {
     "dimension_fit": "(g: 'GridSamples', deltas, which: 'str' = 'lower') -> 'DimensionFit'",
     "fit_loglog": "(points, which: 'str' = 'lower', dropped=()) -> 'DimensionFit'",
     "default_deltas": "(spec) -> 'list[float]'",
-    "TConstruction": "(rect: 'Box', phi: 'FunctionSource', depth: 'int' = 24) -> None",
+    "TConstruction": "(rect: 'Box', phi: 'FunctionSource') -> None",
     "TSource": "(tc: 'TConstruction', name: 'str | None' = None)",
     "psi_n": "(x, n: 'int', a: 'float', b: 'float')",
     "t_eval": "(tc: 'TConstruction', x, y)",

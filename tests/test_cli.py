@@ -1,7 +1,9 @@
 import hashlib
 import json
 import math
+import pathlib
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -358,6 +360,15 @@ def test_dimension_of_integral(capsys, tmp_path):
     assert code == 0
     doc = json.loads(fit_path.read_text())
     assert 1.9 <= doc["slope"] <= 2.1
+
+
+@pytest.mark.parametrize("name", ["alpha", "beta"])
+def test_dimension_of_integral_refuses_an_order_of_zero(capsys, name):
+    # an order given as 0 is refused as integrate refuses it, not read as the default 1/2
+    code, err = _one_json_error(
+        capsys, "dimension", "--fn", "plane", "--grid", "129,129", "--integral", "--panels", "16", f"--{name}", "0"
+    )
+    assert code == 2 and err["parameter"] == name and err["message"] == f"{name} must be positive, got 0.0"
 
 
 # the counts files these runs wrote before the fit's counts stopped being
@@ -928,3 +939,18 @@ def test_classical_operator_artifacts_keep_their_bytes(capsys, tmp_path, argv, d
     code, _, err = run_cli(capsys, *argv, "--out", str(path))
     assert code == 0 and err is None
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_every_readme_command_parses():
+    # every `fracdim2d ...` line of README's sh blocks, parsed and not run: a renamed or removed flag fails here
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [
+        line.strip()
+        for block in re.findall(r"^```sh\n(.*?)^```", readme, flags=re.S | re.M)
+        for line in block.splitlines()
+        if line.strip().startswith("fracdim2d ")
+    ]
+    assert len(lines) >= 10
+    for line in lines:
+        args = cli.build_parser().parse_args(shlex.split(line, comments=True)[1:])
+        assert args.subcommand, line

@@ -61,11 +61,7 @@ def _seed():
     return make_source("parabola-sine")
 
 
-def test_construction_validates_depth_and_strip():
-    with pytest.raises(ParameterError):
-        TConstruction(rect=Box(0, 1, 0, 1), phi=_seed(), depth=0)
-    with pytest.raises(ParameterError):
-        TConstruction(rect=Box(0, 1, 0, 1), phi=_seed(), depth=61)
+def test_construction_validates_the_strip():
     small = CallableSource(lambda x, y: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y))), name="z", domain=Box(0, 0.2, 0, 1))
     with pytest.raises(ParameterError):
         TConstruction(rect=Box(0, 1, 0, 1), phi=small)
