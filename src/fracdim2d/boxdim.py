@@ -17,13 +17,14 @@ edges align with sample lines.
 The dimension estimate fits these counts over a ladder of deltas
 (Falconer, *Fractal Geometry*, ch. 11), usually halving ones.  The
 ladder is counted in one pass over the samples: the finest delta reads
-the sample matrix, taking each cell's max and min, and a coarser delta
-takes its cells' max and min from a finer delta's cell arrays when, on
-both axes, each of its [start, stop) node windows is exactly the union
-of a contiguous run of the finer windows (checked on the index ranges,
-since the edge slack scales with delta).  A delta that fails the check
-reads the matrix itself.  max and min are exact, so every count is the
-one a direct read gives; ``oscillation_counts`` is the one-delta case.
+row bands, taking each cell's max and min, and a coarser delta takes its
+cells' max and min from a finer delta's cell arrays when, on both axes,
+each of its [start, stop) node windows is exactly the union of a
+contiguous run of the finer windows (checked on the index ranges, since
+the edge slack scales with delta).  A delta that fails the check reads
+row bands itself.  A band is a slice of a ``GridSamples`` matrix or rows
+of a source evaluated on demand, so no m x n grid need be held.  max and
+min are exact, so every count is the one a direct read gives.
 
 ``boxcount_bruteforce_3d`` recounts small cases directly from the
 bilinear interpolant: over each cell it stacks the minimal run of
@@ -42,15 +43,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .core import (
+    _APPLY_BLOCK,
     GridSamples,
+    GridSpec,
     ParameterError,
     ResolutionError,
     SampledSource,
+    _spread,
     _within,
     stable_sum,
 )
@@ -134,6 +138,23 @@ def _window_bounds(coords: np.ndarray, lo: float, count: int, delta: float, hi: 
     return starts.astype(np.int64), stops.astype(np.int64)
 
 
+class _Rows(NamedTuple):
+    """A grid's samples by bands: ``read(r0, r1)`` is rows [r0, r1), reduced on ``threads`` workers."""
+
+    spec: GridSpec
+    read: Callable[[int, int], np.ndarray]
+    threads: int | None
+
+
+def _rows(g: GridSamples | _Rows) -> _Rows:
+    """A reader's rows, or a matrix's: slices reduced on the caller, where a second worker only slowed them."""
+    if isinstance(g, _Rows):
+        return g
+    if not isinstance(g, GridSamples):
+        raise ParameterError("expected GridSamples")
+    return _Rows(g.spec, lambda r0, r1, mat=g.matrix: mat[r0:r1], 1)
+
+
 class _Level(NamedTuple):
     """The delta-cells of a grid: their counts per side and node windows per axis, each (starts, stops)."""
 
@@ -144,15 +165,15 @@ class _Level(NamedTuple):
     ywin: tuple[np.ndarray, np.ndarray]
 
 
-def _level(g: GridSamples, delta: float, brute: bool = False) -> _Level:
-    """The delta-cells of ``g``.
+def _level(g: GridSamples | _Rows, delta: float, brute: bool = False) -> _Level:
+    """The delta-cells of ``g``'s grid.
 
     Raises ParameterError for a bad grid or delta, and ResolutionError for
     a delta that does not split the rectangle or leaves a cell with fewer
     than 2 x 2 sample nodes.  With ``brute``, more cells than the
     ``cells`` budget is a SizeError, checked before the windows.
     """
-    if not isinstance(g, GridSamples):
+    if not isinstance(g, (GridSamples, _Rows)):
         raise ParameterError("expected GridSamples")
     delta = float(delta)
     if not (delta > 0 and math.isfinite(delta)):
@@ -175,32 +196,47 @@ def _level(g: GridSamples, delta: float, brute: bool = False) -> _Level:
     )
 
 
-def _window_extrema(mat: np.ndarray, xwin, ywin) -> tuple[np.ndarray, np.ndarray]:
-    """Max and min of the sample matrix over every cell, in one pass over the matrix.
+def _window_extrema(rows: _Rows, xwin, ywin) -> tuple[np.ndarray, np.ndarray]:
+    """Max and min of the samples over every cell, reading each row band of ``rows`` once.
 
-    Each row window's column max and min are taken back to back while its
-    rows are in cache, and at once reduced along y into its row of cells,
-    so the arrays hold O(cells + n) floats, not x windows x n (at the
-    finest default delta of a 4097 x 4097 grid, 4 MB instead of 33.5 MB).
-    Neighbouring y windows share their edge nodes, so the reduction along
-    a row is one ``reduceat`` over the interleaved bounds (start_0, stop_0,
-    start_1, stop_1, ...), keeping every other result; a last stop at the
+    A band is a run of x windows whose rows fit one ``_APPLY_BLOCK`` (a
+    taller window is read a block at a time); ``_spread`` hands bands to
+    its workers.  A window's column max and min are at once reduced along
+    y into its row of cells, so a worker holds O(cells + n) floats besides
+    its band.  Neighbouring y windows share their edge nodes, so a row's
+    reduction is one ``reduceat`` over the interleaved bounds (start_0,
+    stop_0, start_1, ...), keeping every other result; a last stop at the
     end of the row is left out, as ``reduceat`` runs the last window to the
-    end anyway.
+    end anyway.  max and min are exact, so no thread count moves a bit.
     """
     (xst, xsp), (yst, ysp) = xwin, ywin
+    n = rows.spec.n
     bounds = np.stack((yst, ysp), axis=1).reshape(-1)
-    if bounds[-1] == mat.shape[1]:
+    if bounds[-1] == n:
         bounds = bounds[:-1]
-    col_max, col_min = np.empty((2, mat.shape[1]))
+    step = max(1, _APPLY_BLOCK // n)
+    per = max(1, step // int(np.max(xsp - xst)))  # windows per band
     cell_max = np.empty((xst.size, yst.size))
     cell_min = np.empty_like(cell_max)
-    for k in range(xst.size):
-        rows = mat[xst[k] : xsp[k]]
-        np.max(rows, axis=0, out=col_max)
-        np.min(rows, axis=0, out=col_min)
-        cell_max[k] = np.maximum.reduceat(col_max, bounds)[::2]
-        cell_min[k] = np.minimum.reduceat(col_min, bounds)[::2]
+
+    def run(bands: range) -> None:
+        col_max, col_min = np.empty((2, n))
+        for k0 in bands:
+            k1 = min(k0 + per, xst.size)
+            top = int(xst[k0])
+            band = rows.read(top, min(int(xsp[k1 - 1]), top + step))
+            for k in range(k0, k1):
+                part = band[xst[k] - top : xsp[k] - top]
+                np.max(part, axis=0, out=col_max)
+                np.min(part, axis=0, out=col_min)
+                for r0 in range(top + step, int(xsp[k]), step):  # the rest of a window taller than a block
+                    part = rows.read(r0, min(r0 + step, int(xsp[k])))
+                    np.maximum(col_max, np.max(part, axis=0), out=col_max)
+                    np.minimum(col_min, np.min(part, axis=0), out=col_min)
+                cell_max[k] = np.maximum.reduceat(col_max, bounds)[::2]
+                cell_min[k] = np.minimum.reduceat(col_min, bounds)[::2]
+
+    _spread(run, range(0, xst.size, per), rows.threads, min(step, rows.spec.m) * n)
     return cell_max, cell_min
 
 
@@ -249,16 +285,16 @@ def _box_count(level: _Level, cell_max: np.ndarray, cell_min: np.ndarray) -> Box
     )
 
 
-def _count_levels(g: GridSamples, levels: list[_Level]) -> list[BoxCount]:
+def _count_levels(rows: _Rows, levels: list[_Level]) -> list[BoxCount]:
     """The BoxCount of each level from ``_level``, in the order given.
 
     Distinct deltas are counted from finest to coarsest.  A level whose
     windows are tiled on both axes by those of a finer level already
     counted (``_runs``; the nearest such level serves) takes its cell max
     and min by ``reduceat`` over that level's cell arrays.  Any other
-    level, the finest among them, reads the sample matrix
+    level, the finest among them, reads row bands of ``rows``
     (``_window_extrema``).  max and min are exact, so each count is the
-    one a direct read of the matrix gives.
+    one a direct read of the whole matrix gives.
     """
     done: list[tuple] = []  # (level, cell max, cell min), finest first
     counts: dict[float, BoxCount] = {}
@@ -270,13 +306,13 @@ def _count_levels(g: GridSamples, levels: list[_Level]) -> list[BoxCount]:
                 cmin = np.minimum.reduceat(np.minimum.reduceat(fmin, rx, axis=0), ry, axis=1)
                 break
         else:
-            cmax, cmin = _window_extrema(g.matrix, level.xwin, level.ywin)
+            cmax, cmin = _window_extrema(rows, level.xwin, level.ywin)
         done.append((level, cmax, cmin))
         counts[level.delta] = _box_count(level, cmax, cmin)
     return [counts[lv.delta] for lv in levels]
 
 
-def _ladder(g: GridSamples, deltas) -> tuple[list[BoxCount], list[float]]:
+def _ladder(g: GridSamples | _Rows, deltas) -> tuple[list[BoxCount], list[float]]:
     """BoxCounts of the usable deltas in the caller's order, and the deltas dropped as unresolved."""
     levels: list[_Level] = []
     dropped: list[float] = []
@@ -285,7 +321,7 @@ def _ladder(g: GridSamples, deltas) -> tuple[list[BoxCount], list[float]]:
             levels.append(_level(g, float(d)))
         except ResolutionError:
             dropped.append(float(d))
-    return _count_levels(g, levels), dropped
+    return (_count_levels(_rows(g), levels) if levels else []), dropped
 
 
 def oscillation_counts(g: GridSamples, delta: float) -> BoxCount:
@@ -298,7 +334,7 @@ def oscillation_counts(g: GridSamples, delta: float) -> BoxCount:
     the ladder that ``dimension_fit`` counts: a delta gives the same
     count alone as among others.
     """
-    return _count_levels(g, [_level(g, delta)])[0]
+    return _count_levels(_rows(g), [_level(g, delta)])[0]
 
 
 def _candidate_runs(coords: np.ndarray, lo: float, hi: float, delta: float, starts: np.ndarray, stops: np.ndarray):
@@ -403,11 +439,11 @@ def dimension_fit(g: GridSamples, deltas, which: str = "lower") -> DimensionFit:
     Deltas the grid cannot support (too coarse for the rectangle or too
     fine for the sample spacing) are dropped and reported; fewer than 3
     usable deltas is a ResolutionError.  The usable deltas are counted as
-    one ladder (``_count_levels``): the sample matrix is read once for
-    the finest delta, and each coarser delta whose cell windows are
-    unions of a finer delta's windows, checked on the index ranges of
-    both axes, is reduced from that delta's cell max and min.  Deltas
-    that do not nest, as 0.3 and 0.1, read the matrix themselves.
+    one ladder (``_count_levels``): the sample matrix is read once, in
+    row bands, for the finest delta, and each coarser delta whose cell
+    windows are unions of a finer delta's windows, checked on the index
+    ranges of both axes, is reduced from that delta's cell max and min.
+    Deltas that do not nest, as 0.3 and 0.1, read the matrix themselves.
     Either way each count equals ``oscillation_counts`` at that delta.
     """
     if which not in ("lower", "upper"):

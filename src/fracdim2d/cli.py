@@ -25,7 +25,7 @@ import warnings
 
 import numpy as np
 
-from .boxdim import _fit_counts, _ladder, boxcount_bruteforce_3d, default_deltas, fit_loglog
+from .boxdim import _fit_counts, _ladder, _Rows, boxcount_bruteforce_3d, default_deltas, fit_loglog
 from .constructions import catalog_entry, default_box, make_source
 from .core import (
     Box,
@@ -42,6 +42,7 @@ from .core import (
     ShiftedSource,
     SizeError,
     VerificationError,
+    _row_reader,
     read_samples_csv,
     read_samples_json,
     sample,
@@ -60,6 +61,9 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, allow_abbrev=False, **kwargs):  # every flag in full, in subparsers too
+        super().__init__(*args, allow_abbrev=allow_abbrev, **kwargs)
+
     def error(self, message):
         raise _UsageError(message)
 
@@ -259,8 +263,12 @@ def cmd_dimension(args: argparse.Namespace) -> int:
         order = FracOrder(alpha, beta, float(args.p), float(args.q))
         spec = _spec_of(args, box, raw, default=257)
         gs = katugampola_2d_grid(src, spec, order, _quad_of(args), method=args.method, threads=args.threads)
-    else:
+    elif args.oracle:  # the independent 3-d counter reads a sampled grid
         gs = _grid_of(args, src, box, raw, default=257)
+    else:
+        spec = _spec_of(args, box, raw, default=257)
+        # the file's own nodes, or rows evaluated a band at a time: the m x n grid is never held
+        gs = raw if raw is not None and spec is raw.spec else _Rows(spec, _row_reader(src, spec), args.threads)
 
     deltas = _parse_floats(args.deltas, None, "--deltas") if args.deltas else default_deltas(gs.spec)
     if not deltas:
@@ -364,7 +372,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--fn", help="catalog spec (name[:params], t:<spec>) or csv:/json: sample file")
+    sub.add_argument("--fn", help="catalog spec name[:params], t:<catalog seed> (not a csv:/json: file), or csv:/json: sample file")
     sub.add_argument("--rect", help="rectangle a,b,c,d")
     sub.add_argument("--grid", help="grid sizes m,n")
     sub.add_argument("--threads", type=int, default=None, help="worker threads (default: FRACDIM2D_THREADS, else one per CPU)")

@@ -277,11 +277,9 @@ class GridSamples:
     def _adopt(cls, spec: GridSpec, values: np.ndarray) -> "GridSamples":
         """Samples that keep ``values``, a fresh float64 array of m*n entries no one else holds.
 
-        It is checked finite and frozen as the constructor does, but not copied.
+        The caller has checked it finite; it is frozen as the constructor does, but not copied.
         """
         v = values.reshape(-1)
-        if not np.all(np.isfinite(v)):
-            raise NumericError("grid samples must be finite")
         v.flags.writeable = False
         obj = object.__new__(cls)
         object.__setattr__(obj, "spec", spec)
@@ -590,28 +588,41 @@ def _spread(run: Callable[[range], None], items: range, threads: int | None, cos
         future.result()
 
 
-def sample(src: FunctionSource, spec: GridSpec, threads: int | None = None) -> GridSamples:
-    """Evaluate ``src`` at every grid node of ``spec``, row-major.
+def _row_reader(src: FunctionSource, spec: GridSpec) -> Callable[[int, int], np.ndarray]:
+    """``rows(r0, r1)``: the (r1 - r0, n) samples of grid rows [r0, r1), evaluated on each call.
 
-    The grid box must sit inside the source's declared domain, and the
-    grid may hold at most the ``entries`` budget of nodes (``SizeError``
-    before anything is allocated).  f is evaluated a block of whole rows
-    at a time, at most ``_APPLY_BLOCK`` entries, straight into the one
-    output array; ``_spread`` hands contiguous runs of rows to its
-    workers, so the output is bit-identical at any thread count.
+    Checked once, here: the box lies in the source's domain (else DomainError) and the grid holds
+    at most the ``entries`` budget of nodes (else SizeError).  A sample not finite is a NumericError.
     """
     if not src.covers(spec.rect):
         raise DomainError(f"grid box {spec.rect} is not inside the domain of source {src.name!r}")
     _within("entries", spec.m * spec.n, f"a {spec.m}x{spec.n} grid")
     xs = spec.xs()
     ys = spec.ys()[None, :]
+
+    def rows(r0: int, r1: int) -> np.ndarray:
+        vals = np.broadcast_to(np.asarray(src.eval(xs[r0:r1, None], ys), dtype=np.float64), (r1 - r0, spec.n))
+        if not np.all(np.isfinite(vals)):
+            raise NumericError("grid samples must be finite")
+        return vals
+
+    return rows
+
+
+def sample(src: FunctionSource, spec: GridSpec, threads: int | None = None) -> GridSamples:
+    """Evaluate ``src`` at every grid node of ``spec``, row-major, checked as ``_row_reader`` does.
+
+    Rows are evaluated in blocks of at most ``_APPLY_BLOCK`` entries into one array; ``_spread``
+    hands runs of rows to its workers, so the output is bit-identical at any thread count.
+    """
+    rows = _row_reader(src, spec)
     out = np.empty((spec.m, spec.n), dtype=np.float64)
     step = max(1, _APPLY_BLOCK // spec.n)
 
-    def run(rows: range) -> None:
-        for r0 in range(rows.start, rows.stop, step):
-            r1 = min(r0 + step, rows.stop)
-            out[r0:r1] = np.asarray(src.eval(xs[r0:r1, None], ys), dtype=np.float64)
+    def run(block: range) -> None:
+        for r0 in range(block.start, block.stop, step):
+            r1 = min(r0 + step, block.stop)
+            out[r0:r1] = rows(r0, r1)
 
     _spread(run, range(spec.m), threads, spec.n)
     return GridSamples._adopt(spec, out)

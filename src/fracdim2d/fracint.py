@@ -837,8 +837,8 @@ def _split_grid(pref: float, gu, su, hv, sv) -> np.ndarray:
     """pref (g (x) S_y + S_x (x) h), built a block of at most ``_APPLY_BLOCK`` entries at a time in one array.
 
     Each block takes the operations of pref * (gu sv^T + su hv^T) in their
-    order, and + 0.0 then turns -0 into 0, so the bits are those of the
-    whole-array expression; the caller checks the result finite.
+    order, and ``_clean`` then checks it finite and turns -0 into 0, so the
+    bits are those of the whole-array expression.
     """
     out = np.empty((gu.size, sv.size))
     rows = max(1, _APPLY_BLOCK // sv.size)
@@ -848,7 +848,7 @@ def _split_grid(pref: float, gu, su, hv, sv) -> np.ndarray:
             np.multiply(gu[r0 : r0 + rows, None], sv, out=block)
             block += su[r0 : r0 + rows, None] * hv
             block *= pref
-            block += 0.0
+            _clean(block)
     return out
 
 

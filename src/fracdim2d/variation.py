@@ -16,11 +16,11 @@ reported path for callers that want the fixed-endpoint form.
 The program sweeps the anti-diagonals i + j = d in order.  A node's three
 predecessors lie on the two diagonals before it, so the sweep keeps only
 those two diagonals' samples and best sums, in contiguous buffers indexed
-by row.  Alone, a diagonal is a slice of step n - 1 of the row-major
-samples, one memory page per node on a large grid, so one copy gathers 64
-diagonals at a time, 64 neighbouring samples of each row.  Traceback
-choices are stored as bytes in a skewed table whose row d holds diagonal
-d; no m x n table of sums is allocated.
+by place along the diagonal.  Alone, a diagonal is a slice of step n - 1
+of the row-major samples, one memory page per node on a large grid, so
+one copy gathers 64 diagonals at a time, 64 neighbouring samples of each
+row.  Traceback choices are stored as bytes in a skewed table whose row d
+holds diagonal d; no m x n table of sums is allocated.
 
 A brute-force enumerator over all monotone chains (saturated or not, any
 start and end) serves as the oracle on small grids.
@@ -99,11 +99,13 @@ def _dp_tables(mat: np.ndarray) -> tuple[np.ndarray, float, float, int]:
 
     The sweep runs over anti-diagonals d = i + j.  The two previous
     diagonals' samples and best sums are all the recurrence needs, so
-    three row-indexed buffers of length m rotate and no m x n table of
-    sums is held.  Node (i, d - i) sits at d + i (n - 1) in the flat
-    row-major array, and ``skew[d, i]`` is a read-only view of it, row
-    stride n - 1 (0 when n = 1).  Its every address lies in the array,
-    off the grid too: the largest is (m + n - 2) + (m - 1)(n - 1) = mn - 1.
+    three buffers of each rotate, no m x n table of sums is held, and node
+    (i, d - i) sits at place i - lo of the buffers, lo = max(0, d - n + 1)
+    being the diagonal's first row, so each holds min(m, n) floats, not m.
+    The node sits at d + i (n - 1) in the flat row-major array, and
+    ``skew[d, i]`` is a read-only view of it, row stride n - 1 (0 when
+    n = 1).  Its every address lies in the array, off the grid too: the
+    largest is (m + n - 2) + (m - 1)(n - 1) = mn - 1.
     A diagonal read on its own takes one page per node, but along d the
     view is contiguous, so one ``copyto`` gathers ``_SWEEP_BLOCK``
     diagonals into a column-major block, from which each diagonal's buffer
@@ -123,15 +125,16 @@ def _dp_tables(mat: np.ndarray) -> tuple[np.ndarray, float, float, int]:
     skew = np.ndarray((m + n - 1, m), buffer=flat, strides=(flat.itemsize, (n - 1) * flat.itemsize))
     skew.flags.writeable = False
     block = np.empty((_SWEEP_BLOCK, min(m, n + _SWEEP_BLOCK - 1)), order="F")
-    row_run = np.zeros(n)
-    np.abs(mat[0, 1:] - mat[0, :-1]).cumsum(out=row_run[1:])
-    col_run = np.zeros(m)
-    np.abs(mat[1:, 0] - mat[:-1, 0]).cumsum(out=col_run[1:])
+    row_run, col_run = np.zeros(n), np.zeros(m)
+    for run, edge in ((row_run, mat[0]), (col_run, mat[:, 0])):
+        np.subtract(edge[1:], edge[:-1], out=run[1:])
+        np.abs(run[1:], out=run[1:]).cumsum(out=run[1:])
     choice = np.zeros((m + n - 1, min(m, n)), dtype=np.uint8)
     choice[1:n, 0] = 2
-    choice[np.arange(1, m), np.minimum(np.arange(1, m), n - 1)] = 1
-    vals = [np.empty(m) for _ in range(3)]
-    sums = [np.empty(m) for _ in range(3)]
+    np.fill_diagonal(choice[1:, 1:], 1)  # node (i, 0) for i < n sits at column i
+    choice[n:m, -1] = 1  # and for i >= n at column n - 1, the last
+    vals = [np.empty(min(m, n)) for _ in range(3)]
+    sums = [np.empty(min(m, n)) for _ in range(3)]
     peak, peak_index = 0.0, 0
     for d in range(m + n - 1):
         lo, hi = max(0, d - n + 1), min(m - 1, d)
@@ -140,30 +143,31 @@ def _dp_tables(mat: np.ndarray) -> tuple[np.ndarray, float, float, int]:
             diags = skew[d : d + _SWEEP_BLOCK, r0:r1]
             np.copyto(block[: diags.shape[0], : r1 - r0], diags)
         v, s = vals[d % 3], sums[d % 3]
-        v[lo : hi + 1] = block[d % _SWEEP_BLOCK, lo - r0 : hi - r0 + 1]
+        v[: hi - lo + 1] = block[d % _SWEEP_BLOCK, lo - r0 : hi - r0 + 1]
         if lo == 0:
             s[0] = row_run[d]
         if hi == d:
-            s[d] = col_run[d]
+            s[d - lo] = col_run[d]
         a, b = max(1, lo), min(m - 1, d - 1)
         if a <= b:
             pv, ps = vals[(d - 1) % 3], sums[(d - 1) % 3]
             qv, qs = vals[(d - 2) % 3], sums[(d - 2) % 3]
-            cur = v[a : b + 1]
-            up = ps[a - 1 : b] + np.abs(cur - pv[a - 1 : b])
-            left = ps[a : b + 1] + np.abs(cur - pv[a : b + 1])
-            diag = qs[a - 1 : b] + np.abs(cur - qv[a - 1 : b])
+            plo, qlo = max(0, d - n), max(0, d - n - 1)  # the first rows of those two diagonals
+            cur = v[a - lo : b - lo + 1]
+            up = ps[a - 1 - plo : b - plo] + np.abs(cur - pv[a - 1 - plo : b - plo])
+            left = ps[a - plo : b - plo + 1] + np.abs(cur - pv[a - plo : b - plo + 1])
+            diag = qs[a - 1 - qlo : b - qlo] + np.abs(cur - qv[a - 1 - qlo : b - qlo])
             code = choice[d, a - lo : b - lo + 1]
             np.greater(left, up, out=code.view(np.bool_))
             code += 1
             np.maximum(up, left, out=up)
             np.copyto(code, 3, where=diag > up)
-            np.maximum(up, diag, out=s[a : b + 1])
-        k = lo + int(s[lo : hi + 1].argmax())
-        top, at = float(s[k]), d + k * (n - 1)
+            np.maximum(up, diag, out=s[a - lo : b - lo + 1])
+        k = int(s[: hi - lo + 1].argmax())
+        top, at = float(s[k]), d + (lo + k) * (n - 1)
         if top > peak or (top == peak and at < peak_index):
             peak, peak_index = top, at
-    return choice, float(sums[(m + n - 2) % 3][m - 1]), peak, peak_index
+    return choice, float(sums[(m + n - 2) % 3][0]), peak, peak_index
 
 
 def _traceback(choice: np.ndarray, n: int, i: int, j: int) -> tuple[tuple[int, int], ...]:

@@ -11,9 +11,11 @@ from fracdim2d import (
     DimensionFit,
     GridSamples,
     GridSpec,
+    NumericError,
     ParameterError,
     ResolutionError,
     SampledSource,
+    ShiftedSource,
     SizeError,
     boxcount_bruteforce_3d,
     default_deltas,
@@ -23,7 +25,7 @@ from fracdim2d import (
     oscillation_counts,
     sample,
 )
-from fracdim2d import boxdim
+from fracdim2d import boxdim, core
 
 UNIT = Box(0.0, 1.0, 0.0, 1.0)
 
@@ -557,20 +559,81 @@ def test_dyadic_4097_ladder_reads_the_matrix_once(matrix_reads):
 
 
 def test_window_extrema_holds_cells_not_column_tables():
-    # each row window's column max and min are reduced along y at once: the traced peak is O(cells + n)
-    # floats, where x windows x n column extrema (2.1 MB here) would not fit
+    # each row window's column max and min are reduced along y at once, and a matrix's bands are slices
+    # of it: the traced peak is O(cells + n) floats, where x windows x n column extrema (2.1 MB here)
+    # would not fit
     import tracemalloc
 
     g = sample(make_source("weierstrass"), GridSpec(UNIT, 1025, 1025))
     level = boxdim._level(g, min(default_deltas(g.spec)))
     cells = level.m * level.n
     assert cells == 128 * 128
-    tracemalloc.start()
-    try:
-        cmax, cmin = boxdim._window_extrema(g.matrix, level.xwin, level.ywin)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert cmax.shape == cmin.shape == (level.m, level.n)
-    assert peak < 3 * 8 * (cells + g.spec.n)
-    assert peak < 8 * level.m * g.spec.n
+    for threads in (1, 2):
+        tracemalloc.start()
+        try:
+            rows = boxdim._Rows(g.spec, boxdim._rows(g).read, threads)
+            cmax, cmin = boxdim._window_extrema(rows, level.xwin, level.ywin)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cmax.shape == cmin.shape == (level.m, level.n)
+        assert peak < 3 * 8 * (cells + g.spec.n)
+        assert peak < 8 * level.m * g.spec.n
+
+
+# ---------------------------------------------------------------------------
+# counts from rows evaluated on demand
+
+
+def _streamed(src, spec, threads):
+    return boxdim._Rows(spec, core._row_reader(src, spec), threads)
+
+
+@pytest.mark.parametrize("block", [core._APPLY_BLOCK, 1000])
+def test_streamed_ladder_equals_the_sampled_one(monkeypatch, block):
+    # at 1000 entries a band holds a few rows, so every finest window is a band read a block at a time,
+    # and a worker takes every 64 entries of work, so both threads reduce bands
+    monkeypatch.setattr(boxdim, "_APPLY_BLOCK", block)
+    if block < core._APPLY_BLOCK:
+        monkeypatch.setattr(core, "_GRAIN", 64)
+    rng = np.random.default_rng(23)
+    field = SampledSource(GridSamples.from_matrix(GridSpec(UNIT, 97, 129), rng.standard_normal((97, 129))))
+    cases = [
+        (make_source("weierstrass"), GridSpec(UNIT, 257, 257)),
+        (make_source("t-parabola-sine"), GridSpec(UNIT, 257, 193)),
+        (ShiftedSource(make_source("sinxy"), 1.0, 1.0), GridSpec(Box(1.1, 1.9, 1.2, 1.8), 257, 193)),
+        (field, GridSpec(UNIT, 97, 129)),  # the field at its own nodes
+        (field, GridSpec(Box(0.1, 0.9, 0.05, 0.95), 161, 113)),  # and resampled
+    ]
+    for src, spec in cases:
+        g = sample(src, spec)
+        side = min(spec.rect.width, spec.rect.height)
+        for deltas in (default_deltas(spec), [side * f for f in (0.3, 0.1, 0.07, 0.05)]):
+            want = ([], [])
+            for d in deltas:
+                try:
+                    want[0].append(_reference_counts(g, d))
+                except ResolutionError:
+                    want[1].append(float(d))
+            assert len(want[0]) >= 2, (src.name, deltas)
+            for threads in (1, 2):
+                assert boxdim._ladder(_streamed(src, spec, threads), deltas) == want, (src.name, deltas, threads)
+                assert boxdim._ladder(boxdim._Rows(spec, boxdim._rows(g).read, threads), deltas) == want
+
+
+def test_streamed_rows_refuse_what_sample_refuses():
+    inside = make_source("t-parabola-sine")
+    for spec, error in ((GridSpec(Box(-0.5, 1.0, 0.0, 1.0), 9, 9), core.DomainError),
+                        (GridSpec(UNIT, 1 << 14, 1 << 14), SizeError)):
+        with pytest.raises(error) as direct:
+            sample(inside, spec)
+        with pytest.raises(error) as streamed:
+            core._row_reader(inside, spec)
+        assert str(streamed.value) == str(direct.value)
+    hole = CallableSource(lambda x, y: np.where((x > 0.7) & (y < 0.2), np.nan, x * y), name="hole")
+    spec = GridSpec(UNIT, 129, 129)
+    with pytest.raises(NumericError, match="^grid samples must be finite$"):
+        sample(hole, spec)
+    for threads in (1, 2):
+        with pytest.raises(NumericError, match="^grid samples must be finite$"):
+            boxdim._ladder(_streamed(hole, spec, threads), default_deltas(spec))

@@ -681,6 +681,61 @@ def test_dimension_out_takes_both_bounds_from_the_one_ladder(capsys, monkeypatch
     assert path.read_text() == PINNED_COUNTS[0][1]
 
 
+def test_dimension_of_a_catalog_source_samples_no_grid(capsys, monkeypatch, tmp_path):
+    calls = []
+    real = cli.sample
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "sample", counted)
+    path = tmp_path / "counts.csv"
+    code, _, err = run_cli(capsys, "dimension", "--fn", "weierstrass", "--grid", "257,257", "--out", str(path))
+    assert code == 0 and err is None and calls == []
+    assert path.read_text() == PINNED_COUNTS[0][1]
+    # positive control: the independent 3-d counter still reads a sampled grid
+    code, _, err = run_cli(capsys, "dimension", "--fn", "sinxy", "--grid", "129,129", "--oracle", "--out", str(path))
+    assert code == 0 and err is None and [(s.m, s.n) for s in calls] == [(129, 129)]
+
+
+def test_dimension_holds_no_grid_at_either_thread_count(capsys):
+    # the 2049 x 2049 grid is 33.6 MB; bands of rows evaluated on demand keep the traced peak under half of it
+    import tracemalloc
+
+    for threads in ("1", "2"):
+        tracemalloc.start()
+        try:
+            code = cli.main(["dimension", "--fn", "weierstrass", "--grid", "2049,2049", "--threads", threads])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        out = capsys.readouterr().out
+        assert code == 0 and "over 7 deltas" in out
+        assert peak < 8 * 2049 * 2049 / 2, (threads, peak)
+
+
+def test_dimension_refusals_hold_without_a_grid(capsys):
+    code, _, err = run_cli(capsys, "dimension", "--fn", "t-parabola-sine", "--rect=-0.5,1,0,1", "--grid", "65,65")
+    assert code == 2 and "is not inside the domain of source 't-parabola-sine'" in err["message"]
+    with pytest.raises(core.SizeError) as direct:
+        sample(make_source("weierstrass"), GridSpec(Box(0.0, 1.0, 0.0, 1.0), 16385, 16385))
+    code, _, err = run_cli(capsys, "dimension", "--fn", "weierstrass", "--grid", "16385,16385")
+    assert code == 3 and err == {"code": 3, "message": str(direct.value)}
+
+
+def test_abbreviated_flags_are_usage_errors(capsys):
+    code, out, err = run_cli(capsys, "variation", "--fn", "plane", "--trend", "--lev", "16,32")
+    assert code == 2 and out == "" and err == {"code": 2, "message": "unrecognized arguments: --lev 16,32"}
+    code, out, err = run_cli(capsys, "variation", "--fn", "plane", "--trend", "--levels", "16,32")
+    assert code == 0 and err is None
+
+
+def test_t_prefix_wraps_catalog_seeds_only(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "construct", "--fn", "t:csv:g.csv", "--grid", "5,5")
+    assert code == 2 and out == "" and err["message"].startswith("unknown catalog function 'csv'")
+
+
 _GOOD_CSV = "x,y,value\n0,0,1\n0,1,2\n1,0,3\n1,1,4\n"
 _GOOD_JSON = '{"rect": {"a": 0, "b": 1, "c": 0, "d": 1}, "m": 2, "n": 2, "values": [1, 2, 3, 4]}'
 

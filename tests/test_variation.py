@@ -272,6 +272,25 @@ def test_diagonal_block_is_sized_by_the_diagonal_span():
     assert peak <= 201689 + 64 * (2 + 64) * 8
 
 
+def test_diagonal_buffers_are_sized_by_the_diagonal_length():
+    # the rotating sample and sum buffers hold a diagonal's min(m, n) nodes, not m: a 65536 x 2 sweep
+    # traced 3.84 MB when they held m floats each, for 1.05 MB of samples, and 0.70 MB since.  Tracing
+    # slows the sweep twentyfold, so the bound, 1.5 MB there, is held on an eighth of the grid:
+    # 0.51 MB with m floats per buffer, 0.12 MB now
+    import tracemalloc
+
+    from fracdim2d.variation import _dp_tables
+
+    mat = np.random.default_rng(6).standard_normal((8192, 2))
+    tracemalloc.start()
+    try:
+        _dp_tables(mat)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6 / 8
+
+
 # ---------------------------------------------------------------------------
 # result validation and trend
 
