@@ -157,7 +157,7 @@ def _grid_of(args: argparse.Namespace, src: FunctionSource, box: Box, raw: GridS
 
 
 def _quad_of(args: argparse.Namespace) -> QuadratureSpec:
-    return QuadratureSpec(panels=args.panels, grading=args.grading)
+    return QuadratureSpec(panels=args.panels)
 
 
 def _refuse_quadrature_unsafe(spec_text: str) -> None:
@@ -385,13 +385,13 @@ def _add_quadrature(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--p", type=float, default=0.0, help="power weight along x, -1 or more; -1 is the log kernel (katugampola only)")
     sub.add_argument("--q", type=float, default=0.0, help="power weight along y, -1 or more; -1 is the log kernel (katugampola only)")
     sub.add_argument("--panels", type=int, default=64, help="quadrature panels per axis")
-    sub.add_argument("--grading", type=float, default=None, help="panel grading exponent in [1,8]")
     sub.add_argument(
         "--method",
         default="auto",
         help="grid evaluation route: auto (shared mesh for split sources g(x)+h(y), for smooth catalog "
         "sources, and, with their piece edges or sample nodes as mesh nodes, for t-* constructions over "
-        "smooth seeds and csv:/json: grids; else tensor), tensor, separable",
+        "smooth seeds and csv:/json: grids; else tensor), tensor, separable (auto's shared mesh, refusing "
+        "a source without a split g(x)+h(y))",
     )
 
 

@@ -310,7 +310,7 @@ class FunctionSource:
     point-wise pure (same floats in, same floats out, no state).  ``domain``
     is the box where evaluation is defined; ``None`` means unrestricted.
     ``xy_split()`` optionally exposes an additive split f(x, y) = g(x) + h(y)
-    used by separable fast paths; sources without one return ``None``.
+    used by the split shared mesh; sources without one return ``None``.
     ``smooth`` declares f twice continuously differentiable on its domain,
     so a product-trapezoid rule on f is second order; like the split it is
     a promise the source makes, not something checked.  ``edges`` =
@@ -470,7 +470,7 @@ class ShiftedSource(FunctionSource):
 _BUDGET = {
     "entries": 1 << 27,  # float64 entries of one array (1 GiB): a sampled grid, an operator's output, mesh or rule
     "evaluations": 1 << 28,  # source evaluations m n P^2 of the tensor route and the RL oracle
-    "operations": 1 << 36,  # evaluations plus kernel-weight products of a separable or mesh grid call
+    "operations": 1 << 36,  # evaluations plus kernel-weight products of a shared-mesh grid call
     "panels": 1 << 13,  # panels per axis of the tensor rule, the RL oracle and the knot mesh
     "cells": 1 << 14,  # delta-cells of one brute-force box count
     "nodes": 1 << 4,  # grid nodes of the brute-force variation, whose chains grow exponentially in them

@@ -23,12 +23,12 @@ midpoints.  The rule is exact for constant integrands and second-order
 accurate for smooth ones.
 
 Point values are 1x1 grids of the one tensor contraction, so a grid
-value and the matching single-point call agree bit for bit.  A 1-D apply
-of the same per-output rule serves the one-axis operator and the
-``separable`` grid route for sources g(x) + h(y).
+value and the matching single-point call agree bit for bit.  The one-axis
+operator is one row of the same per-output rule.
 
-Under ``method="auto"`` a split source takes a shared-mesh route
-instead: one mesh per axis in u, containing every output coordinate,
+Under ``method="auto"`` (and ``"separable"``, which only insists on the
+split) a split source g(x) + h(y) takes a shared-mesh route instead of the
+tensor one: one mesh per axis in u, containing every output coordinate,
 with g and h evaluated once per mesh node.  Its weights integrate the
 kernel exactly against the hat functions of the mesh (product-trapezoid
 integration, the weights of the fractional Adams scheme of Diethelm,
@@ -62,7 +62,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -111,16 +111,15 @@ _HAT_COST = 40
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Panel count and grading exponent for the per-axis product rule.
+    """Panel count for the per-axis product rule.
 
-    ``panels`` is the number of panels per axis.  ``grading`` controls how
-    strongly panel widths shrink toward the singular endpoint; ``None``
-    picks 2.0 for orders below 1 (integrable singularity) and 1.0 (uniform
-    panels) otherwise.
+    ``panels`` is the number of panels per axis.  The tensor rule's panel
+    widths shrink toward the singular endpoint with grading exponent 2.0
+    when an order is below 1 (integrable singularity), and are uniform
+    (1.0) otherwise.
     """
 
     panels: int = 64
-    grading: float | None = None
 
     def __post_init__(self):
         if not isinstance(self.panels, (int, np.integer)) or isinstance(self.panels, bool):
@@ -128,22 +127,15 @@ class QuadratureSpec:
         object.__setattr__(self, "panels", int(self.panels))
         if self.panels < 4:
             raise ParameterError(f"need at least 4 panels, got {self.panels}", parameter="panels")
-        if self.grading is not None:
-            g = float(self.grading)
-            if not (math.isfinite(g) and 1.0 <= g <= 8.0):
-                raise ParameterError(f"grading must lie in [1, 8], got {self.grading}", parameter="grading")
-            object.__setattr__(self, "grading", g)
 
     def graded(self, *orders: float) -> float:
         # one grading serves both axes: graded panels whenever any kernel
         # is singular, uniform otherwise
-        if self.grading is not None:
-            return self.grading
         return 2.0 if min(orders) < 1.0 else 1.0
 
 
 # ---------------------------------------------------------------------------
-# the axis-rule engine: coordinate maps, rule builder, 2-D contraction, 1-D apply
+# the axis-rule engine: coordinate maps, rule builder, 2-D contraction
 
 
 def _power_map(weight: float) -> tuple[Callable, Callable]:
@@ -251,26 +243,6 @@ def _tensor(src: FunctionSource, rect: Box, xs, ys, order: FracOrder, quad, thre
 
     _spread(run, range(m), threads, n * P * P)
     return _clean(out)
-
-
-def _apply_1d(fns, lo: float, his, order: float, weight: float, panels: int, grading: float):
-    """([sum_k M[i,k] g(S[i,k]) for g in fns], sum_k M[i,k]) per upper limit i, in ``_power_map``'s u.
-
-    The rules are built a block of rows at a time, so the node arrays stay
-    small however many panels the axis has; each block serves every
-    function.
-    """
-    his = np.asarray(his, dtype=np.float64).reshape(-1)
-    weighted = np.empty((len(fns), his.size))
-    mass = np.empty(his.size)
-    rows = max(1, _APPLY_BLOCK // panels)
-    for r0 in range(0, his.size, rows):
-        S, M = _axis_rules(lo, his[r0 : r0 + rows], order, panels, grading, _power_map(weight))
-        for k, g in enumerate(fns):
-            G = np.broadcast_to(np.asarray(g(S), dtype=np.float64), S.shape)
-            weighted[k, r0 : r0 + rows] = np.einsum("ik,ik->i", M, G, optimize=False)
-        mass[r0 : r0 + rows] = np.einsum("ik->i", M, optimize=False)
-    return list(weighted), mass
 
 
 def _hat_weights(U, u, h, order: float):
@@ -460,10 +432,9 @@ def _grid_budget(route: str, m: int, n: int, panels: int, edges=None, nodes=(Non
     """Refuse a grid call whose predicted size exceeds the budget (``core._within``), before it allocates.
 
     Predicted per route, for m x n outputs: the largest array's entries
-    (the output, a mesh, a separable rule row of P, or ``_mesh_2d``'s G
-    buffer of N_x x n), then m n P^2 source evaluations for the tensor
-    route and the RL oracle, or the operations of the others: (m + n) P
-    for ``separable``; for the two mesh routes, ``_HAT_COST`` for each hat
+    (the output, a mesh, or ``_mesh_2d``'s G buffer of N_x x n), then
+    m n P^2 source evaluations for the tensor route and the RL oracle, or
+    the operations of the two mesh routes: ``_HAT_COST`` for each hat
     weight a per-block build makes (even where a lattice mesh builds them
     from one row), plus the products of ``_mesh_2d``'s two passes: m N_x +
     n N_y weights for the split mesh, and for ``_mesh_2d`` N_x n (N_y + m)
@@ -474,8 +445,6 @@ def _grid_budget(route: str, m: int, n: int, panels: int, edges=None, nodes=(Non
     entries, limit = m * n, "operations"
     if route in ("tensor", "oracle"):
         limit, work = "evaluations", m * n * panels * panels
-    elif route == "separable":
-        entries, work = max(entries, panels), (m + n) * panels
     else:
         ex, ey = edges or (None, None)
         nx = nodes[0] or _mesh_nodes(m, panels, ex)
@@ -716,8 +685,9 @@ def katugampola_1d(g: Callable, a: float, x: float, alpha: float, p: float = 0.0
     if not math.isfinite(x) or x < a:
         raise DomainError(f"upper limit x={x} must lie in [a, inf)")
     _within("entries", quad.panels, "a one-axis rule")
-    (weighted,), _ = _apply_1d([g], a, x, alpha, p, quad.panels, quad.graded(alpha))
-    return _clean(_unlog(log_normaliser(alpha)) * float(weighted[0]))
+    S, M = _axis_rules(a, x, alpha, quad.panels, quad.graded(alpha), _power_map(p))
+    G = np.broadcast_to(np.asarray(g(S), dtype=np.float64), S.shape)
+    return _clean(_unlog(log_normaliser(alpha)) * float(np.einsum("ik,ik->i", M, G, optimize=False)[0]))
 
 
 def katugampola_2d(f, rect: Box, x: float, y: float, order: FracOrder, quad: QuadratureSpec | None = None) -> float:
@@ -762,28 +732,25 @@ def katugampola_2d_grid(
     ``method``:
       * ``"tensor"``   - generic route; the same contraction as
         ``katugampola_2d``, so shared nodes match bit for bit.
-      * ``"separable"``- requires ``f.xy_split()``; the tensor route's
-        per-output rule applied to each axis function, so cost grows
-        linearly in panels instead of quadratically.  Values agree with
-        the tensor route to rounding but not bit for bit.
+      * ``"separable"``- requires ``f.xy_split()`` (else ParameterError)
+        and takes ``"auto"``'s split mesh, bit for bit.
       * ``"auto"``     - for a source with a split g(x) + h(y), the shared
         mesh: one mesh per axis holding every grid coordinate, at least
         ``quad.panels`` intervals long, with g and h evaluated once per
         mesh node and the kernel integrated exactly against hat
-        functions (``quad.grading`` is unused there).  A source without
-        a split whose ``knots()`` is not None (every smooth source, a
-        staircase over a smooth seed, a grid of samples) takes the same
-        meshes on both axes, each also holding the source's knots with
-        as many parts per piece between them as the widest piece gets
-        (``_mesh_knots``), and f is evaluated once per node of their
-        product (the tensor panel cap still applies); if it declares
-        ``edges``, each mesh opens with a lead-in graded toward the lower
-        limit (``_lead_in``), which keeps the rule second order on
-        f = g (x - a)^sigma_x (y - c)^sigma_y.  Other sources take the
-        tensor route.
+        functions.  A source without a split whose ``knots()`` is not
+        None (every smooth source, a staircase over a smooth seed, a
+        grid of samples) takes the same meshes on both axes, each also
+        holding the source's knots with as many parts per piece between
+        them as the widest piece gets (``_mesh_knots``), and f is
+        evaluated once per node of their product (the tensor panel cap
+        still applies); if it declares ``edges``, each mesh opens with a
+        lead-in graded toward the lower limit (``_lead_in``), which keeps
+        the rule second order on f = g (x - a)^sigma_x (y - c)^sigma_y.
+        Other sources take the tensor route.
 
-    On both split routes, axes that share lower limit, nodes, order and
-    weight share one rule, and a function that is both g and h is applied once.
+    On the split mesh, axes that share lower limit, nodes, order and
+    weight share one mesh, and a function that is both g and h is applied once.
 
     ``threads`` overrides FRACDIM2D_THREADS.  Thread count never changes
     the computed bits: rows are assigned to workers in contiguous blocks
@@ -796,11 +763,11 @@ def katugampola_2d_grid(
     split = src.xy_split()
     if method == "separable" and split is None:
         raise ParameterError(f"source {src.name!r} has no additive split; use method='tensor'", parameter="method")
-    use_split = split is not None and method in ("separable", "auto")
+    use_split = split is not None and method != "tensor"
     src, quad = _checked(src, spec.rect, quad, tensor=not use_split)
     knots = src.knots() if method == "auto" and not use_split else None
     if use_split:
-        route = "separable" if method == "separable" else "mesh-split"
+        route = "mesh-split"
     else:
         route = "tensor" if knots is None else "mesh-2d"
     rect = spec.rect
@@ -819,16 +786,12 @@ def katugampola_2d_grid(
     elif route == "tensor":
         out = _tensor(src, rect, xs, ys, order, quad, threads)
     else:
-        if route == "separable":
-            axis = partial(_apply_1d, panels=quad.panels, grading=quad.graded(order.alpha, order.beta))
-        else:
-            axis = partial(_mesh_apply, panels=quad.panels)
-        if same_axes:  # one rule serves g and h, and a function that is both is applied once
-            sums, su = axis(split[:1] if split[0] is split[1] else split, rect.a, xs, order.alpha, order.p)
+        if same_axes:  # one mesh serves g and h, and a function that is both is applied once
+            sums, su = _mesh_apply(split[:1] if split[0] is split[1] else split, rect.a, xs, order.alpha, order.p, quad.panels)
             gu, hv, sv = sums[0], sums[-1], su
         else:
-            (gu,), su = axis(split[:1], rect.a, xs, order.alpha, order.p)
-            (hv,), sv = axis(split[1:], rect.c, ys, order.beta, order.q)
+            (gu,), su = _mesh_apply(split[:1], rect.a, xs, order.alpha, order.p, quad.panels)
+            (hv,), sv = _mesh_apply(split[1:], rect.c, ys, order.beta, order.q, quad.panels)
         out = _split_grid(_prefactor(order), gu, su, hv, sv)
     return GridSamples._adopt(spec, out)
 
@@ -991,7 +954,7 @@ def compose_semigroup(
     total = FracOrder(first.alpha + second.alpha, first.beta + second.beta, first.p, first.q)
     rhs = katugampola_2d_grid(f, spec, total, quad, method="auto", threads=threads)
     inner_spec = GridSpec(rect, 2 * quad.panels + 1, 2 * quad.panels + 1)
-    inner_quad = QuadratureSpec(panels=max(32, quad.panels // 2), grading=quad.grading)
+    inner_quad = QuadratureSpec(panels=max(32, quad.panels // 2))
     inner = katugampola_2d_grid(f, inner_spec, second, inner_quad, method="auto", threads=threads)
 
     def edge_profile(x, y):
@@ -1111,7 +1074,7 @@ def quad_error_probe(f, rect: Box, order: FracOrder, quad: QuadratureSpec | None
     spec = GridSpec(rect, 9, 9)
 
     def grid(panels: int) -> np.ndarray:
-        return katugampola_2d_grid(f, spec, order, QuadratureSpec(panels=panels, grading=quad.grading), method="auto").values
+        return katugampola_2d_grid(f, spec, order, QuadratureSpec(panels=panels), method="auto").values
 
     fine = grid(quad.panels)
     other, panels = grid(quad.panels // 2), quad.panels

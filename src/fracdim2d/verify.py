@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxdim import boxcount_bruteforce_3d, default_deltas, dimension_fit, oscillation_counts
+from .boxdim import _Rows, boxcount_bruteforce_3d, default_deltas, dimension_fit, oscillation_counts
 from .constructions import catalog_entry, catalog_names, default_box, make_source, positive_source
 from .core import (
     Box,
@@ -30,6 +30,7 @@ from .core import (
     GridSpec,
     ParameterError,
     VerificationError,
+    _row_reader,
     sample,
 )
 from .fracint import (
@@ -274,13 +275,13 @@ def suite_dimension_bounds(scale: str = "quick", fn: str | None = None, threads:
     side = 257 if scale == "quick" else 1025
     checks = []
 
-    @functools.cache  # the named checks and the dimension-floor loop share their grids
+    @functools.cache  # the named checks and the dimension-floor loop share their slopes
     def slope_of(spec_name: str) -> float:
         src = make_source(spec_name)
         box = src.domain if src.domain is not None else default_box(spec_name)
         spec = GridSpec(box, side, side)
-        g = sample(src, spec, threads=threads)
-        return dimension_fit(g, default_deltas(spec), "lower").slope
+        # rows evaluated a band at a time, as ``dimension`` counts them: the grid is never held
+        return dimension_fit(_Rows(spec, _row_reader(src, spec), threads), default_deltas(spec), "lower").slope
 
     if fn:
         checks.append(_window_check(f"dimension:{fn}", slope_of(fn), 1.85, 2.7))

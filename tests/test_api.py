@@ -43,7 +43,7 @@ SIGNATURES = {
     "SizeError": None,
     "VerificationError": None,
     "CatalogError": None,
-    "QuadratureSpec": "(panels: 'int' = 64, grading: 'float | None' = None) -> None",
+    "QuadratureSpec": "(panels: 'int' = 64) -> None",
     "katugampola_1d": (
         "(g: 'Callable', a: 'float', x: 'float', alpha: 'float', p: 'float' = 0.0, "
         "quad: 'QuadratureSpec | None' = None) -> 'float'"

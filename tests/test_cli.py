@@ -95,7 +95,7 @@ def test_integrate_huge_weight_is_a_numeric_error(capsys):
 
 
 def test_integrate_certifies_the_grid_it_computed(capsys, monkeypatch):
-    # the separable route needs no tensor panel cap, and neither does its certificate
+    # the split mesh needs no tensor panel cap, and neither does its certificate
     code, out, err = run_cli(
         capsys, "integrate", "--fn", "plane", "--alpha", ".5", "--beta", ".5", "--grid", "9,9", "--panels", "16384"
     )
@@ -115,6 +115,21 @@ def test_integrate_certifies_the_grid_it_computed(capsys, monkeypatch):
     )
     assert code == 0 and "bound ok" in out
     assert specs.count(GridSpec(Box(1.0, 2.0, 1.0, 2.0), 17, 17)) == 1
+
+
+def test_separable_meets_the_split_mesh_operations_budget(capsys, monkeypatch):
+    # two meshes of 1002052 nodes for 1025 outputs each, 40 operations a hat weight: 8.2e10 against 2^36,
+    # refused before either mesh is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(fracint, "_mesh", refuse)
+    argv = "dimension --fn plane --integral --alpha .5 --beta .5 --method separable --panels 1000000 --grid 1025,1025"
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 3 and out == ""
+    assert err["message"] == (
+        "a 1025x1025 grid at 1000000 panels (mesh-split route) needs about 8.21683e+10 operations; the budget is 6.87195e+10"
+    )
 
 
 def test_riemann_liouville_huge_order_exits_cleanly(capsys):

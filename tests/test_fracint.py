@@ -152,21 +152,27 @@ def test_grid_matches_pointwise_bit_for_bit():
             assert gs.value(i, j) == katugampola_2d(src, BOX, x, y, HALF, QuadratureSpec(panels=48))
 
 
-def test_separable_route_matches_tensor():
-    src = make_source("plane")  # x + y, has an additive split
-    spec = GridSpec(BOX, 9, 9)
-    t = katugampola_2d_grid(src, spec, HALF, QuadratureSpec(panels=64), method="tensor")
-    s = katugampola_2d_grid(src, spec, HALF, QuadratureSpec(panels=64), method="separable")
-    assert sup_gap(t, s) < 1e-13
-
-
 def test_auto_prefers_split_and_requires_it_for_separable():
     src = CallableSource(lambda x, y: x * y, name="prod")  # no additive split
     spec = GridSpec(BOX, 5, 5)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="no additive split") as info:
         katugampola_2d_grid(src, spec, HALF, method="separable")
+    assert info.value.parameter == "method"
     gs = katugampola_2d_grid(src, spec, HALF, method="auto")
     assert gs.value(4, 4) != 0.0
+
+
+@pytest.mark.parametrize("name", ["constant:1", "plane", "weierstrass", "sine-parabola"])
+@pytest.mark.parametrize(
+    "order",
+    [FracOrder(0.5, 0.5, 0.6, 0.6), FracOrder(0.5, 0.3, 0.6, -0.4), FracOrder(0.5, 0.3, -1.0, -1.0)],  # one mesh, two, Hadamard
+)
+def test_separable_is_the_split_mesh_bit_for_bit(name, order):
+    # "separable" only insists on a split: its grid is auto's, byte for byte (weierstrass shifted by 1, 1)
+    src, box = positive_source(name)
+    spec = GridSpec(box, 17, 17)
+    sep, auto = (katugampola_2d_grid(src, spec, order, QuadratureSpec(panels=64), method=m).values for m in ("separable", "auto"))
+    assert np.any(sep) and sep.tobytes() == auto.tobytes()
 
 
 def test_riemann_liouville_agrees_when_weights_vanish():
@@ -211,13 +217,13 @@ def test_rl_grid_is_the_point_oracle_at_every_node(name):
 
 
 @pytest.mark.parametrize(
-    "alpha, beta, grading",
-    [(0.3, 0.7, None), (0.5, 0.5, 3.0), (1.5, 2.5, None)],  # graded (orders below 1), graded by hand, uniform
+    "alpha, beta",
+    [(0.3, 0.7), (1.5, 0.5), (1.5, 2.5)],  # graded (orders below 1), graded (one order below 1), uniform
 )
-def test_rl_grid_keeps_bits_on_a_non_square_grid(alpha, beta, grading):
+def test_rl_grid_keeps_bits_on_a_non_square_grid(alpha, beta):
     src = make_source("sinxy")
     spec = GridSpec(BOX, 5, 7)
-    quad = QuadratureSpec(panels=16, grading=grading)
+    quad = QuadratureSpec(panels=16)
     grid = fracint._rl_grid(src, spec, alpha, beta, quad)
     assert grid.shape == (5, 7)
     assert grid.tobytes() == _rl_points(src, BOX, spec.xs(), spec.ys(), alpha, beta, quad).tobytes()
@@ -280,7 +286,7 @@ def test_rl_grid_never_enters_the_quadrature_engine(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle called the engine it checks")
 
-    for name in ("_tensor", "_axis_rules", "_apply_1d", "_unit_rule"):
+    for name in ("_tensor", "_axis_rules", "_unit_rule"):
         monkeypatch.setattr(fracint, name, refuse)
     monkeypatch.setattr(np, "einsum", refuse)
     after = fracint._rl_grid(src, spec, 0.5, 0.5, quad)
@@ -395,20 +401,6 @@ def test_auto_mesh_is_second_order(order):
     diffs = [float(np.max(np.abs(a - b))) for a, b in zip(vals, vals[1:])]
     orders = [math.log2(a / b) for a, b in zip(diffs, diffs[1:])]
     assert min(orders) >= 1.9, orders
-
-
-def test_auto_mesh_agrees_with_separable_at_8192_panels():
-    # each route's error at 8192 panels is about a third of its change from 4096
-    spec = GridSpec(BOX, 5, 5)
-    order = FracOrder(0.5, 0.3, 0.6, -0.4)
-    grids = {
-        (method, panels): katugampola_2d_grid(SIN_COS, spec, order, QuadratureSpec(panels=panels), method=method).values
-        for method in ("auto", "separable")
-        for panels in (4096, 8192)
-    }
-    budget = sum(float(np.max(np.abs(grids[m, 4096] - grids[m, 8192]))) for m in ("auto", "separable"))
-    gap = float(np.max(np.abs(grids["auto", 8192] - grids["separable", 8192])))
-    assert 0.0 < gap <= budget
 
 
 def test_auto_mesh_thread_count_never_changes_bits():
@@ -921,15 +913,6 @@ def test_ungraded_mesh_routes_keep_their_bits():
         assert _digest(gs.values) == digest, name
 
 
-def test_separable_grids_keep_their_bits():
-    # Weierstrass's split is one axis function twice: y reuses the x sums
-    src, box = positive_source("weierstrass")
-    pinned = {HALF: "ce11ca01b01d6fed45d3a71a", FracOrder(0.5, 0.3): "27166d9e7c1ad3fccdec58fd"}
-    for order, digest in pinned.items():
-        gs = katugampola_2d_grid(src, GridSpec(box, 33, 33), order, QuadratureSpec(panels=256), method="separable")
-        assert _digest(gs.values) == digest
-
-
 def test_split_grid_blocks_keep_the_whole_array_bits(monkeypatch):
     rng = np.random.default_rng(7)
     gu, su, hv, sv = rng.standard_normal(37), rng.random(37), rng.standard_normal(23), rng.random(23)
@@ -938,23 +921,6 @@ def test_split_grid_blocks_keep_the_whole_array_bits(monkeypatch):
     for block in (fracint._APPLY_BLOCK, 5 * 23, 10):  # one block, five rows a block, one row a block
         monkeypatch.setattr(fracint, "_APPLY_BLOCK", block)
         assert fracint._split_grid(0.7, gu, su, hv, sv).tobytes() == whole.tobytes(), block
-
-
-def test_separable_evaluates_a_shared_axis_function_once():
-    calls = []
-
-    def univ(t):
-        calls.append(np.size(t))
-        return np.sin(3.0 * t)
-
-    src = ShiftedSource(CallableSource(lambda x, y: univ(x) + univ(y), split=(univ, univ)), 0.5, 0.5)
-    spec = GridSpec(Box(1.5, 2.5, 1.5, 2.5), 9, 9)
-    quad = QuadratureSpec(panels=32)
-    katugampola_2d_grid(src, spec, HALF, quad, method="separable")
-    assert sum(calls) == 9 * 32
-    calls.clear()
-    katugampola_2d_grid(src, spec, FracOrder(0.5, 0.3), quad, method="separable")
-    assert sum(calls) == 2 * 9 * 32
 
 
 def test_split_mesh_evaluates_a_shared_axis_function_once():
@@ -981,7 +947,7 @@ def test_split_mesh_evaluates_a_shared_axis_function_once():
 @pytest.mark.parametrize(
     "method, digest",
     [
-        ("separable", "10990b6133f304c953b89e0f3c16676392fea5096b1b0ba033dd96ade43a8d64"),
+        ("separable", "418c6a6c94cdeaba03c110748540b5677f2ebb856be55d26764b58f65e672716"),
         ("auto", "418c6a6c94cdeaba03c110748540b5677f2ebb856be55d26764b58f65e672716"),
     ],
 )
@@ -997,7 +963,7 @@ def test_split_routes_build_one_axis_rule_for_distinct_g_and_h_on_matching_axes(
 
         monkeypatch.setattr(fracint, name, counted)
     gs = katugampola_2d_grid(make_source("plane"), GridSpec(BOX, 17, 17), HALF, QuadratureSpec(panels=64), method=method)
-    assert built == ({"_axis_rules": 1, "_mesh": 0} if method == "separable" else {"_axis_rules": 0, "_mesh": 1})
+    assert built == {"_axis_rules": 0, "_mesh": 1}
     # sha256 of the grid when each axis built its own rule
     assert hashlib.sha256(gs.values.tobytes()).hexdigest() == digest
 
@@ -1186,12 +1152,9 @@ def test_quadrature_spec_validation():
     with pytest.raises(ParameterError):
         QuadratureSpec(panels=2)
     with pytest.raises(ParameterError):
-        QuadratureSpec(panels=16, grading=0.5)
-    with pytest.raises(ParameterError):
         QuadratureSpec(panels=16.0)  # type: ignore[arg-type]
     assert QuadratureSpec(panels=16).graded(0.5, 2.0) == 2.0
     assert QuadratureSpec(panels=16).graded(1.0, 2.0) == 1.0
-    assert QuadratureSpec(panels=16, grading=3.0).graded(0.5) == 3.0
 
 
 def test_tensor_panel_cap_raises_size_error():
@@ -1201,7 +1164,7 @@ def test_tensor_panel_cap_raises_size_error():
         katugampola_2d_grid(
             make_source("constant:1"), GridSpec(BOX, 3, 3), HALF, QuadratureSpec(panels=16384), method="tensor"
         )
-    # separable route has no such cap
+    # the split mesh has no such cap
     gs = katugampola_2d_grid(
         make_source("constant:1"), GridSpec(BOX, 3, 3), HALF, QuadratureSpec(panels=16384), method="separable"
     )
@@ -1291,11 +1254,11 @@ def test_oversized_knotted_grid_is_refused_before_any_axis_is_built(monkeypatch)
 
 @pytest.mark.parametrize("method", ["separable", "auto"])
 def test_split_routes_count_their_rule_and_mesh_arrays(monkeypatch, method):
-    # at 10^9 panels a separable rule row, or a split mesh, alone holds 8 GB: refused before it is built
+    # at 10^9 panels the split mesh alone holds 8 GB: refused before it is built
     def refuse(*args, **kwargs):
         raise AssertionError("work started")
 
-    for name in ("_mesh", "_apply_1d"):
+    for name in ("_mesh", "_axis_rules"):
         monkeypatch.setattr(fracint, name, refuse)
     with pytest.raises(SizeError, match="needs about 1e\\+09 entries"):
         katugampola_2d_grid(make_source("plane"), GridSpec(BOX, 9, 9), HALF, QuadratureSpec(panels=10**9), method=method)
@@ -1316,7 +1279,7 @@ def test_grid_over_budget_is_refused_before_any_work(monkeypatch, src, grid, pan
     def refuse(*args, **kwargs):
         raise AssertionError("work started on an over-budget grid")
 
-    for name in ("_mesh", "_tensor", "_apply_1d"):
+    for name in ("_mesh", "_tensor"):
         monkeypatch.setattr(fracint, name, refuse)
     monkeypatch.setattr(GridSpec, "xs", refuse)
     with pytest.raises(SizeError, match="budget"):

@@ -1,8 +1,9 @@
+import hashlib
 from types import SimpleNamespace
 
 import pytest
 
-from fracdim2d import ParameterError, SUITES, fracint, run_suite, verify
+from fracdim2d import ParameterError, SUITES, cli, fracint, run_suite, verify
 from fracdim2d.verify import Check, SuiteReport
 
 
@@ -77,11 +78,23 @@ def test_hadamard_rate_fails_when_the_coordinate_crowds_toward_one(monkeypatch):
 
 
 def test_dimension_bounds_samples_each_grid_once(monkeypatch):
-    # at full scale the named checks and the dimension-floor loop share their 1025^2 grids
+    # at full scale the named checks and the dimension-floor loop share the counts of their 1025^2 grids
     sampled = []
-    monkeypatch.setattr(verify, "sample", lambda src, spec, threads=None: sampled.append((src.name, spec.m)))
+    monkeypatch.setattr(verify, "_row_reader", lambda src, spec: sampled.append((src.name, spec.m)))
     monkeypatch.setattr(verify, "dimension_fit", lambda g, deltas, which: SimpleNamespace(slope=2.0))
     monkeypatch.setattr(verify, "katugampola_2d_grid", lambda *args, **kwargs: None)
     report = run_suite("dimension-bounds", "full")
     assert len(sampled) == len(set(sampled)) >= 4 and {m for _, m in sampled} == {1025}
     assert [c.name for c in report.checks][:3] == ["dimension:plane", "dimension:t-parabola-sine", "dimension:weierstrass"]
+
+
+def test_dimension_bounds_counts_rows_without_sampling_a_grid(monkeypatch, tmp_path):
+    # the slopes come from rows read a band at a time, and the report keeps the bytes it had
+    # when every grid was sampled whole
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid was sampled")
+
+    monkeypatch.setattr(verify, "sample", refuse)
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "dimension-bounds", "--scale", "quick", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == "8a8d700796eb8685915bd71ba8d1aa690e81ce47a28c931d23a3be8d2c8290ce"
