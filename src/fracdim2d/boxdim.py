@@ -43,17 +43,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import (
     _APPLY_BLOCK,
     GridSamples,
-    GridSpec,
     ParameterError,
     ResolutionError,
     SampledSource,
+    _Rows,
     _spread,
     _within,
     stable_sum,
@@ -136,14 +136,6 @@ def _window_bounds(coords: np.ndarray, lo: float, count: int, delta: float, hi: 
     starts = np.searchsorted(coords, edges_lo - slack, side="left")
     stops = np.searchsorted(coords, edges_hi + slack, side="right")
     return starts.astype(np.int64), stops.astype(np.int64)
-
-
-class _Rows(NamedTuple):
-    """A grid's samples by bands: ``read(r0, r1)`` is rows [r0, r1), reduced on ``threads`` workers."""
-
-    spec: GridSpec
-    read: Callable[[int, int], np.ndarray]
-    threads: int | None
 
 
 def _rows(g: GridSamples | _Rows) -> _Rows:

@@ -25,7 +25,7 @@ import warnings
 
 import numpy as np
 
-from .boxdim import _fit_counts, _ladder, _Rows, boxcount_bruteforce_3d, default_deltas, fit_loglog
+from .boxdim import _fit_counts, _ladder, boxcount_bruteforce_3d, default_deltas, fit_loglog
 from .constructions import catalog_entry, default_box, make_source
 from .core import (
     Box,
@@ -51,7 +51,7 @@ from .core import (
 )
 from .fracint import QuadratureSpec, _rl_grid, boundedness_certificate, katugampola_2d_grid
 from .variation import arzela_variation, variation_trend
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 __all__ = ["main"]
 
@@ -85,11 +85,6 @@ def _parse_floats(text: str, count: int | None, flag: str) -> list[float]:
         return [float(p) for p in parts]
     except ValueError:
         raise ParameterError(f"{flag} has a non-numeric entry in {text!r}", parameter=flag.lstrip("-"))
-
-
-def _parse_rect(text: str) -> Box:
-    a, b, c, d = _parse_floats(text, 4, "--rect")
-    return Box(a, b, c, d)
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -128,7 +123,7 @@ def _resolve_source(args: argparse.Namespace) -> tuple[FunctionSource, Box, Grid
         box = raw.spec.rect
     else:
         src = make_source(spec_text)
-        box = src.domain if src.domain is not None else default_box(spec_text)
+        box = default_box(spec_text)
     shift = getattr(args, "shift", None)
     if shift:
         dx, dy = _parse_floats(shift, 2, "--shift")
@@ -136,7 +131,7 @@ def _resolve_source(args: argparse.Namespace) -> tuple[FunctionSource, Box, Grid
         box = box.shifted(dx, dy)
         raw = None  # the shifted function no longer matches the file's nodes
     if getattr(args, "rect", None):
-        box = _parse_rect(args.rect)
+        box = Box(*_parse_floats(args.rect, 4, "--rect"))
     return src, box, raw
 
 
@@ -156,8 +151,15 @@ def _grid_of(args: argparse.Namespace, src: FunctionSource, box: Box, raw: GridS
     return sample(src, spec, threads=args.threads)
 
 
-def _quad_of(args: argparse.Namespace) -> QuadratureSpec:
-    return QuadratureSpec(panels=args.panels)
+# the operator flags besides --alpha and --beta, None unless given: integrate and dimension --integral
+# read them with these defaults, and dimension without --integral refuses them
+_OPERATOR_DEFAULTS = {"p": 0.0, "q": 0.0, "panels": 64, "method": "auto"}
+
+
+def _default_operator_flags(args: argparse.Namespace) -> None:
+    for name, default in _OPERATOR_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
 
 
 def _refuse_quadrature_unsafe(spec_text: str) -> None:
@@ -196,6 +198,7 @@ def _write_json(doc: dict, path: str) -> None:
 def cmd_integrate(args: argparse.Namespace) -> int:
     alpha = _require(args, "alpha")
     beta = _require(args, "beta")
+    _default_operator_flags(args)
     p, q = float(args.p), float(args.q)
     if args.op != "katugampola" and (p != 0.0 or q != 0.0):
         raise ParameterError(f"--op {args.op} takes no power weights; drop --p/--q", parameter="p" if p else "q")
@@ -204,7 +207,7 @@ def cmd_integrate(args: argparse.Namespace) -> int:
     _refuse_quadrature_unsafe(args.fn)
     m, n = _parse_grid(args.grid) if args.grid else (17, 17)
     spec = GridSpec(box, m, n)
-    quad = _quad_of(args)
+    quad = QuadratureSpec(panels=args.panels)
     certify = args.op == "katugampola" and src.sup_bound is not None
     if certify and quad.panels < 8:
         # the certificate's error probe halves the panels; refuse before any work
@@ -237,6 +240,10 @@ def cmd_integrate(args: argparse.Namespace) -> int:
 
 
 def cmd_dimension(args: argparse.Namespace) -> int:
+    if not args.integral:  # no operator runs, so a flag that sets one is refused, not ignored
+        for name in ("alpha", "beta", *_OPERATOR_DEFAULTS):
+            if getattr(args, name) is not None:
+                raise ParameterError(f"--{name} sets the operator, which only dimension --integral applies", parameter=name)
     if args.counts_from:
         if args.fn:
             raise ParameterError("--counts-from replaces --fn; give one or the other", parameter="counts-from")
@@ -260,15 +267,16 @@ def cmd_dimension(args: argparse.Namespace) -> int:
         # the integral needs only the grid, not samples of f on it; an order left out is 1/2
         alpha = 0.5 if args.alpha is None else args.alpha
         beta = 0.5 if args.beta is None else args.beta
+        _default_operator_flags(args)
         order = FracOrder(alpha, beta, float(args.p), float(args.q))
         spec = _spec_of(args, box, raw, default=257)
-        gs = katugampola_2d_grid(src, spec, order, _quad_of(args), method=args.method, threads=args.threads)
+        gs = katugampola_2d_grid(src, spec, order, QuadratureSpec(panels=args.panels), method=args.method, threads=args.threads)
     elif args.oracle:  # the independent 3-d counter reads a sampled grid
         gs = _grid_of(args, src, box, raw, default=257)
     else:
         spec = _spec_of(args, box, raw, default=257)
         # the file's own nodes, or rows evaluated a band at a time: the m x n grid is never held
-        gs = raw if raw is not None and spec is raw.spec else _Rows(spec, _row_reader(src, spec), args.threads)
+        gs = raw if raw is not None and spec is raw.spec else _row_reader(src, spec, args.threads)
 
     deltas = _parse_floats(args.deltas, None, "--deltas") if args.deltas else default_deltas(gs.spec)
     if not deltas:
@@ -382,12 +390,12 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 def _add_quadrature(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--alpha", type=float, default=None, help="fractional order along x")
     sub.add_argument("--beta", type=float, default=None, help="fractional order along y")
-    sub.add_argument("--p", type=float, default=0.0, help="power weight along x, -1 or more; -1 is the log kernel (katugampola only)")
-    sub.add_argument("--q", type=float, default=0.0, help="power weight along y, -1 or more; -1 is the log kernel (katugampola only)")
-    sub.add_argument("--panels", type=int, default=64, help="quadrature panels per axis")
+    sub.add_argument("--p", type=float, default=None, help="power weight along x, -1 or more; -1 is the log kernel (katugampola only)")
+    sub.add_argument("--q", type=float, default=None, help="power weight along y, -1 or more; -1 is the log kernel (katugampola only)")
+    sub.add_argument("--panels", type=int, default=None, help="quadrature panels per axis")
     sub.add_argument(
         "--method",
-        default="auto",
+        default=None,
         help="grid evaluation route: auto (shared mesh for split sources g(x)+h(y), for smooth catalog "
         "sources, and, with their piece edges or sample nodes as mesh nodes, for t-* constructions over "
         "smooth seeds and csv:/json: grids; else tensor), tensor, separable (auto's shared mesh, refusing "
@@ -434,7 +442,7 @@ def build_parser() -> _Parser:
     p_con.set_defaults(run=cmd_construct)
 
     p_ver = subs.add_parser("verify", help="run a named verification suite")
-    p_ver.add_argument("suite", help="semigroup, special-cases, separable, boundedness, bv-preservation, dimension-bounds, sandwich")
+    p_ver.add_argument("suite", help=", ".join(SUITES))
     p_ver.add_argument("--scale", default="quick", choices=["quick", "full"])
     p_ver.add_argument("--fn", default=None, help="restrict the suite to one catalog function")
     p_ver.add_argument("--g", default=None, help="univariate factor for the separable suite")

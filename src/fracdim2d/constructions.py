@@ -279,17 +279,6 @@ _T_SEED_BOX = Box(0.0, 0.5, 0.0, 1.0)
 _T_BOX = Box(0.0, 1.0, 0.0, 1.0)
 
 
-def _staircase_box(seed_box: Box) -> Box:
-    """The box of a staircase construction: its seed's box, twice as wide."""
-    return Box(seed_box.a, seed_box.a + 2.0 * seed_box.width, seed_box.c, seed_box.d)
-
-
-def _t_over(seed: FunctionSource, seed_box: Box, name: str) -> FunctionSource:
-    # the staircase over the seed's own domain, or over ``seed_box`` for a seed without one
-    box = _staircase_box(seed.domain if seed.domain is not None else seed_box)
-    return TSource(TConstruction(rect=box, phi=seed), name=name)
-
-
 def _weier_amps(lam: float, s: float, kmax: int) -> tuple[np.ndarray, np.ndarray]:
     ks = np.arange(kmax + 1, dtype=np.float64)
     return lam**ks, lam ** ((s - 3.0) * ks)
@@ -406,7 +395,7 @@ CATALOG: dict[str, CatalogEntry] = {
             bounded_variation=False,
             holder=None,
             quadrature_safe=True,
-            builder=lambda: _t_over(_parabola_sine(), _T_SEED_BOX, "t-parabola-sine"),
+            builder=lambda: TSource(TConstruction(rect=_T_BOX, phi=_parabola_sine()), name="t-parabola-sine"),
         ),
         CatalogEntry(
             name="t-sine-parabola",
@@ -416,7 +405,7 @@ CATALOG: dict[str, CatalogEntry] = {
             bounded_variation=False,
             holder=None,
             quadrature_safe=True,
-            builder=lambda: _t_over(_sine_parabola(), _T_SEED_BOX, "t-sine-parabola"),
+            builder=lambda: TSource(TConstruction(rect=_T_BOX, phi=_sine_parabola()), name="t-sine-parabola"),
         ),
         CatalogEntry(
             name="weierstrass",
@@ -465,7 +454,8 @@ def make_source(spec: str) -> FunctionSource:
     if not spec:
         raise ParameterError("empty function spec", parameter="fn")
     if spec.startswith("t:"):
-        return _t_over(make_source(spec[2:]), default_box(spec[2:]), spec)
+        seed = make_source(spec[2:])  # the seed first, so its errors come before any of the box
+        return TSource(TConstruction(rect=default_box(spec), phi=seed), name=spec)
     name, _, argstr = spec.partition(":")
     ent = catalog_entry(name)
     args: list[float] = []
@@ -484,10 +474,11 @@ def make_source(spec: str) -> FunctionSource:
 
 
 def default_box(spec: str) -> Box:
-    """Default rectangle for a catalog spec (the seed box doubled for t:)."""
+    """A catalog spec's box, and the domain of a ``t:`` spec's source: for ``t:``, the seed's box twice as wide."""
     spec = spec.strip()
     if spec.startswith("t:"):
-        return _staircase_box(default_box(spec[2:]))
+        seed = default_box(spec[2:])
+        return Box(seed.a, seed.a + 2.0 * seed.width, seed.c, seed.d)
     return catalog_entry(spec.partition(":")[0]).box
 
 
@@ -498,7 +489,7 @@ def positive_source(spec: str) -> tuple[FunctionSource, Box]:
     the box starts at 1 along it; a box already in x > 0, y > 0 stays put.
     """
     src = make_source(spec)
-    box = src.domain if src.domain is not None else default_box(spec)
+    box = default_box(spec)
     dx = 1.0 - box.a if box.a <= 0 else 0.0
     dy = 1.0 - box.c if box.c <= 0 else 0.0
     if dx or dy:

@@ -26,7 +26,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -588,8 +588,16 @@ def _spread(run: Callable[[range], None], items: range, threads: int | None, cos
         future.result()
 
 
-def _row_reader(src: FunctionSource, spec: GridSpec) -> Callable[[int, int], np.ndarray]:
-    """``rows(r0, r1)``: the (r1 - r0, n) samples of grid rows [r0, r1), evaluated on each call.
+class _Rows(NamedTuple):
+    """A grid's samples by bands: ``read(r0, r1)`` is rows [r0, r1), reduced on ``threads`` workers."""
+
+    spec: GridSpec
+    read: Callable[[int, int], np.ndarray]
+    threads: int | None
+
+
+def _row_reader(src: FunctionSource, spec: GridSpec, threads: int | None) -> _Rows:
+    """``spec``'s rows by bands: ``read(r0, r1)`` evaluates the (r1 - r0, n) samples of rows [r0, r1) on each call.
 
     Checked once, here: the box lies in the source's domain (else DomainError) and the grid holds
     at most the ``entries`` budget of nodes (else SizeError).  A sample not finite is a NumericError.
@@ -606,7 +614,7 @@ def _row_reader(src: FunctionSource, spec: GridSpec) -> Callable[[int, int], np.
             raise NumericError("grid samples must be finite")
         return vals
 
-    return rows
+    return _Rows(spec, rows, threads)
 
 
 def sample(src: FunctionSource, spec: GridSpec, threads: int | None = None) -> GridSamples:
@@ -615,7 +623,7 @@ def sample(src: FunctionSource, spec: GridSpec, threads: int | None = None) -> G
     Rows are evaluated in blocks of at most ``_APPLY_BLOCK`` entries into one array; ``_spread``
     hands runs of rows to its workers, so the output is bit-identical at any thread count.
     """
-    rows = _row_reader(src, spec)
+    rows = _row_reader(src, spec, threads).read
     out = np.empty((spec.m, spec.n), dtype=np.float64)
     step = max(1, _APPLY_BLOCK // spec.n)
 

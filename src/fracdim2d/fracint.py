@@ -180,6 +180,7 @@ def _no_overflow(message: str = "quadrature rule overflows float64: order or pow
 
 
 _SUM_OVERFLOW = "fractional integral overflows float64: the source's values are too large"
+_ONE_OVERFLOW = "integral of 1 overflows float64: order or power weight too large for this box"
 
 
 def _mapped_widths(ds, du):
@@ -904,12 +905,15 @@ def _unit_profile(lo: float, x, order: float, weight: float):
     fwd, _ = _power_map(weight)
     scale = _unlog(log_normaliser(order), -math.log(order))
     # u(lo) of a float and of an array may round apart, so u(x) - u(lo) is clamped at 0, where x = lo
-    return np.maximum(fwd(np.asarray(x, dtype=np.float64)) - fwd(lo), 0.0) ** order * scale
+    with _no_overflow(_ONE_OVERFLOW):
+        return np.maximum(fwd(np.asarray(x, dtype=np.float64)) - fwd(lo), 0.0) ** order * scale
 
 
 def integral_of_one(rect: Box, order: FracOrder, x: float, y: float) -> float:
     """Closed form of the mixed operator applied to f == 1, at (x, y)."""
-    return axis_unit_factor(rect.a, x, order.alpha, order.p) * axis_unit_factor(rect.c, y, order.beta, order.q)
+    fx = axis_unit_factor(rect.a, x, order.alpha, order.p)
+    with _no_overflow(_ONE_OVERFLOW):  # two finite factors may overflow together
+        return float(np.multiply(fx, axis_unit_factor(rect.c, y, order.beta, order.q)))
 
 
 def compose_semigroup(

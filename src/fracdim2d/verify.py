@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxdim import _Rows, boxcount_bruteforce_3d, default_deltas, dimension_fit, oscillation_counts
+from .boxdim import boxcount_bruteforce_3d, default_deltas, dimension_fit, oscillation_counts
 from .constructions import catalog_entry, catalog_names, default_box, make_source, positive_source
 from .core import (
     Box,
@@ -105,11 +105,7 @@ def _safe_names() -> list[str]:
 
 
 def _smooth_names() -> list[str]:
-    return [
-        n
-        for n in catalog_names()
-        if catalog_entry(n).quadrature_safe and catalog_entry(n).bounded_variation
-    ]
+    return [n for n in _safe_names() if catalog_entry(n).bounded_variation]
 
 
 def suite_semigroup(scale: str = "quick", fn: str | None = None, threads: int | None = None) -> SuiteReport:
@@ -210,7 +206,7 @@ def suite_separable(scale: str = "quick", g: str | None = None, threads: int | N
 
 
 def suite_boundedness(scale: str = "quick", fn: str | None = None, threads: int | None = None) -> SuiteReport:
-    """Sup-norm certificates for every catalog entry with a known bound."""
+    """Sup-norm certificates for every quadrature-safe catalog entry, each of which declares a sup bound."""
     names = [fn] if fn else _safe_names()
     grid, panels = (9, 32) if scale == "quick" else (17, 64)
     quad = QuadratureSpec(panels=panels)
@@ -218,8 +214,6 @@ def suite_boundedness(scale: str = "quick", fn: str | None = None, threads: int 
     checks = []
     for name in names:
         src, box = positive_source(name)
-        if src.sup_bound is None:
-            continue
         spec = GridSpec(box, grid, grid)
         try:
             cert = boundedness_certificate(src, spec, order, quad, threads=threads)
@@ -277,11 +271,10 @@ def suite_dimension_bounds(scale: str = "quick", fn: str | None = None, threads:
 
     @functools.cache  # the named checks and the dimension-floor loop share their slopes
     def slope_of(spec_name: str) -> float:
-        src = make_source(spec_name)
-        box = src.domain if src.domain is not None else default_box(spec_name)
-        spec = GridSpec(box, side, side)
+        src = make_source(spec_name)  # before the box, so a bad spec fails as make_source says
+        spec = GridSpec(default_box(spec_name), side, side)
         # rows evaluated a band at a time, as ``dimension`` counts them: the grid is never held
-        return dimension_fit(_Rows(spec, _row_reader(src, spec), threads), default_deltas(spec), "lower").slope
+        return dimension_fit(_row_reader(src, spec, threads), default_deltas(spec), "lower").slope
 
     if fn:
         checks.append(_window_check(f"dimension:{fn}", slope_of(fn), 1.85, 2.7))
@@ -366,7 +359,8 @@ def run_suite(
         raise ParameterError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}", parameter="suite")
     if scale not in ("quick", "full"):
         raise ParameterError("scale must be quick or full", parameter="scale")
-    runner = SUITES[name]
-    if name == "separable":
-        return runner(scale, g=g, threads=threads)
-    return runner(scale, fn=fn, threads=threads)
+    given = {"fn": fn, "g": g}
+    wrong = "fn" if name == "separable" else "g"  # separable takes g alone, every other suite fn alone
+    if given.pop(wrong) is not None:
+        raise ParameterError(f"suite {name!r} takes no --{wrong}", parameter=wrong)
+    return SUITES[name](scale, threads=threads, **given)

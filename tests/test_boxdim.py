@@ -90,7 +90,7 @@ def test_sandwich_for_every_catalog_function():
 
     for name in catalog_names():
         src = make_source(name)
-        box = src.domain if src.domain is not None else default_box(name)
+        box = default_box(name)
         g = sample(src, GridSpec(box, 33, 33))
         side = min(box.width, box.height)
         for k in (4, 8):
@@ -303,7 +303,7 @@ def test_bruteforce_equals_per_cell_count_on_catalog_grids():
 
     for name in catalog_names():
         src = make_source(name)
-        box = src.domain if src.domain is not None else default_box(name)
+        box = default_box(name)
         g = sample(src, GridSpec(box, 65, 65))
         side = min(box.width, box.height)
         for k in (4, 8, 16):
@@ -450,7 +450,7 @@ def test_ladder_equals_per_delta_counts_on_catalog_grids(matrix_reads):
 
     for name in catalog_names():
         src = make_source(name)
-        box = src.domain if src.domain is not None else default_box(name)
+        box = default_box(name)
         g = sample(src, GridSpec(box, 257, 257))
         _assert_ladder_matches(g, default_deltas(g.spec))
         side = min(box.width, box.height)
@@ -585,10 +585,6 @@ def test_window_extrema_holds_cells_not_column_tables():
 # counts from rows evaluated on demand
 
 
-def _streamed(src, spec, threads):
-    return boxdim._Rows(spec, core._row_reader(src, spec), threads)
-
-
 @pytest.mark.parametrize("block", [core._APPLY_BLOCK, 1000])
 def test_streamed_ladder_equals_the_sampled_one(monkeypatch, block):
     # at 1000 entries a band holds a few rows, so every finest window is a band read a block at a time,
@@ -617,7 +613,7 @@ def test_streamed_ladder_equals_the_sampled_one(monkeypatch, block):
                     want[1].append(float(d))
             assert len(want[0]) >= 2, (src.name, deltas)
             for threads in (1, 2):
-                assert boxdim._ladder(_streamed(src, spec, threads), deltas) == want, (src.name, deltas, threads)
+                assert boxdim._ladder(core._row_reader(src, spec, threads), deltas) == want, (src.name, deltas, threads)
                 assert boxdim._ladder(boxdim._Rows(spec, boxdim._rows(g).read, threads), deltas) == want
 
 
@@ -628,7 +624,7 @@ def test_streamed_rows_refuse_what_sample_refuses():
         with pytest.raises(error) as direct:
             sample(inside, spec)
         with pytest.raises(error) as streamed:
-            core._row_reader(inside, spec)
+            core._row_reader(inside, spec, 1)
         assert str(streamed.value) == str(direct.value)
     hole = CallableSource(lambda x, y: np.where((x > 0.7) & (y < 0.2), np.nan, x * y), name="hole")
     spec = GridSpec(UNIT, 129, 129)
@@ -636,4 +632,4 @@ def test_streamed_rows_refuse_what_sample_refuses():
         sample(hole, spec)
     for threads in (1, 2):
         with pytest.raises(NumericError, match="^grid samples must be finite$"):
-            boxdim._ladder(_streamed(hole, spec, threads), default_deltas(spec))
+            boxdim._ladder(core._row_reader(hole, spec, threads), default_deltas(spec))

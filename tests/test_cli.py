@@ -14,7 +14,7 @@ import pytest
 import fracdim2d.cli as cli
 import fracdim2d.core as core
 import fracdim2d.fracint as fracint
-from fracdim2d import Box, GridSpec, ParameterError, make_source, read_samples_csv, read_samples_json, sample, write_samples_csv
+from fracdim2d import Box, GridSpec, ParameterError, default_box, make_source, read_samples_csv, read_samples_json, sample, write_samples_csv
 from fracdim2d.special import log_normaliser
 
 
@@ -298,6 +298,41 @@ def test_dimension_counts_from_excludes_fn(capsys, tmp_path):
     assert code == 2 and err["parameter"] == "counts-from"
 
 
+def test_dimension_counts_from_writes_the_fit(capsys, tmp_path):
+    path = tmp_path / "syn.csv"
+    path.write_text("delta,count\n" + "".join(f"{2.0**-k},{int(4.0**k) + 3 * k}\n" for k in range(1, 6)))
+    fit_path = tmp_path / "fit.json"
+    code, out, err = run_cli(capsys, "dimension", "--counts-from", str(path), "--which", "upper", "--fit-out", str(fit_path))
+    assert code == 0 and err is None and "(upper): slope = 1.803391" in out
+    assert json.loads(fit_path.read_text())["points"] == [[0.5, 7], [0.25, 22], [0.125, 73], [0.0625, 268], [0.03125, 1039]]
+    assert hashlib.sha256(fit_path.read_bytes()).hexdigest() == "ed0bd5a51c185939d4fb638bd8409a13c2e1ea74fbf40a49a8e59298c256a222"
+
+
+@pytest.mark.parametrize("flag,value", [("alpha", "-5"), ("beta", ".5"), ("p", "nan"), ("q", "0"), ("panels", "0"), ("method", "magic")])
+def test_dimension_without_integral_refuses_operator_flags(capsys, tmp_path, flag, value):
+    # no operator runs, so a flag that sets one would be ignored: it is refused, naming the flag
+    code, err = _one_json_error(capsys, "dimension", "--fn", "sinxy", "--grid", "129,129", f"--{flag}", value)
+    assert code == 2 and err["parameter"] == flag and err["message"].startswith(f"--{flag} sets the operator")
+    path = tmp_path / "counts.csv"
+    path.write_text("delta,count\n0.5,4\n0.25,16\n0.125,64\n")
+    code, err = _one_json_error(capsys, "dimension", "--counts-from", str(path), f"--{flag}", value)
+    assert code == 2 and err["parameter"] == flag
+
+
+def test_dimension_refuses_the_first_ignored_operator_flag(capsys):
+    argv = ("dimension", "--fn", "sinxy", "--grid", "129,129", "--panels", "0", "--method", "magic", "--alpha", "-5", "--p", "nan")
+    code, err = _one_json_error(capsys, *argv)
+    assert code == 2 and err["parameter"] == "alpha"
+
+
+def test_operator_flags_left_out_take_their_defaults(capsys):
+    # --p 0, --q 0, --panels 64 and --method auto, whether given or left out
+    for cmd in (("integrate", "--fn", "sinxy", "--grid", "9,9"), ("dimension", "--fn", "sinxy", "--grid", "129,129", "--integral")):
+        code, left_out, _ = run_cli(capsys, *cmd, "--alpha", ".5", "--beta", ".5")
+        code2, given, _ = run_cli(capsys, *cmd, "--alpha", ".5", "--beta", ".5", "--p", "0", "--q", "0", "--panels", "64", "--method", "auto")
+        assert code == code2 == 0 and left_out == given
+
+
 @pytest.mark.parametrize("deltas", ["0.5,abc", ","])
 def test_dimension_malformed_deltas_exit_2(capsys, deltas):
     code, _, err = run_cli(capsys, "dimension", "--fn", "plane", "--grid", "33,33", "--deltas", deltas)
@@ -553,6 +588,18 @@ def test_verify_unknown_suite_exit_2(capsys):
     assert code == 2 and err["parameter"] == "suite"
 
 
+@pytest.mark.parametrize("argv,parameter", [(("separable", "--fn", "zeppelin"), "fn"), (("sandwich", "--g", "cosh"), "g")])
+def test_verify_refuses_a_flag_its_suite_ignores(capsys, argv, parameter):
+    code, err = _one_json_error(capsys, "verify", *argv)
+    assert code == 2 and err["parameter"] == parameter
+
+
+def test_verify_help_names_every_suite():
+    subs = next(a for a in cli.build_parser()._actions if a.dest == "subcommand")
+    suite = next(a for a in subs.choices["verify"]._actions if a.dest == "suite")
+    assert suite.help == "semigroup, special-cases, separable, boundedness, bv-preservation, dimension-bounds, sandwich"
+
+
 def test_verify_failed_checks_exit_4(capsys, monkeypatch, tmp_path):
     from fracdim2d.verify import Check, SuiteReport
 
@@ -749,6 +796,42 @@ def test_abbreviated_flags_are_usage_errors(capsys):
 def test_t_prefix_wraps_catalog_seeds_only(capsys, tmp_path):
     code, out, err = run_cli(capsys, "construct", "--fn", "t:csv:g.csv", "--grid", "5,5")
     assert code == 2 and out == "" and err["message"].startswith("unknown catalog function 'csv'")
+
+
+_CATALOG = "available: constant, plane, sinxy, parabola-sine, sine-parabola, t-parabola-sine, t-sine-parabola, weierstrass, rational-indicator"
+_EMPTY = ("ParameterError", "fn", "empty function spec")
+_NO_NAME = ("CatalogError", None, "unknown catalog function ''; " + _CATALOG)
+_ZEPPELIN = ("CatalogError", None, "unknown catalog function 'zeppelin'; " + _CATALOG)
+
+
+def _raised(call, spec):
+    """(type, parameter, message) of what ``call(spec)`` raises, or what it returns."""
+    try:
+        return call(spec)
+    except Exception as exc:
+        return type(exc).__name__, getattr(exc, "parameter", None), exc.args[0]
+
+
+@pytest.mark.parametrize(
+    "spec,built,box",
+    [
+        ("", _EMPTY, _NO_NAME),
+        ("t:", _EMPTY, _NO_NAME),
+        ("t: ", _EMPTY, _NO_NAME),
+        ("t:t:", _EMPTY, _NO_NAME),
+        ("t:zeppelin", _ZEPPELIN, _ZEPPELIN),
+        ("t:weierstrass:x", ("ParameterError", "fn", "bad numeric parameter 'x' in 'weierstrass:x'"), Box(0, 2, 0, 1)),
+        ("t:plane", ("ParameterError", "phi", "phi differs across the seam by 1.000e+00 (tolerance 1e-12); pieces cannot join"), Box(1, 3, 1, 2)),
+        ("t:constant:1,2", ("ParameterError", "fn", "wrong parameters for 'constant' (expected k=1)"), Box(1, 3, 1, 2)),
+        ("zeppelin", _ZEPPELIN, _ZEPPELIN),
+    ],
+)
+def test_a_bad_spec_fails_as_its_seed_does_before_any_box(capsys, spec, built, box):
+    # a t: spec builds its seed before it reads its box, so the seed's error is the one raised
+    assert _raised(make_source, spec) == built
+    assert _raised(default_box, spec) == box
+    code, err = _one_json_error(capsys, "integrate", "--fn", spec, "--alpha", ".5", "--beta", ".5")
+    assert code == 2 and err == {"code": 2, "message": built[2], **({"parameter": built[1]} if built[1] else {})}
 
 
 _GOOD_CSV = "x,y,value\n0,0,1\n0,1,2\n1,0,3\n1,1,4\n"

@@ -17,6 +17,7 @@ from fracdim2d import (
     catalog_names,
     default_box,
     make_source,
+    positive_source,
     psi_n,
     sample,
     t_eval,
@@ -215,7 +216,7 @@ def test_every_catalog_entry_builds_and_samples():
     for name in catalog_names():
         ent = catalog_entry(name)
         src = make_source(name)
-        box = src.domain if src.domain is not None else default_box(name)
+        box = default_box(name)
         assert ent.box.covers(box) or box.covers(ent.box)
         gs = sample(src, GridSpec(box, 5, 5))
         assert np.all(np.isfinite(gs.values))
@@ -322,6 +323,64 @@ def test_rational_indicator_per_axis_equals_the_broadcast_call():
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
     # both kinds of value appear, so the comparison can tell them apart
     assert set(np.unique(src.eval(xs[:, None], ys[None, :]))) == {0.0, 1.0}
+
+
+# (spec, the box and shift positive_source gives it) for every catalog name, two parameterised specs, and
+# t: to depth 3, with stray spaces, over each seed that builds
+_SPEC_BOXES = [
+    ("constant", (1, 2, 1, 2), (0, 0)),
+    ("plane", (1, 2, 1, 2), (0, 0)),
+    ("sinxy", (1, 2, 1, 2), (0, 0)),
+    ("parabola-sine", (1, 1.5, 1, 2), (1, 1)),
+    ("sine-parabola", (1, 1.5, 1, 2), (1, 1)),
+    ("t-parabola-sine", (1, 2, 1, 2), (1, 1)),
+    ("t-sine-parabola", (1, 2, 1, 2), (1, 1)),
+    ("weierstrass", (1, 2, 1, 2), (1, 1)),
+    ("rational-indicator", (1, 2, 1, 2), (1, 1)),
+    ("constant:3", (1, 2, 1, 2), (0, 0)),
+    ("weierstrass:2,2.3,12", (1, 2, 1, 2), (1, 1)),
+    ("t:constant", (1, 3, 1, 2), (0, 0)),
+    (" t: t:constant", (1, 5, 1, 2), (0, 0)),
+    ("t:t: t:constant ", (1, 9, 1, 2), (0, 0)),
+    ("t:parabola-sine", (1, 2, 1, 2), (1, 1)),
+    (" t: t:parabola-sine", (1, 3, 1, 2), (1, 1)),
+    ("t:t: t:parabola-sine ", (1, 5, 1, 2), (1, 1)),
+    ("t:sine-parabola", (1, 2, 1, 2), (1, 1)),
+    (" t: t:sine-parabola", (1, 3, 1, 2), (1, 1)),
+    ("t:t: t:sine-parabola ", (1, 5, 1, 2), (1, 1)),
+    ("t:t-parabola-sine", (1, 3, 1, 2), (1, 1)),
+    (" t: t:t-parabola-sine", (1, 5, 1, 2), (1, 1)),
+    ("t:t: t:t-parabola-sine ", (1, 9, 1, 2), (1, 1)),
+    ("t:t-sine-parabola", (1, 3, 1, 2), (1, 1)),
+    (" t: t:t-sine-parabola", (1, 5, 1, 2), (1, 1)),
+    ("t:t: t:t-sine-parabola ", (1, 9, 1, 2), (1, 1)),
+    ("t:rational-indicator", (1, 3, 1, 2), (1, 1)),
+    (" t: t:rational-indicator", (1, 5, 1, 2), (1, 1)),
+    ("t:t: t:rational-indicator ", (1, 9, 1, 2), (1, 1)),
+    ("t:constant:3", (1, 3, 1, 2), (0, 0)),
+    (" t: t:constant:3", (1, 5, 1, 2), (0, 0)),
+    ("t:t: t:constant:3 ", (1, 9, 1, 2), (0, 0)),
+]
+
+
+@pytest.mark.parametrize("spec,box,shift", _SPEC_BOXES)
+def test_default_box_is_the_one_box_of_a_spec(spec, box, shift):
+    src = make_source(spec)
+    assert src.domain in (None, default_box(spec))
+    shifted, got = positive_source(spec)
+    assert got == Box(*box)
+    assert (getattr(shifted, "dx", 0.0), getattr(shifted, "dy", 0.0)) == shift
+    assert got == default_box(spec).shifted(*shift)
+
+
+def test_every_spec_that_builds_declares_a_sup_bound():
+    # the boundedness suite certifies every quadrature-safe entry, so none may lack a bound; a t: spec takes its seed's
+    assert set(catalog_names()) <= {spec for spec, _, _ in _SPEC_BOXES}
+    for spec, _, _ in _SPEC_BOXES:
+        src = make_source(spec)
+        assert src.sup_bound is not None, spec
+        box = default_box(spec)
+        assert np.max(np.abs(sample(src, GridSpec(box, 9, 9)).values)) <= src.sup_bound(box) + 1e-12, spec
 
 
 def test_default_box_shapes():

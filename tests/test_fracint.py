@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import os
 
@@ -119,6 +120,23 @@ def test_axis_factor_is_zero_at_its_lower_limit_for_every_weight():
                 fwd, x = fracint._power_map(float(p))[0], 1.25 * lo
                 scale = math.exp(fracint.log_normaliser(order) - math.log(order))
                 assert axis_unit_factor(lo, x, order, float(p)) == (fwd(np.asarray(x)) - fwd(lo)) ** order * scale
+
+
+def test_closed_form_of_one_past_float64_is_a_numeric_error():
+    # (1e100^6 / 6)^(1/2) and two finite factors of 1.7e179 each leave float64: an error, not inf
+    with pytest.raises(NumericError, match="^integral of 1 overflows float64"):
+        axis_unit_factor(1.0, 1e100, 0.5, 5.0)
+    for box, order in ((Box(1.0, 1e100, 1.0, 2.0), FracOrder(0.5, 0.5, 5.0, 0.0)), (Box(1.0, 1e60, 1.0, 1e60), FracOrder(3.0, 3.0))):
+        with pytest.raises(NumericError, match="^integral of 1 overflows float64"):
+            integral_of_one(box, order, box.b, box.d)
+    # ordinary inputs keep their bits
+    vals = []
+    for lo, order, weight in itertools.product((0.01, 0.5, 1.0, 7.5), (0.3, 0.5, 1.0, 1.7, 2.5), (-1.0, -0.4, 0.0, 0.7, 3.0)):
+        vals += [axis_unit_factor(lo, x, order, weight) for x in (lo, lo * (1.0 + 1e-9), 1.3 * lo, lo + 2.0, 40.0 * lo)]
+    box = Box(1.0, 2.5, 0.5, 3.0)
+    for a, b, p, q in itertools.product((0.5, 1.5), (0.3, 2.0), (-1.0, 0.0, 1.5), (-0.5, 2.0)):
+        vals += [integral_of_one(box, FracOrder(a, b, p, q), x, y) for x in (1.0, 1.7, 2.5) for y in (0.5, 2.9)]
+    assert hashlib.sha256(np.array(vals).tobytes()).hexdigest() == "bd369cd2b24261b6b589fbeb7e7aac7ba7eb82b0c6ed3f45bdc393b0e87a30c9"
 
 
 def test_order_one_reduces_to_plain_integration():

@@ -1,9 +1,10 @@
 import hashlib
+import math
 from types import SimpleNamespace
 
 import pytest
 
-from fracdim2d import ParameterError, SUITES, cli, fracint, run_suite, verify
+from fracdim2d import ParameterError, SUITES, VerificationError, cli, fracint, run_suite, verify
 from fracdim2d.verify import Check, SuiteReport
 
 
@@ -77,10 +78,40 @@ def test_hadamard_rate_fails_when_the_coordinate_crowds_toward_one(monkeypatch):
     assert not any(c.passed for name, c in checks.items() if name.startswith("hadamard-rate:"))
 
 
+def test_a_suite_refuses_the_flag_it_does_not_read():
+    with pytest.raises(ParameterError) as exc:
+        run_suite("separable", fn="plane")
+    assert exc.value.parameter == "fn"
+    for name in set(SUITES) - {"separable"}:
+        with pytest.raises(ParameterError) as exc:
+            run_suite(name, g="sin")
+        assert exc.value.parameter == "g"
+
+
+def test_semigroup_at_full_scale_checks_the_gap_shrinks_with_the_panels():
+    report = run_suite("semigroup", "full", fn="constant:1")
+    assert [c.name for c in report.checks] == ["semigroup:constant:1", "semigroup-refinement:constant:1"]
+    refinement = report.checks[1]
+    assert report.passed and refinement.gap == 0.24421699982881068
+    assert refinement.note == "gap ratios across panels (32, 64, 128)"
+
+
+def test_a_failed_certificate_is_a_failed_check(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise VerificationError("boundedness violated")
+
+    monkeypatch.setattr(verify, "boundedness_certificate", fail)
+    (check,) = run_suite("boundedness", "quick", fn="sinxy").checks
+    assert (check.name, check.gap, check.passed, check.note) == ("boundedness:sinxy", math.inf, False, "boundedness violated")
+    assert cli.main(["verify", "boundedness", "--fn", "sinxy"]) == 4
+    out = capsys.readouterr().out
+    assert out == "verify boundedness (quick): 0/1 checks passed; failed: boundedness:sinxy\n"
+
+
 def test_dimension_bounds_samples_each_grid_once(monkeypatch):
     # at full scale the named checks and the dimension-floor loop share the counts of their 1025^2 grids
     sampled = []
-    monkeypatch.setattr(verify, "_row_reader", lambda src, spec: sampled.append((src.name, spec.m)))
+    monkeypatch.setattr(verify, "_row_reader", lambda src, spec, threads: sampled.append((src.name, spec.m)))
     monkeypatch.setattr(verify, "dimension_fit", lambda g, deltas, which: SimpleNamespace(slope=2.0))
     monkeypatch.setattr(verify, "katugampola_2d_grid", lambda *args, **kwargs: None)
     report = run_suite("dimension-bounds", "full")
