@@ -26,7 +26,7 @@ import warnings
 import numpy as np
 
 from .boxdim import _fit_counts, _ladder, boxcount_bruteforce_3d, default_deltas, fit_loglog
-from .constructions import catalog_entry, default_box, make_source
+from .constructions import _refuse_quadrature_unsafe, default_box, make_source
 from .core import (
     Box,
     CatalogError,
@@ -162,25 +162,6 @@ def _default_operator_flags(args: argparse.Namespace) -> None:
             setattr(args, name, default)
 
 
-def _refuse_quadrature_unsafe(spec_text: str) -> None:
-    """Reject a catalog source, or the seed of a t: spec, marked quadrature-unsafe.
-
-    The library still integrates such sources; the CLI refuses to print a
-    number for them.  csv:/json: sample files are bilinear and always safe.
-    """
-    spec = spec_text.strip()
-    while spec.startswith("t:"):
-        spec = spec[2:].strip()
-    if spec.startswith(("csv:", "json:")):
-        return
-    name = spec.partition(":")[0]
-    if not catalog_entry(name).quadrature_safe:
-        raise ParameterError(
-            f"{name!r} is marked quadrature-unsafe in the catalog; its integral would not be meaningful",
-            parameter="fn",
-        )
-
-
 def _write_grid(gs: GridSamples, path: str, fmt: str) -> None:
     (write_samples_json if fmt == "json" else write_samples_csv)(gs, path)
 
@@ -247,6 +228,9 @@ def cmd_dimension(args: argparse.Namespace) -> int:
     if args.counts_from:
         if args.fn:
             raise ParameterError("--counts-from replaces --fn; give one or the other", parameter="counts-from")
+        for name in ("out", "oracle", "deltas", "grid", "rect", "shift", "integral"):  # each reads a grid
+            if getattr(args, name) not in (None, False):
+                raise ParameterError(f"--{name} has no grid to act on: --counts-from refits the file's rows", parameter=name)
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # a file with no rows is reported below, in the JSON error

@@ -443,6 +443,24 @@ def catalog_entry(name: str) -> CatalogEntry:
         raise CatalogError(f"unknown catalog function {name!r}; available: {', '.join(CATALOG)}") from None
 
 
+def _refuse_quadrature_unsafe(spec: str) -> None:
+    """Reject a catalog spec, or the seed of a t: spec, marked quadrature-unsafe.
+
+    The library still integrates such sources; the CLI and ``run_suite``
+    refuse to report a number for them.  csv:/json: sample files pass, and
+    ``make_source`` refuses an unknown name.
+    """
+    spec = spec.strip()
+    while spec.startswith("t:"):
+        spec = spec[2:].strip()
+    name = spec.partition(":")[0]
+    if name in CATALOG and not CATALOG[name].quadrature_safe:
+        raise ParameterError(
+            f"{name!r} is marked quadrature-unsafe in the catalog; its integral would not be meaningful",
+            parameter="fn",
+        )
+
+
 def make_source(spec: str) -> FunctionSource:
     """Build a FunctionSource from a catalog spec string.
 

@@ -19,8 +19,9 @@ those two diagonals' samples and best sums, in contiguous buffers indexed
 by place along the diagonal.  Alone, a diagonal is a slice of step n - 1
 of the row-major samples, one memory page per node on a large grid, so
 one copy gathers 64 diagonals at a time, 64 neighbouring samples of each
-row.  Traceback choices are stored as bytes in a skewed table whose row d
-holds diagonal d; no m x n table of sums is allocated.
+row.  No m x n table of sums is allocated; each node's traceback code,
+0 to 3, takes two bits of a skewed table whose byte (r, k) holds place k
+of diagonals 4r to 4r + 3.
 
 A brute-force enumerator over all monotone chains (saturated or not, any
 start and end) serves as the oracle on small grids.
@@ -111,12 +112,16 @@ def _dp_tables(mat: np.ndarray) -> tuple[np.ndarray, float, float, int]:
     diagonals into a column-major block, from which each diagonal's buffer
     is filled.  Their rows span at most min(m, n + 63), and the block is
     sized by that span, never by m.  Only where samples are read changes,
-    so every sum, comparison and choice keeps its bits.  Choices go to a
-    skewed (m + n - 1) x min(m, n) uint8 table: node (i, j) sits at row
-    i + j, column min(i, n - 1 - j), its place along the diagonal, so a
-    thin grid keeps a thin table.
+    so every sum, comparison and choice keeps its bits.  Node (i, j) has
+    place k = min(i, n - 1 - j) along diagonal d = i + j, and its code goes
+    to row d % 64 of a reused uint8 staging block, 64 rows of min(m, n)
+    places padded to whole uint64 words.  Every 64 diagonals, and at the
+    end, the block folds, a word at a time, into 16 rows of the packed
+    (ceil((m + n - 1) / 4), min(m, n)) uint8 table: byte (r, k) is
+    c0 | c1 << 2 | c2 << 4 | c3 << 6 for diagonals 4r to 4r + 3, code 0
+    past a diagonal's end.  ``_code`` reads one back.
 
-    Returns ``(choice, corner, peak, peak_index)``: the best sum at
+    Returns ``(packed, corner, peak, peak_index)``: the best sum at
     (m-1, n-1), the largest best sum, and the row-major index of the first
     node attaining it.
     """
@@ -129,10 +134,8 @@ def _dp_tables(mat: np.ndarray) -> tuple[np.ndarray, float, float, int]:
     for run, edge in ((row_run, mat[0]), (col_run, mat[:, 0])):
         np.subtract(edge[1:], edge[:-1], out=run[1:])
         np.abs(run[1:], out=run[1:]).cumsum(out=run[1:])
-    choice = np.zeros((m + n - 1, min(m, n)), dtype=np.uint8)
-    choice[1:n, 0] = 2
-    np.fill_diagonal(choice[1:, 1:], 1)  # node (i, 0) for i < n sits at column i
-    choice[n:m, -1] = 1  # and for i >= n at column n - 1, the last
+    stage = np.zeros((_SWEEP_BLOCK, -(-min(m, n) // 8) * 8), dtype=np.uint8)
+    packed = np.empty((-(-(m + n - 1) // 4), min(m, n)), dtype=np.uint8)
     vals = [np.empty(min(m, n)) for _ in range(3)]
     sums = [np.empty(min(m, n)) for _ in range(3)]
     peak, peak_index = 0.0, 0
@@ -142,12 +145,12 @@ def _dp_tables(mat: np.ndarray) -> tuple[np.ndarray, float, float, int]:
             r0, r1 = lo, min(m, d + _SWEEP_BLOCK)
             diags = skew[d : d + _SWEEP_BLOCK, r0:r1]
             np.copyto(block[: diags.shape[0], : r1 - r0], diags)
-        v, s = vals[d % 3], sums[d % 3]
+        v, s, row = vals[d % 3], sums[d % 3], stage[d % _SWEEP_BLOCK]
         v[: hi - lo + 1] = block[d % _SWEEP_BLOCK, lo - r0 : hi - r0 + 1]
         if lo == 0:
-            s[0] = row_run[d]
+            s[0], row[0] = row_run[d], 2
         if hi == d:
-            s[d - lo] = col_run[d]
+            s[d - lo], row[d - lo] = col_run[d], min(d, 1)  # (0, 0) starts every chain: code 0
         a, b = max(1, lo), min(m - 1, d - 1)
         if a <= b:
             pv, ps = vals[(d - 1) % 3], sums[(d - 1) % 3]
@@ -157,7 +160,7 @@ def _dp_tables(mat: np.ndarray) -> tuple[np.ndarray, float, float, int]:
             up = ps[a - 1 - plo : b - plo] + np.abs(cur - pv[a - 1 - plo : b - plo])
             left = ps[a - plo : b - plo + 1] + np.abs(cur - pv[a - plo : b - plo + 1])
             diag = qs[a - 1 - qlo : b - qlo] + np.abs(cur - qv[a - 1 - qlo : b - qlo])
-            code = choice[d, a - lo : b - lo + 1]
+            code = row[a - lo : b - lo + 1]
             np.greater(left, up, out=code.view(np.bool_))
             code += 1
             np.maximum(up, left, out=up)
@@ -167,12 +170,23 @@ def _dp_tables(mat: np.ndarray) -> tuple[np.ndarray, float, float, int]:
         top, at = float(s[k]), d + (lo + k) * (n - 1)
         if top > peak or (top == peak and at < peak_index):
             peak, peak_index = top, at
-    return choice, float(sums[(m + n - 2) % 3][0]), peak, peak_index
+        if d % _SWEEP_BLOCK == _SWEEP_BLOCK - 1 or d == m + n - 2:  # fold the block, four codes to a byte
+            q = stage.view(np.uint64).reshape(_SWEEP_BLOCK // 4, 4, -1)  # 8 places a word; no code crosses a byte
+            fold = np.bitwise_or.reduce(q << np.array([[0], [2], [4], [6]], dtype=np.uint64), axis=1).view(np.uint8)
+            r = d // _SWEEP_BLOCK * _SWEEP_BLOCK // 4
+            packed[r : r + _SWEEP_BLOCK // 4] = fold[: packed.shape[0] - r, : min(m, n)]
+            stage.fill(0)
+    return packed, float(sums[(m + n - 2) % 3][0]), peak, peak_index
 
 
-def _traceback(choice: np.ndarray, n: int, i: int, j: int) -> tuple[tuple[int, int], ...]:
+def _code(packed: np.ndarray, d: int, k: int) -> int:
+    """The choice code of place ``k`` on diagonal ``d`` in ``_dp_tables``' packed table."""
+    return (packed.item(d >> 2, k) >> 2 * (d & 3)) & 3
+
+
+def _traceback(packed: np.ndarray, n: int, i: int, j: int) -> tuple[tuple[int, int], ...]:
     path = [(i, j)]
-    while c := int(choice[i + j, min(i, n - 1 - j)]):
+    while c := _code(packed, i + j, min(i, n - 1 - j)):
         if c == 1:
             i -= 1
         elif c == 2:
@@ -196,12 +210,12 @@ def arzela_variation(g, pinned: bool = False) -> VariationResult:
     """
     mat = _as_matrix(g)
     m, n = mat.shape
-    choice, corner, peak, peak_index = _dp_tables(mat)
+    packed, corner, peak, peak_index = _dp_tables(mat)
     if pinned:
         (i, j), value = (m - 1, n - 1), corner
     else:
         (i, j), value = divmod(peak_index, n), peak
-    return VariationResult(value=value, argpath=_traceback(choice, n, i, j))
+    return VariationResult(value=value, argpath=_traceback(packed, n, i, j))
 
 
 def arzela_variation_bruteforce(g) -> float:

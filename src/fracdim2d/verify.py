@@ -10,7 +10,8 @@ boolean.
 Catalog functions whose default box touches the coordinate axes are
 shifted into the operator's positive quadrant first; entries marked
 quadrature-unsafe (the rational indicator) are excluded from integral
-and dimension suites because point sampling cannot represent them.
+and dimension suites because point sampling cannot represent them, and
+``run_suite`` refuses them, or a ``t:`` spec over them, as ``fn``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boxdim import boxcount_bruteforce_3d, default_deltas, dimension_fit, oscillation_counts
-from .constructions import catalog_entry, catalog_names, default_box, make_source, positive_source
+from .constructions import _refuse_quadrature_unsafe, catalog_entry, catalog_names, default_box, make_source, positive_source
 from .core import (
     Box,
     CallableSource,
@@ -363,4 +364,6 @@ def run_suite(
     wrong = "fn" if name == "separable" else "g"  # separable takes g alone, every other suite fn alone
     if given.pop(wrong) is not None:
         raise ParameterError(f"suite {name!r} takes no --{wrong}", parameter=wrong)
+    if fn is not None:  # every suite that takes fn integrates it or counts boxes over its samples
+        _refuse_quadrature_unsafe(fn)
     return SUITES[name](scale, threads=threads, **given)

@@ -238,17 +238,26 @@ def test_integrate_failed_certificate_writes_nothing(capsys, monkeypatch, tmp_pa
     assert not out_path.exists()
 
 
+_ORDERS = ("--alpha", ".5", "--beta", ".5")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        ("integrate", "--fn", "rational-indicator", "--shift", "1,1", "--grid", "5,5", "--panels", "16"),
-        ("integrate", "--fn", "t:rational-indicator", "--shift", "1,1", "--grid", "5,5", "--panels", "16"),
-        ("integrate", "--op", "hadamard", "--fn", "rational-indicator", "--shift", "1,1", "--grid", "3,3"),
-        ("dimension", "--fn", "rational-indicator", "--integral", "--shift", "1,1", "--grid", "9,9"),
+        ("integrate", "--fn", "rational-indicator", "--shift", "1,1", "--grid", "5,5", "--panels", "16", *_ORDERS),
+        ("integrate", "--fn", "t:rational-indicator", "--shift", "1,1", "--grid", "5,5", "--panels", "16", *_ORDERS),
+        ("integrate", "--op", "hadamard", "--fn", "rational-indicator", "--shift", "1,1", "--grid", "3,3", *_ORDERS),
+        ("dimension", "--fn", "rational-indicator", "--integral", "--shift", "1,1", "--grid", "9,9", *_ORDERS),
+    ]
+    # every suite that takes --fn, at both scales: none reports a number for the source
+    + [
+        ("verify", suite, "--fn", fn, "--scale", scale)
+        for suite in ("semigroup", "special-cases", "boundedness", "bv-preservation", "dimension-bounds", "sandwich")
+        for fn, scale in (("rational-indicator", "quick"), ("t:rational-indicator", "full"))
     ],
 )
 def test_quadrature_unsafe_sources_are_refused(capsys, argv):
-    code, err = _one_json_error(capsys, *argv, "--alpha", ".5", "--beta", ".5")
+    code, err = _one_json_error(capsys, *argv)
     assert code == 2 and err["parameter"] == "fn"
     assert "quadrature-unsafe" in err["message"]
 
@@ -317,6 +326,20 @@ def test_dimension_without_integral_refuses_operator_flags(capsys, tmp_path, fla
     path.write_text("delta,count\n0.5,4\n0.25,16\n0.125,64\n")
     code, err = _one_json_error(capsys, "dimension", "--counts-from", str(path), f"--{flag}", value)
     assert code == 2 and err["parameter"] == flag
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [("out", "@counts-out.csv"), ("oracle", None), ("deltas", "0.3"), ("grid", "5,5"), ("rect", "0,1,0,1"), ("shift", "1,1"), ("integral", None)],
+)
+def test_dimension_counts_from_refuses_flags_that_read_a_grid(capsys, tmp_path, flag, value):
+    # a refit has no grid to count, sample, move or integrate, so such a flag would be ignored: it is refused
+    path = tmp_path / "counts.csv"
+    path.write_text("delta,count\n0.5,4\n0.25,16\n0.125,64\n")
+    given = () if value is None else (value.replace("@", f"{tmp_path}/"),)
+    code, err = _one_json_error(capsys, "dimension", "--counts-from", str(path), f"--{flag}", *given)
+    assert code == 2 and err["parameter"] == flag and "--counts-from" in err["message"]
+    assert list(tmp_path.iterdir()) == [path]  # the --out file is not written
 
 
 def test_dimension_refuses_the_first_ignored_operator_flag(capsys):

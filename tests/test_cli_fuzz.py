@@ -80,16 +80,20 @@ _VALUES = {
 _FLAGS = ["--integral", "--oracle", "--pinned", "--trend"]
 _COMMON = ["--fn", "--rect", "--grid", "--threads", "--shift"]
 _QUAD = ["--alpha", "--beta", "--p", "--q", "--panels", "--grading", "--method"]
-# a working command of each kind, which the drawn options then override (the last one of a flag wins) or extend
+# a working command of each kind, which the drawn options then override (the last one of a flag wins) or
+# extend; "refit" is dimension --counts-from, which refuses every option that reads a grid
 _BASES = {
-    "integrate": ["--fn", "sinxy", "--alpha", ".5", "--beta", ".5", "--grid", "9,9"],
-    "dimension": ["--fn", "sinxy", "--grid", "33,33", "--deltas", "0.25,0.125,0.0625"],
-    "variation": ["--fn", "sinxy", "--grid", "9,9"],
-    "construct": ["--fn", "sinxy", "--grid", "9,9"],
+    "integrate": ["integrate", "--fn", "sinxy", "--alpha", ".5", "--beta", ".5", "--grid", "9,9"],
+    "dimension": ["dimension", "--fn", "sinxy", "--grid", "33,33", "--deltas", "0.25,0.125,0.0625"],
+    "refit": ["dimension", "--counts-from", "@counts.csv"],
+    "variation": ["variation", "--fn", "sinxy", "--grid", "9,9"],
+    "construct": ["construct", "--fn", "sinxy", "--grid", "9,9"],
 }
+_DIMENSION = _COMMON + _QUAD + ["--integral", "--deltas", "--which", "--oracle", "--counts-from", "--out", "--fit-out"]
 _OPTIONS = {
     "integrate": _COMMON + _QUAD + ["--op", "--format", "--out"],
-    "dimension": _COMMON + _QUAD + ["--integral", "--deltas", "--which", "--oracle", "--counts-from", "--out", "--fit-out"],
+    "dimension": _DIMENSION,
+    "refit": _DIMENSION,
     "variation": _COMMON + ["--pinned", "--trend", "--levels", "--out"],
     "construct": _COMMON + ["--format", "--out"],
 }
@@ -97,14 +101,16 @@ _OPTIONS = {
 
 @st.composite
 def _argv(draw):
-    command = draw(st.sampled_from(["integrate", "dimension", "variation", "construct", "verify", "transmogrify"]))
+    command = draw(st.sampled_from([*_BASES, "verify", "transmogrify"]))
     if command == "verify":
-        suite = draw(st.sampled_from(["separable", "nosuch"]))
-        extra = draw(st.sampled_from([[], ["--scale", "huge"], ["--g", "sin"], ["--g", "cosh"], ["--fn", "zeppelin"]]))
+        suite = draw(st.sampled_from(["separable", "nosuch", "sandwich", "boundedness"]))
+        extra = draw(st.sampled_from(
+            [[], ["--scale", "huge"], ["--g", "sin"], ["--g", "cosh"], ["--fn", "zeppelin"], ["--fn", "t:rational-indicator"]]
+        ))
         return ["verify", suite, *extra]
     if command == "transmogrify":
         return [command]
-    argv = [command, *_BASES[command]]
+    argv = list(_BASES[command])
     for option in draw(st.lists(st.sampled_from(_OPTIONS[command]), unique=True, max_size=4)):
         argv.append(option)
         if option not in _FLAGS:

@@ -176,11 +176,13 @@ def _scalar_dp(mat, pinned):
     return value, tuple(reversed(path))
 
 
-# the last eight cross the 64-diagonal blocks the sweep gathers, on thin and square grids
+# the next eight cross the 64-diagonal blocks the sweep gathers, on thin and square grids; the last six
+# end with m + n - 1 diagonals short of a multiple of 4 or of 64, so the last packed byte or block is partial
 @pytest.mark.parametrize(
     "shape",
     [(1, 1), (1, 7), (7, 1), (2, 9), (3, 7), (7, 3), (40, 25)]
-    + [(64, 1), (65, 1), (1, 65), (32, 33), (33, 33), (40, 90), (300, 2), (2, 300)],
+    + [(64, 1), (65, 1), (1, 65), (32, 33), (33, 33), (40, 90), (300, 2), (2, 300)]
+    + [(1, 4), (4, 2), (62, 3), (63, 2), (64, 2), (65, 3)],
 )
 @pytest.mark.parametrize("pinned", [False, True])
 def test_diagonal_sweep_matches_scalar_recurrence(shape, pinned):
@@ -196,18 +198,18 @@ def test_diagonal_sweep_matches_scalar_recurrence(shape, pinned):
 def test_every_choice_matches_scalar_recurrence(shape):
     # float samples, so each node's winner depends on every sample it reads: a sample gathered from
     # the wrong place in any 64-diagonal block shows in some node's choice code
-    from fracdim2d.variation import _dp_tables
+    from fracdim2d.variation import _code, _dp_tables
 
     m, n = shape
     rng = np.random.default_rng(m * 1000 + n)
     for _ in range(5):
         mat = rng.standard_normal(shape)
-        choice = _dp_tables(mat)[0]
+        packed = _dp_tables(mat)[0]
         _, step = _scalar_tables(mat.tolist())
         for i in range(m):
             for j in range(n):
                 want = 0 if step[i][j] is None else 1 + _STEPS.index(step[i][j])
-                assert choice[i + j, min(i, n - 1 - j)] == want, (i, j)
+                assert _code(packed, i + j, min(i, n - 1 - j)) == want, (i, j)
 
 
 @pytest.mark.parametrize("pinned", [False, True])
@@ -223,13 +225,15 @@ def test_diagonal_sweep_reads_any_memory_layout(pinned):
 
 
 def test_diagonal_sweep_keeps_its_bits():
-    # pinned from a sweep that read each diagonal as its own strided slice: gathering diagonals in
-    # blocks changes where samples are read, never a sum, a comparison or a tie
+    # pinned from a sweep that read each diagonal as its own strided slice and stored a byte per code:
+    # gathering diagonals in blocks and packing four codes to a byte change where samples are read and
+    # codes kept, never a sum, a comparison or a tie
     import hashlib
 
-    from fracdim2d.variation import _dp_tables
+    from fracdim2d.variation import _code, _dp_tables
 
-    choice, corner, peak, peak_index = _dp_tables(np.random.default_rng(257).standard_normal((257, 193)))
+    packed, corner, peak, peak_index = _dp_tables(np.random.default_rng(257).standard_normal((257, 193)))
+    choice = np.array([[_code(packed, d, k) for k in range(193)] for d in range(257 + 193 - 1)], dtype=np.uint8)
     assert hashlib.sha256(choice.tobytes()).hexdigest() == (
         "c7aebcaf67ba391fa3a75ce5aaa0c5c0c769f04aaf08731dcd304fbdf882d5bf"
     )
@@ -243,9 +247,9 @@ def test_diagonal_sweep_holds_no_float_table():
 
     m, n = 300, 200
     mat = np.random.default_rng(5).integers(-2, 3, size=(m, n)).astype(np.float64)
-    for shape in ((m, n), (n, m), (3000, 2), (2, 3000)):
-        choice = _dp_tables(np.zeros(shape))[0]
-        assert choice.dtype == np.uint8 and choice.shape == (sum(shape) - 1, min(shape))
+    for shape in ((m, n), (n, m), (3000, 2), (2, 3000), (4, 2), (1, 1)):
+        packed = _dp_tables(np.zeros(shape))[0]
+        assert packed.dtype == np.uint8 and packed.shape == (-(-(sum(shape) - 1) // 4), min(shape))
     tracemalloc.start()
     try:
         arzela_variation(mat)
@@ -253,6 +257,29 @@ def test_diagonal_sweep_holds_no_float_table():
     finally:
         tracemalloc.stop()
     assert peak < 8 * m * n  # one m x n float64 table would not fit
+
+
+def test_choice_codes_take_two_bits_each():
+    # a byte per code held (m + n - 1) min(m, n) = 399600 bytes here, and with the gathered block and
+    # the rest the sweep traced 0.68 MB; four codes to a byte hold 100000 bytes, beside the 237056-byte
+    # block, the 25600-byte staging block, the two edges' sums and at most 32 diagonals' worth of
+    # floats: the rotating samples and sums, one diagonal's temporaries and a folded block's words
+    import tracemalloc
+
+    from fracdim2d.variation import _dp_tables
+
+    m, n = 600, 400
+    mat = np.random.default_rng(8).standard_normal((m, n))
+    packed_bytes = -(-(m + n - 1) // 4) * min(m, n)
+    small = 64 * min(m, n) + 2 * 8 * (m + n) + 32 * 8 * min(m, n)
+    tracemalloc.start()
+    try:
+        _dp_tables(mat)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert packed_bytes < 0.4 * (m + n - 1) * min(m, n)
+    assert peak <= packed_bytes + 64 * min(m, n + 63) * 8 + small
 
 
 def test_diagonal_block_is_sized_by_the_diagonal_span():
