@@ -139,12 +139,12 @@ def _window_bounds(coords: np.ndarray, lo: float, count: int, delta: float, hi: 
 
 
 def _rows(g: GridSamples | _Rows) -> _Rows:
-    """A reader's rows, or a matrix's: slices reduced on the caller, where a second worker only slowed them."""
+    """A reader's rows, or a matrix's as slices of no cost, reduced on the caller: a second worker only slowed them."""
     if isinstance(g, _Rows):
         return g
     if not isinstance(g, GridSamples):
         raise ParameterError("expected GridSamples")
-    return _Rows(g.spec, lambda r0, r1, mat=g.matrix: mat[r0:r1], 1)
+    return _Rows(g.spec, lambda r0, r1, mat=g.matrix: mat[r0:r1], 0)
 
 
 class _Level(NamedTuple):
@@ -228,7 +228,7 @@ def _window_extrema(rows: _Rows, xwin, ywin) -> tuple[np.ndarray, np.ndarray]:
                 cell_max[k] = np.maximum.reduceat(col_max, bounds)[::2]
                 cell_min[k] = np.minimum.reduceat(col_min, bounds)[::2]
 
-    _spread(run, range(0, xst.size, per), rows.threads, min(step, rows.spec.m) * n)
+    _spread(run, range(0, xst.size, per), rows.cost * min(step, rows.spec.m) * n)
     return cell_max, cell_min
 
 

@@ -43,6 +43,7 @@ from .core import (
     SizeError,
     VerificationError,
     _row_reader,
+    _threads_for,
     read_samples_csv,
     read_samples_json,
     sample,
@@ -148,7 +149,7 @@ def _grid_of(args: argparse.Namespace, src: FunctionSource, box: Box, raw: GridS
     spec = _spec_of(args, box, raw, default)
     if raw is not None and spec is raw.spec:
         return raw
-    return sample(src, spec, threads=args.threads)
+    return sample(src, spec)
 
 
 # the operator flags besides --alpha and --beta, None unless given: integrate and dimension --integral
@@ -179,6 +180,8 @@ def _write_json(doc: dict, path: str) -> None:
 def cmd_integrate(args: argparse.Namespace) -> int:
     alpha = _require(args, "alpha")
     beta = _require(args, "beta")
+    if args.op != "katugampola" and args.method is not None:  # before the default fills it in
+        raise ParameterError(f"--op {args.op} has one route; drop --method", parameter="method")
     _default_operator_flags(args)
     p, q = float(args.p), float(args.q)
     if args.op != "katugampola" and (p != 0.0 or q != 0.0):
@@ -199,16 +202,16 @@ def cmd_integrate(args: argparse.Namespace) -> int:
 
     if args.op == "katugampola":
         order = FracOrder(alpha, beta, p, q)
-        gs = katugampola_2d_grid(src, spec, order, quad, method=args.method, threads=args.threads)
+        gs = katugampola_2d_grid(src, spec, order, quad, method=args.method)
     elif args.op == "hadamard":  # the p = q = -1 member, on the route of its point calls
-        gs = katugampola_2d_grid(src, spec, FracOrder(alpha, beta, -1.0, -1.0), quad, method="tensor", threads=args.threads)
+        gs = katugampola_2d_grid(src, spec, FracOrder(alpha, beta, -1.0, -1.0), quad, method="tensor")
     else:
         gs = GridSamples.from_matrix(spec, _rl_grid(src, spec, alpha, beta, quad))
 
     corner = gs.value(m - 1, n - 1)
     note = ""
     if certify:
-        cert = boundedness_certificate(src, gs, order, quad, threads=args.threads)
+        cert = boundedness_certificate(src, gs, order, quad)
         note = f"; bound ok: sup|I f| = {cert.sup_abs_observed:.6g} <= {cert.bound:.6g}"
     if args.out:
         _write_grid(gs, args.out, args.format)
@@ -254,13 +257,13 @@ def cmd_dimension(args: argparse.Namespace) -> int:
         _default_operator_flags(args)
         order = FracOrder(alpha, beta, float(args.p), float(args.q))
         spec = _spec_of(args, box, raw, default=257)
-        gs = katugampola_2d_grid(src, spec, order, QuadratureSpec(panels=args.panels), method=args.method, threads=args.threads)
+        gs = katugampola_2d_grid(src, spec, order, QuadratureSpec(panels=args.panels), method=args.method)
     elif args.oracle:  # the independent 3-d counter reads a sampled grid
         gs = _grid_of(args, src, box, raw, default=257)
     else:
         spec = _spec_of(args, box, raw, default=257)
         # the file's own nodes, or rows evaluated a band at a time: the m x n grid is never held
-        gs = raw if raw is not None and spec is raw.spec else _row_reader(src, spec, args.threads)
+        gs = raw if raw is not None and spec is raw.spec else _row_reader(src, spec)
 
     deltas = _parse_floats(args.deltas, None, "--deltas") if args.deltas else default_deltas(gs.spec)
     if not deltas:
@@ -314,7 +317,7 @@ def cmd_variation(args: argparse.Namespace) -> int:
             levels = [int(t) for t in args.levels.split(",")]
         except ValueError:
             raise ParameterError(f"--levels has a non-integer entry in {args.levels!r}", parameter="levels")
-        series = variation_trend(src, box, levels, threads=args.threads)
+        series = variation_trend(src, box, levels)
         if args.out:
             _write_json({"rect": [box.a, box.b, box.c, box.d], "levels": [[k, v] for k, v in series]}, args.out)
         path = " -> ".join(f"{k}:{v:.6g}" for k, v in series)
@@ -346,7 +349,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    report = run_suite(args.suite, scale=args.scale, fn=args.fn, g=args.g, threads=args.threads)
+    report = run_suite(args.suite, scale=args.scale, fn=args.fn, g=args.g)
     if args.out:
         _write_json(report.to_json(), args.out)
     done = sum(1 for c in report.checks if c.passed)
@@ -363,11 +366,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # parser
 
 
+_THREADS_HELP = "worker threads for this command, 0 for one per CPU (default: FRACDIM2D_THREADS, else one per CPU)"
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--fn", help="catalog spec name[:params], t:<catalog seed> (not a csv:/json: file), or csv:/json: sample file")
     sub.add_argument("--rect", help="rectangle a,b,c,d")
     sub.add_argument("--grid", help="grid sizes m,n")
-    sub.add_argument("--threads", type=int, default=None, help="worker threads (default: FRACDIM2D_THREADS, else one per CPU)")
+    sub.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
     sub.add_argument("--shift", help="translate the function by dx,dy before use")
 
 
@@ -430,7 +436,7 @@ def build_parser() -> _Parser:
     p_ver.add_argument("--scale", default="quick", choices=["quick", "full"])
     p_ver.add_argument("--fn", default=None, help="restrict the suite to one catalog function")
     p_ver.add_argument("--g", default=None, help="univariate factor for the separable suite")
-    p_ver.add_argument("--threads", type=int, default=None)
+    p_ver.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
     p_ver.add_argument("--out", help="write the JSON report here")
     p_ver.set_defaults(run=cmd_verify)
 
@@ -452,7 +458,7 @@ def main(argv=None) -> int:
         if not getattr(args, "subcommand", None):
             raise _UsageError("a subcommand is required (integrate, dimension, variation, construct, verify)")
         # a non-finite intermediate ends the command as one NumericError; underflow to 0 is a result
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
+        with np.errstate(over="raise", invalid="raise", divide="raise"), _threads_for(args.threads):
             return args.run(args)
     except (FloatingPointError, OverflowError) as exc:
         return _fail(3, f"a floating-point result left float64: {exc}")

@@ -494,40 +494,47 @@ _APPLY_BLOCK = 1 << 18
 _GRAIN = _APPLY_BLOCK >> 2
 
 
-def worker_count(override: int | None = None) -> int:
+# the CLI's ``--threads`` while ``_threads_for`` holds it around one command, else None
+_threads = contextvars.ContextVar("fracdim2d_threads", default=None)
+
+
+def worker_count() -> int:
     """Worker count for block-parallel loops.
 
-    Resolution order: explicit override, then FRACDIM2D_THREADS, else the
-    CPU count; 0 in either means the CPU count.  ``row_blocks`` caps what is
-    used at the CPU count, and ``_spread`` at one worker per ``_GRAIN``
-    entries of work.  Thread count never changes computed values, only wall
-    time.
+    Resolution order: the CLI's ``--threads`` for the command now running,
+    then FRACDIM2D_THREADS, else the CPU count; 0 in either means the CPU
+    count, a negative count is a ParameterError, and any count is capped at
+    the CPU count (``_spread`` also at one worker per ``_GRAIN`` entries of
+    work).  Worker count never changes computed values, only wall time.
     """
-    if override is not None:
-        k = int(override)
-        return max(1, (os.cpu_count() or 1) if k == 0 else k)
-    env = os.environ.get("FRACDIM2D_THREADS", "").strip()
-    if not env:
-        return os.cpu_count() or 1
+    cpus = os.cpu_count() or 1
+    k = _threads.get()
+    if k is None:
+        env = os.environ.get("FRACDIM2D_THREADS", "").strip() or "0"
+        try:
+            k = int(env)
+        except ValueError:
+            k = -1  # refused with the negative counts
+        if k < 0:
+            raise ParameterError(f"FRACDIM2D_THREADS must be an integer 0 or more, got {env!r}", parameter="FRACDIM2D_THREADS")
+    return cpus if k == 0 else min(k, cpus)
+
+
+@contextmanager
+def _threads_for(threads: int | None):
+    """Make ``threads`` (None: FRACDIM2D_THREADS decides) the worker count until the block ends, also on an error."""
+    if threads is not None and threads < 0:
+        raise ParameterError(f"--threads must be 0 (one per CPU) or more, got {threads}", parameter="threads")
+    token = _threads.set(threads)
     try:
-        k = int(env)
-    except ValueError:
-        raise ParameterError(f"FRACDIM2D_THREADS must be an integer, got {env!r}", parameter="FRACDIM2D_THREADS")
-    if k == 0:
-        return os.cpu_count() or 1
-    return max(1, k)
+        yield
+    finally:
+        _threads.reset(token)
 
 
 def row_blocks(count: int, workers: int) -> list[range]:
-    """Split range(count) into contiguous blocks, one per worker at most.
-
-    Every block-parallel loop splits its work here, so the number of
-    blocks, and of threads, never exceeds the CPU count, whatever
-    ``--threads`` or FRACDIM2D_THREADS asked for.
-    """
+    """Split range(count) into contiguous blocks, one per worker at most."""
     workers = max(1, min(workers, count))
-    if workers > 1:
-        workers = min(workers, os.cpu_count() or 1)
     step = (count + workers - 1) // workers
     return [range(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
@@ -563,7 +570,7 @@ def _block(run: Callable[[range], None], items: range) -> None:
     run(items)
 
 
-def _spread(run: Callable[[range], None], items: range, threads: int | None, cost: int = _GRAIN) -> None:
+def _spread(run: Callable[[range], None], items: range, cost: int = _GRAIN) -> None:
     """Run ``run`` over contiguous slices of ``items`` from ``row_blocks``, one per worker.
 
     ``cost`` is the entries of work one item takes; a worker is added only
@@ -573,7 +580,7 @@ def _spread(run: Callable[[range], None], items: range, threads: int | None, cos
     the thread count.  Each runs in a copy of the caller's context, so a
     worker keeps the caller's ``np.errstate``.
     """
-    workers = 1 if _in_block.get() else min(worker_count(threads), max(1, len(items) * cost // _GRAIN))
+    workers = 1 if _in_block.get() else min(worker_count(), max(1, len(items) * cost // _GRAIN))
     blocks = [items[b.start : b.stop] for b in row_blocks(len(items), workers)]
     if len(blocks) <= 1:
         run(items)
@@ -589,14 +596,14 @@ def _spread(run: Callable[[range], None], items: range, threads: int | None, cos
 
 
 class _Rows(NamedTuple):
-    """A grid's samples by bands: ``read(r0, r1)`` is rows [r0, r1), reduced on ``threads`` workers."""
+    """A grid's samples by bands: ``read(r0, r1)`` is rows [r0, r1), each sample ``cost`` entries of work to ``_spread``."""
 
     spec: GridSpec
     read: Callable[[int, int], np.ndarray]
-    threads: int | None
+    cost: int
 
 
-def _row_reader(src: FunctionSource, spec: GridSpec, threads: int | None) -> _Rows:
+def _row_reader(src: FunctionSource, spec: GridSpec) -> _Rows:
     """``spec``'s rows by bands: ``read(r0, r1)`` evaluates the (r1 - r0, n) samples of rows [r0, r1) on each call.
 
     Checked once, here: the box lies in the source's domain (else DomainError) and the grid holds
@@ -614,16 +621,16 @@ def _row_reader(src: FunctionSource, spec: GridSpec, threads: int | None) -> _Ro
             raise NumericError("grid samples must be finite")
         return vals
 
-    return _Rows(spec, rows, threads)
+    return _Rows(spec, rows, 1)
 
 
-def sample(src: FunctionSource, spec: GridSpec, threads: int | None = None) -> GridSamples:
+def sample(src: FunctionSource, spec: GridSpec) -> GridSamples:
     """Evaluate ``src`` at every grid node of ``spec``, row-major, checked as ``_row_reader`` does.
 
     Rows are evaluated in blocks of at most ``_APPLY_BLOCK`` entries into one array; ``_spread``
     hands runs of rows to its workers, so the output is bit-identical at any thread count.
     """
-    rows = _row_reader(src, spec, threads).read
+    rows = _row_reader(src, spec).read
     out = np.empty((spec.m, spec.n), dtype=np.float64)
     step = max(1, _APPLY_BLOCK // spec.n)
 
@@ -632,7 +639,7 @@ def sample(src: FunctionSource, spec: GridSpec, threads: int | None = None) -> G
             r1 = min(r0 + step, block.stop)
             out[r0:r1] = rows(r0, r1)
 
-    _spread(run, range(spec.m), threads, spec.n)
+    _spread(run, range(spec.m), spec.n)
     return GridSamples._adopt(spec, out)
 
 

@@ -213,7 +213,7 @@ def _axis_rules(lo: float, his, order: float, panels: int, grading: float, coord
         return back(hi_u - scale * mids), (scale**order) * diffs / order
 
 
-def _tensor(src: FunctionSource, rect: Box, xs, ys, order: FracOrder, quad, threads: int | None) -> np.ndarray:
+def _tensor(src: FunctionSource, rect: Box, xs, ys, order: FracOrder, quad) -> np.ndarray:
     """The operator at every (x_i, y_j), contracting both axis rules against f.
 
     For row i, f is evaluated at (Sx[i, k], Sy[j, l]) in (j, k, l) order,
@@ -242,7 +242,7 @@ def _tensor(src: FunctionSource, rect: Box, xs, ys, order: FracOrder, quad, thre
                 inner = np.einsum("jkl,jl->jk", np.ascontiguousarray(F), My[j0:j1], optimize=False)
                 out[i, j0:j1] = pref * np.einsum("k,jk->j", Mx[i], inner, optimize=False)
 
-    _spread(run, range(m), threads, n * P * P)
+    _spread(run, range(m), n * P * P)
     return _clean(out)
 
 
@@ -571,7 +571,7 @@ def _mesh_apply(fns, lo: float, his, order: float, weight: float, panels: int):
         return outs, (mesh.U - mesh.u[0]) ** order / order
 
 
-def _mesh_2d(src: FunctionSource, mx: _Mesh, my: _Mesh, order: FracOrder, threads: int | None) -> np.ndarray:
+def _mesh_2d(src: FunctionSource, mx: _Mesh, my: _Mesh, order: FracOrder) -> np.ndarray:
     """C W_x F W_y^T: the shared-mesh rule on both axes, F = f on the product of the meshes.
 
     F is evaluated a block of x-node rows at a time, at most
@@ -593,7 +593,7 @@ def _mesh_2d(src: FunctionSource, mx: _Mesh, my: _Mesh, order: FracOrder, thread
             (Gt,) = _hat_apply(my, wy, [F])
             G[a0:a1] = Gt.T
 
-    _spread(run, range(0, nx, rows), threads, rows * ny)
+    _spread(run, range(0, nx, rows), rows * ny)
     (out,) = _hat_apply(mx, _hat_blocks(mx, order.alpha), [G])
     with _no_overflow(_SUM_OVERFLOW):
         return _clean(_prefactor(order) * out)
@@ -699,7 +699,7 @@ def katugampola_2d(f, rect: Box, x: float, y: float, order: FracOrder, quad: Qua
     """
     src, quad = _checked(f, rect, quad)
     xs, ys = _clip_axes(rect, x, y)
-    return float(_tensor(src, rect, xs, ys, order, quad, threads=1)[0, 0])
+    return float(_tensor(src, rect, xs, ys, order, quad)[0, 0])
 
 
 def hadamard_2d(f, rect: Rectangle, x: float, y: float, alpha: float, beta: float, quad: QuadratureSpec | None = None) -> float:
@@ -722,7 +722,6 @@ def katugampola_2d_grid(
     order: FracOrder,
     quad: QuadratureSpec | None = None,
     method: str = "tensor",
-    threads: int | None = None,
 ) -> GridSamples:
     """Apply the mixed operator to f on every node of a uniform grid.
 
@@ -753,10 +752,9 @@ def katugampola_2d_grid(
     On the split mesh, axes that share lower limit, nodes, order and
     weight share one mesh, and a function that is both g and h is applied once.
 
-    ``threads`` overrides FRACDIM2D_THREADS.  Thread count never changes
-    the computed bits: rows are assigned to workers in contiguous blocks
-    with disjoint output slots.  A call whose predicted size exceeds the
-    budget (``_grid_budget``) raises ``SizeError`` before it allocates.
+    Worker count never changes the bits: rows go to workers in contiguous
+    blocks with disjoint output slots.  A call whose predicted size exceeds
+    the budget (``_grid_budget``) raises ``SizeError`` before it allocates.
     """
     if method not in ("tensor", "separable", "auto"):
         raise ParameterError(f"unknown method {method!r}", parameter="method")
@@ -783,9 +781,9 @@ def katugampola_2d_grid(
         mx = _mesh(rect.a, xs, order.p, quad.panels, ex, knots[0])
         my = _mesh(rect.c, ys, order.q, quad.panels, ey, knots[1])
         _grid_budget(route, spec.m, spec.n, quad.panels, nodes=(mx.s.size, my.s.size))
-        out = _mesh_2d(src, mx, my, order, threads)
+        out = _mesh_2d(src, mx, my, order)
     elif route == "tensor":
-        out = _tensor(src, rect, xs, ys, order, quad, threads)
+        out = _tensor(src, rect, xs, ys, order, quad)
     else:
         if same_axes:  # one mesh serves g and h, and a function that is both is applied once
             sums, su = _mesh_apply(split[:1] if split[0] is split[1] else split, rect.a, xs, order.alpha, order.p, quad.panels)
@@ -922,7 +920,6 @@ def compose_semigroup(
     first: FracOrder,
     second: FracOrder,
     quad: QuadratureSpec | None = None,
-    threads: int | None = None,
 ) -> tuple[GridSamples, GridSamples]:
     """Both sides of the composition law on a grid.
 
@@ -956,10 +953,10 @@ def compose_semigroup(
     quad = quad or QuadratureSpec()
     rect = spec.rect  # the first operator call below checks it
     total = FracOrder(first.alpha + second.alpha, first.beta + second.beta, first.p, first.q)
-    rhs = katugampola_2d_grid(f, spec, total, quad, method="auto", threads=threads)
+    rhs = katugampola_2d_grid(f, spec, total, quad, method="auto")
     inner_spec = GridSpec(rect, 2 * quad.panels + 1, 2 * quad.panels + 1)
     inner_quad = QuadratureSpec(panels=max(32, quad.panels // 2))
-    inner = katugampola_2d_grid(f, inner_spec, second, inner_quad, method="auto", threads=threads)
+    inner = katugampola_2d_grid(f, inner_spec, second, inner_quad, method="auto")
 
     def edge_profile(x, y):
         return _unit_profile(rect.a, x, second.alpha, second.p) * _unit_profile(rect.c, y, second.beta, second.q)
@@ -978,7 +975,7 @@ def compose_semigroup(
         smooth=True,
         edges=(second.alpha, second.beta),
     )
-    lhs = katugampola_2d_grid(restored, spec, first, quad, method="auto", threads=threads)
+    lhs = katugampola_2d_grid(restored, spec, first, quad, method="auto")
     return lhs, rhs
 
 
@@ -1021,7 +1018,6 @@ def boundedness_certificate(
     order: FracOrder,
     quad: QuadratureSpec | None = None,
     M: float | None = None,
-    threads: int | None = None,
 ) -> BoundCertificate:
     """Certify |If| <= M * (integral of 1 at the far corner) on a grid.
 
@@ -1041,7 +1037,7 @@ def boundedness_certificate(
     if M is None and src.sup_bound is None:
         raise ParameterError("source declares no sup bound; pass M", parameter="M")
     M = float(src.sup_bound(rect) if M is None else M)
-    observed_f = float(np.max(np.abs(sample(src, spec, threads=threads).values)))
+    observed_f = float(np.max(np.abs(sample(src, spec).values)))
     if M < observed_f * (1.0 - 1e-12):
         raise ParameterError(
             f"claimed sup bound M={M:g} is below a sampled value {observed_f:.17g} of |f|",
@@ -1049,7 +1045,7 @@ def boundedness_certificate(
         )
     tolerance = quad_error_probe(src, rect, order, quad)
     if vals is None:
-        vals = katugampola_2d_grid(src, spec, order, quad, method="auto", threads=threads)
+        vals = katugampola_2d_grid(src, spec, order, quad, method="auto")
     k = int(np.argmax(np.abs(vals.values)))
     bound = M * integral_of_one(rect, order, rect.b, rect.d)
     return BoundCertificate(

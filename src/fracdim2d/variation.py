@@ -253,7 +253,7 @@ def arzela_variation_bruteforce(g) -> float:
     return best
 
 
-def variation_trend(src: FunctionSource, rect: Box, levels, threads: int | None = None) -> list[tuple[int, float]]:
+def variation_trend(src: FunctionSource, rect: Box, levels) -> list[tuple[int, float]]:
     """Grid variation of ``src`` on square grids of increasing size.
 
     ``levels`` must be strictly increasing integers, each at least 2.  The
@@ -265,6 +265,6 @@ def variation_trend(src: FunctionSource, rect: Box, levels, threads: int | None 
         raise ParameterError("levels must be strictly increasing integers >= 2", parameter="levels")
     out = []
     for level in lv:
-        gs = sample(src, GridSpec(rect, level, level), threads=threads)
+        gs = sample(src, GridSpec(rect, level, level))
         out.append((level, arzela_variation(gs).value))
     return out

@@ -109,7 +109,7 @@ def _smooth_names() -> list[str]:
     return [n for n in _safe_names() if catalog_entry(n).bounded_variation]
 
 
-def suite_semigroup(scale: str = "quick", fn: str | None = None, threads: int | None = None) -> SuiteReport:
+def suite_semigroup(scale: str = "quick", fn: str | None = None) -> SuiteReport:
     """Composed half-order operators against the direct order-one operator."""
     names = [fn] if fn else ["constant:1", "plane", "sinxy"]
     half = FracOrder(0.5, 0.5)
@@ -123,7 +123,7 @@ def suite_semigroup(scale: str = "quick", fn: str | None = None, threads: int | 
         spec = GridSpec(box, grid, grid)
         gaps = []
         for panels in panel_ladder:
-            lhs, rhs = compose_semigroup(src, spec, half, half, QuadratureSpec(panels=panels), threads=threads)
+            lhs, rhs = compose_semigroup(src, spec, half, half, QuadratureSpec(panels=panels))
             gaps.append(float(np.max(np.abs(lhs.values - rhs.values))))
         checks.append(_bound_check(f"semigroup:{name}", gaps[-1], tol, f"panels={panel_ladder[-1]}"))
         if len(gaps) > 1:
@@ -141,7 +141,7 @@ def suite_semigroup(scale: str = "quick", fn: str | None = None, threads: int | 
     return SuiteReport("semigroup", scale, tuple(checks))
 
 
-def suite_special_cases(scale: str = "quick", fn: str | None = None, threads: int | None = None) -> SuiteReport:
+def suite_special_cases(scale: str = "quick", fn: str | None = None) -> SuiteReport:
     """Power-weight zero against Riemann-Liouville; weights near -1 against Hadamard."""
     names = [fn] if fn else _smooth_names()
     grid, panels = (5, 48) if scale == "quick" else (17, 128)
@@ -151,7 +151,7 @@ def suite_special_cases(scale: str = "quick", fn: str | None = None, threads: in
     for name in names:
         src, box = positive_source(name)
         spec = GridSpec(box, grid, grid)
-        gk = katugampola_2d_grid(src, spec, order, quad, threads=threads)
+        gk = katugampola_2d_grid(src, spec, order, quad)
         rv = _rl_grid(src, spec, 0.5, 0.5, quad)
         worst = float(np.max(np.abs(gk.matrix - rv)))
         checks.append(_bound_check(f"riemann-liouville:{name}", worst, 1e-6, f"{grid}x{grid} grid"))
@@ -166,7 +166,7 @@ def suite_special_cases(scale: str = "quick", fn: str | None = None, threads: in
         src, box = positive_source(name)
         spec = GridSpec(box, 5, 5)
         had, *near = (
-            katugampola_2d_grid(src, spec, FracOrder(0.5, 0.5, e - 1.0, e - 1.0), QuadratureSpec(panels=32), threads=threads).values
+            katugampola_2d_grid(src, spec, FracOrder(0.5, 0.5, e - 1.0, e - 1.0), QuadratureSpec(panels=32)).values
             for e in [0.0] + rhos
         )
         rates = [float(np.max(np.abs(v - had)) / np.max(np.abs(had))) / e for v, e in zip(near, rhos)]
@@ -182,7 +182,7 @@ _UNIVARIATE = {
 }
 
 
-def suite_separable(scale: str = "quick", g: str | None = None, threads: int | None = None) -> SuiteReport:
+def suite_separable(scale: str = "quick", g: str | None = None) -> SuiteReport:
     """f(x,y) = g(x) with beta = 1, q = 0 against the univariate operator."""
     if g is not None and g not in _UNIVARIATE:
         raise ParameterError(f"unknown univariate g {g!r}; choose from {sorted(_UNIVARIATE)}", parameter="g")
@@ -206,7 +206,7 @@ def suite_separable(scale: str = "quick", g: str | None = None, threads: int | N
     return SuiteReport("separable", scale, tuple(checks))
 
 
-def suite_boundedness(scale: str = "quick", fn: str | None = None, threads: int | None = None) -> SuiteReport:
+def suite_boundedness(scale: str = "quick", fn: str | None = None) -> SuiteReport:
     """Sup-norm certificates for every quadrature-safe catalog entry, each of which declares a sup bound."""
     names = [fn] if fn else _safe_names()
     grid, panels = (9, 32) if scale == "quick" else (17, 64)
@@ -217,7 +217,7 @@ def suite_boundedness(scale: str = "quick", fn: str | None = None, threads: int 
         src, box = positive_source(name)
         spec = GridSpec(box, grid, grid)
         try:
-            cert = boundedness_certificate(src, spec, order, quad, threads=threads)
+            cert = boundedness_certificate(src, spec, order, quad)
         except VerificationError as exc:
             checks.append(Check(name=f"boundedness:{name}", gap=math.inf, tolerance=0.0, passed=False, note=str(exc)))
             continue
@@ -233,7 +233,7 @@ def suite_boundedness(scale: str = "quick", fn: str | None = None, threads: int 
     return SuiteReport("boundedness", scale, tuple(checks))
 
 
-def suite_bv_preservation(scale: str = "quick", fn: str | None = None, threads: int | None = None) -> SuiteReport:
+def suite_bv_preservation(scale: str = "quick", fn: str | None = None) -> SuiteReport:
     """Grid variation of integrals saturates under grid refinement."""
     if fn:
         names = [fn]
@@ -251,7 +251,7 @@ def suite_bv_preservation(scale: str = "quick", fn: str | None = None, threads: 
         src, box = positive_source(name)
         vals = []
         for level in levels:
-            gi = katugampola_2d_grid(src, GridSpec(box, level, level), order, quad, method="auto", threads=threads)
+            gi = katugampola_2d_grid(src, GridSpec(box, level, level), order, quad, method="auto")
             vals.append(arzela_variation(gi).value)
         ratio = abs(vals[-1] / vals[-2] - 1.0) if vals[-2] else abs(vals[-1] - vals[-2])
         checks.append(
@@ -265,7 +265,7 @@ def suite_bv_preservation(scale: str = "quick", fn: str | None = None, threads: 
     return SuiteReport("bv-preservation", scale, tuple(checks))
 
 
-def suite_dimension_bounds(scale: str = "quick", fn: str | None = None, threads: int | None = None) -> SuiteReport:
+def suite_dimension_bounds(scale: str = "quick", fn: str | None = None) -> SuiteReport:
     """Box-dimension estimates sit where the theory puts them."""
     side = 257 if scale == "quick" else 1025
     checks = []
@@ -275,7 +275,7 @@ def suite_dimension_bounds(scale: str = "quick", fn: str | None = None, threads:
         src = make_source(spec_name)  # before the box, so a bad spec fails as make_source says
         spec = GridSpec(default_box(spec_name), side, side)
         # rows evaluated a band at a time, as ``dimension`` counts them: the grid is never held
-        return dimension_fit(_row_reader(src, spec, threads), default_deltas(spec), "lower").slope
+        return dimension_fit(_row_reader(src, spec), default_deltas(spec), "lower").slope
 
     if fn:
         checks.append(_window_check(f"dimension:{fn}", slope_of(fn), 1.85, 2.7))
@@ -298,9 +298,7 @@ def suite_dimension_bounds(scale: str = "quick", fn: str | None = None, threads:
     if scale == "full":
         wsh, box = positive_source("weierstrass")
         spec = GridSpec(box, side, side)
-        gi = katugampola_2d_grid(
-            wsh, spec, FracOrder(0.5, 0.5), QuadratureSpec(panels=16384), method="separable", threads=threads
-        )
+        gi = katugampola_2d_grid(wsh, spec, FracOrder(0.5, 0.5), QuadratureSpec(panels=16384), method="separable")
         wi = dimension_fit(gi, default_deltas(spec), "lower").slope
         checks.append(_bound_check("dimension-smoothing:weierstrass-integral", wi, min(2.7, w_raw), f"raw slope {w_raw:.4f}"))
         for name in _safe_names():
@@ -309,14 +307,14 @@ def suite_dimension_bounds(scale: str = "quick", fn: str | None = None, threads:
     return SuiteReport("dimension-bounds", scale, tuple(checks))
 
 
-def suite_sandwich(scale: str = "quick", fn: str | None = None, threads: int | None = None) -> SuiteReport:
+def suite_sandwich(scale: str = "quick", fn: str | None = None) -> SuiteReport:
     """Oscillation bounds bracket the directly counted cover on small grids."""
     names = [fn] if fn else _safe_names()
     checks = []
     for name in names:
         src, box = positive_source(name)
         spec = GridSpec(box, 65, 65)
-        g = sample(src, spec, threads=threads)
+        g = sample(src, spec)
         side = min(box.width, box.height)
         worst = 0
         ok = True
@@ -354,7 +352,6 @@ def run_suite(
     scale: str = "quick",
     fn: str | None = None,
     g: str | None = None,
-    threads: int | None = None,
 ) -> SuiteReport:
     if name not in SUITES:
         raise ParameterError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}", parameter="suite")
@@ -366,4 +363,4 @@ def run_suite(
         raise ParameterError(f"suite {name!r} takes no --{wrong}", parameter=wrong)
     if fn is not None:  # every suite that takes fn integrates it or counts boxes over its samples
         _refuse_quadrature_unsafe(fn)
-    return SUITES[name](scale, threads=threads, **given)
+    return SUITES[name](scale, **given)

@@ -14,6 +14,7 @@ import subprocess
 import sys
 
 import fracdim2d
+from fracdim2d import verify
 
 SIGNATURES = {
     "Box": "(a: 'float', b: 'float', c: 'float', d: 'float') -> None",
@@ -29,9 +30,9 @@ SIGNATURES = {
     ),
     "SampledSource": "(samples: 'GridSamples', name: 'str' = 'sampled')",
     "ShiftedSource": "(base: 'FunctionSource', dx: 'float', dy: 'float')",
-    "sample": "(src: 'FunctionSource', spec: 'GridSpec', threads: 'int | None' = None) -> 'GridSamples'",
+    "sample": "(src: 'FunctionSource', spec: 'GridSpec') -> 'GridSamples'",
     "stable_sum": "(terms: 'Iterable[float] | np.ndarray') -> 'float'",
-    "worker_count": "(override: 'int | None' = None) -> 'int'",
+    "worker_count": "() -> 'int'",
     "read_samples_csv": "(path: 'str') -> 'GridSamples'",
     "write_samples_csv": "(gs: 'GridSamples', path: 'str') -> 'None'",
     "read_samples_json": "(path: 'str') -> 'GridSamples'",
@@ -54,7 +55,7 @@ SIGNATURES = {
     ),
     "katugampola_2d_grid": (
         "(f, spec: 'GridSpec', order: 'FracOrder', quad: 'QuadratureSpec | None' = None, "
-        "method: 'str' = 'tensor', threads: 'int | None' = None) -> 'GridSamples'"
+        "method: 'str' = 'tensor') -> 'GridSamples'"
     ),
     "riemann_liouville_2d": (
         "(f, rect: 'Box', x: 'float', y: 'float', alpha: 'float', beta: 'float', "
@@ -68,7 +69,7 @@ SIGNATURES = {
     "integral_of_one": "(rect: 'Box', order: 'FracOrder', x: 'float', y: 'float') -> 'float'",
     "compose_semigroup": (
         "(f, spec: 'GridSpec', first: 'FracOrder', second: 'FracOrder', "
-        "quad: 'QuadratureSpec | None' = None, threads: 'int | None' = None) -> 'tuple[GridSamples, GridSamples]'"
+        "quad: 'QuadratureSpec | None' = None) -> 'tuple[GridSamples, GridSamples]'"
     ),
     "sup_gap": "(lhs: 'GridSamples', rhs: 'GridSamples') -> 'float'",
     "BoundCertificate": (
@@ -77,17 +78,13 @@ SIGNATURES = {
     ),
     "boundedness_certificate": (
         "(f, spec: 'GridSpec | GridSamples', order: 'FracOrder', "
-        "quad: 'QuadratureSpec | None' = None, M: 'float | None' = None, "
-        "threads: 'int | None' = None) -> 'BoundCertificate'"
+        "quad: 'QuadratureSpec | None' = None, M: 'float | None' = None) -> 'BoundCertificate'"
     ),
     "quad_error_probe": "(f, rect: 'Box', order: 'FracOrder', quad: 'QuadratureSpec | None' = None) -> 'float'",
     "VariationResult": "(value: 'float', argpath: 'tuple[tuple[int, int], ...]') -> None",
     "arzela_variation": "(g, pinned: 'bool' = False) -> 'VariationResult'",
     "arzela_variation_bruteforce": "(g) -> 'float'",
-    "variation_trend": (
-        "(src: 'FunctionSource', rect: 'Box', levels, "
-        "threads: 'int | None' = None) -> 'list[tuple[int, float]]'"
-    ),
+    "variation_trend": "(src: 'FunctionSource', rect: 'Box', levels) -> 'list[tuple[int, float]]'",
     "BoxCount": "(delta: 'float', n_lower: 'int', n_upper: 'int', m: 'int', n: 'int') -> None",
     "DimensionFit": (
         "(points: 'tuple[tuple[float, int], ...]', slope: 'float', intercept: 'float', "
@@ -114,10 +111,7 @@ SIGNATURES = {
     "positive_source": "(spec: 'str') -> 'tuple[FunctionSource, Box]'",
     "Check": "(name: 'str', gap: 'float', tolerance: 'float', passed: 'bool', note: 'str' = '') -> None",
     "SuiteReport": "(suite: 'str', scale: 'str', checks: 'tuple[Check, ...]' = <factory>) -> None",
-    "run_suite": (
-        "(name: 'str', scale: 'str' = 'quick', fn: 'str | None' = None, g: 'str | None' = None, "
-        "threads: 'int | None' = None) -> 'SuiteReport'"
-    ),
+    "run_suite": "(name: 'str', scale: 'str' = 'quick', fn: 'str | None' = None, g: 'str | None' = None) -> 'SuiteReport'",
 }
 
 
@@ -149,3 +143,9 @@ def test_importing_the_package_loads_every_module():
     res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
     package, with_cli = (line.split() for line in res.stdout.splitlines())
     assert package == [m for m in want if m != "cli"] and with_cli == want
+
+
+def test_suites_take_no_worker_count():
+    # as no public callable does: the worker count is FRACDIM2D_THREADS, or --threads for one command
+    for name, suite in verify.SUITES.items():
+        assert list(inspect.signature(suite).parameters) in (["scale", "fn"], ["scale", "g"]), name

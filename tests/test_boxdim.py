@@ -558,7 +558,7 @@ def test_dyadic_4097_ladder_reads_the_matrix_once(matrix_reads):
     assert fit.points[-1][1] == _reference_counts(g, deltas[-1]).n_lower
 
 
-def test_window_extrema_holds_cells_not_column_tables():
+def test_window_extrema_holds_cells_not_column_tables(monkeypatch):
     # each row window's column max and min are reduced along y at once, and a matrix's bands are slices
     # of it: the traced peak is O(cells + n) floats, where x windows x n column extrema (2.1 MB here)
     # would not fit
@@ -568,10 +568,11 @@ def test_window_extrema_holds_cells_not_column_tables():
     level = boxdim._level(g, min(default_deltas(g.spec)))
     cells = level.m * level.n
     assert cells == 128 * 128
-    for threads in (1, 2):
+    for threads in ("1", "2"):
+        monkeypatch.setenv("FRACDIM2D_THREADS", threads)
         tracemalloc.start()
         try:
-            rows = boxdim._Rows(g.spec, boxdim._rows(g).read, threads)
+            rows = boxdim._Rows(g.spec, boxdim._rows(g).read, 1)  # weighed as evaluated rows, so two workers take bands
             cmax, cmin = boxdim._window_extrema(rows, level.xwin, level.ywin)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -612,24 +613,27 @@ def test_streamed_ladder_equals_the_sampled_one(monkeypatch, block):
                 except ResolutionError:
                     want[1].append(float(d))
             assert len(want[0]) >= 2, (src.name, deltas)
-            for threads in (1, 2):
-                assert boxdim._ladder(core._row_reader(src, spec, threads), deltas) == want, (src.name, deltas, threads)
-                assert boxdim._ladder(boxdim._Rows(spec, boxdim._rows(g).read, threads), deltas) == want
+            for threads in ("1", "2"):
+                monkeypatch.setenv("FRACDIM2D_THREADS", threads)
+                assert boxdim._ladder(core._row_reader(src, spec), deltas) == want, (src.name, deltas, threads)
+                # the matrix's slices, weighed as evaluated rows so that they too reach both workers
+                assert boxdim._ladder(boxdim._Rows(spec, boxdim._rows(g).read, 1), deltas) == want
 
 
-def test_streamed_rows_refuse_what_sample_refuses():
+def test_streamed_rows_refuse_what_sample_refuses(monkeypatch):
     inside = make_source("t-parabola-sine")
     for spec, error in ((GridSpec(Box(-0.5, 1.0, 0.0, 1.0), 9, 9), core.DomainError),
                         (GridSpec(UNIT, 1 << 14, 1 << 14), SizeError)):
         with pytest.raises(error) as direct:
             sample(inside, spec)
         with pytest.raises(error) as streamed:
-            core._row_reader(inside, spec, 1)
+            core._row_reader(inside, spec)
         assert str(streamed.value) == str(direct.value)
     hole = CallableSource(lambda x, y: np.where((x > 0.7) & (y < 0.2), np.nan, x * y), name="hole")
     spec = GridSpec(UNIT, 129, 129)
     with pytest.raises(NumericError, match="^grid samples must be finite$"):
         sample(hole, spec)
-    for threads in (1, 2):
+    for threads in ("1", "2"):
+        monkeypatch.setenv("FRACDIM2D_THREADS", threads)
         with pytest.raises(NumericError, match="^grid samples must be finite$"):
-            boxdim._ladder(core._row_reader(hole, spec, threads), default_deltas(spec))
+            boxdim._ladder(core._row_reader(hole, spec), default_deltas(spec))

@@ -175,6 +175,15 @@ def test_integrate_rejects_weights_for_classical_ops(capsys):
     assert code == 2 and err["parameter"] == "p"
 
 
+@pytest.mark.parametrize("op", ["riemann-liouville", "hadamard"])
+def test_integrate_classical_ops_refuse_method(capsys, op):
+    # each classical op has one route, so a --method given with it is refused, not ignored
+    code, out, err = run_cli(
+        capsys, "integrate", "--op", op, "--fn", "plane", "--rect", "1,2,1,2", "--alpha", ".5", "--beta", ".5", "--method", "magic"
+    )
+    assert (code, out, err["parameter"]) == (2, "", "method")
+
+
 def test_integrate_hadamard_closed_form(capsys):
     e = repr(math.e)
     code, out, _ = run_cli(
@@ -678,6 +687,24 @@ def test_outputs_byte_identical_across_thread_counts(capsys, tmp_path, monkeypat
         assert code == 0
         blobs[label] = path.read_bytes()
     assert blobs["a"] == blobs["b"]
+
+
+@pytest.mark.parametrize("sub", [["integrate", "--fn", "plane", "--alpha", ".5", "--beta", ".5"], ["verify", "sandwich"]])
+def test_negative_thread_counts_are_refused(capsys, monkeypatch, sub):
+    monkeypatch.delenv("FRACDIM2D_THREADS", raising=False)
+    code, out, err = run_cli(capsys, *sub, "--threads", "-3")
+    assert (code, out, err["parameter"]) == (2, "", "threads")
+    monkeypatch.setenv("FRACDIM2D_THREADS", "-4")
+    code, out, err = run_cli(capsys, *sub)
+    assert (code, out, err["parameter"]) == (2, "", "FRACDIM2D_THREADS")
+    code, out, err = run_cli(capsys, *sub, "--threads", "1")  # the flag decides, so the variable is not read
+    assert code == 0 and err is None
+
+
+def test_every_subcommand_documents_threads_alike():
+    subs = next(a for a in cli.build_parser()._actions if a.dest == "subcommand")
+    helps = {name: next(a.help for a in p._actions if a.dest == "threads") for name, p in subs.choices.items()}
+    assert len(helps) == 5 and len(set(helps.values())) == 1, helps
 
 
 def test_module_entry_point_runs():

@@ -66,7 +66,6 @@ _VALUES = {
     "--p": _NUMBERS,
     "--q": _NUMBERS,
     "--panels": ["4", "8", "16", "3", "0", "-5", "x", "20000"],
-    "--grading": ["1", "2", "8", "0.5", "nan"],
     "--method": ["auto", "tensor", "separable", "magic"],
     "--op": ["katugampola", "riemann-liouville", "hadamard", "fourier"],
     "--format": ["csv", "json", "xml"],
@@ -79,7 +78,7 @@ _VALUES = {
 }
 _FLAGS = ["--integral", "--oracle", "--pinned", "--trend"]
 _COMMON = ["--fn", "--rect", "--grid", "--threads", "--shift"]
-_QUAD = ["--alpha", "--beta", "--p", "--q", "--panels", "--grading", "--method"]
+_QUAD = ["--alpha", "--beta", "--p", "--q", "--panels", "--method"]
 # a working command of each kind, which the drawn options then override (the last one of a flag wins) or
 # extend; "refit" is dimension --counts-from, which refuses every option that reads a grid
 _BASES = {

@@ -1,4 +1,5 @@
 import inspect
+import json
 import math
 import multiprocessing
 import os
@@ -32,7 +33,7 @@ from fracdim2d import (
     write_samples_csv,
     write_samples_json,
 )
-from fracdim2d import core
+from fracdim2d import cli, core
 from fracdim2d.core import row_blocks
 
 
@@ -268,12 +269,14 @@ def test_shifted_source_preserves_split():
 # sampling and parallel helpers
 
 
-def test_sample_thread_count_never_changes_bits():
+def test_sample_thread_count_never_changes_bits(monkeypatch):
     spec = GridSpec(Box(1, 2, 1, 2), 17, 13)
     src = CallableSource(lambda x, y: np.sin(x * y) / (x + y), name="mix")
-    base = sample(src, spec, threads=1).values
-    for k in (2, 3, 8):
-        assert np.array_equal(sample(src, spec, threads=k).values, base)
+    monkeypatch.setenv("FRACDIM2D_THREADS", "1")
+    base = sample(src, spec).values
+    for k in ("2", "3", "8"):
+        monkeypatch.setenv("FRACDIM2D_THREADS", k)
+        assert np.array_equal(sample(src, spec).values, base)
 
 
 def test_sample_threads_run_through_the_shared_block_runner(monkeypatch):
@@ -282,16 +285,18 @@ def test_sample_threads_run_through_the_shared_block_runner(monkeypatch):
     runs = []
     real = core._spread
 
-    def counted(run, items, threads, cost):
-        runs.append((items, threads, cost))
-        return real(run, items, threads, cost)
+    def counted(run, items, cost):
+        runs.append((items, core.worker_count(), cost))
+        return real(run, items, cost)
 
     monkeypatch.setattr(core, "_spread", counted)
     spec = GridSpec(Box(1, 2, 1, 2), 17, 13)
     src = CallableSource(lambda x, y: np.sin(x * y) / (x + y), name="mix")
-    one = sample(src, spec, threads=1)
+    monkeypatch.setenv("FRACDIM2D_THREADS", "1")
+    one = sample(src, spec)
     assert runs == [(range(17), 1, 13)]  # one runner call at every worker count, a row of n entries per item
-    two = sample(src, spec, threads=2)
+    monkeypatch.setenv("FRACDIM2D_THREADS", "2")
+    two = sample(src, spec)
     assert runs[1:] == [(range(17), 2, 13)]
     assert one.values.tobytes() == two.values.tobytes()
 
@@ -303,25 +308,53 @@ def test_sample_rejects_uncovered_domain():
 
 
 def test_worker_count_env(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.delenv("FRACDIM2D_THREADS", raising=False)
-    assert worker_count() == (os.cpu_count() or 1)  # every core by default
-    assert worker_count(5) == 5
+    assert worker_count() == 8  # every core by default
+    monkeypatch.setenv("FRACDIM2D_THREADS", "5")
+    assert worker_count() == 5
     monkeypatch.setenv("FRACDIM2D_THREADS", "1")
     assert worker_count() == 1
     monkeypatch.setenv("FRACDIM2D_THREADS", "3")
     assert worker_count() == 3
     monkeypatch.setenv("FRACDIM2D_THREADS", "0")
-    assert worker_count() >= 1
-    monkeypatch.setenv("FRACDIM2D_THREADS", "zebra")
-    with pytest.raises(ParameterError):
-        worker_count()
+    assert worker_count() == 8
+    for bad in ("zebra", "-4", "-1"):
+        monkeypatch.setenv("FRACDIM2D_THREADS", bad)
+        with pytest.raises(ParameterError) as err:
+            worker_count()
+        assert err.value.parameter == "FRACDIM2D_THREADS"
+
+
+def test_cli_threads_hold_for_one_command(monkeypatch, capsys):
+    # --threads decides inside its command and FRACDIM2D_THREADS outside it, also after a command that failed
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("FRACDIM2D_THREADS", "2")
+    handed = []
+    real = core.row_blocks
+    monkeypatch.setattr(core, "row_blocks", lambda count, workers: handed.append(workers) or real(count, workers))
+    grid = ["--fn", "sinxy", "--rect", "1,2,1,2", "--grid", "512,257"]  # over 2^17 samples: two workers
+    assert cli.main(["construct", *grid, "--threads", "1"]) == 0
+    assert handed == [1]  # sample's one loop, in one block
+    assert worker_count() == 2
+    assert cli.main(["construct", *grid]) == 0
+    assert handed[1:] == [2]
+    assert cli.main(["construct", *grid, "--threads", "1", "--shift", "x"]) == 2
+    assert worker_count() == 2
+    assert cli.main(["dimension", "--fn", "sinxy", "--grid", "3,3", "--threads", "1"]) == 3  # no usable delta
+    assert worker_count() == 2
+    capsys.readouterr()
+    assert cli.main(["construct", *grid, "--threads", "-3"]) == 2
+    assert json.loads(capsys.readouterr().err)["parameter"] == "threads"
+    assert worker_count() == 2
+    assert len(handed) == 2  # neither failed command nor the refused one reached a loop
 
 
 def test_thread_requests_are_capped_at_the_cpu_count(monkeypatch):
     # the cap is read off the blocks a parallel loop would run; no thread starts
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     monkeypatch.delenv("FRACDIM2D_THREADS", raising=False)
-    assert len(row_blocks(4097, worker_count(4097))) == 4
+    assert len(row_blocks(4097, worker_count())) == 4
     monkeypatch.setenv("FRACDIM2D_THREADS", "4097")
     assert len(row_blocks(4097, worker_count())) == 4
     assert len(row_blocks(3, worker_count())) == 3
@@ -400,6 +433,7 @@ def test_each_limit_literal_appears_once():
 def test_workers_keep_the_callers_floating_point_state(monkeypatch):
     # numpy's errstate is a context variable: each block runs in a copy of the caller's context
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("FRACDIM2D_THREADS", "2")
     big = np.full(4, 1e308)
 
     def run(rows):
@@ -407,9 +441,9 @@ def test_workers_keep_the_callers_floating_point_state(monkeypatch):
 
     with np.errstate(over="raise"):
         with pytest.raises(FloatingPointError):
-            core._spread(run, range(4), threads=2)
+            core._spread(run, range(4))
     with np.errstate(over="ignore"):
-        core._spread(run, range(4), threads=2)
+        core._spread(run, range(4))
 
 
 @pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork on this platform")
@@ -419,11 +453,12 @@ def test_a_forked_child_builds_its_own_pool(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     src = CallableSource(lambda x, y: np.sin(x * y), name="sinxy")
     spec = GridSpec(Box(1, 2, 1, 2), 512, 512)  # 2^18 samples: two workers
-    expect = sample(src, spec, threads=2).values.tobytes()
+    monkeypatch.setenv("FRACDIM2D_THREADS", "2")
+    expect = sample(src, spec).values.tobytes()
     assert core._pool is not None  # the parent's pool, its worker now idle
 
     def child():
-        if sample(src, spec, threads=2).values.tobytes() != expect:
+        if sample(src, spec).values.tobytes() != expect:
             raise SystemExit(1)
 
     proc = multiprocessing.get_context("fork").Process(target=child)
@@ -454,12 +489,14 @@ def test_concurrent_callers_build_one_pool_and_keep_their_bits(monkeypatch):
     monkeypatch.setattr(core, "_pool", None)
     src = CallableSource(lambda x, y: np.sin(x * y), name="sinxy")
     spec = GridSpec(Box(1, 2, 1, 2), 512, 257)  # over 2^17 samples: two workers
-    expect = sample(src, spec, threads=1).values.tobytes()
+    monkeypatch.setenv("FRACDIM2D_THREADS", "1")
+    expect = sample(src, spec).values.tobytes()
+    monkeypatch.setenv("FRACDIM2D_THREADS", "2")
     start = threading.Barrier(8)
 
     def caller():
         start.wait(timeout=60)  # all eight reach the first grid, and the unbuilt pool, at once
-        return [sample(src, spec, threads=2).values.tobytes() for _ in range(4)]
+        return [sample(src, spec).values.tobytes() for _ in range(4)]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -26,6 +26,8 @@ from fracdim2d import (
     axis_unit_factor,
     boundedness_certificate,
     compose_semigroup,
+    default_deltas,
+    dimension_fit,
     hadamard_2d,
     integral_of_one,
     katugampola_1d,
@@ -315,12 +317,18 @@ def test_rl_grid_never_enters_the_quadrature_engine(monkeypatch):
         katugampola_2d(src, box, *spec.node(3, 2), HALF, quad)
 
 
-def test_thread_count_never_changes_grid_bits():
+def _grid_at(monkeypatch, threads, *args, **kwargs):
+    """``katugampola_2d_grid`` with FRACDIM2D_THREADS, the library's one worker-count setting, at ``threads``."""
+    monkeypatch.setenv("FRACDIM2D_THREADS", str(threads))
+    return katugampola_2d_grid(*args, **kwargs)
+
+
+def test_thread_count_never_changes_grid_bits(monkeypatch):
     src = make_source("sinxy")
     spec = GridSpec(BOX, 9, 9)
-    base = katugampola_2d_grid(src, spec, HALF, QuadratureSpec(panels=32), threads=1)
+    base = _grid_at(monkeypatch, 1, src, spec, HALF, QuadratureSpec(panels=32))
     for k in (2, 4, 8):
-        again = katugampola_2d_grid(src, spec, HALF, QuadratureSpec(panels=32), threads=k)
+        again = _grid_at(monkeypatch, k, src, spec, HALF, QuadratureSpec(panels=32))
         assert np.array_equal(base.values, again.values)
 
 
@@ -352,7 +360,7 @@ def test_tensor_blocks_are_the_per_output_contraction_bit_for_bit(monkeypatch, n
         for block in (fracint._APPLY_BLOCK, 4 * 3 * 64 * 64):
             monkeypatch.setattr(fracint, "_APPLY_BLOCK", block)
             for threads in (1, 2):
-                got = katugampola_2d_grid(src, spec, order, quad, threads=threads)
+                got = _grid_at(monkeypatch, threads, src, spec, order, quad)
                 assert got.matrix.tobytes() == ref.tobytes(), (order, block, threads)
 
 
@@ -374,6 +382,23 @@ def test_small_grids_stay_on_the_calling_thread(monkeypatch):
     assert submitted == []
     katugampola_2d_grid(src, GridSpec(BOX, 33, 33), FracOrder(0.5, 0.5, 0.6, -0.4), QuadratureSpec(panels=128))
     assert len(submitted) == 1
+
+
+def test_point_calls_and_sampled_box_counts_stay_on_the_calling_thread(monkeypatch):
+    # at two workers: a point call is a 1 x 1 grid, one item, however many evaluations it takes,
+    # and the slices of a held matrix cost no work, so neither builds or reaches the pool
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("FRACDIM2D_THREADS", "2")
+
+    def refuse():
+        raise AssertionError("reached the pool")
+
+    g = sample(make_source("weierstrass"), GridSpec(Box(0, 1, 0, 1), 1025, 1025))  # sampled before the spy
+    monkeypatch.setattr(core, "_workers", refuse)
+    katugampola_2d(make_source("sinxy"), BOX, 2.0, 2.0, HALF, QuadratureSpec(panels=512))  # 512^2 evaluations
+    assert dimension_fit(g, default_deltas(g.spec)).slope > 2.0
+    with pytest.raises(AssertionError, match="reached the pool"):  # positive control: an evaluated grid does
+        sample(make_source("weierstrass"), g.spec)
 
 
 # ---------------------------------------------------------------------------
@@ -421,12 +446,12 @@ def test_auto_mesh_is_second_order(order):
     assert min(orders) >= 1.9, orders
 
 
-def test_auto_mesh_thread_count_never_changes_bits():
+def test_auto_mesh_thread_count_never_changes_bits(monkeypatch):
     src, box = positive_source("weierstrass")
     spec = GridSpec(box, 65, 65)
     for order in (FracOrder(0.2, 0.2), FracOrder(0.2, 0.3, 0.5, 0.0)):
-        one = katugampola_2d_grid(src, spec, order, QuadratureSpec(panels=16384), method="auto", threads=1)
-        two = katugampola_2d_grid(src, spec, order, QuadratureSpec(panels=16384), method="auto", threads=2)
+        one = _grid_at(monkeypatch, 1, src, spec, order, QuadratureSpec(panels=16384), method="auto")
+        two = _grid_at(monkeypatch, 2, src, spec, order, QuadratureSpec(panels=16384), method="auto")
         assert one.values.tobytes() == two.values.tobytes()
 
 
@@ -535,9 +560,9 @@ def test_the_y_axis_weights_are_built_once_per_call(monkeypatch):
 
     monkeypatch.setattr(fracint, "_hat_weights", spy)
     order, quad = FracOrder(0.5, 0.5), QuadratureSpec(panels=1024)
-    grid = katugampola_2d_grid(make_source("sinxy"), spec, order, quad, method="auto", threads=2)
+    grid = _grid_at(monkeypatch, 2, make_source("sinxy"), spec, order, quad, method="auto")
     assert built == [mesh.h.size] * 2  # y pass, x pass
-    again = katugampola_2d_grid(make_source("sinxy"), spec, order, quad, method="auto", threads=1)
+    again = _grid_at(monkeypatch, 1, make_source("sinxy"), spec, order, quad, method="auto")
     assert again.values.tobytes() == grid.values.tobytes()
 
 
@@ -687,13 +712,13 @@ def test_auto_2d_mesh_thread_count_never_changes_bits(monkeypatch):
     spec = GridSpec(BOX, 65, 65)
     for order in (HALF, FracOrder(0.5, 0.3, 0.6, -0.4)):
         quad = QuadratureSpec(panels=2048)
-        one = katugampola_2d_grid(SINXY, spec, order, quad, method="auto", threads=1)
-        two = katugampola_2d_grid(SINXY, spec, order, quad, method="auto", threads=2)
+        one = _grid_at(monkeypatch, 1, SINXY, spec, order, quad, method="auto")
+        two = _grid_at(monkeypatch, 2, SINXY, spec, order, quad, method="auto")
         assert one.values.tobytes() == two.values.tobytes()
     monkeypatch.setattr(fracint, "_APPLY_BLOCK", 2000)
     quad = QuadratureSpec(panels=256)
-    one = katugampola_2d_grid(SINXY, GridSpec(BOX, 33, 17), HALF, quad, method="auto", threads=1)
-    two = katugampola_2d_grid(SINXY, GridSpec(BOX, 33, 17), HALF, quad, method="auto", threads=2)
+    one = _grid_at(monkeypatch, 1, SINXY, GridSpec(BOX, 33, 17), HALF, quad, method="auto")
+    two = _grid_at(monkeypatch, 2, SINXY, GridSpec(BOX, 33, 17), HALF, quad, method="auto")
     assert one.values.tobytes() == two.values.tobytes()
 
 
@@ -808,8 +833,8 @@ def test_knot_mesh_thread_count_never_changes_bits(monkeypatch):
         for src, spec in cases:
             for order in (HALF, FracOrder(0.5, 0.3, 0.6, -0.4)):
                 quad = QuadratureSpec(panels=64)
-                one = katugampola_2d_grid(src, spec, order, quad, method="auto", threads=1)
-                two = katugampola_2d_grid(src, spec, order, quad, method="auto", threads=2)
+                one = _grid_at(monkeypatch, 1, src, spec, order, quad, method="auto")
+                two = _grid_at(monkeypatch, 2, src, spec, order, quad, method="auto")
                 assert one.values.tobytes() == two.values.tobytes()
 
 
@@ -1028,8 +1053,8 @@ def test_graded_mesh_thread_count_never_changes_bits(monkeypatch):
     for block in (fracint._APPLY_BLOCK, 2000):
         monkeypatch.setattr(fracint, "_APPLY_BLOCK", block)
         quad = QuadratureSpec(panels=512)
-        one = katugampola_2d_grid(src, GridSpec(BOX, 33, 17), order, quad, method="auto", threads=1)
-        two = katugampola_2d_grid(src, GridSpec(BOX, 33, 17), order, quad, method="auto", threads=2)
+        one = _grid_at(monkeypatch, 1, src, GridSpec(BOX, 33, 17), order, quad, method="auto")
+        two = _grid_at(monkeypatch, 2, src, GridSpec(BOX, 33, 17), order, quad, method="auto")
         assert one.values.tobytes() == two.values.tobytes()
 
 

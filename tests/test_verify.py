@@ -111,7 +111,7 @@ def test_a_failed_certificate_is_a_failed_check(monkeypatch, capsys):
 def test_dimension_bounds_samples_each_grid_once(monkeypatch):
     # at full scale the named checks and the dimension-floor loop share the counts of their 1025^2 grids
     sampled = []
-    monkeypatch.setattr(verify, "_row_reader", lambda src, spec, threads: sampled.append((src.name, spec.m)))
+    monkeypatch.setattr(verify, "_row_reader", lambda src, spec: sampled.append((src.name, spec.m)))
     monkeypatch.setattr(verify, "dimension_fit", lambda g, deltas, which: SimpleNamespace(slope=2.0))
     monkeypatch.setattr(verify, "katugampola_2d_grid", lambda *args, **kwargs: None)
     report = run_suite("dimension-bounds", "full")
