@@ -12,7 +12,7 @@ stdout; file artifacts are requested explicitly via ``--out`` (and
 ``{code, message, parameter?}`` to stderr and exit nonzero: 2 for
 usage/parameter/domain errors, 3 for resolution/size/numeric errors,
 4 for verification failures.  Identical invocations produce byte-identical
-artifacts regardless of FRACDIM2D_THREADS.
+artifacts regardless of --threads and FRACDIM2D_THREADS.
 """
 
 from __future__ import annotations
@@ -125,20 +125,19 @@ def _resolve_source(args: argparse.Namespace) -> tuple[FunctionSource, Box, Grid
     else:
         src = make_source(spec_text)
         box = default_box(spec_text)
-    shift = getattr(args, "shift", None)
-    if shift:
-        dx, dy = _parse_floats(shift, 2, "--shift")
+    if args.shift:
+        dx, dy = _parse_floats(args.shift, 2, "--shift")
         src = ShiftedSource(src, dx, dy)
         box = box.shifted(dx, dy)
         raw = None  # the shifted function no longer matches the file's nodes
-    if getattr(args, "rect", None):
+    if args.rect:
         box = Box(*_parse_floats(args.rect, 4, "--rect"))
     return src, box, raw
 
 
 def _spec_of(args: argparse.Namespace, box: Box, raw: GridSamples | None, default: int) -> GridSpec:
     """The grid a command works on: the ingested file's own, or --grid (else default) on the box."""
-    if raw is not None and args.grid is None and not getattr(args, "rect", None):
+    if raw is not None and args.grid is None and not args.rect:
         return raw.spec
     m, n = (default, default) if args.grid is None else _parse_grid(args.grid)
     return GridSpec(box, m, n)
@@ -150,17 +149,6 @@ def _grid_of(args: argparse.Namespace, src: FunctionSource, box: Box, raw: GridS
     if raw is not None and spec is raw.spec:
         return raw
     return sample(src, spec)
-
-
-# the operator flags besides --alpha and --beta, None unless given: integrate and dimension --integral
-# read them with these defaults, and dimension without --integral refuses them
-_OPERATOR_DEFAULTS = {"p": 0.0, "q": 0.0, "panels": 64, "method": "auto"}
-
-
-def _default_operator_flags(args: argparse.Namespace) -> None:
-    for name, default in _OPERATOR_DEFAULTS.items():
-        if getattr(args, name) is None:
-            setattr(args, name, default)
 
 
 def _write_grid(gs: GridSamples, path: str, fmt: str) -> None:
@@ -180,13 +168,6 @@ def _write_json(doc: dict, path: str) -> None:
 def cmd_integrate(args: argparse.Namespace) -> int:
     alpha = _require(args, "alpha")
     beta = _require(args, "beta")
-    if args.op != "katugampola" and args.method is not None:  # before the default fills it in
-        raise ParameterError(f"--op {args.op} has one route; drop --method", parameter="method")
-    _default_operator_flags(args)
-    p, q = float(args.p), float(args.q)
-    if args.op != "katugampola" and (p != 0.0 or q != 0.0):
-        raise ParameterError(f"--op {args.op} takes no power weights; drop --p/--q", parameter="p" if p else "q")
-
     src, box, _ = _resolve_source(args)
     _refuse_quadrature_unsafe(args.fn)
     m, n = _parse_grid(args.grid) if args.grid else (17, 17)
@@ -201,7 +182,7 @@ def cmd_integrate(args: argparse.Namespace) -> int:
         )
 
     if args.op == "katugampola":
-        order = FracOrder(alpha, beta, p, q)
+        order = FracOrder(alpha, beta, args.p, args.q)
         gs = katugampola_2d_grid(src, spec, order, quad, method=args.method)
     elif args.op == "hadamard":  # the p = q = -1 member, on the route of its point calls
         gs = katugampola_2d_grid(src, spec, FracOrder(alpha, beta, -1.0, -1.0), quad, method="tensor")
@@ -224,16 +205,7 @@ def cmd_integrate(args: argparse.Namespace) -> int:
 
 
 def cmd_dimension(args: argparse.Namespace) -> int:
-    if not args.integral:  # no operator runs, so a flag that sets one is refused, not ignored
-        for name in ("alpha", "beta", *_OPERATOR_DEFAULTS):
-            if getattr(args, name) is not None:
-                raise ParameterError(f"--{name} sets the operator, which only dimension --integral applies", parameter=name)
     if args.counts_from:
-        if args.fn:
-            raise ParameterError("--counts-from replaces --fn; give one or the other", parameter="counts-from")
-        for name in ("out", "oracle", "deltas", "grid", "rect", "shift", "integral"):  # each reads a grid
-            if getattr(args, name) not in (None, False):
-                raise ParameterError(f"--{name} has no grid to act on: --counts-from refits the file's rows", parameter=name)
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # a file with no rows is reported below, in the JSON error
@@ -252,10 +224,7 @@ def cmd_dimension(args: argparse.Namespace) -> int:
     if args.integral:
         _refuse_quadrature_unsafe(args.fn)
         # the integral needs only the grid, not samples of f on it; an order left out is 1/2
-        alpha = 0.5 if args.alpha is None else args.alpha
-        beta = 0.5 if args.beta is None else args.beta
-        _default_operator_flags(args)
-        order = FracOrder(alpha, beta, float(args.p), float(args.q))
+        order = FracOrder(*(0.5 if v is None else v for v in (args.alpha, args.beta)), args.p, args.q)
         spec = _spec_of(args, box, raw, default=257)
         gs = katugampola_2d_grid(src, spec, order, QuadratureSpec(panels=args.panels), method=args.method)
     elif args.oracle:  # the independent 3-d counter reads a sampled grid
@@ -402,7 +371,7 @@ def build_parser() -> _Parser:
     _add_quadrature(p_int)
     p_int.add_argument("--op", default="katugampola", choices=["katugampola", "riemann-liouville", "hadamard"])
     p_int.add_argument("--out", help="write the result grid here")
-    p_int.add_argument("--format", default="csv", choices=["csv", "json"])
+    p_int.add_argument("--format", choices=["csv", "json"], help="format of the --out file (default: csv)")
     p_int.set_defaults(run=cmd_integrate)
 
     p_dim = subs.add_parser("dimension", help="box-dimension estimate of a function graph")
@@ -428,7 +397,7 @@ def build_parser() -> _Parser:
     p_con = subs.add_parser("construct", help="materialize a catalog function on a grid")
     _add_common(p_con)
     p_con.add_argument("--out", help="write the sample grid here")
-    p_con.add_argument("--format", default="csv", choices=["csv", "json"])
+    p_con.add_argument("--format", choices=["csv", "json"], help="format of the --out file (default: csv)")
     p_con.set_defaults(run=cmd_construct)
 
     p_ver = subs.add_parser("verify", help="run a named verification suite")
@@ -452,24 +421,63 @@ def _shared_parser() -> _Parser:
     return build_parser()
 
 
+# the flags each mode reads, by dest; a flag that picks a mode counts as read by the modes it picks
+# between.  --threads is read by every mode, and --format and --oracle, which only shape the --out
+# file, only when --out is given.  A read flag left out takes its _DEFAULTS value.
+_SOURCE = ("fn", "rect", "grid", "shift")
+_OPERATOR = ("alpha", "beta", "p", "q", "panels", "method")
+_CLASSICAL = {*_SOURCE, "alpha", "beta", "panels", "op", "out", "format"}  # one route, no power weights
+_COUNTS = {*_SOURCE, "integral", "deltas", "which", "oracle", "counts_from", "out", "fit_out"}
+_READS = {
+    "integrate": {*_CLASSICAL, *_OPERATOR},
+    "integrate --op riemann-liouville": _CLASSICAL,
+    "integrate --op hadamard": _CLASSICAL,
+    "dimension": _COUNTS,
+    "dimension --integral": {*_COUNTS, *_OPERATOR},
+    "dimension --counts-from": {"which", "counts_from", "fit_out"},
+    "variation": {*_SOURCE, "pinned", "trend", "out"},
+    "variation --trend": {"fn", "rect", "shift", "trend", "levels", "out"},
+    "construct": {*_SOURCE, "out", "format"},
+    "verify": {"suite", "scale", "fn", "g", "out"},
+}
+_DEFAULTS = {"p": 0.0, "q": 0.0, "panels": 64, "method": "auto", "format": "csv"}
+
+
+def _refuse_unread(parser: _Parser, args: argparse.Namespace) -> None:
+    """Refuse the first given flag (not None or False), in declaration order, that the mode of ``args`` does not read."""
+    given = vars(args)  # a flag that picks a mode belongs to one subcommand; --counts-from outranks --integral
+    pick = next((f"--{dest}".replace("_", "-") for dest in ("counts_from", "integral", "trend") if given.get(dest)), "")
+    pick = f"--op {args.op}" if given.get("op", "katugampola") != "katugampola" else pick
+    mode = f"{args.subcommand} {pick}".rstrip()
+    reads = {*_READS[mode], "threads"} - (set() if args.out else {"format", "oracle"})
+    for action in next(a for a in parser._actions if a.dest == "subcommand").choices[args.subcommand]._actions:
+        value = given.get(action.dest)
+        if action.dest not in reads and value is not None and value is not False:
+            flag, where = action.option_strings[0], mode if action.dest not in _READS[mode] else f"{mode} without --out"
+            raise ParameterError(f"{flag} is not read by {where}; drop it", parameter=flag.lstrip("-"))
+    for name, default in _DEFAULTS.items():
+        if name in reads and given[name] is None:
+            given[name] = default
+
+
 def main(argv=None) -> int:
     try:
-        args = _shared_parser().parse_args(argv)
+        parser = _shared_parser()
+        args = parser.parse_args(argv)
         if not getattr(args, "subcommand", None):
             raise _UsageError("a subcommand is required (integrate, dimension, variation, construct, verify)")
+        _refuse_unread(parser, args)
         # a non-finite intermediate ends the command as one NumericError; underflow to 0 is a result
         with np.errstate(over="raise", invalid="raise", divide="raise"), _threads_for(args.threads):
             return args.run(args)
     except (FloatingPointError, OverflowError) as exc:
         return _fail(3, f"a floating-point result left float64: {exc}")
-    except _UsageError as exc:
+    except (_UsageError, DomainError) as exc:
         return _fail(2, str(exc))
     except ParameterError as exc:
         return _fail(2, exc.args[0] if exc.args else str(exc), getattr(exc, "parameter", None))
-    except CatalogError as exc:
-        return _fail(2, str(exc))
-    except DomainError as exc:
-        return _fail(2, str(exc))
+    except CatalogError as exc:  # only --fn names a catalog function
+        return _fail(2, str(exc), "fn")
     except (ResolutionError, SizeError, NumericError) as exc:
         return _fail(3, str(exc))
     except VerificationError as exc:

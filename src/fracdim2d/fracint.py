@@ -761,7 +761,7 @@ def katugampola_2d_grid(
     src = _as_source(f)
     split = src.xy_split()
     if method == "separable" and split is None:
-        raise ParameterError(f"source {src.name!r} has no additive split; use method='tensor'", parameter="method")
+        raise ParameterError(f"source {src.name!r} has no additive split; use method='auto' or 'tensor'", parameter="method")
     use_split = split is not None and method != "tensor"
     src, quad = _checked(src, spec.rect, quad, tensor=not use_split)
     knots = src.knots() if method == "auto" and not use_split else None

@@ -173,6 +173,13 @@ def test_integrate_rejects_weights_for_classical_ops(capsys):
         capsys, "integrate", "--op", "riemann-liouville", "--fn", "plane", "--alpha", ".5", "--beta", ".5", "--p", "1"
     )
     assert code == 2 and err["parameter"] == "p"
+    # a weight of 0 is a weight given, too: hadamard's own weights are -1
+    for flag in ("--p", "--q"):
+        code, out, err = run_cli(
+            capsys, "integrate", "--op", "hadamard", "--fn", "constant:1", "--rect", "1,2,1,2", "--alpha", ".5", "--beta", ".5",
+            "--grid", "3,3", flag, "0",
+        )
+        assert (code, out, err["parameter"]) == (2, "", flag[2:])
 
 
 @pytest.mark.parametrize("op", ["riemann-liouville", "hadamard"])
@@ -312,8 +319,8 @@ def test_dimension_counts_from_synthetic(capsys, tmp_path):
 def test_dimension_counts_from_excludes_fn(capsys, tmp_path):
     path = tmp_path / "syn.csv"
     path.write_text("delta,count\n0.5,4\n0.25,16\n0.125,64\n")
-    code, _, err = run_cli(capsys, "dimension", "--counts-from", str(path), "--fn", "plane")
-    assert code == 2 and err["parameter"] == "counts-from"
+    code, out, err = run_cli(capsys, "dimension", "--counts-from", str(path), "--fn", "plane")
+    assert (code, out, err["parameter"]) == (2, "", "fn")
 
 
 def test_dimension_counts_from_writes_the_fit(capsys, tmp_path):
@@ -330,7 +337,7 @@ def test_dimension_counts_from_writes_the_fit(capsys, tmp_path):
 def test_dimension_without_integral_refuses_operator_flags(capsys, tmp_path, flag, value):
     # no operator runs, so a flag that sets one would be ignored: it is refused, naming the flag
     code, err = _one_json_error(capsys, "dimension", "--fn", "sinxy", "--grid", "129,129", f"--{flag}", value)
-    assert code == 2 and err["parameter"] == flag and err["message"].startswith(f"--{flag} sets the operator")
+    assert code == 2 and err["parameter"] == flag and err["message"] == f"--{flag} is not read by dimension; drop it"
     path = tmp_path / "counts.csv"
     path.write_text("delta,count\n0.5,4\n0.25,16\n0.125,64\n")
     code, err = _one_json_error(capsys, "dimension", "--counts-from", str(path), f"--{flag}", value)
@@ -503,17 +510,16 @@ def test_dimension_without_out_counts_only_for_the_fit(capsys, monkeypatch, tmp_
     assert len(ladders) == 2 and len(brute) == 1
 
 
-def test_dimension_oracle_without_out_counts_nothing_and_prints_the_same(capsys, monkeypatch):
-    argv = ("dimension", "--fn", "sinxy", "--grid", "129,129")
-    code, plain, err = run_cli(capsys, *argv)
-    assert code == 0 and err is None
-
+def test_dimension_oracle_without_out_is_refused_before_any_count(capsys, monkeypatch):
+    # --oracle only adds a column to the --out file, so without one it is refused and nothing is counted
     def refuse(*args, **kwargs):
         raise AssertionError("direct 3-d counts computed for a file nobody asked for")
 
     monkeypatch.setattr(cli, "boxcount_bruteforce_3d", refuse)
-    code, out, err = run_cli(capsys, *argv, "--oracle")
-    assert code == 0 and err is None and out == plain
+    monkeypatch.setattr(cli, "_ladder", refuse)
+    for argv in (("dimension", "--fn", "sinxy", "--grid", "129,129"), ("dimension", "--fn", "sinxy", "--grid", "129,129", "--integral")):
+        code, out, err = run_cli(capsys, *argv, "--oracle")
+        assert (code, out) == (2, "") and err["parameter"] == "oracle" and err["message"].endswith("without --out; drop it")
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +603,9 @@ def test_construct_oversized_grid_is_a_size_error(capsys, tmp_path):
 
 def test_construct_unknown_function_exit_2(capsys):
     code, _, err = run_cli(capsys, "construct", "--fn", "zeppelin")
-    assert code == 2 and "zeppelin" in err["message"]
+    assert code == 2 and "zeppelin" in err["message"] and err["parameter"] == "fn"
+    code, _, err = run_cli(capsys, "verify", "boundedness", "--fn", "zeppelin")
+    assert code == 2 and "zeppelin" in err["message"] and err["parameter"] == "fn"
 
 
 # ---------------------------------------------------------------------------
@@ -880,8 +888,9 @@ def test_a_bad_spec_fails_as_its_seed_does_before_any_box(capsys, spec, built, b
     # a t: spec builds its seed before it reads its box, so the seed's error is the one raised
     assert _raised(make_source, spec) == built
     assert _raised(default_box, spec) == box
+    # the CLI names --fn for an unknown catalog name too, since only --fn names one
     code, err = _one_json_error(capsys, "integrate", "--fn", spec, "--alpha", ".5", "--beta", ".5")
-    assert code == 2 and err == {"code": 2, "message": built[2], **({"parameter": built[1]} if built[1] else {})}
+    assert code == 2 and err == {"code": 2, "message": built[2], "parameter": built[1] or "fn"}
 
 
 _GOOD_CSV = "x,y,value\n0,0,1\n0,1,2\n1,0,3\n1,1,4\n"
@@ -1154,6 +1163,60 @@ def test_every_readme_command_parses():
         if line.strip().startswith("fracdim2d ")
     ]
     assert len(lines) >= 10
+    parser = cli.build_parser()
     for line in lines:
-        args = cli.build_parser().parse_args(shlex.split(line, comments=True)[1:])
+        args = parser.parse_args(shlex.split(line, comments=True)[1:])
         assert args.subcommand, line
+        cli._refuse_unread(parser, args)  # and its mode reads every flag it gives
+
+
+# a working command of each mode in cli._READS; "@" stands for the test's directory
+_MODE_BASES = {
+    "integrate": ["integrate", "--fn", "sinxy", "--alpha", ".5", "--beta", ".5", "--grid", "5,5", "--panels", "8"],
+    "integrate --op riemann-liouville": ["integrate", "--op", "riemann-liouville", "--fn", "plane", "--alpha", ".5", "--beta", ".5", "--grid", "3,3", "--panels", "8"],
+    "integrate --op hadamard": ["integrate", "--op", "hadamard", "--fn", "constant:1", "--rect", "1,2,1,2", "--alpha", ".5", "--beta", ".5", "--grid", "3,3"],
+    "dimension": ["dimension", "--fn", "sinxy", "--grid", "129,129"],
+    "dimension --integral": ["dimension", "--fn", "sinxy", "--grid", "129,129", "--integral", "--panels", "8"],
+    "dimension --counts-from": ["dimension", "--counts-from", "@counts.csv"],
+    "variation": ["variation", "--fn", "sinxy", "--grid", "9,9"],
+    "variation --trend": ["variation", "--fn", "sinxy", "--trend", "--levels", "4,8"],
+    "construct": ["construct", "--fn", "sinxy", "--grid", "9,9"],
+    "verify": ["verify", "separable", "--g", "identity"],
+}
+
+
+def _subparser_actions():
+    """{subcommand: its actions in declaration order}, help and --threads (read by every mode) left out."""
+    subs = next(a for a in cli.build_parser()._actions if a.dest == "subcommand")
+    return {name: [a for a in sub._actions if a.dest not in ("help", "threads")] for name, sub in subs.choices.items()}
+
+
+def test_every_flag_is_read_by_some_mode_of_its_subcommand():
+    assert set(_MODE_BASES) == set(cli._READS)
+    for name, actions in _subparser_actions().items():
+        read = {dest for mode, reads in cli._READS.items() if mode.split()[0] == name for dest in reads}
+        assert [a.dest for a in actions if a.dest not in read] == [], name
+
+
+@pytest.mark.parametrize("mode", list(_MODE_BASES))
+def test_each_mode_refuses_every_flag_it_does_not_read(capsys, tmp_path, mode):
+    # the flags come from the parser; the bases give no --out, so --format and --oracle are unread too.
+    # A number is given as 0, which is given although it equals False
+    (tmp_path / "counts.csv").write_text("delta,count\n0.5,4\n0.25,16\n0.125,64\n")
+    base = [a.replace("@", f"{tmp_path}/") for a in _MODE_BASES[mode]]
+    code, _, err = run_cli(capsys, *base)
+    assert code == 0 and err is None
+    for action in _subparser_actions()[base[0]]:
+        if action.dest in cli._READS[mode] and action.dest not in ("format", "oracle"):
+            continue
+        flag = action.option_strings[0]
+        if action.nargs == 0:  # a switch
+            value = []
+        elif action.type in (int, float) or action.choices:
+            value = ["0" if action.choices is None else action.choices[0]]
+        else:
+            value = [str(tmp_path / "file")]
+        code, out, err = run_cli(capsys, *base, flag, *value)
+        assert (code, out, err["parameter"]) == (2, "", flag[2:]), (mode, flag)
+        assert f"is not read by {mode}" in err["message"], (mode, err)
+        assert [p.name for p in tmp_path.iterdir()] == ["counts.csv"], (mode, flag)
