@@ -466,6 +466,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if not getattr(args, "subcommand", None):
             raise _UsageError("a subcommand is required (integrate, dimension, variation, construct, verify)")
+        for dest in ("counts_from", "out", "fit_out"):  # an empty path names no file to read or write
+            if getattr(args, dest, None) == "":
+                flag = "--" + dest.replace("_", "-")
+                raise ParameterError(f"{flag} needs a file path, got an empty one", parameter=flag[2:])
         _refuse_unread(parser, args)
         # a non-finite intermediate ends the command as one NumericError; underflow to 0 is a result
         with np.errstate(over="raise", invalid="raise", divide="raise"), _threads_for(args.threads):

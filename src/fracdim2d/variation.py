@@ -13,15 +13,34 @@ nonnegative terms, the unrestricted maximum coincides with the
 corner-to-corner value.  The ``pinned`` flag selects the corner-to-corner
 reported path for callers that want the fixed-endpoint form.
 
-The program sweeps the anti-diagonals i + j = d in order.  A node's three
-predecessors lie on the two diagonals before it, so the sweep keeps only
-those two diagonals' samples and best sums, in contiguous buffers indexed
-by place along the diagonal.  Alone, a diagonal is a slice of step n - 1
-of the row-major samples, one memory page per node on a large grid, so
-one copy gathers 64 diagonals at a time, 64 neighbouring samples of each
-row.  No m x n table of sums is allocated; each node's traceback code,
-0 to 3, takes two bits of a skewed table whose byte (r, k) holds place k
-of diagonals 4r to 4r + 3.
+Two sweeps compute the same table, bit for bit.  The wide sweep runs
+over the anti-diagonals i + j = d in order.  A node's three predecessors
+lie on the two diagonals before it, so the sweep keeps only those two
+diagonals' samples and best sums, in contiguous buffers indexed by place
+along the diagonal.  Alone, a diagonal is a slice of step n - 1 of the
+row-major samples, one memory page per node on a large grid, so one copy
+gathers 64 diagonals at a time, 64 neighbouring samples of each row.  The
+narrow sweep walks the long side of the grid a row or a column at a time,
+node by node in Python floats, and keeps two lines.  No m x n table of
+sums is allocated; each node's traceback code, 0 to 3, takes two bits of
+a skewed table whose byte (r, k) holds place k of diagonals 4r to 4r + 3.
+
+The width rule picks the sweep: a grid with at most ``_NARROW`` = 12 nodes
+on a diagonal, min(m, n) <= 12, takes the narrow sweep.  The wide sweep
+pays 10-20 us of numpy call overhead on every diagonal however short, the
+narrow sweep about 0.5 us of interpreted work per node, so the narrow one
+wins while diagonals are short.  Milliseconds per sweep, narrow / wide, on
+L x w grids, the faster of L x w and w x L (2-vCPU Xeon VM, numpy 2.4,
+Python 3.11):
+
+    L         w = 8        w = 12       w = 16       w = 20
+    65        0.24 / 0.82  0.36 / 0.85  0.47 / 0.90  0.58 / 0.94
+    257       0.98 / 2.92  1.50 / 2.95  1.97 / 3.00  2.33 / 3.08
+    1025      4.07 / 11.1  5.77 / 11.3  7.47 / 11.5  10.4 / 12.1
+    4097      18.6 / 52.2  26.8 / 50.2  37.5 / 50.5  44.0 / 50.2
+
+The two are even near w = 20; the rule stops at 12, where the narrow
+sweep is about twice as fast at every length.
 
 A brute-force enumerator over all monotone chains (saturated or not, any
 start and end) serves as the oracle on small grids.
@@ -29,6 +48,7 @@ start and end) serves as the oracle on small grids.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +71,10 @@ __all__ = [
     "variation_trend",
 ]
 
-# anti-diagonals ``_dp_tables`` gathers per copy
+# anti-diagonals ``_wide_tables`` gathers per copy
 _SWEEP_BLOCK = 64
+# the most nodes on a diagonal, min(m, n), that take ``_narrow_tables``: see the crossover table above
+_NARROW = 12
 
 
 @dataclass(frozen=True)
@@ -98,6 +120,77 @@ def _dp_tables(mat: np.ndarray) -> tuple[np.ndarray, float, float, int]:
     (i-1, j-1), 0 where the chain starts (only (0, 0)).  Ties go to the
     lowest code, as ``argmax`` over the three candidates in that order.
 
+    Node (i, j) has place k = min(i, n - 1 - j) along anti-diagonal
+    d = i + j, and its code takes bits 2 (d % 4) of byte (d // 4, k) in the
+    packed (ceil((m + n - 1) / 4), min(m, n)) uint8 table, code 0 past a
+    diagonal's end; ``_code`` reads one back.  A grid with at most
+    ``_NARROW`` nodes on a diagonal takes ``_narrow_tables``, any other
+    ``_wide_tables``; the two give the same bits.  Python floats overflow
+    to inf without a word, so a narrow grid whose sums overflowed is swept
+    again by numpy, which warns or raises as ``np.errstate`` asks.
+
+    Returns ``(packed, corner, peak, peak_index)``: the best sum at
+    (m-1, n-1), the largest best sum, and the row-major index of the first
+    node attaining it.
+    """
+    if min(mat.shape) <= _NARROW:
+        tables = _narrow_tables(mat)
+        if math.isfinite(tables[2]):
+            return tables
+    return _wide_tables(mat)
+
+
+def _narrow_tables(mat: np.ndarray) -> tuple[np.ndarray, float, float, int]:
+    """``_dp_tables`` node by node in Python floats, for a grid of few nodes per diagonal.
+
+    The sweep walks the long side one line at a time: the rows when
+    n <= m, else the columns, so a line holds w = min(m, n) nodes and the
+    sweep keeps the samples and best sums of two lines, beside the packed
+    table.  Each node does the wide sweep's operations in its order: a
+    candidate is a predecessor's sum plus |sample - that predecessor's
+    sample|, up (code 1) is taken unless left (2) is larger, and the
+    diagonal (3) only where it is larger still.  The row and column edges
+    step along them as the wide sweep's running sums do.  A node ahead of
+    the peak in row-major order replaces it on a tie, so the column walk
+    finds the same first node.  So every sum, code and peak keeps its bits.
+    """
+    m, n = mat.shape
+    w = min(m, n)
+    packed = bytearray(-(-(m + n - 1) // 4) * w)
+    by_rows = n == w
+    along, across = (2, 1) if by_rows else (1, 2)  # codes of a step along the line and from the line before
+    peak, peak_index = 0.0, 0
+    pv = ps = None
+    for t, line in enumerate(mat if by_rows else mat.T):
+        cv, cs = line.tolist(), [0.0] * w
+        for u, x in enumerate(cv):
+            if t and u:
+                a = cs[u - 1] + abs(x - cv[u - 1])
+                b = ps[u] + abs(x - pv[u])
+                up, left = (b, a) if by_rows else (a, b)
+                s, code = (left, 2) if left > up else (up, 1)
+                c = ps[u - 1] + abs(x - pv[u - 1])
+                if c > s:
+                    s, code = c, 3
+            elif u:
+                s, code = cs[u - 1] + abs(x - cv[u - 1]), along
+            elif t:
+                s, code = ps[0] + abs(x - pv[0]), across
+            else:
+                s, code = 0.0, 0  # (0, 0) starts every chain
+            cs[u] = s
+            i, j = (t, u) if by_rows else (u, t)
+            d, k = t + u, n - 1 - j
+            packed[(d >> 2) * w + (i if i < k else k)] |= code << 2 * (d & 3)  # place min(i, n - 1 - j)
+            if s >= peak and (s > peak or i * n + j < peak_index):
+                peak, peak_index = s, i * n + j
+        pv, ps = cv, cs
+    return np.frombuffer(packed, dtype=np.uint8).reshape(-1, w), ps[-1], peak, peak_index
+
+
+def _wide_tables(mat: np.ndarray) -> tuple[np.ndarray, float, float, int]:
+    """``_dp_tables`` by numpy over whole anti-diagonals, for a grid of many nodes per diagonal.
+
     The sweep runs over anti-diagonals d = i + j.  The two previous
     diagonals' samples and best sums are all the recurrence needs, so
     three buffers of each rotate, no m x n table of sums is held, and node
@@ -112,18 +205,12 @@ def _dp_tables(mat: np.ndarray) -> tuple[np.ndarray, float, float, int]:
     diagonals into a column-major block, from which each diagonal's buffer
     is filled.  Their rows span at most min(m, n + 63), and the block is
     sized by that span, never by m.  Only where samples are read changes,
-    so every sum, comparison and choice keeps its bits.  Node (i, j) has
-    place k = min(i, n - 1 - j) along diagonal d = i + j, and its code goes
-    to row d % 64 of a reused uint8 staging block, 64 rows of min(m, n)
-    places padded to whole uint64 words.  Every 64 diagonals, and at the
-    end, the block folds, a word at a time, into 16 rows of the packed
-    (ceil((m + n - 1) / 4), min(m, n)) uint8 table: byte (r, k) is
-    c0 | c1 << 2 | c2 << 4 | c3 << 6 for diagonals 4r to 4r + 3, code 0
-    past a diagonal's end.  ``_code`` reads one back.
-
-    Returns ``(packed, corner, peak, peak_index)``: the best sum at
-    (m-1, n-1), the largest best sum, and the row-major index of the first
-    node attaining it.
+    so every sum, comparison and choice keeps its bits.  Node (i, j)'s code
+    goes to row d % 64, place k, of a reused uint8 staging block, 64 rows
+    of min(m, n) places padded to whole uint64 words.  Every 64 diagonals,
+    and at the end, the block folds, a word at a time, into 16 rows of the
+    packed table: byte (r, k) is c0 | c1 << 2 | c2 << 4 | c3 << 6 for
+    diagonals 4r to 4r + 3.
     """
     m, n = mat.shape
     flat = np.ascontiguousarray(mat).reshape(-1)

@@ -1220,3 +1220,19 @@ def test_each_mode_refuses_every_flag_it_does_not_read(capsys, tmp_path, mode):
         assert (code, out, err["parameter"]) == (2, "", flag[2:]), (mode, flag)
         assert f"is not read by {mode}" in err["message"], (mode, err)
         assert [p.name for p in tmp_path.iterdir()] == ["counts.csv"], (mode, flag)
+
+
+@pytest.mark.parametrize("mode", list(_MODE_BASES))
+def test_each_mode_refuses_an_empty_path_before_any_work(capsys, tmp_path, mode):
+    # an empty --out, --fit-out or --counts-from names no file: the command used to run, print its
+    # summary and exit 0 without writing, or, for --counts-from, fall through to "--fn is required"
+    (tmp_path / "counts.csv").write_text("delta,count\n0.5,4\n0.25,16\n0.125,64\n")
+    base = [a.replace("@", f"{tmp_path}/") for a in _MODE_BASES[mode]]
+    dests = [dest for dest in ("counts_from", "out", "fit_out") if dest in cli._READS[mode]]
+    assert "out" in dests or "fit_out" in dests, mode
+    for dest in dests:
+        flag = "--" + dest.replace("_", "-")
+        code, out, err = run_cli(capsys, *base, flag, "")
+        assert (code, out, err["parameter"]) == (2, "", flag[2:]), (mode, flag)
+        assert err["message"] == f"{flag} needs a file path, got an empty one"
+        assert [p.name for p in tmp_path.iterdir()] == ["counts.csv"], (mode, flag)

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import fracdim2d.cli as cli
+from fracdim2d.variation import _NARROW
 
 # name -> contents; each is reachable as csv:<path>, json:<path> or --counts-from <path>
 _FILES = {
@@ -69,13 +70,16 @@ _VALUES = {
     "--method": ["auto", "tensor", "separable", "magic"],
     "--op": ["katugampola", "riemann-liouville", "hadamard", "fourier"],
     "--format": ["csv", "json", "xml"],
-    "--out": ["@out", "/nonexistent-dir/out"],
-    "--fit-out": ["@fit", "/nonexistent-dir/fit"],
+    "--out": ["@out", "/nonexistent-dir/out", ""],
+    "--fit-out": ["@fit", "/nonexistent-dir/fit", ""],
     "--deltas": ["1e-300", "5e-324", "1e-12,1e-13,1e-14", "0.25,0.125,0.0625", "nan", "-1,0.5,0.25", "0,0.1,0.2", "x", ""],
     "--which": ["lower", "upper", "middle"],
-    "--counts-from": [f"@{name}" for name in _FILES if name.startswith("counts")] + ["@good.csv", "@missing.csv"],
+    "--counts-from": [f"@{name}" for name in _FILES if name.startswith("counts")] + ["@good.csv", "@missing.csv", ""],
     "--levels": ["2,3", "16,32", "2,3,200000", "3,2", "x", "1"],
 }
+# variation grids on both sides of the width rule that picks the DP's sweep: narrow while min(m, n) <= _NARROW
+_NARROW_GRIDS = [f"{_NARROW},200", f"300,{_NARROW}", "1,300", "2,2"]
+_WIDE_GRIDS = [f"{_NARROW + 1},{_NARROW + 1}", f"{_NARROW + 1},120", f"150,{_NARROW + 1}", "40,40"]
 _FLAGS = ["--integral", "--oracle", "--pinned", "--trend"]
 _COMMON = ["--fn", "--rect", "--grid", "--threads", "--shift"]
 _QUAD = ["--alpha", "--beta", "--p", "--q", "--panels", "--method"]
@@ -110,6 +114,8 @@ def _argv(draw):
     if command == "transmogrify":
         return [command]
     argv = list(_BASES[command])
+    if command == "variation":
+        argv += ["--grid", draw(st.sampled_from(_NARROW_GRIDS + _WIDE_GRIDS))]
     for option in draw(st.lists(st.sampled_from(_OPTIONS[command]), unique=True, max_size=4)):
         argv.append(option)
         if option not in _FLAGS:
@@ -153,6 +159,8 @@ _REPRODUCERS = [
 @example(argv=_REPRODUCERS[4][0])
 @example(argv=_REPRODUCERS[5][0])
 @example(argv=_REPRODUCERS[6][0])
+@example(argv=["variation", "--fn", "sinxy", "--grid", _NARROW_GRIDS[0], "--pinned"])
+@example(argv=["variation", "--fn", "sinxy", "--grid", _WIDE_GRIDS[0], "--pinned"])
 @given(argv=_argv())
 def test_every_argv_ends_in_a_result_or_one_json_error(files, argv):
     argv = _resolve(argv, files)

@@ -18,6 +18,17 @@ from fracdim2d import (
     sample,
     variation_trend,
 )
+from fracdim2d import variation
+from fracdim2d.variation import _NARROW
+
+K = _NARROW  # the most nodes per diagonal that take the narrow sweep
+
+
+def _both_sweeps(monkeypatch):
+    """Yield twice: with the width rule's sweep, then with the wide sweep whatever the width."""
+    for narrow in (_NARROW, 0):
+        monkeypatch.setattr(variation, "_NARROW", narrow)
+        yield
 
 
 # ---------------------------------------------------------------------------
@@ -88,12 +99,14 @@ def _dyadic_matrix(rng, m, n):
     return rng.integers(-128, 129, size=(m, n)).astype(np.float64) / 16.0
 
 
-@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 3), (2, 6), (3, 4), (4, 4)])
-def test_dp_equals_bruteforce_on_dyadic_grids(shape):
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 3), (2, 6), (3, 4), (4, 4), (1, K), (1, K + 1), (K + 1, 1)])
+def test_dp_equals_bruteforce_on_dyadic_grids(shape, monkeypatch):
     rng = np.random.default_rng(hash(shape) % 2**32)
     for _ in range(60):
         mat = _dyadic_matrix(rng, *shape)
-        assert arzela_variation(mat).value == arzela_variation_bruteforce(mat)
+        want = arzela_variation_bruteforce(mat)
+        for _ in _both_sweeps(monkeypatch):
+            assert arzela_variation(mat).value == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -176,28 +189,40 @@ def _scalar_dp(mat, pinned):
     return value, tuple(reversed(path))
 
 
-# the next eight cross the 64-diagonal blocks the sweep gathers, on thin and square grids; the last six
-# end with m + n - 1 diagonals short of a multiple of 4 or of 64, so the last packed byte or block is partial
+def test_free_path_ends_at_the_first_largest_node_in_row_major_order():
+    # the largest best sum, 1, is reached first at (0, 2) in row-major order and at (1, 0) in
+    # column-major order, the order in which the narrow sweep walks a grid with fewer rows than columns
+    mat = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    res = arzela_variation(mat)
+    assert (res.value, res.argpath) == (1.0, ((0, 0), (0, 1), (0, 2))) == _scalar_dp(mat.tolist(), False)
+
+
+# the next eight cross the 64-diagonal blocks the wide sweep gathers, on thin and square grids; the next
+# six end with m + n - 1 diagonals short of a multiple of 4 or of 64, so the last packed byte or block is
+# partial; the last four sit on both sides of the width rule, walked by rows and by columns
 @pytest.mark.parametrize(
     "shape",
     [(1, 1), (1, 7), (7, 1), (2, 9), (3, 7), (7, 3), (40, 25)]
     + [(64, 1), (65, 1), (1, 65), (32, 33), (33, 33), (40, 90), (300, 2), (2, 300)]
-    + [(1, 4), (4, 2), (62, 3), (63, 2), (64, 2), (65, 3)],
+    + [(1, 4), (4, 2), (62, 3), (63, 2), (64, 2), (65, 3)]
+    + [(K, 30), (K + 1, 30), (30, K), (30, K + 1)],
 )
 @pytest.mark.parametrize("pinned", [False, True])
-def test_diagonal_sweep_matches_scalar_recurrence(shape, pinned):
+def test_diagonal_sweep_matches_scalar_recurrence(shape, pinned, monkeypatch):
     # small integers make ties between candidates and between endpoints common
     rng = np.random.default_rng(shape[0] * 100 + shape[1])
     for _ in range(20):
         mat = rng.integers(-2, 3, size=shape).astype(np.float64)
-        res = arzela_variation(mat, pinned=pinned)
-        assert (res.value, res.argpath) == _scalar_dp(mat.tolist(), pinned)
+        want = _scalar_dp(mat.tolist(), pinned)
+        for _ in _both_sweeps(monkeypatch):
+            res = arzela_variation(mat, pinned=pinned)
+            assert (res.value, res.argpath) == want
 
 
 @pytest.mark.parametrize("shape", [(300, 2), (2, 300), (130, 70), (70, 130)])
 def test_every_choice_matches_scalar_recurrence(shape):
-    # float samples, so each node's winner depends on every sample it reads: a sample gathered from
-    # the wrong place in any 64-diagonal block shows in some node's choice code
+    # float samples, so each node's winner depends on every sample it reads: a sample read from the
+    # wrong place, in a narrow grid's line or a wide grid's 64-diagonal block, shows in some node's code
     from fracdim2d.variation import _code, _dp_tables
 
     m, n = shape
@@ -238,6 +263,43 @@ def test_diagonal_sweep_keeps_its_bits():
         "c7aebcaf67ba391fa3a75ce5aaa0c5c0c769f04aaf08731dcd304fbdf882d5bf"
     )
     assert (repr(corner), repr(peak), repr(peak_index)) == ("960.6801071817833", "960.6801071817833", "49600")
+
+
+_LAYOUTS = {
+    "C": lambda a: a,
+    "F": np.asfortranarray,
+    "strided": lambda a: np.repeat(np.repeat(a, 2, axis=0), 3, axis=1)[::2, ::3],
+}
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 1), (1, 7), (7, 1), (K, 40), (K + 1, 40), (40, K), (40, K + 1), (3000, 2), (2, 3000)]
+)
+@pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+def test_narrow_and_wide_sweeps_give_the_same_bits(shape, layout):
+    # the two sweeps on each side of the width rule, on integer ties and on floats
+    from fracdim2d.variation import _narrow_tables, _wide_tables
+
+    rng = np.random.default_rng(shape[0] * 10000 + shape[1])
+    for base in (rng.integers(-2, 3, size=shape).astype(np.float64), rng.standard_normal(shape)):
+        mat = _LAYOUTS[layout](base)
+        assert mat.shape == shape and np.array_equal(mat, base)
+        (p1, *rest1), (p2, *rest2) = _narrow_tables(mat), _wide_tables(mat)
+        assert p1.dtype == p2.dtype == np.uint8 and p1.shape == p2.shape
+        assert p1.tobytes() == p2.tobytes()
+        assert repr(rest1) == repr(rest2)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (1, 3), (K, 40), (K + 1, K + 1)])
+def test_sums_past_float64_are_reported_as_numpy_reports_them(shape):
+    # Python floats overflow to inf without a word, so a narrow grid must still end as the wide sweep's
+    # numpy arithmetic does: a FloatingPointError where overflow raises, else a warning and an inf
+    # value, which VariationResult refuses
+    mat = np.where(np.add.outer(np.arange(shape[0]), np.arange(shape[1])) % 2 == 0, -1e308, 1e308)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        arzela_variation(mat)
+    with np.errstate(over="warn"), pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(ParameterError):
+        arzela_variation(mat)
 
 
 def test_diagonal_sweep_holds_no_float_table():
@@ -284,15 +346,16 @@ def test_choice_codes_take_two_bits_each():
 
 def test_diagonal_block_is_sized_by_the_diagonal_span():
     # the gathered block holds 64 diagonals of at most min(m, n + 63) rows, never m: on a 3000 x 2
-    # grid the traced peak stays within 64 (n + 64) floats of the per-diagonal sweep's 201689 bytes
+    # grid the traced peak stays within 64 (n + 64) floats of the per-diagonal sweep's 201689 bytes.
+    # The width rule sends this grid to the narrow sweep, so the wide sweep is called by name
     import tracemalloc
 
-    from fracdim2d.variation import _dp_tables
+    from fracdim2d.variation import _wide_tables
 
     mat = np.random.default_rng(5).integers(-2, 3, size=(3000, 2)).astype(np.float64)
     tracemalloc.start()
     try:
-        _dp_tables(mat)
+        _wide_tables(mat)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -303,19 +366,41 @@ def test_diagonal_buffers_are_sized_by_the_diagonal_length():
     # the rotating sample and sum buffers hold a diagonal's min(m, n) nodes, not m: a 65536 x 2 sweep
     # traced 3.84 MB when they held m floats each, for 1.05 MB of samples, and 0.70 MB since.  Tracing
     # slows the sweep twentyfold, so the bound, 1.5 MB there, is held on an eighth of the grid:
-    # 0.51 MB with m floats per buffer, 0.12 MB now
+    # 0.51 MB with m floats per buffer, 0.12 MB now.  The width rule sends this grid to the narrow
+    # sweep, so the wide sweep is called by name
     import tracemalloc
 
-    from fracdim2d.variation import _dp_tables
+    from fracdim2d.variation import _wide_tables
 
     mat = np.random.default_rng(6).standard_normal((8192, 2))
     tracemalloc.start()
     try:
-        _dp_tables(mat)
+        _wide_tables(mat)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1.5e6 / 8
+
+
+@pytest.mark.parametrize("shape", [(4096, 2), (2, 4096), (1000, K), (K, 1000), (1, 1)])
+def test_narrow_lines_are_sized_by_the_diagonal_length(shape):
+    # the narrow sweep keeps the packed table and two lines of samples and sums, each line min(m, n)
+    # Python floats at 32 bytes (a list slot and the float), whichever axis is long: it traced 2.9 KB
+    # on 4096 x 2 and on 2 x 4096, 0.8 KB above the packed bytes.  Rows of n floats on 2 x 4096
+    # would take 0.5 MB
+    import tracemalloc
+
+    from fracdim2d.variation import _narrow_tables
+
+    m, n = shape
+    mat = np.random.default_rng(6).standard_normal(shape)
+    tracemalloc.start()
+    try:
+        _narrow_tables(mat)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= -(-(m + n - 1) // 4) * min(m, n) + 4 * 32 * min(m, n) + 1024
 
 
 # ---------------------------------------------------------------------------
