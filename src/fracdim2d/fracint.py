@@ -13,10 +13,10 @@ weights p, q > -1 it maps f to
 p = 0 gives an axis the Riemann-Liouville kernel, and p = -1, the limit
 rho = p + 1 -> 0, the Hadamard kernel (log(x/s))^(alpha-1) ds/s.
 
-Every axis of every operator runs in one coordinate family, u = s^rho/rho
-up to a shift (log s at rho = 0; ``_power_map``), where the kernel is the
-pure power singularity (U - u)^(alpha-1) du with constant 1/Gamma(alpha)
-for every weight.  One rule builder gives each axis a product-midpoint
+Every axis of every operator runs in one coordinate family anchored at
+its lower limit a, u = (s^rho - a^rho)/rho (log(s/a) at rho = 0;
+``_power_map``), where the kernel is the pure power singularity
+(U - u)^(alpha-1) du with constant 1/Gamma(alpha) for every weight.  One rule builder gives each axis a product-midpoint
 rule: panels graded toward the singular endpoint, kernel moments
 integrated exactly per panel, the smooth factor sampled at panel
 midpoints.  The rule is exact for constant integrands and second-order
@@ -138,21 +138,22 @@ class QuadratureSpec:
 # the axis-rule engine: coordinate maps, rule builder, 2-D contraction
 
 
-def _power_map(weight: float) -> tuple[Callable, Callable]:
-    """The coordinate u of an axis, rho = weight + 1, and its inverse.
+def _power_map(weight: float, lo: float) -> tuple[Callable, Callable]:
+    """The coordinate u of an axis with lower limit lo, rho = weight + 1, and its inverse.
 
-    u is s^rho/rho up to a shift, which no rule sees.  Below rho = 1/32,
-    where s^rho crowds toward 1 but stays above 5e-11 for every positive
-    double, u = expm1(rho log s)/rho keeps the digits; at rho = 0 it is
-    log s, the Hadamard map.  From 1/32 on, u = s^rho/rho (s at rho = 1)
-    loses at most a factor 1/rho to crowding and keeps boxes near 0 whole.
+    u = (s^rho - lo^rho)/rho, computed as s^rho (1 - exp(-rho l))/rho with l = log1p((s - lo)/lo)
+    = log(s/lo): u(lo) is exactly 0, so a width next to lo keeps its digits at every rho and no
+    difference of mapped values cancels.  At rho = 0 it is l, the Hadamard map and the limit of
+    the same formula; at rho = 1 it is s, a shift no rule sees, so u(lo) is lo.
     """
     rho = weight + 1.0
+    if rho == 1.0:
+        return (lambda s: s), (lambda u: u)
     if rho == 0.0:
-        return np.log, np.exp
-    if rho < 1.0 / 32.0:
-        return (lambda s: np.expm1(rho * np.log(s)) / rho), (lambda u: np.exp(np.log1p(rho * u) / rho))
-    return (lambda s: s**rho / rho), (lambda u: (rho * u) ** (1.0 / rho))
+        return (lambda s: np.log1p((s - lo) / lo)), (lambda u: lo + lo * np.expm1(u))
+    return (lambda s: s**rho * -np.expm1(-rho * np.log1p((s - lo) / lo)) / rho), (
+        lambda u: lo + lo * np.expm1(np.log1p(rho * u / np.power(lo, rho)) / rho)
+    )
 
 
 @lru_cache(maxsize=64)
@@ -186,8 +187,9 @@ _ONE_OVERFLOW = "integral of 1 overflows float64: order or power weight too larg
 def _mapped_widths(ds, du):
     """``du``, the mapped lengths of intervals of length ``ds``, refusing any that collapsed.
 
-    ``Box(1e6, 1e6 + 3e-10, 1, 2)`` lies within one spacing of log s, so at weights near -1
-    u rounds it to one float; a rule built on zero-length intervals would print a confident 0.
+    u keeps a width next to lo, so a collapse is left only where u = s rounds (p = 0 on the mesh:
+    ``Box(1e6, 1e6 + 3e-10, 1, 2)``'s nodes fall below the float spacing at 1e6) and where s^rho
+    underflows; a rule on zero-length intervals would print a confident 0.
     """
     if np.any((np.asarray(ds) > 0.0) & ~(np.asarray(du) > 0.0)):
         raise NumericError("coordinate map rounds an interval to zero length in float64; the box is too narrow for its coordinates")
@@ -197,12 +199,12 @@ def _mapped_widths(ds, du):
 def _axis_rules(lo: float, his, order: float, panels: int, grading: float, coord: tuple[Callable, Callable]):
     """Nodes and exact kernel moments for int_lo^hi (U(hi)-U(s))^(order-1) g(s) dU(s).
 
-    One row per upper limit in ``his``; ``coord`` is the map U and its
-    inverse.  In u = U(s), panel k spans [U(hi) - L tau_k, U(hi) - L tau_(k+1)]
-    with L = U(hi) - U(lo) and tau_k = ((panels-k)/panels)^grading; its
-    moment L^order (tau_k^order - tau_(k+1)^order) / order is exact for the
-    kernel, and its node is the panel midpoint mapped back to s.
-    Returns (S, M), both of shape (len(his), panels).
+    One row per upper limit in ``his``; ``coord`` is ``_power_map`` of the
+    axis.  In u = U(s), panel k spans [U(hi) - L tau_k, U(hi) - L tau_(k+1)]
+    with L = U(hi) - U(lo) (U(lo) is 0, lo at p = 0) and tau_k =
+    ((panels-k)/panels)^grading; its moment L^order (tau_k^order -
+    tau_(k+1)^order) / order is exact for the kernel, and its node is the
+    panel midpoint mapped back to s.  Returns (S, M), both (len(his), panels).
     """
     fwd, back = coord
     mids, diffs = _unit_rule(panels, grading, order)
@@ -226,8 +228,8 @@ def _tensor(src: FunctionSource, rect: Box, xs, ys, order: FracOrder, quad) -> n
     Rows go to workers in contiguous blocks with disjoint output slots.
     """
     gr = quad.graded(order.alpha, order.beta)
-    Sx, Mx = _axis_rules(rect.a, xs, order.alpha, quad.panels, gr, _power_map(order.p))
-    Sy, My = _axis_rules(rect.c, ys, order.beta, quad.panels, gr, _power_map(order.q))
+    Sx, Mx = _axis_rules(rect.a, xs, order.alpha, quad.panels, gr, _power_map(order.p, rect.a))
+    Sy, My = _axis_rules(rect.c, ys, order.beta, quad.panels, gr, _power_map(order.q, rect.c))
     pref = _prefactor(order)
     (m, P), n = Sx.shape, Sy.shape[0]
     chunk = max(1, (_APPLY_BLOCK >> 2) // (P * P))
@@ -334,7 +336,7 @@ def _mesh_knots(lo: float, his, weight: float, panels: int, knots=()):
     A grid of samples has equal pieces and gets r = ceil(panels / cells)
     parts per cell.
     """
-    fwd, _ = _power_map(weight)
+    fwd, _ = _power_map(weight, lo)
     outs = np.unique(np.append(np.float64(lo), np.asarray(his, dtype=np.float64).reshape(-1)))
     extra = np.asarray(knots, dtype=np.float64).reshape(-1)
     extra = extra[(extra > outs[0]) & (extra < outs[-1])]
@@ -382,7 +384,7 @@ def _mesh(lo: float, his, weight: float, panels: int, edge: float | None = None,
     least one).  ``top`` is then each output's node index.  Without an
     edge or knots the mesh is the ungraded one bit for bit.
     """
-    _, back = _power_map(weight)
+    _, back = _power_map(weight, lo)
     his = np.asarray(his, dtype=np.float64).reshape(-1)
     knots, uk, counts = _mesh_knots(lo, his, weight, panels, knots)
     grade, share = _lead_in(edge)
@@ -686,7 +688,7 @@ def katugampola_1d(g: Callable, a: float, x: float, alpha: float, p: float = 0.0
     if not math.isfinite(x) or x < a:
         raise DomainError(f"upper limit x={x} must lie in [a, inf)")
     _within("entries", quad.panels, "a one-axis rule")
-    S, M = _axis_rules(a, x, alpha, quad.panels, quad.graded(alpha), _power_map(p))
+    S, M = _axis_rules(a, x, alpha, quad.panels, quad.graded(alpha), _power_map(p, a))
     G = np.broadcast_to(np.asarray(g(S), dtype=np.float64), S.shape)
     return _clean(_unlog(log_normaliser(alpha)) * float(np.einsum("ik,ik->i", M, G, optimize=False)[0]))
 
@@ -900,11 +902,10 @@ def axis_unit_factor(lo: float, x: float, order: float, weight: float = 0.0) -> 
 
 def _unit_profile(lo: float, x, order: float, weight: float):
     # elementwise in x: (u(x)-u(lo))^order / Gamma(order+1)
-    fwd, _ = _power_map(weight)
+    fwd, _ = _power_map(weight, lo)
     scale = _unlog(log_normaliser(order), -math.log(order))
-    # u(lo) of a float and of an array may round apart, so u(x) - u(lo) is clamped at 0, where x = lo
     with _no_overflow(_ONE_OVERFLOW):
-        return np.maximum(fwd(np.asarray(x, dtype=np.float64)) - fwd(lo), 0.0) ** order * scale
+        return (fwd(np.asarray(x, dtype=np.float64)) - fwd(lo)) ** order * scale
 
 
 def integral_of_one(rect: Box, order: FracOrder, x: float, y: float) -> float:

@@ -1,6 +1,5 @@
-"""The normalising constant of the fractional operators, in log space: 1/Gamma(order)
-on every axis, whatever its weight, in the coordinate u of ``fracint._power_map``.
-``math.lgamma`` makes a large order underflow it toward zero instead of overflowing Gamma."""
+"""1/Gamma(order) in log space: the constant of every axis, whatever its weight, in the anchored u = (s^rho - lo^rho)/rho
+of ``fracint._power_map``.  ``math.lgamma`` makes a large order underflow it toward zero instead of overflowing Gamma."""
 
 from __future__ import annotations
 

@@ -17,6 +17,8 @@ import fracdim2d.fracint as fracint
 from fracdim2d import Box, GridSpec, ParameterError, default_box, make_source, read_samples_csv, read_samples_json, sample, write_samples_csv
 from fracdim2d.special import log_normaliser
 
+from closed_form import constant_integral
+
 
 def run_cli(capsys, *argv):
     """Invoke the CLI in-process; returns (exit_code, stdout, parsed stderr JSON or None)."""
@@ -159,12 +161,17 @@ def test_power_weight_next_to_minus_one_meets_the_hadamard_member(capsys, tmp_pa
 
 
 @pytest.mark.parametrize("p", ["-1", "-0.99"])
-def test_box_narrower_than_its_coordinates_is_a_numeric_error(capsys, p):
-    # log s does not move across the box; the answer would be a confident 0
-    code, out, err = run_cli(
-        capsys, "integrate", "--fn", "constant:1", "--rect", "1e6,1000000.0000000003,1,2", "--alpha", ".5",
-        "--beta", ".5", "--p", p, "--grid", "3,3", "--panels", "8",
-    )
+def test_box_within_one_spacing_of_log_s_meets_the_closed_form(capsys, p):
+    # log s does not move across the box, which was refused; u anchored at the lower limit keeps its width
+    argv = ["integrate", "--fn", "constant:1", "--rect", "1e6,1000000.0000000003,1,2", "--alpha", ".5", "--beta", ".5",
+            "--p", p, "--grid", "3,3", "--panels", "8"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err is None
+    value = float(re.search(r"value\([^)]*\) = (\S+);", out).group(1))
+    exact = constant_integral(1.0, 1e6, 1000000.0000000003, 1.0, 2.0, 0.5, 0.5, float(p), 0.0)
+    assert abs(value - float(exact)) <= 1e-13 * float(exact)
+    # at p = 0 u is s, and the split mesh's nodes, 3.75e-11 apart, round together below the float spacing at 1e6
+    code, out, err = run_cli(capsys, *argv[:-6], "--grid", "3,3", "--panels", "8", "--method", "auto")
     assert code == 3 and out == "" and "too narrow" in err["message"]
 
 
@@ -1126,7 +1133,7 @@ def test_tensor_route_over_the_evaluation_budget_exits_3_before_it_starts(capsys
 @pytest.mark.parametrize(
     "argv, digest",
     [
-        (("verify", "special-cases", "--scale", "full"), "833b61c9b6758e2170ad1cae2eb23b14041c2ed70c1582efdef7cc0d2248e224"),
+        (("verify", "special-cases", "--scale", "full"), "011835576de971b27bf7580637bdd60d37b69ded70434fa4eebb231c847797bf"),
         (
             ("integrate", "--op", "riemann-liouville", "--fn", "plane", "--alpha", ".5", "--beta", ".5", "--grid", "17,17"),
             "1a227112ec685548722be5e4d773e940d8a9b58fcbf9e79ddca587adbe4c300c",
@@ -1139,14 +1146,17 @@ def test_tensor_route_over_the_evaluation_budget_exits_3_before_it_starts(capsys
         (
             ("integrate", "--op", "hadamard", "--fn", "sinxy", "--shift", "1,1",
              "--alpha", ".5", "--beta", ".5", "--grid", "9,9"),
-            "e5b5c8e476914ec15067d8587b183acb5b6c35dae799083b087f9d5da47b4d12",
+            "77264cd7882a0b10e77d8d1d7a0f1dd0ad8d6ffc0ab56d1b9e3d63f6f8277959",
         ),
     ],
 )
 def test_classical_operator_artifacts_keep_their_bytes(capsys, tmp_path, argv, digest):
     # digests of the files these commands wrote when each node was its own point call; the
     # special-cases report re-pinned when it gained hadamard-rate and hadamard-limit's gap
-    # moved by rounding (3.4658158906e-05 -> 3.4658159796e-05)
+    # moved by rounding (3.4658158906e-05 -> 3.4658159796e-05).  Both Hadamard artifacts
+    # re-pinned when u was anchored at lo, log(s/lo) for log s: the sinxy grid moved by at most
+    # 1.4e-15, and hadamard-rate's spread by 7e-11 (plane) and 0.29 (sinxy, 2.23e-3 -> 1.58e-3, as
+    # its gap/eps at the smallest eps went 0.2223 -> 0.2225)
     path = tmp_path / "artifact"
     code, _, err = run_cli(capsys, *argv, "--out", str(path))
     assert code == 0 and err is None

@@ -2,22 +2,30 @@
 
 Every argv built from the grammar below must end in exit 0, 2, 3 or 4, with
 stderr empty or exactly one JSON object, no traceback, no warning, and within
-a second.  Sizes stay small inside the grammar; nothing is filtered out.
+a second.  An ``integrate --fn constant:k`` run that exits 0 must also print
+the closed form at the far corner, to 1e-12 wherever it is a normal float.
+Sizes stay small inside the grammar; nothing is filtered out.
 """
 
 import contextlib
 import io
 import json
+import math
+import re
 import subprocess
 import sys
 import time
 import warnings
+from decimal import Decimal
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import fracdim2d.cli as cli
+from fracdim2d import Box, default_box
 from fracdim2d.variation import _NARROW
+
+from closed_form import constant_integral, in_float_range
 
 # name -> contents; each is reachable as csv:<path>, json:<path> or --counts-from <path>
 _FILES = {
@@ -38,6 +46,9 @@ _FILES = {
     "counts-fraction.csv": "delta,count\n0.5,4.9\n0.25,16.2\n0.125,64.7\n",
     "counts-nan.csv": "delta,count\n0.5,nan\n0.25,16\n0.125,64\n",
     "counts-text.csv": "delta,count\n0.5,four\n",
+    "nonuniform.csv": "x,y,value\n0,0,1\n0,1,2\n1,0,3\n1,1,4\n3,0,5\n3,1,6\n",
+    "counts-one-column.csv": "delta\n0.5\n0.25\n0.125\n",
+    "counts-two-rows.csv": "delta,count\n0.5,4\n0.25,16\n",
 }
 
 
@@ -58,7 +69,7 @@ _FNS = [
 _VALUES = {
     "--fn": _FNS,
     "--rect": ["1,2,1,2", "0,1,0,1", "1e308,1.7e308,1e308,1.7e308", "-1e308,1e308,0,1", "1,1,1,2", "nan,1,0,1",
-               "1,2", "2,1,1,2", "1e-300,2e-300,1,2", "1,2,1,1e308"],
+               "1,2", "2,1,1,2", "1e-300,2e-300,1,2", "1,2,1,1e308", "0.01,0.02,1,2", "1000000,1000000.000000003,1,2"],
     "--grid": ["2,2", "3,3", "9,9", "5,7", "17,3", "1,5", "0,0", "x,y", "9", "200000,200000", "+3,3"],
     "--threads": ["1", "2", "0", "-3", "x"],
     "--shift": ["1,1", "nan,0", "1e308,1e308", "-1e308,0", "x"],
@@ -87,14 +98,18 @@ _QUAD = ["--alpha", "--beta", "--p", "--q", "--panels", "--method"]
 # extend; "refit" is dimension --counts-from, which refuses every option that reads a grid
 _BASES = {
     "integrate": ["integrate", "--fn", "sinxy", "--alpha", ".5", "--beta", ".5", "--grid", "9,9"],
+    # the integral of a constant, whose printed corner value the closed form checks
+    "constant": ["integrate", "--fn", "constant:1", "--alpha", ".5", "--beta", ".5", "--grid", "5,5"],
     "dimension": ["dimension", "--fn", "sinxy", "--grid", "33,33", "--deltas", "0.25,0.125,0.0625"],
     "refit": ["dimension", "--counts-from", "@counts.csv"],
     "variation": ["variation", "--fn", "sinxy", "--grid", "9,9"],
     "construct": ["construct", "--fn", "sinxy", "--grid", "9,9"],
 }
 _DIMENSION = _COMMON + _QUAD + ["--integral", "--deltas", "--which", "--oracle", "--counts-from", "--out", "--fit-out"]
+_INTEGRATE = _COMMON + _QUAD + ["--op", "--format", "--out"]
 _OPTIONS = {
-    "integrate": _COMMON + _QUAD + ["--op", "--format", "--out"],
+    "integrate": _INTEGRATE,
+    "constant": _INTEGRATE,
     "dimension": _DIMENSION,
     "refit": _DIMENSION,
     "variation": _COMMON + ["--pinned", "--trend", "--levels", "--out"],
@@ -124,7 +139,7 @@ def _argv(draw):
 
 
 def _run(argv):
-    """Run the CLI in-process: (exit code, stderr, warnings recorded, seconds)."""
+    """Run the CLI in-process: (exit code, stdout, stderr, warnings recorded, seconds)."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -132,7 +147,22 @@ def _run(argv):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
         seconds = time.perf_counter() - t0
-    return code, err.getvalue(), [str(w.message) for w in caught], seconds
+    return code, out.getvalue(), err.getvalue(), [str(w.message) for w in caught], seconds
+
+
+def _constant_corner(argv):
+    """The closed form at the far corner of an ``integrate --fn constant:k`` argv (the last of each option wins), else None."""
+    last = {a: b for a, b in zip(argv, argv[1:]) if a.startswith("--")}  # a flag without a value pairs with the next flag
+    fn = last.get("--fn", "")
+    if argv[0] != "integrate" or not fn.startswith("constant:") or not math.isfinite(float(fn[9:])):
+        return None
+    weights = {"hadamard": (-1.0, -1.0), "riemann-liouville": (0.0, 0.0)}
+    p, q = weights.get(last.get("--op"), (float(last.get("--p", 0)), float(last.get("--q", 0))))
+    if "--rect" in last:
+        box = Box(*map(float, last["--rect"].split(",")))
+    else:
+        box = default_box(fn).shifted(*map(float, last.get("--shift", "0,0").split(",")))
+    return constant_integral(float(fn[9:]), box.a, box.b, box.c, box.d, float(last["--alpha"]), float(last["--beta"]), p, q)
 
 
 def _resolve(argv, root):
@@ -140,31 +170,47 @@ def _resolve(argv, root):
     return [a.replace("@", f"{root}/") if "@" in a else a for a in argv]
 
 
+# argv, exit code and the JSON error's ``parameter`` (None for an exit-3 error, which names none)
 _REPRODUCERS = [
-    (["construct", "--fn", "plane", "--rect=1e308,1.7e308,1e308,1.7e308", "--grid", "9,9"], 3),
-    (["construct", "--fn", "plane", "--rect=-1e308,1e308,0,1", "--grid", "9,9"], 3),
-    (["dimension", "--fn", "csv:@huge.csv", "--grid", "65,65"], 3),
-    (["variation", "--fn", "csv:@huge.csv"], 3),
-    (["dimension", "--counts-from", "@counts-negative.csv"], 2),
-    (["dimension", "--counts-from", "@counts-zero.csv"], 2),
-    (["dimension", "--counts-from", "@counts-fraction.csv"], 2),
+    (["construct", "--fn", "plane", "--rect=1e308,1.7e308,1e308,1.7e308", "--grid", "9,9"], 3, None),
+    (["construct", "--fn", "plane", "--rect=-1e308,1e308,0,1", "--grid", "9,9"], 3, None),
+    (["dimension", "--fn", "csv:@huge.csv", "--grid", "65,65"], 3, None),
+    (["variation", "--fn", "csv:@huge.csv"], 3, None),
+    (["dimension", "--counts-from", "@counts-negative.csv"], 2, "deltas"),
+    (["dimension", "--counts-from", "@counts-zero.csv"], 2, "deltas"),
+    (["dimension", "--counts-from", "@counts-fraction.csv"], 2, "counts"),
+    (["variation", "--fn", "csv:@nonuniform.csv"], 2, "fn"),
+    (["dimension", "--counts-from", "@counts-one-column.csv"], 2, "counts-from"),
+    (["dimension", "--counts-from", "@counts-two-rows.csv"], 3, None),
+    (["variation", "--fn", "sinxy", "--trend", "--levels", "16,x"], 2, "levels"),
+]
+# constant integrals that the closed form checks: an ordinary box that the tensor route refused, and a box
+# within one float spacing of log s, where it printed values off by up to 60%
+_CONSTANTS = [
+    ["integrate", "--fn", "constant:1", "--rect", "0.01,0.02,1,2", "--p", "2", "--alpha", ".5", "--beta", ".5", "--grid", "5,5",
+     "--panels", "64", "--method", "tensor"],
+    ["integrate", "--fn", "constant:1", "--rect", "1000000,1000000.000000003,1,2", "--p", "-1", "--alpha", ".5", "--beta", ".5",
+     "--grid", "5,5", "--method", "tensor"],
+    ["integrate", "--op", "hadamard", "--fn", "constant:3", "--rect", "1000000,1000000.000000003,1,2", "--alpha", ".5",
+     "--beta", "1.5", "--grid", "5,5"],
 ]
 
 
+def _with_examples(test):
+    # each reproducer, each constant above and a variation grid on each side of the sweep's width rule
+    argvs = [argv for argv, _, _ in _REPRODUCERS] + _CONSTANTS
+    argvs += [["variation", "--fn", "sinxy", "--grid", grid, "--pinned"] for grid in (_NARROW_GRIDS[0], _WIDE_GRIDS[0])]
+    for argv in reversed(argvs):
+        test = example(argv=argv)(test)
+    return test
+
+
 @settings(max_examples=400, derandomize=True, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
-@example(argv=_REPRODUCERS[0][0])
-@example(argv=_REPRODUCERS[1][0])
-@example(argv=_REPRODUCERS[2][0])
-@example(argv=_REPRODUCERS[3][0])
-@example(argv=_REPRODUCERS[4][0])
-@example(argv=_REPRODUCERS[5][0])
-@example(argv=_REPRODUCERS[6][0])
-@example(argv=["variation", "--fn", "sinxy", "--grid", _NARROW_GRIDS[0], "--pinned"])
-@example(argv=["variation", "--fn", "sinxy", "--grid", _WIDE_GRIDS[0], "--pinned"])
+@_with_examples
 @given(argv=_argv())
 def test_every_argv_ends_in_a_result_or_one_json_error(files, argv):
     argv = _resolve(argv, files)
-    code, err, caught, seconds = _run(argv)
+    code, out, err, caught, seconds = _run(argv)
     assert code in (0, 2, 3, 4), (argv, code)
     assert not caught, (argv, caught)
     if err:
@@ -174,6 +220,11 @@ def test_every_argv_ends_in_a_result_or_one_json_error(files, argv):
     else:
         assert code == 0, argv
     assert seconds < 1.0, (argv, seconds)
+    # a constant's integral has a closed form: a printed value must meet it wherever it is a normal float
+    exact = _constant_corner(argv) if code == 0 else None
+    if exact is not None and (exact == 0 or in_float_range(exact)):
+        value = Decimal(re.search(r"value\([^)]*\) = ([^;\s]+)", out).group(1))
+        assert abs(value - exact) <= Decimal("1e-12") * abs(exact), (argv, value, exact)
 
 
 _DRIVER = """
@@ -198,15 +249,13 @@ print(json.dumps(results))
 def test_reproducers_end_in_one_json_error_in_a_fresh_process(files, threads):
     # a fresh interpreter, outside pytest's warning capture, so a RuntimeWarning reaches stderr;
     # at two threads the sampling and the hat rule run in worker threads
-    cases = [(_resolve(argv, files) + ["--threads", threads], want) for argv, want in _REPRODUCERS]
+    cases = [(_resolve(argv, files) + ["--threads", threads], want, parameter) for argv, want, parameter in _REPRODUCERS]
     proc = subprocess.run(
-        [sys.executable, "-c", _DRIVER, json.dumps([argv for argv, _ in cases])], capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", _DRIVER, json.dumps([argv for argv, _, _ in cases])], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    for (argv, want), (code, err) in zip(cases, json.loads(proc.stdout)):
+    for (argv, want, parameter), (code, err) in zip(cases, json.loads(proc.stdout)):
         lines = err.splitlines()
         assert code == want and len(lines) == 1, (argv, code, err)
         payload = json.loads(lines[0])
-        assert payload["code"] == want, (argv, err)
-        if want == 2:
-            assert payload["parameter"] in ("deltas", "counts"), (argv, err)
+        assert payload["code"] == want and payload.get("parameter") == parameter, (argv, err)

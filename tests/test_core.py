@@ -20,11 +20,15 @@ from fracdim2d import (
     FracOrder,
     GridSamples,
     GridSpec,
+    NumericError,
     ParameterError,
+    QuadratureSpec,
     Rectangle,
     SampledSource,
     ShiftedSource,
     SizeError,
+    make_source,
+    quad_error_probe,
     read_samples_csv,
     read_samples_json,
     sample,
@@ -533,6 +537,24 @@ def test_stable_sum_cancellation():
     # naive summation loses the 1.0 here; compensated keeps it
     terms = [1e16, 1.0, -1e16] * 10
     assert stable_sum(terms) == pytest.approx(10.0, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: stable_sum([1.0, math.nan]), NumericError, "stable_sum term is not finite"),
+        (lambda: stable_sum([1e308, 1e308]), NumericError, "stable_sum overflowed"),
+        (
+            lambda: quad_error_probe(make_source("sinxy"), Box(1.0, 2.0, 1.0, 2.0), FracOrder(0.5, 0.5), QuadratureSpec(panels=4)),
+            ParameterError,
+            "error probe needs at least 8 panels",
+        ),
+    ],
+    ids=["stable-sum-nan", "stable-sum-overflow", "probe-at-4-panels"],
+)
+def test_library_refusals_raise_their_documented_error(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import os
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -41,6 +42,8 @@ from fracdim2d import (
     sup_gap,
 )
 from fracdim2d import cli, core, fracint, verify
+
+from closed_form import axis_factors
 
 BOX = Box(1.0, 2.0, 1.0, 2.0)
 HALF = FracOrder(0.5, 0.5)
@@ -112,14 +115,15 @@ def test_integral_of_one_and_axis_factor():
 
 
 def test_axis_factor_is_zero_at_its_lower_limit_for_every_weight():
-    # u(lo) of a float and of an array may round apart: at alpha = 1/2, p = 2, lo = 0.01 and at
-    # p = 11.25, lo = 7.5 the difference was one ulp below 0 and the factor NaN
+    # u(lo) of a float and of an array rounded apart when each end was mapped to s^rho/rho: at
+    # alpha = 1/2, p = 2, lo = 0.01 and at p = 11.25, lo = 7.5 the difference was one ulp below 0
+    # and the factor NaN.  Anchored at lo, u(lo) is exactly 0 (lo - lo at p = 0)
     for p in np.arange(-1.0, 12.001, 0.25):
         for lo in (0.01, 0.3, 1.0, 2.0, 7.5):
             for order in (0.5, 1.3):
                 assert axis_unit_factor(lo, lo, order, float(p)) == 0.0, (p, lo, order)
-                # above the limit the clamp leaves the difference, and so every bit, alone
-                fwd, x = fracint._power_map(float(p))[0], 1.25 * lo
+                # above the limit the factor is the mapped difference, bit for bit
+                fwd, x = fracint._power_map(float(p), lo)[0], 1.25 * lo
                 scale = math.exp(fracint.log_normaliser(order) - math.log(order))
                 assert axis_unit_factor(lo, x, order, float(p)) == (fwd(np.asarray(x)) - fwd(lo)) ** order * scale
 
@@ -138,7 +142,9 @@ def test_closed_form_of_one_past_float64_is_a_numeric_error():
     box = Box(1.0, 2.5, 0.5, 3.0)
     for a, b, p, q in itertools.product((0.5, 1.5), (0.3, 2.0), (-1.0, 0.0, 1.5), (-0.5, 2.0)):
         vals += [integral_of_one(box, FracOrder(a, b, p, q), x, y) for x in (1.0, 1.7, 2.5) for y in (0.5, 2.9)]
-    assert hashlib.sha256(np.array(vals).tobytes()).hexdigest() == "bd369cd2b24261b6b589fbeb7e7aac7ba7eb82b0c6ed3f45bdc393b0e87a30c9"
+    # re-pinned when u was anchored at lo: the factors at lo (1 + 1e-9) moved by up to 6.0e-7, to
+    # within 1.6e-15 of the closed form, the others by at most 6.9e-15 and integral_of_one not at all
+    assert hashlib.sha256(np.array(vals).tobytes()).hexdigest() == "8ea967d02a1428ca78775bbc8856f4f59e71539285be56c7b57d3ff366eaab6a"
 
 
 def test_order_one_reduces_to_plain_integration():
@@ -335,8 +341,8 @@ def test_thread_count_never_changes_grid_bits(monkeypatch):
 def _tensor_per_output(src, rect, xs, ys, order, quad):
     # the tensor route as one contraction per output, f evaluated in (k, j, l) order for each row
     gr = quad.graded(order.alpha, order.beta)
-    Sx, Mx = fracint._axis_rules(rect.a, xs, order.alpha, quad.panels, gr, fracint._power_map(order.p))
-    Sy, My = fracint._axis_rules(rect.c, ys, order.beta, quad.panels, gr, fracint._power_map(order.q))
+    Sx, Mx = fracint._axis_rules(rect.a, xs, order.alpha, quad.panels, gr, fracint._power_map(order.p, rect.a))
+    Sy, My = fracint._axis_rules(rect.c, ys, order.beta, quad.panels, gr, fracint._power_map(order.q, rect.c))
     pref = fracint._prefactor(order)
     (m, P), n = Sx.shape, Sy.shape[0]
     out = np.empty((m, n))
@@ -628,16 +634,79 @@ ONE = CallableSource(
 )
 
 
+def _constant_routes(k: float) -> dict:
+    """f = k on each route: tensor, the split mesh (g = k, h = 0) and the two-axis mesh (smooth, no split)."""
+
+    def f(x, y):
+        return np.full(np.broadcast_shapes(np.shape(x), np.shape(y)), k)
+
+    split = (lambda t: np.full(np.shape(t), k), lambda t: np.zeros(np.shape(t)))
+    return {
+        "tensor": (CallableSource(f, name="k"), "tensor"),
+        "mesh-split": (CallableSource(f, name="k", split=split), "auto"),
+        "mesh-2d": (CallableSource(f, name="k", smooth=True), "auto"),
+    }
+
+
+def _closed_form(spec: GridSpec, k: float, order: FracOrder) -> np.ndarray:
+    fx = axis_factors(spec.rect.a, spec.xs(), order.alpha, order.p)
+    fy = axis_factors(spec.rect.c, spec.ys(), order.beta, order.q)
+    return np.array([[float(Decimal(k) * a * b) for b in fy] for a in fx])
+
+
+def _assert_closed_form(gs, ref: np.ndarray, what) -> None:
+    # every node within 1e-13 relative of the closed form; the lower edges are exactly 0
+    assert np.all(np.abs(gs.matrix - ref) <= 1e-13 * np.abs(ref)), (what, np.max(np.abs(gs.matrix - ref) / np.abs(ref + (ref == 0))))
+
+
+def test_a_box_within_one_spacing_of_log_s_meets_the_closed_form():
+    # log s rounds Box(1e6, 1e6 + 3e-10) to one float, and s^rho/rho kept only a few digits of it;
+    # u anchored at the lower limit keeps its width at every weight, so each route meets the closed form
+    spec = GridSpec(Box(1e6, 1e6 + 3e-10, 1.0, 2.0), 3, 3)
+    for p in (-1.0, -0.99, -0.5, 0.0, 2.0):
+        order = FracOrder(0.5, 0.5, p, 0.0)
+        ref = _closed_form(spec, 1.0, order)
+        for route, (src, method) in _constant_routes(1.0).items():
+            if p != 0.0 or route == "tensor":  # the mesh at p = 0: see the test below
+                _assert_closed_form(katugampola_2d_grid(src, spec, order, QuadratureSpec(panels=8), method=method), ref, (p, route))
+
+
 def test_box_narrower_than_its_coordinates_is_refused():
-    # log s rounds Box(1e6, 1e6 + 3e-10) to one float, so weights near -1 refuse it;
-    # u = s^rho/rho keeps its width
-    box = Box(1e6, 1e6 + 3e-10, 1.0, 2.0)
-    for p, method in ((-1.0, "tensor"), (-1.0, "auto"), (-0.99, "separable")):
+    # at p = 0 u is s itself: the mesh nodes of Box(1e6, 1e6 + 3e-10), 3.75e-11 apart, round
+    # together below the float spacing at 1e6, and a rule on them would print a confident 0
+    spec = GridSpec(Box(1e6, 1e6 + 3e-10, 1.0, 2.0), 3, 3)
+    for method in ("auto", "separable"):
         with pytest.raises(NumericError, match="too narrow"):
-            katugampola_2d_grid(ONE, GridSpec(box, 3, 3), FracOrder(0.5, 0.5, p, 0.0), QuadratureSpec(panels=8), method=method)
-    order = FracOrder(0.5, 0.5, 2.0, 0.0)
-    v = katugampola_2d(ONE, box, box.b, box.d, order, QuadratureSpec(panels=8))
-    assert v > 0.0 and v == pytest.approx(integral_of_one(box, order, box.b, box.d), rel=1e-12)
+            katugampola_2d_grid(ONE, spec, HALF, QuadratureSpec(panels=8), method=method)
+
+
+def test_constants_meet_the_closed_form_on_every_route():
+    # seeded boxes with lower limits 1e-3..1e3 and relative widths 1e-9..10, weights at, near and away
+    # from -1 and 0; f = 1 in half the cases and f = k in the other half.  Mapping each end to
+    # s^rho/rho and subtracting refused some of these boxes and missed others by up to 1e-5
+    rng = np.random.default_rng(26)
+    for case in range(400):
+        a, c = 10.0 ** rng.uniform(-3.0, 3.0, 2)
+        b, d = a * (1.0 + 10.0 ** rng.uniform(-9.0, 1.0)), c * (1.0 + 10.0 ** rng.uniform(-9.0, 1.0))
+        p, q = (float(rng.choice([-1.0, 0.0, rng.uniform(-1.0, 4.0), rng.uniform(-1.0, -0.9)])) for _ in range(2))
+        order = FracOrder(rng.uniform(0.2, 2.5), rng.uniform(0.2, 2.5), p, q)
+        k = 1.0 if case % 2 else float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 3.0))
+        spec = GridSpec(Box(a, b, c, d), 5, 5)
+        ref = _closed_form(spec, k, order)
+        for route, (src, method) in _constant_routes(k).items():
+            _assert_closed_form(katugampola_2d_grid(src, spec, order, QuadratureSpec(panels=32), method=method), ref, (case, route))
+
+
+def test_every_weight_integrates_one_on_ordinary_boxes():
+    # U(a) of a scalar and of an array rounded apart, so the first output's width came out
+    # one ulp below 0 and its scale^order NaN: the tensor route refused 6 of these 265 pairs
+    src, method = _constant_routes(1.0)["tensor"]
+    for p in np.arange(-1.0, 12.001, 0.25):
+        order = FracOrder(0.5, 0.5, float(p), 0.0)
+        for a, b in ((0.01, 0.02), (0.3, 0.9), (1.0, 2.0), (2.0, 7.0), (7.5, 9.0)):
+            spec = GridSpec(Box(a, b, 1.0, 2.0), 5, 5)
+            gs = katugampola_2d_grid(src, spec, order, QuadratureSpec(panels=64), method=method)
+            _assert_closed_form(gs, _closed_form(spec, 1.0, order), (float(p), a, b))
 
 
 def test_large_weight_on_a_box_near_zero_keeps_its_digits():
@@ -785,7 +854,8 @@ def test_knotted_sources_take_the_knot_mesh_under_auto_and_keep_their_tensor_byt
     # y is the plain mesh; the 4 sampled cells take 4 parts each on both axes
     cases = [
         (tparab, GridSpec(box, 9, 9), HALF, "52722d66b4415e518ad7f51d", (201, 17)),
-        (tparab, GridSpec(box, 9, 5), FracOrder(0.5, 0.3, 0.6, -0.4), "9e54919f0053524e8133092c", None),
+        # re-pinned when u was anchored at each lower limit (moved by at most 2.9e-15 relative)
+        (tparab, GridSpec(box, 9, 5), FracOrder(0.5, 0.3, 0.6, -0.4), "73ae1631dfeefb843d664d73", None),
         (sampled, GridSpec(BOX, 9, 9), HALF, "fe36c805ad614fb6e332bdcc", (17, 17)),
     ]
     quad = QuadratureSpec(panels=16)
@@ -940,15 +1010,17 @@ def _digest(*arrays):
 
 def test_ungraded_mesh_routes_keep_their_bits():
     # digests of the meshes and grids before edges could be declared; the two at weights
-    # other than 0 re-pinned when the constant moved into u (they moved by rounding, under 2e-15)
+    # other than 0 re-pinned when the constant moved into u (they moved by rounding, under 2e-15),
+    # and again when u was anchored at lo: u and U lost their shift u(1) = 1/1.6 and then moved by
+    # at most 1.4e-14, s by 2.6e-16, h by 5.4e-14 (rounding of u at its old size) and the grid by 2.2e-15
     mesh = fracint._mesh(1.0, np.linspace(1.0, 2.0, 33), 0.0, 64)
     assert _digest(mesh.s, mesh.u, mesh.h, mesh.U, mesh.top) == "47403d4268bb65dee9f7789b"
     mesh = fracint._mesh(1.0, np.linspace(1.0, 2.0, 17), 0.6, 300)
-    assert _digest(mesh.s, mesh.u, mesh.h, mesh.U, mesh.top) == "bf01abfc6f7b39fbbb5b6b56"
+    assert _digest(mesh.s, mesh.u, mesh.h, mesh.U, mesh.top) == "9754f06ccf53b919e660d99d"
     pinned = {
         ("plane", HALF): "88e50065f92d3e4d99b34244",
         ("sinxy", HALF): "08e00268aafedcb1e8a09a39",
-        ("sinxy", FracOrder(0.5, 0.3, 0.6, -0.4)): "02c8e04f2720c22a1c42f650",
+        ("sinxy", FracOrder(0.5, 0.3, 0.6, -0.4)): "b1eb3c5e78e167368350e0e1",
     }
     quad = QuadratureSpec(panels=64)
     for (name, order), digest in pinned.items():

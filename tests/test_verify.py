@@ -59,15 +59,15 @@ def test_sandwich_passes_at_full_scale():
 
 
 def test_hadamard_rate_fails_when_the_coordinate_crowds_toward_one(monkeypatch):
-    # u = s^rho/rho without the shift crowds toward 1/rho as rho -> 0 and loses about
+    # u = s^rho/rho, not anchored at lo, crowds toward 1/rho as rho -> 0 and loses about
     # -log10(rho) digits; the O(eps) limit then turns around before eps = 1e-12
     real = fracint._power_map
 
-    def crowded(weight):
+    def crowded(weight, lo):
         rho = weight + 1.0
         if 0.0 < rho < 1.0:
             return (lambda s: s**rho / rho), (lambda u: (rho * u) ** (1.0 / rho))
-        return real(weight)
+        return real(weight, lo)
 
     rates = [c for c in run_suite("special-cases", "quick").checks if c.name.startswith("hadamard-rate:")]
     assert [c.name for c in rates] == ["hadamard-rate:constant:1", "hadamard-rate:sinxy", "hadamard-rate:plane"]
