@@ -16,11 +16,11 @@ rho = p + 1 -> 0, the Hadamard kernel (log(x/s))^(alpha-1) ds/s.
 Every axis of every operator runs in one coordinate family anchored at
 its lower limit a, u = (s^rho - a^rho)/rho (log(s/a) at rho = 0;
 ``_power_map``), where the kernel is the pure power singularity
-(U - u)^(alpha-1) du with constant 1/Gamma(alpha) for every weight.  One rule builder gives each axis a product-midpoint
-rule: panels graded toward the singular endpoint, kernel moments
-integrated exactly per panel, the smooth factor sampled at panel
-midpoints.  The rule is exact for constant integrands and second-order
-accurate for smooth ones.
+(U - u)^(alpha-1) du with constant 1/Gamma(alpha) for every weight.
+One rule builder gives each axis a product-midpoint rule: panels graded
+toward the singular endpoint, kernel moments integrated exactly per
+panel, the smooth factor sampled at panel midpoints.  The rule is exact
+for constant integrands and second-order accurate for smooth ones.
 
 Point values are 1x1 grids of the one tensor contraction, so a grid
 value and the matching single-point call agree bit for bit.  The one-axis
@@ -141,19 +141,42 @@ class QuadratureSpec:
 def _power_map(weight: float, lo: float) -> tuple[Callable, Callable]:
     """The coordinate u of an axis with lower limit lo, rho = weight + 1, and its inverse.
 
-    u = (s^rho - lo^rho)/rho, computed as s^rho (1 - exp(-rho l))/rho with l = log1p((s - lo)/lo)
-    = log(s/lo): u(lo) is exactly 0, so a width next to lo keeps its digits at every rho and no
-    difference of mapped values cancels.  At rho = 0 it is l, the Hadamard map and the limit of
-    the same formula; at rho = 1 it is s, a shift no rule sees, so u(lo) is lo.
+    u = (s^rho - lo^rho)/rho = s^rho (1 - exp(-rho l))/rho with l = log(s/lo),
+    and u = l at rho = 0 (Hadamard, the limit of the same formula); u = s at
+    rho = 1, a shift no rule sees.  Elsewhere u(lo) is exactly 0, so a width
+    next to lo keeps its digits and no difference of mapped values cancels.
+
+    The inverse takes t = rho u/lo^rho = (s/lo)^rho - 1.  Up to t = 1 it is
+    s = lo + lo expm1(log1p(t)/rho), which keeps the digits next to lo;
+    beyond, s = (rho u (1 + 1/t))^(1/rho), as l would carry its rounding
+    into s.  l = log1p((s - lo)/lo), lo expm1(l) and t come from logs only
+    where they, or lo^rho, leave the normal floats: on boxes wider than
+    float64's range of ratios, and at large rho near 0.
     """
-    rho = weight + 1.0
+    rho, log_lo = weight + 1.0, math.log(lo)
     if rho == 1.0:
         return (lambda s: s), (lambda u: u)
-    if rho == 0.0:
-        return (lambda s: np.log1p((s - lo) / lo)), (lambda u: lo + lo * np.expm1(u))
-    return (lambda s: s**rho * -np.expm1(-rho * np.log1p((s - lo) / lo)) / rho), (
-        lambda u: lo + lo * np.expm1(np.log1p(rho * u / np.power(lo, rho)) / rho)
-    )
+    with np.errstate(all="ignore"):
+        lo_rho = np.power(lo, rho)
+    normal = lo_rho >= np.finfo(np.float64).tiny
+
+    def ell(s):
+        with np.errstate(over="ignore"):
+            r = (s - lo) / lo
+        return np.where(np.isfinite(r), np.log1p(r), np.log(s) - log_lo)
+
+    def near(el):  # lo e^l
+        d = lo * np.expm1(el)
+        return np.where(np.isfinite(d), lo + d, np.exp(log_lo + el))
+
+    def back(u):
+        with np.errstate(all="ignore"):  # log 0 = -inf at u = 0 gives t = 0; t is inf only where 1/t vanishes
+            if rho == 0.0:
+                return near(u)
+            t = rho * u / lo_rho if normal else np.exp(np.log(rho * u) - rho * log_lo)
+            return np.where(t <= 1.0, near(np.log1p(t) / rho), np.power(rho * u * (1.0 + 1.0 / t), 1.0 / rho))
+
+    return (ell if rho == 0.0 else lambda s: s**rho * -np.expm1(-rho * ell(s)) / rho), back
 
 
 @lru_cache(maxsize=64)

@@ -1,5 +1,6 @@
-"""1/Gamma(order) in log space: the constant of every axis, whatever its weight, in the anchored u = (s^rho - lo^rho)/rho
-of ``fracint._power_map``.  ``math.lgamma`` makes a large order underflow it toward zero instead of overflowing Gamma."""
+"""The normalising constant of every axis, whatever its weight, in log space: 1/Gamma(order)
+in the anchored coordinate u = (s^rho - lo^rho)/rho of ``fracint._power_map``.
+``math.lgamma`` makes a large order underflow it toward zero instead of overflowing Gamma."""
 
 from __future__ import annotations
 

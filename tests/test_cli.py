@@ -175,6 +175,20 @@ def test_box_within_one_spacing_of_log_s_meets_the_closed_form(capsys, p):
     assert code == 3 and out == "" and "too narrow" in err["message"]
 
 
+@pytest.mark.parametrize("rect, p", [("1e-25,1,1,2", "12"), ("1e-16,1,1,2", "20"), ("1e-300,1e9,1,2", "1"), ("1e-10,1,1,2", "30")])
+def test_wide_box_at_a_large_weight_meets_the_closed_form(capsys, rect, p):
+    # lo^rho is 0 or subnormal here, or the ratio of the ends leaves float64: the inverse map once
+    # formed them, and these runs exited 3 with a divide by zero or an overflow
+    a, b, c, d = map(float, rect.split(","))
+    for method in ("tensor", "auto"):
+        code, out, err = run_cli(capsys, "integrate", "--fn", "constant:2", "--rect", rect, "--alpha", ".5", "--beta", ".5",
+                                 "--p", p, "--grid", "3,3", "--method", method)
+        assert code == 0 and err is None, (method, err)
+        value = float(re.search(r"value\([^)]*\) = (\S+);", out).group(1))
+        exact = float(constant_integral(2.0, a, b, c, d, 0.5, 0.5, float(p), 0.0))
+        assert abs(value - exact) <= 1e-13 * exact, method
+
+
 def test_integrate_rejects_weights_for_classical_ops(capsys):
     code, _, err = run_cli(
         capsys, "integrate", "--op", "riemann-liouville", "--fn", "plane", "--alpha", ".5", "--beta", ".5", "--p", "1"

@@ -184,8 +184,9 @@ _REPRODUCERS = [
     (["dimension", "--counts-from", "@counts-two-rows.csv"], 3, None),
     (["variation", "--fn", "sinxy", "--trend", "--levels", "16,x"], 2, "levels"),
 ]
-# constant integrals that the closed form checks: an ordinary box that the tensor route refused, and a box
-# within one float spacing of log s, where it printed values off by up to 60%
+# constant integrals that the closed form checks: an ordinary box that the tensor route refused, a box
+# within one float spacing of log s, where it printed values off by up to 60%, and wide boxes at large
+# weights, where lo^rho is 0 or the ratio of the ends leaves float64
 _CONSTANTS = [
     ["integrate", "--fn", "constant:1", "--rect", "0.01,0.02,1,2", "--p", "2", "--alpha", ".5", "--beta", ".5", "--grid", "5,5",
      "--panels", "64", "--method", "tensor"],
@@ -193,6 +194,9 @@ _CONSTANTS = [
      "--grid", "5,5", "--method", "tensor"],
     ["integrate", "--op", "hadamard", "--fn", "constant:3", "--rect", "1000000,1000000.000000003,1,2", "--alpha", ".5",
      "--beta", "1.5", "--grid", "5,5"],
+    ["integrate", "--fn", "constant:2", "--rect", "1e-25,1,1,2", "--p", "12", "--alpha", ".5", "--beta", ".5", "--grid", "5,5"],
+    ["integrate", "--fn", "constant:2", "--rect", "1e-300,1e9,1,2", "--p", "1", "--alpha", ".5", "--beta", ".5", "--grid", "5,5",
+     "--method", "tensor"],
 ]
 
 

@@ -2,7 +2,7 @@ import hashlib
 import itertools
 import math
 import os
-from decimal import Decimal
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -43,7 +43,7 @@ from fracdim2d import (
 )
 from fracdim2d import cli, core, fracint, verify
 
-from closed_form import axis_factors
+from closed_form import axis_factors, in_float_range, linear_factors
 
 BOX = Box(1.0, 2.0, 1.0, 2.0)
 HALF = FracOrder(0.5, 0.5)
@@ -680,10 +680,9 @@ def test_box_narrower_than_its_coordinates_is_refused():
             katugampola_2d_grid(ONE, spec, HALF, QuadratureSpec(panels=8), method=method)
 
 
-def test_constants_meet_the_closed_form_on_every_route():
-    # seeded boxes with lower limits 1e-3..1e3 and relative widths 1e-9..10, weights at, near and away
-    # from -1 and 0; f = 1 in half the cases and f = k in the other half.  Mapping each end to
-    # s^rho/rho and subtracting refused some of these boxes and missed others by up to 1e-5
+def _seeded_boxes():
+    # 400 boxes with lower limits 1e-3..1e3 and relative widths 1e-9..10, weights at, near and away
+    # from -1 and 0, and a constant k: 1 in half the cases, anything in 1e-3..1e3 of either sign else
     rng = np.random.default_rng(26)
     for case in range(400):
         a, c = 10.0 ** rng.uniform(-3.0, 3.0, 2)
@@ -691,10 +690,96 @@ def test_constants_meet_the_closed_form_on_every_route():
         p, q = (float(rng.choice([-1.0, 0.0, rng.uniform(-1.0, 4.0), rng.uniform(-1.0, -0.9)])) for _ in range(2))
         order = FracOrder(rng.uniform(0.2, 2.5), rng.uniform(0.2, 2.5), p, q)
         k = 1.0 if case % 2 else float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 3.0))
-        spec = GridSpec(Box(a, b, c, d), 5, 5)
+        yield case, GridSpec(Box(a, b, c, d), 5, 5), order, k
+
+
+def test_constants_meet_the_closed_form_on_every_route():
+    # mapping each end to s^rho/rho and subtracting refused some of these boxes and missed others by up to 1e-5
+    for case, spec, order, k in _seeded_boxes():
         ref = _closed_form(spec, k, order)
         for route, (src, method) in _constant_routes(k).items():
             _assert_closed_form(katugampola_2d_grid(src, spec, order, QuadratureSpec(panels=32), method=method), ref, (case, route))
+
+
+def _linear_in_u(a: float, p: float) -> CallableSource:
+    # s^rho on x (1 + log(s/a) at rho = 0, as logs: s/a leaves float64 on the widest box), which is
+    # linear in u, split from h = 0 on y
+    rho = p + 1.0
+    g = (lambda s: np.asarray(s, dtype=np.float64) ** rho) if rho else (lambda s: 1.0 + (np.log(np.asarray(s, dtype=np.float64)) - math.log(a)))
+    return CallableSource(lambda x, y: g(x) + 0.0 * np.asarray(y), name="linear-in-u", split=(g, lambda t: np.zeros(np.shape(t))))
+
+
+# small lower limits at large weights, where lo^rho is subnormal or 0, and boxes wider than float64's
+# range of ratios: the inverse map once formed lo^rho and (s - lo)/lo and put nodes off or at inf
+_WIDE = [(Box(lo, 1.0, 1.0, 2.0), p) for lo in (1e-25, 2e-25, 1e-20, 1e-16) for p in (12.0, 20.0, 30.0)]
+_WIDE += [(Box(1e-10, 1.0, 1.0, 2.0), 30.0), (Box(1e-300, 1e9, 1.0, 2.0), 1.0), (Box(1e-300, 1e9, 1.0, 2.0), -1.0)]
+
+
+def test_a_source_linear_in_u_meets_its_closed_form_on_the_split_mesh():
+    # the split mesh integrates a function linear in u exactly, so its value moves with every node the
+    # inverse map places: the seeded boxes, then the wide ones, under the CLI's errstate
+    cases = [(case, spec, order) for case, spec, order, _ in _seeded_boxes()]
+    cases += [(box, GridSpec(box, 3, 3), FracOrder(0.5, 0.5, p, 0.0)) for box, p in _WIDE]
+    for case, spec, order in cases:
+        fx = linear_factors(spec.rect.a, spec.xs(), order.alpha, order.p)
+        fy = axis_factors(spec.rect.c, spec.ys(), order.beta, order.q)
+        ref = np.array([[float(a * b) for b in fy] for a in fx])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            gs = katugampola_2d_grid(_linear_in_u(spec.rect.a, order.p), spec, order, QuadratureSpec(panels=32), method="auto")
+        _assert_closed_form(gs, ref, case)
+
+
+def test_every_route_integrates_a_constant_on_wide_boxes():
+    for box, p in _WIDE:
+        spec, order = GridSpec(box, 3, 3), FracOrder(0.5, 0.5, p, 0.0)
+        for route, (src, method) in _constant_routes(3.0).items():
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                gs = katugampola_2d_grid(src, spec, order, QuadratureSpec(panels=32), method=method)
+            _assert_closed_form(gs, _closed_form(spec, 3.0, order), (box, p, route))
+
+
+def _exact_map(lo: float, rho: float, s: float) -> Decimal:
+    # u = (s^rho - lo^rho)/rho, log(s/lo) at rho = 0, to 50 digits
+    ratio = (Decimal(s) / Decimal(lo)).ln()
+    return ratio if rho == 0.0 else ((Decimal(rho) * ratio).exp() - 1) * (Decimal(rho) * Decimal(lo).ln()).exp() / Decimal(rho)
+
+
+def _exact_inverse(lo: float, rho: float, u: float) -> Decimal:
+    # s = lo (1 + rho u/lo^rho)^(1/rho), lo e^u at rho = 0, to 50 digits
+    if rho == 0.0:
+        return Decimal(lo) * Decimal(u).exp()
+    r = Decimal(rho)
+    return Decimal(lo) * ((1 + r * Decimal(u) / (r * Decimal(lo).ln()).exp()).ln() / r).exp()
+
+
+def test_coordinate_map_and_its_inverse_meet_decimal_from_1e_300_to_1e300():
+    # lower limits 1e-300..1e300 and rho up to 31, relative widths 1e-12..1e16 in half the cases and
+    # up to 1e600 in the other, while s^rho stays a float: u within 1e-13 of the exact map, and each
+    # node back within 8 eps (1 + kappa + |log s|) of the exact inverse of its u.  kappa = u/s^rho
+    # (u at rho = 0) is the inverse's condition number, and |log s| what the rounding of 1/rho costs
+    rng = np.random.default_rng(27)
+    for case in range(300):
+        rho = float(rng.choice([0.0, 10.0 ** rng.uniform(-12.0, 0.0), rng.uniform(0.0, 31.0)]))
+        top = 300.0 / max(rho, 1.0)
+        lo = 10.0 ** rng.uniform(-300.0, top - 1.0)
+        hi = lo * (1.0 + 10.0 ** rng.uniform(-12.0, 16.0)) if case % 2 else 10.0 ** rng.uniform(math.log10(lo), top)
+        hi = min(hi, 10.0**top)
+        s = np.linspace(lo, hi, 9)
+        fwd, back = fracint._power_map(rho - 1.0, lo)
+        rho = (rho - 1.0) + 1.0  # the rho the map sees
+        with localcontext() as ctx, np.errstate(over="raise", invalid="raise", divide="raise"):
+            ctx.prec = 50
+            u = fwd(s)
+            again = back(u)
+            assert u[0] == 0.0 and again[0] == lo, case
+            for k in range(1, 9):
+                exact = _exact_map(lo, rho, s[k])
+                if in_float_range(exact):
+                    assert abs(Decimal(u[k]) - exact) <= Decimal(1e-13) * exact, (case, k)
+                exact = _exact_inverse(lo, rho, u[k])
+                kappa = Decimal(u[k]) / exact ** Decimal(rho) if rho else Decimal(u[k])
+                bound = 8 * Decimal(np.finfo(np.float64).eps) * (1 + kappa + abs(exact.ln()))
+                assert abs(Decimal(again[k]) - exact) <= bound * exact, (case, k)
 
 
 def test_every_weight_integrates_one_on_ordinary_boxes():
@@ -854,8 +939,8 @@ def test_knotted_sources_take_the_knot_mesh_under_auto_and_keep_their_tensor_byt
     # y is the plain mesh; the 4 sampled cells take 4 parts each on both axes
     cases = [
         (tparab, GridSpec(box, 9, 9), HALF, "52722d66b4415e518ad7f51d", (201, 17)),
-        # re-pinned when u was anchored at each lower limit (moved by at most 2.9e-15 relative)
-        (tparab, GridSpec(box, 9, 5), FracOrder(0.5, 0.3, 0.6, -0.4), "73ae1631dfeefb843d664d73", None),
+        # re-pinned when u was anchored at each lower limit (moved by at most 3.5e-15 relative)
+        (tparab, GridSpec(box, 9, 5), FracOrder(0.5, 0.3, 0.6, -0.4), "ff66ab71cd6caedd2eda8640", None),
         (sampled, GridSpec(BOX, 9, 9), HALF, "fe36c805ad614fb6e332bdcc", (17, 17)),
     ]
     quad = QuadratureSpec(panels=16)
@@ -1012,15 +1097,16 @@ def test_ungraded_mesh_routes_keep_their_bits():
     # digests of the meshes and grids before edges could be declared; the two at weights
     # other than 0 re-pinned when the constant moved into u (they moved by rounding, under 2e-15),
     # and again when u was anchored at lo: u and U lost their shift u(1) = 1/1.6 and then moved by
-    # at most 1.4e-14, s by 2.6e-16, h by 5.4e-14 (rounding of u at its old size) and the grid by 2.2e-15
+    # at most 1.4e-14, h by 5.4e-14 (rounding of u at its old size), s by 2.2e-16 (nodes past
+    # t = 1 map back as (rho u (1 + 1/t))^(1/rho)) and the grid by 2.0e-15
     mesh = fracint._mesh(1.0, np.linspace(1.0, 2.0, 33), 0.0, 64)
     assert _digest(mesh.s, mesh.u, mesh.h, mesh.U, mesh.top) == "47403d4268bb65dee9f7789b"
     mesh = fracint._mesh(1.0, np.linspace(1.0, 2.0, 17), 0.6, 300)
-    assert _digest(mesh.s, mesh.u, mesh.h, mesh.U, mesh.top) == "9754f06ccf53b919e660d99d"
+    assert _digest(mesh.s, mesh.u, mesh.h, mesh.U, mesh.top) == "347808394b64b83013dfa77f"
     pinned = {
         ("plane", HALF): "88e50065f92d3e4d99b34244",
         ("sinxy", HALF): "08e00268aafedcb1e8a09a39",
-        ("sinxy", FracOrder(0.5, 0.3, 0.6, -0.4)): "b1eb3c5e78e167368350e0e1",
+        ("sinxy", FracOrder(0.5, 0.3, 0.6, -0.4)): "430deedeb3d1e402574f9acc",
     }
     quad = QuadratureSpec(panels=64)
     for (name, order), digest in pinned.items():
