@@ -25,7 +25,7 @@ import warnings
 
 import numpy as np
 
-from .boxdim import _fit_counts, _ladder, boxcount_bruteforce_3d, default_deltas, fit_loglog
+from .boxdim import DimensionFit, _fit_counts, _ladder, boxcount_bruteforce_3d, default_deltas, fit_loglog
 from .constructions import _refuse_quadrature_unsafe, default_box, make_source
 from .core import (
     Box,
@@ -50,7 +50,7 @@ from .core import (
     write_samples_csv,
     write_samples_json,
 )
-from .fracint import QuadratureSpec, _rl_grid, boundedness_certificate, katugampola_2d_grid
+from .fracint import _PROBE_PANELS, QuadratureSpec, _rl_grid, boundedness_certificate, katugampola_2d_grid
 from .variation import arzela_variation, variation_trend
 from .verify import SUITES, run_suite
 
@@ -174,10 +174,10 @@ def cmd_integrate(args: argparse.Namespace) -> int:
     spec = GridSpec(box, m, n)
     quad = QuadratureSpec(panels=args.panels)
     certify = args.op == "katugampola" and src.sup_bound is not None
-    if certify and quad.panels < 8:
+    if certify and quad.panels < _PROBE_PANELS:
         # the certificate's error probe halves the panels; refuse before any work
         raise ParameterError(
-            f"--panels {quad.panels} is too few for the boundedness certificate; it needs at least 8",
+            f"--panels {quad.panels} is too few for the boundedness certificate; it needs at least {_PROBE_PANELS}",
             parameter="panels",
         )
 
@@ -205,21 +205,36 @@ def cmd_integrate(args: argparse.Namespace) -> int:
 
 
 def cmd_dimension(args: argparse.Namespace) -> int:
-    if args.counts_from:
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # a file with no rows is reported below, in the JSON error
-                rows = np.loadtxt(args.counts_from, delimiter=",", skiprows=1, dtype=np.float64, ndmin=2)
-        except ValueError:
-            raise ParameterError(f"{args.counts_from}: non-numeric delta,count row", parameter="counts-from") from None
-        if rows.size == 0 or rows.shape[1] < 2 or not np.all(np.isfinite(rows[:, :2])):
-            raise ParameterError(f"{args.counts_from}: expected rows of delta,count", parameter="counts-from")
-        fit = fit_loglog(rows[:, :2].tolist(), which=args.which)
-        if args.fit_out:
-            _write_json(_fit_doc(fit), args.fit_out)
-        print(_fit_line(fit, source=args.counts_from))
-        return 0
+    fit, source = _refit(args.counts_from, args.which) if args.counts_from else _count(args)
+    if args.fit_out:
+        doc = {"which": fit.which, "slope": fit.slope, "intercept": fit.intercept, "r_squared": fit.r_squared,
+               "points": [[d, c] for d, c in fit.points], "dropped": list(fit.dropped)}
+        _write_json(doc, args.fit_out)
+    extra = f", dropped {len(fit.dropped)}" if fit.dropped else ""
+    print(
+        f"dimension {source} ({fit.which}): slope = {fit.slope:.6f}, "
+        f"r^2 = {fit.r_squared:.6f} over {len(fit.points)} deltas{extra}"
+    )
+    return 0
 
+
+def _refit(path: str, which: str) -> tuple[DimensionFit, str]:
+    """The fit of a counts file: a delta,count file's one count column, or the ``which`` bound of an --out file."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a file with no rows is reported below, in the JSON error
+            rows = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.float64, ndmin=2)
+    except ValueError:
+        raise ParameterError(f"{path}: non-numeric delta,count row", parameter="counts-from") from None
+    # delta,count or, as --out writes them, delta,count_lower,count_upper[,count_oracle]
+    cols = [0, 2 if which == "upper" and rows.shape[1] > 2 else 1]
+    if rows.size == 0 or rows.shape[1] < 2 or not np.all(np.isfinite(rows[:, cols])):
+        raise ParameterError(f"{path}: expected rows of delta,count", parameter="counts-from")
+    return fit_loglog(rows[:, cols].tolist(), which=which), path
+
+
+def _count(args: argparse.Namespace) -> tuple[DimensionFit, str]:
+    """The fit of the counts of a source's graph, after writing them to --out if it is given."""
     src, box, raw = _resolve_source(args)
     if args.integral:
         _refuse_quadrature_unsafe(args.fn)
@@ -252,29 +267,7 @@ def cmd_dimension(args: argparse.Namespace) -> int:
                 bc = by_delta[d]
                 tail = f",{oracle[d]}" if oracle else ""
                 fh.write(f"{d:.17g},{bc.n_lower},{bc.n_upper}{tail}\n")
-    if args.fit_out:
-        _write_json(_fit_doc(fit), args.fit_out)
-    print(_fit_line(fit, source=src.name))
-    return 0
-
-
-def _fit_doc(fit) -> dict:
-    return {
-        "which": fit.which,
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "r_squared": fit.r_squared,
-        "points": [[d, c] for d, c in fit.points],
-        "dropped": list(fit.dropped),
-    }
-
-
-def _fit_line(fit, source: str) -> str:
-    extra = f", dropped {len(fit.dropped)}" if fit.dropped else ""
-    return (
-        f"dimension {source} ({fit.which}): slope = {fit.slope:.6f}, "
-        f"r^2 = {fit.r_squared:.6f} over {len(fit.points)} deltas{extra}"
-    )
+    return fit, src.name
 
 
 def cmd_variation(args: argparse.Namespace) -> int:
@@ -379,9 +372,15 @@ def build_parser() -> _Parser:
     _add_quadrature(p_dim)
     p_dim.add_argument("--integral", action="store_true", help="fit the graph of the integral, not of f")
     p_dim.add_argument("--deltas", help="comma-separated box sizes (default: halving ladder)")
-    p_dim.add_argument("--which", default="lower", choices=["lower", "upper"])
+    p_dim.add_argument(
+        "--which",
+        default="lower",
+        choices=["lower", "upper"],
+        help="bound to fit; --counts-from reads count_lower or count_upper of an --out file, "
+        "and the one count column of a delta,count file either way",
+    )
     p_dim.add_argument("--oracle", action="store_true", help="add direct 3-d box counts (small grids)")
-    p_dim.add_argument("--counts-from", dest="counts_from", help="fit pre-computed delta,count rows instead")
+    p_dim.add_argument("--counts-from", dest="counts_from", help="fit pre-computed counts instead: delta,count rows or an --out file")
     p_dim.add_argument("--out", help="write per-delta counts CSV here")
     p_dim.add_argument("--fit-out", dest="fit_out", help="write the fit JSON here")
     p_dim.set_defaults(run=cmd_dimension)

@@ -1080,6 +1080,9 @@ def boundedness_certificate(
     )
 
 
+_PROBE_PANELS = 8  # the fewest panels the error probe halves
+
+
 def quad_error_probe(f, rect: Box, order: FracOrder, quad: QuadratureSpec | None = None) -> float:
     """Crude a-posteriori quadrature error bound via panel halving.
 
@@ -1093,8 +1096,8 @@ def quad_error_probe(f, rect: Box, order: FracOrder, quad: QuadratureSpec | None
     quarters it when every part is split).
     """
     quad = quad or QuadratureSpec()
-    if quad.panels < 8:
-        raise ParameterError("error probe needs at least 8 panels", parameter="panels")
+    if quad.panels < _PROBE_PANELS:
+        raise ParameterError(f"error probe needs at least {_PROBE_PANELS} panels", parameter="panels")
     spec = GridSpec(rect, 9, 9)
 
     def grid(panels: int) -> np.ndarray:

@@ -90,15 +90,8 @@ def _bound_check(name: str, gap: float, tol: float, note: str = "") -> Check:
 
 
 def _window_check(name: str, value: float, lo: float, hi: float) -> Check:
-    # gap measures the distance outside [lo, hi]; 0 means inside
-    gap = max(lo - value, value - hi, 0.0)
-    return Check(
-        name=name,
-        gap=float(gap),
-        tolerance=0.0,
-        passed=bool(lo <= value <= hi),
-        note=f"value {value:.6g} vs window [{lo:g}, {hi:g}]",
-    )
+    # gap measures the distance outside [lo, hi]; 0 means inside, and a NaN value fails
+    return _bound_check(name, max(lo - value, value - hi, 0.0), 0.0, f"value {value:.6g} vs window [{lo:g}, {hi:g}]")
 
 
 def _safe_names() -> list[str]:
@@ -219,17 +212,10 @@ def suite_boundedness(scale: str = "quick", fn: str | None = None) -> SuiteRepor
         try:
             cert = boundedness_certificate(src, spec, order, quad)
         except VerificationError as exc:
-            checks.append(Check(name=f"boundedness:{name}", gap=math.inf, tolerance=0.0, passed=False, note=str(exc)))
+            checks.append(_bound_check(f"boundedness:{name}", math.inf, 0.0, str(exc)))
             continue
-        checks.append(
-            Check(
-                name=f"boundedness:{name}",
-                gap=float(cert.sup_abs_observed - cert.bound),
-                tolerance=float(cert.tolerance),
-                passed=True,
-                note=f"bound {cert.bound:.6g}, observed {cert.sup_abs_observed:.6g}",
-            )
-        )
+        note = f"bound {cert.bound:.6g}, observed {cert.sup_abs_observed:.6g}"
+        checks.append(_bound_check(f"boundedness:{name}", cert.sup_abs_observed - cert.bound, cert.tolerance, note))
     return SuiteReport("boundedness", scale, tuple(checks))
 
 
@@ -316,23 +302,13 @@ def suite_sandwich(scale: str = "quick", fn: str | None = None) -> SuiteReport:
         spec = GridSpec(box, 65, 65)
         g = sample(src, spec)
         side = min(box.width, box.height)
-        worst = 0
-        ok = True
+        worst = 0  # how far the direct count falls outside [n_lower, n_upper]; 0 inside
         for k in (4, 8, 16, 32):
             d = side / k
             b = oscillation_counts(g, d)
             n = boxcount_bruteforce_3d(g, d)
-            ok = ok and (b.n_lower <= n <= b.n_upper)
             worst = max(worst, b.n_lower - n, n - b.n_upper)
-        checks.append(
-            Check(
-                name=f"sandwich:{name}",
-                gap=float(max(worst, 0)),
-                tolerance=0.0,
-                passed=ok,
-                note="deltas side/{4,8,16,32} on a 65x65 grid",
-            )
-        )
+        checks.append(_bound_check(f"sandwich:{name}", worst, 0.0, "deltas side/{4,8,16,32} on a 65x65 grid"))
     return SuiteReport("sandwich", scale, tuple(checks))
 
 

@@ -354,6 +354,18 @@ def test_dimension_counts_from_writes_the_fit(capsys, tmp_path):
     assert hashlib.sha256(fit_path.read_bytes()).hexdigest() == "ed0bd5a51c185939d4fb638bd8409a13c2e1ea74fbf40a49a8e59298c256a222"
 
 
+@pytest.mark.parametrize("oracle", [(), ("--oracle",)])
+@pytest.mark.parametrize("which", ["lower", "upper"])
+def test_dimension_counts_from_refits_the_bound_out_wrote(capsys, tmp_path, which, oracle):
+    # --counts-from reads the --which column of the delta,count_lower,count_upper[,count_oracle] file
+    # that --out writes, so the refit is the fit; the upper refit read count_lower: 2.441915, not 2.385249
+    counts, fit, refit = (tmp_path / name for name in ("c.csv", "f.json", "g.json"))
+    argv = ("dimension", "--fn", "weierstrass", "--grid", "257,257", "--which", which, *oracle, "--out", str(counts))
+    assert run_cli(capsys, *argv, "--fit-out", str(fit))[0] == 0
+    assert run_cli(capsys, "dimension", "--counts-from", str(counts), "--which", which, "--fit-out", str(refit))[0] == 0
+    assert json.loads(refit.read_text())["slope"] == json.loads(fit.read_text())["slope"]
+
+
 @pytest.mark.parametrize("flag,value", [("alpha", "-5"), ("beta", ".5"), ("p", "nan"), ("q", "0"), ("panels", "0"), ("method", "magic")])
 def test_dimension_without_integral_refuses_operator_flags(capsys, tmp_path, flag, value):
     # no operator runs, so a flag that sets one would be ignored: it is refused, naming the flag
