@@ -1,139 +1,24 @@
-"""Mixed fractional integrals, grid variation, and box dimension in 2-D."""
+"""Mixed fractional integrals, grid variation, and box dimension in 2-D.
 
-from .core import (
-    Box,
-    CallableSource,
-    CatalogError,
-    DomainError,
-    FracOrder,
-    FunctionSource,
-    GridSamples,
-    GridSpec,
-    NumericError,
-    ParameterError,
-    Rectangle,
-    ResolutionError,
-    SampledSource,
-    ShiftedSource,
-    SizeError,
-    VerificationError,
-    read_samples_csv,
-    read_samples_json,
-    sample,
-    stable_sum,
-    worker_count,
-    write_samples_csv,
-    write_samples_json,
-)
-from .fracint import (
-    BoundCertificate,
-    QuadratureSpec,
-    axis_unit_factor,
-    boundedness_certificate,
-    compose_semigroup,
-    hadamard_2d,
-    integral_of_one,
-    katugampola_1d,
-    katugampola_2d,
-    katugampola_2d_grid,
-    quad_error_probe,
-    riemann_liouville_2d,
-    sup_gap,
-)
-from .variation import (
-    VariationResult,
-    arzela_variation,
-    arzela_variation_bruteforce,
-    variation_trend,
-)
-from .boxdim import (
-    BoxCount,
-    DimensionFit,
-    boxcount_bruteforce_3d,
-    default_deltas,
-    dimension_fit,
-    fit_loglog,
-    oscillation_counts,
-)
-from .verify import SUITES, Check, SuiteReport, run_suite
-from .constructions import (
-    CATALOG,
-    CatalogEntry,
-    TConstruction,
-    TSource,
-    catalog_entry,
-    catalog_names,
-    default_box,
-    make_source,
-    positive_source,
-    psi_n,
-    t_eval,
-)
+Each module's ``__all__`` lists its public names; the package exports their union.
+"""
+
+from . import core, fracint, variation, boxdim, verify, constructions
+from .core import *  # noqa: F403
+from .fracint import *  # noqa: F403
+from .variation import *  # noqa: F403
+from .boxdim import *  # noqa: F403
+from .verify import *  # noqa: F403
+from .constructions import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Box",
-    "Rectangle",
-    "FracOrder",
-    "GridSpec",
-    "GridSamples",
-    "FunctionSource",
-    "CallableSource",
-    "SampledSource",
-    "ShiftedSource",
-    "sample",
-    "stable_sum",
-    "worker_count",
-    "read_samples_csv",
-    "write_samples_csv",
-    "read_samples_json",
-    "write_samples_json",
-    "DomainError",
-    "ParameterError",
-    "NumericError",
-    "ResolutionError",
-    "SizeError",
-    "VerificationError",
-    "CatalogError",
-    "QuadratureSpec",
-    "katugampola_1d",
-    "katugampola_2d",
-    "katugampola_2d_grid",
-    "riemann_liouville_2d",
-    "hadamard_2d",
-    "axis_unit_factor",
-    "integral_of_one",
-    "compose_semigroup",
-    "sup_gap",
-    "BoundCertificate",
-    "boundedness_certificate",
-    "quad_error_probe",
-    "VariationResult",
-    "arzela_variation",
-    "arzela_variation_bruteforce",
-    "variation_trend",
-    "BoxCount",
-    "DimensionFit",
-    "oscillation_counts",
-    "boxcount_bruteforce_3d",
-    "dimension_fit",
-    "fit_loglog",
-    "default_deltas",
-    "TConstruction",
-    "TSource",
-    "psi_n",
-    "t_eval",
-    "CatalogEntry",
-    "CATALOG",
-    "catalog_names",
-    "catalog_entry",
-    "make_source",
-    "default_box",
-    "positive_source",
-    "Check",
-    "SuiteReport",
-    "SUITES",
-    "run_suite",
+    *core.__all__,
+    *fracint.__all__,
+    *variation.__all__,
+    *boxdim.__all__,
+    *verify.__all__,
+    *constructions.__all__,
     "__version__",
 ]

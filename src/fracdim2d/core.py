@@ -50,7 +50,6 @@ __all__ = [
     "sample",
     "stable_sum",
     "worker_count",
-    "row_blocks",
     "write_samples_csv",
     "read_samples_csv",
     "write_samples_json",

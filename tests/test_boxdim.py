@@ -116,6 +116,13 @@ def test_delta_validation():
         oscillation_counts(g, 0.001)  # finer than the sample spacing supports
 
 
+def test_oscillation_counts_refuses_a_bare_matrix_before_reading_delta():
+    g = _grid(lambda x, y: x * y, side=17)
+    with pytest.raises(ParameterError, match="^expected GridSamples$") as info:
+        oscillation_counts(g.matrix, 0.25)
+    assert info.traceback[-1].name == "_rows"  # the row reader checks the type before the cells are sized
+
+
 def test_bruteforce_cell_cap():
     g = _grid(lambda x, y: x, side=513)
     with pytest.raises(SizeError):

@@ -621,6 +621,13 @@ def test_read_samples_csv_rejects_ragged(tmp_path):
         read_samples_csv(str(path))
 
 
+def test_read_samples_csv_rejects_column_major_rows(tmp_path):
+    path = tmp_path / "cols.csv"
+    path.write_text("x,y,value\n0,0,1\n1,0,2\n0,1,3\n1,1,4\n0,2,5\n1,2,6\n")  # y varies slowest
+    with pytest.raises(ParameterError, match="rows are not in row-major grid order"):
+        read_samples_csv(str(path))
+
+
 def test_read_samples_json_rejects_missing_keys(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"m": 2, "n": 2}')

@@ -129,3 +129,23 @@ def test_dimension_bounds_counts_rows_without_sampling_a_grid(monkeypatch, tmp_p
     out = tmp_path / "report.json"
     assert cli.main(["verify", "dimension-bounds", "--scale", "quick", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == "8a8d700796eb8685915bd71ba8d1aa690e81ce47a28c931d23a3be8d2c8290ce"
+
+
+@pytest.mark.parametrize("scale, levels", [("quick", (32, 64, 128)), ("full", (64, 128, 256))])
+def test_bv_preservation_runs_fn_on_the_scales_levels(scale, levels):
+    (check,) = run_suite("bv-preservation", scale, fn="plane").checks
+    assert check.name == "bv-saturation:plane" and check.passed
+    assert check.note.startswith(f"levels {levels}, values ")
+
+
+def test_bv_preservation_at_full_scale_checks_its_three_functions():
+    report = run_suite("bv-preservation", "full")
+    names = [c.name for c in report.checks]
+    assert names == ["bv-saturation:plane", "bv-saturation:sinxy", "bv-saturation:t-parabola-sine"]
+    assert report.passed and all(c.note.startswith("levels (64, 128, 256), ") for c in report.checks)
+
+
+def test_dimension_bounds_fn_runs_one_window_check():
+    (check,) = run_suite("dimension-bounds", "quick", fn="plane").checks
+    assert check.name == "dimension:plane" and check.passed
+    assert check.note.endswith(" vs window [1.85, 2.7]")
