@@ -114,8 +114,8 @@ class DimensionFit:
     dropped: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.which not in ("lower", "upper", "oracle"):
-            raise ParameterError("which must be lower, upper, or oracle", parameter="which")
+        if self.which not in ("lower", "upper"):
+            raise ParameterError("which must be lower or upper", parameter="which")
         if len(self.points) < 3:
             raise ResolutionError("a dimension fit needs at least 3 points")
         ds = [p[0] for p in self.points]

@@ -187,7 +187,7 @@ def cmd_integrate(args: argparse.Namespace) -> int:
     elif args.op == "hadamard":  # the p = q = -1 member, on the route of its point calls
         gs = katugampola_2d_grid(src, spec, FracOrder(alpha, beta, -1.0, -1.0), quad, method="tensor")
     else:
-        gs = GridSamples.from_matrix(spec, _rl_grid(src, spec, alpha, beta, quad))
+        gs = GridSamples(spec, _rl_grid(src, spec, alpha, beta, quad))
 
     corner = gs.value(m - 1, n - 1)
     note = ""

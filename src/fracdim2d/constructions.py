@@ -6,7 +6,8 @@ the n-th piece [a_{n-1}, a_n] carries
 
     T(x, y) = (1/n) phi(psi_n(x), y) + ((n-1)/n) phi(a0, y)
 
-where psi_n maps the piece affinely onto [a0, a1] = [a, (a+b)/2].  When
+where psi_n maps the piece affinely onto [a0, a1] = [a, (a+b)/2]; ``t_eval``
+computes psi_n inside, for every piece at once.  When
 phi agrees on the seam lines x = a0 and x = a1, consecutive pieces match
 and T is continuous; the 1/n amplitudes decay too slowly for the
 variation to converge, so T has bounded range but unbounded variation.
@@ -41,7 +42,6 @@ from .core import (
 __all__ = [
     "TConstruction",
     "TSource",
-    "psi_n",
     "t_eval",
     "CatalogEntry",
     "CATALOG",
@@ -58,37 +58,9 @@ _SEAM_GRID = 257
 _DEPTH = 24
 
 
-def _piece_edge(a: float, width: float, n: int) -> float:
-    # a_n = a + width (1 - 2^-n); exact for binary widths
-    return a + width * (1.0 - math.ldexp(1.0, -n))
-
-
 def _piece_edges(tc: "TConstruction") -> np.ndarray:
-    # a_0 ... a_24 of the construction's box
-    return np.array([_piece_edge(tc.rect.a, tc.rect.width, n) for n in range(_DEPTH + 1)])
-
-
-def psi_n(x, n: int, a: float, b: float):
-    """Affine map of the n-th geometric piece [a_{n-1}, a_n] onto [a, (a+b)/2].
-
-    Increasing, slope 2^{n-1}; endpoints map to the strip edges exactly.
-    """
-    n = int(n)
-    if n < 1:
-        raise ParameterError("piece index must be >= 1", parameter="n")
-    a = float(a)
-    b = float(b)
-    if not (a < b):
-        raise ParameterError("need a < b", parameter="a")
-    w = b - a
-    lo = _piece_edge(a, w, n - 1)
-    hi = _piece_edge(a, w, n)
-    xv = np.asarray(x, dtype=np.float64)
-    tol = 1e-9 * w
-    if xv.size and (xv.min() < lo - tol or xv.max() > hi + tol):
-        raise DomainError(f"x outside piece {n} = [{lo:g}, {hi:g}]")
-    out = np.clip(a + math.ldexp(1.0, n - 1) * (xv - lo), a, a + 0.5 * w)
-    return float(out) if out.shape == () else out
+    # a_0 ... a_24 of the construction's box, a_n = a + width (1 - 2^-n); exact for binary widths
+    return np.array([tc.rect.a + tc.rect.width * (1.0 - math.ldexp(1.0, -n)) for n in range(_DEPTH + 1)])
 
 
 @dataclass(frozen=True)
@@ -229,19 +201,18 @@ def _constant(k: float = 1.0) -> FunctionSource:
     if not math.isfinite(k):
         raise ParameterError("constant level must be finite", parameter="k")
     return CallableSource(
-        lambda x, y: np.full(np.broadcast_shapes(np.shape(x), np.shape(y)), k),
         name=f"constant:{k:g}",
-        split=(lambda x: np.full(np.shape(x), k), lambda y: np.zeros(np.shape(y))),
+        split=(lambda x: np.full(np.shape(x), k), lambda y: np.full(np.shape(y), -0.0)),  # k + -0.0 is k, signed zeros too
         sup_bound=lambda box: abs(k),
         smooth=True,
     )
 
 
 def _plane() -> FunctionSource:
+    coord = lambda t: np.asarray(t, dtype=np.float64)
     return CallableSource(
-        lambda x, y: x + y,
         name="plane",
-        split=(lambda x: np.asarray(x, dtype=np.float64) + 0.0, lambda y: np.asarray(y, dtype=np.float64) + 0.0),
+        split=(coord, coord),
         sup_bound=lambda box: max(abs(box.a + box.c), abs(box.b + box.d)),
         smooth=True,
     )
@@ -267,7 +238,6 @@ def _sine_parabola() -> FunctionSource:
 
     g = lambda x: np.sin(np.asarray(x, dtype=np.float64) * (np.asarray(x, dtype=np.float64) - 0.5))
     return CallableSource(
-        lambda x, y: np.sin(x * (x - 0.5)) + np.zeros(np.shape(y)),
         name="sine-parabola",
         split=(g, lambda y: np.zeros(np.shape(y))),
         sup_bound=bound,
@@ -308,7 +278,6 @@ def _weierstrass(lam: float = 2.0, s: float = 2.5, kmax: float = 12) -> Function
 
     total = 2.0 * float(np.sum(amps))
     return CallableSource(
-        lambda x, y: univ(x) + univ(y),
         name=f"weierstrass:{lam:g},{s:g},{k}",
         split=(univ, univ),
         sup_bound=lambda box: total,

@@ -293,10 +293,6 @@ class GridSamples:
     def value(self, i: int, j: int) -> float:
         return float(self.values[i * self.spec.n + j])
 
-    @staticmethod
-    def from_matrix(spec: GridSpec, matrix: np.ndarray) -> "GridSamples":
-        return GridSamples(spec, np.asarray(matrix, dtype=np.float64).reshape(-1))
-
 
 # ---------------------------------------------------------------------------
 # function sources
@@ -310,6 +306,7 @@ class FunctionSource:
     is the box where evaluation is defined; ``None`` means unrestricted.
     ``xy_split()`` optionally exposes an additive split f(x, y) = g(x) + h(y)
     used by the split shared mesh; sources without one return ``None``.
+    A source with a split is defined by it: ``eval`` must be g(x) + h(y).
     ``smooth`` declares f twice continuously differentiable on its domain,
     so a product-trapezoid rule on f is second order; like the split it is
     a promise the source makes, not something checked.  ``edges`` =
@@ -352,11 +349,15 @@ class FunctionSource:
 
 
 class CallableSource(FunctionSource):
-    """FunctionSource over a plain numpy-broadcastable callable."""
+    """FunctionSource over a plain numpy-broadcastable callable ``fn``, or over a split.
+
+    ``split=(g, h)`` defines the source f(x, y) = g(x) + h(y): ``eval`` sums the two, so the
+    tensor route and the split mesh read one function.  Give exactly one of ``fn`` and ``split``.
+    """
 
     def __init__(
         self,
-        fn: Callable,
+        fn: Callable | None = None,
         name: str = "callable",
         domain: Box | None = None,
         split: tuple[Callable, Callable] | None = None,
@@ -364,6 +365,11 @@ class CallableSource(FunctionSource):
         smooth: bool = False,
         edges: tuple[float, float] | None = None,
     ):
+        if (fn is None) == (split is None):
+            raise ParameterError("give exactly one of fn and split", parameter="fn")
+        if split is not None:
+            g, h = split
+            fn = lambda x, y: g(x) + h(y)
         self._fn = fn
         self.name = name
         self.domain = domain

@@ -991,7 +991,7 @@ def compose_semigroup(
     ratio[0, 1:] = ratio[1, 1:]
     ratio[1:, 0] = ratio[1:, 1]
     ratio[0, 0] = ratio[1, 1]
-    smooth = SampledSource(GridSamples.from_matrix(inner_spec, ratio), name="inner-ratio")
+    smooth = SampledSource(GridSamples(inner_spec, ratio), name="inner-ratio")
     restored = CallableSource(
         lambda x, y: smooth.eval(x, y) * edge_profile(x, y),
         name="inner",

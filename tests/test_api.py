@@ -24,7 +24,7 @@ SIGNATURES = {
     "GridSamples": "(spec: 'GridSpec', values: 'np.ndarray') -> None",
     "FunctionSource": '()',
     "CallableSource": (
-        "(fn: 'Callable', name: 'str' = 'callable', domain: 'Box | None' = None, "
+        "(fn: 'Callable | None' = None, name: 'str' = 'callable', domain: 'Box | None' = None, "
         "split: 'tuple[Callable, Callable] | None' = None, sup_bound: 'Callable[[Box], float] | None' = None, "
         "smooth: 'bool' = False, edges: 'tuple[float, float] | None' = None)"
     ),
@@ -97,7 +97,6 @@ SIGNATURES = {
     "default_deltas": "(spec) -> 'list[float]'",
     "TConstruction": "(rect: 'Box', phi: 'FunctionSource') -> None",
     "TSource": "(tc: 'TConstruction', name: 'str | None' = None)",
-    "psi_n": "(x, n: 'int', a: 'float', b: 'float')",
     "t_eval": "(tc: 'TConstruction', x, y)",
     "CatalogEntry": (
         "(name: 'str', summary: 'str', box: 'Box', continuous: 'bool', bounded_variation: 'bool', "

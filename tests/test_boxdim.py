@@ -172,8 +172,9 @@ def test_dimension_fit_validation():
     pts = ((0.5, 10), (0.25, 40), (0.125, 160))
     fit = DimensionFit(points=pts, slope=2.0, intercept=1.0, r_squared=1.0, which="lower")
     assert fit.points == pts
-    with pytest.raises(ParameterError):
-        DimensionFit(points=pts, slope=2.0, intercept=1.0, r_squared=1.0, which="median")
+    for which in ("median", "oracle"):  # a fit is of the lower or the upper count
+        with pytest.raises(ParameterError, match="^which must be lower or upper$"):
+            DimensionFit(points=pts, slope=2.0, intercept=1.0, r_squared=1.0, which=which)
     with pytest.raises(ResolutionError):
         DimensionFit(points=pts[:2], slope=2.0, intercept=1.0, r_squared=1.0, which="lower")
     with pytest.raises(ParameterError):
@@ -323,7 +324,7 @@ def test_bruteforce_equals_per_cell_count_on_random_fields(seed):
     square = GridSpec(UNIT, 65, 65)
     skew = GridSpec(Box(-1.0, 2.0, 0.5, 1.7), 97, 37)  # non-square cells and grid
     for spec, deltas in ((square, _EDGE_CASE_DELTAS), (skew, (0.3, 0.1, 0.123456))):
-        g = GridSamples.from_matrix(spec, rng.standard_normal((spec.m, spec.n)))
+        g = GridSamples(spec, rng.standard_normal((spec.m, spec.n)))
         for d in deltas:
             assert boxcount_bruteforce_3d(g, d) == _per_cell_count(g, d), (spec, d)
 
@@ -479,7 +480,7 @@ def test_ladder_equals_per_delta_counts_on_random_fields(seed):
         GridSpec(Box(1e3, 1e3 + 2.0, -7.3, -5.1), 161, 177),  # away from the origin
     )
     for spec in specs:
-        g = GridSamples.from_matrix(spec, rng.standard_normal((spec.m, spec.n)))
+        g = GridSamples(spec, rng.standard_normal((spec.m, spec.n)))
         side = min(spec.rect.width, spec.rect.height)
         _assert_ladder_matches(g, default_deltas(spec))
         _assert_ladder_matches(g, [side * f for f in (0.3, 0.1, 0.07, 0.05, 0.25, 0.125)])
@@ -488,7 +489,7 @@ def test_ladder_equals_per_delta_counts_on_random_fields(seed):
 
 def test_ladder_on_deltas_that_do_not_nest_or_leave_a_short_cell(matrix_reads):
     rng = np.random.default_rng(7)
-    g = GridSamples.from_matrix(GridSpec(UNIT, 129, 97), rng.standard_normal((129, 97)))
+    g = GridSamples(GridSpec(UNIT, 129, 97), rng.standard_normal((129, 97)))
     _assert_ladder_matches(g, [0.3, 0.1, 0.07])
     del matrix_reads[:]
     boxdim._ladder(g, [0.3, 0.1, 0.07])
@@ -504,7 +505,7 @@ def test_ladder_on_deltas_that_do_not_nest_or_leave_a_short_cell(matrix_reads):
 
 def test_ladder_keeps_order_duplicates_drops_and_errors():
     rng = np.random.default_rng(3)
-    g = GridSamples.from_matrix(GridSpec(UNIT, 65, 65), rng.standard_normal((65, 65)))
+    g = GridSamples(GridSpec(UNIT, 65, 65), rng.standard_normal((65, 65)))
     cases = [
         [0.0625, 0.25, 1.5, 0.125, 1e-5],  # unsorted, two dropped
         [0.125, 0.5, 0.25, 0.125, 0.0625],  # a duplicate: deltas must be distinct
@@ -537,14 +538,15 @@ def test_ladder_reads_the_matrix_where_finer_windows_do_not_tile(matrix_reads):
     coarse = 2.0 * fine
     edge = 0.0 + coarse * 2
     assert 1e-9 * fine < x_node - edge <= 1e-9 * coarse
-    flat = GridSamples.from_matrix(spec, np.zeros((81, 65)))
+    flat = GridSamples(spec, np.zeros((81, 65)))
     fine_win, coarse_win = boxdim._level(flat, fine).xwin, boxdim._level(flat, coarse).xwin
     assert coarse_win[1][1] == 49 and fine_win[1][3] == 48  # the coarse cell left of the edge holds the node
     assert boxdim._runs(fine_win, coarse_win) is None
+
     rng = np.random.default_rng(11)
     mat = 0.01 * rng.standard_normal((81, 65))
     mat[48] += 50.0  # the node's row sets the oscillation of the cells around it
-    g = GridSamples.from_matrix(spec, mat)
+    g = GridSamples(spec, mat)
     deltas = [coarse, fine, fine / 2]
     _assert_ladder_matches(g, deltas)
     del matrix_reads[:]
@@ -554,10 +556,16 @@ def test_ladder_reads_the_matrix_where_finer_windows_do_not_tile(matrix_reads):
     assert matrix_reads == [14, 7, 4]
 
 
+def test_runs_need_each_run_without_gaps():
+    coarse = (np.array([0]), np.array([6]))
+    assert np.array_equal(boxdim._runs((np.array([0, 3]), np.array([3, 6])), coarse), [0])
+    assert boxdim._runs((np.array([0, 4]), np.array([3, 6])), coarse) is None  # node 3 lies in no fine window
+
+
 def test_dyadic_4097_ladder_reads_the_matrix_once(matrix_reads):
     spec = GridSpec(UNIT, 4097, 4097)
     xs = spec.xs()
-    g = GridSamples.from_matrix(spec, np.sin(37.0 * xs)[:, None] * np.cos(23.0 * xs)[None, :])
+    g = GridSamples(spec, np.sin(37.0 * xs)[:, None] * np.cos(23.0 * xs)[None, :])
     deltas = default_deltas(spec)
     assert len(deltas) == 8
     fit = dimension_fit(g, deltas)
@@ -601,7 +609,7 @@ def test_streamed_ladder_equals_the_sampled_one(monkeypatch, block):
     if block < core._APPLY_BLOCK:
         monkeypatch.setattr(core, "_GRAIN", 64)
     rng = np.random.default_rng(23)
-    field = SampledSource(GridSamples.from_matrix(GridSpec(UNIT, 97, 129), rng.standard_normal((97, 129))))
+    field = SampledSource(GridSamples(GridSpec(UNIT, 97, 129), rng.standard_normal((97, 129))))
     cases = [
         (make_source("weierstrass"), GridSpec(UNIT, 257, 257)),
         (make_source("t-parabola-sine"), GridSpec(UNIT, 257, 193)),

@@ -622,6 +622,12 @@ def test_construct_first_slice_matches_seed(capsys, tmp_path):
     assert np.array_equal(t.matrix[:5, :], s.matrix)
 
 
+def test_construct_keeps_the_sign_of_a_zero_level(capsys, tmp_path):
+    path = tmp_path / "c.csv"
+    code, _, _ = run_cli(capsys, "construct", "--fn", "constant:-0", "--grid", "3,3", "--out", str(path))
+    assert code == 0 and [row.split(",")[2] for row in path.read_text().splitlines()[1:]] == ["-0"] * 9
+
+
 def test_construct_seam_violation_exit_2(capsys):
     code, _, err = run_cli(capsys, "construct", "--fn", "t:plane")
     assert code == 2 and "seam" in err["message"]

@@ -10,6 +10,7 @@ from fracdim2d import (
     DomainError,
     GridSpec,
     ParameterError,
+    ShiftedSource,
     SizeError,
     TConstruction,
     TSource,
@@ -18,40 +19,9 @@ from fracdim2d import (
     default_box,
     make_source,
     positive_source,
-    psi_n,
     sample,
     t_eval,
 )
-
-
-# ---------------------------------------------------------------------------
-# piece maps
-
-
-def test_psi_first_piece_is_identity():
-    xs = np.linspace(0.0, 0.5, 9)
-    assert np.array_equal(psi_n(xs, 1, 0.0, 1.0), xs)
-
-
-def test_psi_endpoints_map_to_strip_edges():
-    a, b = 0.0, 1.0
-    for n in range(1, 12):
-        lo = a + (b - a) * (1.0 - 2.0 ** -(n - 1))
-        hi = a + (b - a) * (1.0 - 2.0 ** -n)
-        assert psi_n(lo, n, a, b) == a
-        assert psi_n(hi, n, a, b) == (a + b) / 2
-        # slope doubles per piece
-        mid = (lo + hi) / 2
-        assert psi_n(mid, n, a, b) == pytest.approx((a + (a + b) / 2) / 2, abs=1e-12)
-
-
-def test_psi_rejects_bad_arguments():
-    with pytest.raises(ParameterError):
-        psi_n(0.2, 0, 0.0, 1.0)
-    with pytest.raises(ParameterError):
-        psi_n(0.2, 1, 1.0, 1.0)
-    with pytest.raises(DomainError):
-        psi_n(0.9, 1, 0.0, 1.0)  # x is in piece 2, not piece 1
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +99,9 @@ def test_tsource_domain_and_bounds():
     assert src.sup_bound is not None
     # convex combinations of seed values: sup |T| = sup |phi| = 0.0625 sin(1)
     assert src.sup_bound(src.domain) == pytest.approx(0.0625 * math.sin(1.0), rel=1e-12)
+    # a y-range that misses the construction falls back to the whole strip
+    seed = make_source("parabola-sine")
+    assert src.sup_bound(Box(0, 1, 5, 6)) == seed.sup_bound(Box(0, 0.5, 0, 1)) != seed.sup_bound(Box(0, 0.5, 5, 6))
     with pytest.raises(DomainError):
         src(1.5, 0.5)
 
@@ -247,6 +220,24 @@ def test_make_source_parameter_errors():
         make_source("constant:zebra")
     with pytest.raises(ParameterError):
         make_source("t:plane")  # seam mismatch propagates
+
+
+def test_parabola_sine_bound_reaches_one_where_sin_peaks():
+    # [1, 2] holds pi/2, so sup |sin y| is 1 there, not max(|sin 1|, |sin 2|)
+    assert make_source("parabola-sine").sup_bound(Box(0, 0.5, 1, 2)) == 0.0625
+
+
+def test_a_split_source_evaluates_as_its_split():
+    split = [name for name in catalog_names() if make_source(name).xy_split() is not None]
+    assert split == ["constant", "plane", "sine-parabola", "weierstrass"]
+    for name in [*split, "constant:-0"]:
+        box = default_box(name)
+        for src, at in ((make_source(name), box), (ShiftedSource(make_source(name), 1, 1), box.shifted(1, 1))):
+            spec = GridSpec(at, 33, 17)
+            xs, ys = spec.xs()[:, None], spec.ys()[None, :]
+            g, h = src.xy_split()
+            want = np.broadcast_to(g(xs) + h(ys), (33, 17))
+            assert np.broadcast_to(src.eval(xs, ys), (33, 17)).tobytes() == want.tobytes(), src.name
 
 
 def test_constant_accepts_level():

@@ -116,12 +116,14 @@ def test_gridspec_rejects_tiny_grids():
         GridSpec(Box(0, 1, 0, 1), 1, 5)
     with pytest.raises(ParameterError):
         GridSpec(Box(0, 1, 0, 1), 5, 0)
+    with pytest.raises(ParameterError, match="^m must be an integer$"):
+        GridSpec(Box(0, 1, 0, 1), 2.5, 3)
 
 
 def test_gridsamples_matrix_round_trip():
     spec = GridSpec(Box(0, 1, 0, 1), 3, 4)
     mat = np.arange(12, dtype=np.float64).reshape(3, 4)
-    gs = GridSamples.from_matrix(spec, mat)
+    gs = GridSamples(spec, mat)
     assert np.array_equal(gs.matrix, mat)
     assert gs.value(2, 3) == 11.0
     with pytest.raises(ParameterError):
@@ -139,12 +141,22 @@ def test_gridsamples_rejects_non_finite():
 
 
 def test_callable_source_eval_and_split():
-    src = CallableSource(lambda x, y: x + 2 * y, name="affine", split=(lambda x: np.asarray(x, float), lambda y: 2 * np.asarray(y, float)))
+    src = CallableSource(name="affine", split=(lambda x: np.asarray(x, float), lambda y: 2 * np.asarray(y, float)))
     assert src(0.5, 0.25) == 1.0
     g, h = src.xy_split()
     assert g(3.0) == 3.0 and h(3.0) == 6.0
     arr = src.eval(np.array([0.0, 1.0])[:, None], np.array([0.0, 1.0])[None, :])
     assert np.array_equal(np.broadcast_to(arr, (2, 2)), [[0, 2], [1, 3]])
+    called = src(np.array([0.5, 1.0]), np.array([0.25, 0.5]))
+    assert type(called) is np.ndarray and np.array_equal(called, [1.0, 2.0])
+
+
+def test_callable_source_takes_fn_or_split_and_not_both():
+    split = (np.sin, np.cos)
+    for kwargs in ({"fn": lambda x, y: np.sin(x) + np.cos(y), "split": split}, {}):
+        with pytest.raises(ParameterError, match="^give exactly one of fn and split$") as err:
+            CallableSource(**kwargs)
+        assert err.value.parameter == "fn"
 
 
 def test_sampled_source_exact_at_nodes_and_bilinear_between():
@@ -198,7 +210,7 @@ def test_sampled_source_eval_on_axis_shapes_matches_the_broadcast_interpolant(bo
     # cells are found on each axis's own shape; the values are those of the broadcast form, bit for bit
     rng = np.random.default_rng(m * n)
     spec = GridSpec(box, m, n)
-    src = SampledSource(GridSamples.from_matrix(spec, rng.standard_normal((m, n))))
+    src = SampledSource(GridSamples(spec, rng.standard_normal((m, n))))
     xs, ys = spec.xs(), spec.ys()
     sx, sy = box.slack()
     qx = np.concatenate([rng.uniform(box.a - sx, box.b + sx, 4000), xs, np.nextafter(xs, -np.inf), np.nextafter(xs, np.inf)])
@@ -262,7 +274,7 @@ def test_shifted_source_eval_domain_split_sup():
 
 
 def test_shifted_source_preserves_split():
-    base = CallableSource(lambda x, y: np.sin(x) + np.cos(y), name="s", split=(np.sin, np.cos))
+    base = CallableSource(name="s", split=(np.sin, np.cos))
     sh = ShiftedSource(base, 1.0, 1.0)
     g, h = sh.xy_split()
     assert g(1.5) == pytest.approx(math.sin(0.5), abs=1e-15)

@@ -410,7 +410,7 @@ def test_point_calls_and_sampled_box_counts_stay_on_the_calling_thread(monkeypat
 # ---------------------------------------------------------------------------
 # shared-mesh route: method="auto" on sources with an additive split
 
-SIN_COS = CallableSource(lambda x, y: np.sin(x) + np.cos(y), name="sin+cos", split=(np.sin, np.cos))
+SIN_COS = CallableSource(name="sin+cos", split=(np.sin, np.cos))
 
 
 def _axis_identity(lo, x, order):
@@ -585,6 +585,7 @@ def test_only_a_lattice_mesh_takes_one_row_weights(monkeypatch):
         fracint._mesh(1.0, his, -1.0, 64).u,  # Hadamard: u = log s
         fracint._mesh(1.0, his, 0.0, 64, 0.5).u,  # the lead-in graded toward the lower limit
         fracint._mesh(box.a, spec.xs(), 0.0, 64, None, tparab.knots()[0]).u,  # the staircase's knot mesh
+        np.array([2.0**-60, 1.0]),  # one step of 2^60 - 1 lattice units of 2^-60, past 2^52
     ):
         assert not fracint._lattice(u)
     # the README's dimension of the integral of the Weierstrass surface: one mesh of N nodes for both
@@ -627,11 +628,7 @@ def test_hadamard_is_the_minus_one_member_bit_for_bit():
 
 
 # 1 = g(x) + h(y) on any box: the split routes take it, and the tensor route when asked
-ONE = CallableSource(
-    lambda x, y: np.ones(np.broadcast_shapes(np.shape(x), np.shape(y))),
-    name="one",
-    split=(lambda t: np.ones(np.shape(t)), lambda t: np.zeros(np.shape(t))),
-)
+ONE = CallableSource(name="one", split=(lambda t: np.ones(np.shape(t)), lambda t: np.zeros(np.shape(t))))
 
 
 def _constant_routes(k: float) -> dict:
@@ -643,7 +640,7 @@ def _constant_routes(k: float) -> dict:
     split = (lambda t: np.full(np.shape(t), k), lambda t: np.zeros(np.shape(t)))
     return {
         "tensor": (CallableSource(f, name="k"), "tensor"),
-        "mesh-split": (CallableSource(f, name="k", split=split), "auto"),
+        "mesh-split": (CallableSource(name="k", split=split), "auto"),
         "mesh-2d": (CallableSource(f, name="k", smooth=True), "auto"),
     }
 
@@ -706,7 +703,7 @@ def _linear_in_u(a: float, p: float) -> CallableSource:
     # linear in u, split from h = 0 on y
     rho = p + 1.0
     g = (lambda s: np.asarray(s, dtype=np.float64) ** rho) if rho else (lambda s: 1.0 + (np.log(np.asarray(s, dtype=np.float64)) - math.log(a)))
-    return CallableSource(lambda x, y: g(x) + 0.0 * np.asarray(y), name="linear-in-u", split=(g, lambda t: np.zeros(np.shape(t))))
+    return CallableSource(name="linear-in-u", split=(g, lambda t: np.zeros(np.shape(t))))
 
 
 # small lower limits at large weights, where lo^rho is subnormal or 0, and boxes wider than float64's
@@ -1131,7 +1128,7 @@ def test_split_mesh_evaluates_a_shared_axis_function_once():
         calls.append(np.size(t))
         return np.sin(3.0 * t)
 
-    src = ShiftedSource(CallableSource(lambda x, y: univ(x) + univ(y), split=(univ, univ)), 0.5, 0.5)
+    src = ShiftedSource(CallableSource(split=(univ, univ)), 0.5, 0.5)
     spec = GridSpec(Box(1.5, 2.5, 1.5, 2.5), 9, 9)
     quad = QuadratureSpec(panels=32)
     same = katugampola_2d_grid(src, spec, HALF, quad, method="auto")
@@ -1140,7 +1137,7 @@ def test_split_mesh_evaluates_a_shared_axis_function_once():
     katugampola_2d_grid(src, spec, FracOrder(0.5, 0.3), quad, method="auto")
     assert len(calls) == 2  # the axes differ in order: a mesh each
     # the one evaluation is the one each axis would have made alone
-    twice = CallableSource(lambda x, y: univ(x) + univ(y), split=(univ, lambda t: univ(t)))
+    twice = CallableSource(split=(univ, lambda t: univ(t)))
     apart = katugampola_2d_grid(ShiftedSource(twice, 0.5, 0.5), spec, HALF, quad, method="auto")
     assert same.values.tobytes() == apart.values.tobytes()
 
@@ -1334,6 +1331,15 @@ def test_operator_rejects_boxes_touching_the_axes():
         katugampola_2d(make_source("constant:1"), Box(0.0, 1.0, 1.0, 2.0), 0.5, 1.5, HALF)
     with pytest.raises(DomainError):
         katugampola_2d_grid(make_source("constant:1"), GridSpec(Box(1, 2, 0, 1), 5, 5), HALF)
+    with pytest.raises(DomainError, match="^lower limit must satisfy a > 0, got a=0.0$"):
+        katugampola_1d(np.sin, 0.0, 1.0, 0.5)
+
+
+def test_operators_refuse_a_zero_order_and_a_non_callable():
+    with pytest.raises(ParameterError, match="^orders must be positive$"):
+        riemann_liouville_2d(make_source("sinxy"), BOX, 1.5, 1.5, 0.0, 0.5)
+    with pytest.raises(ParameterError, match="^f must be a FunctionSource or a callable$"):
+        katugampola_2d(3, BOX, 1.5, 1.5, HALF)
 
 
 def test_operator_rejects_uncovered_source_domain():

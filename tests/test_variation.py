@@ -14,6 +14,7 @@ from fracdim2d import (
     VariationResult,
     arzela_variation,
     arzela_variation_bruteforce,
+    default_box,
     make_source,
     sample,
     variation_trend,
@@ -416,6 +417,8 @@ def test_variation_result_validates_path():
         VariationResult(value=-1.0, argpath=((0, 0),))
     with pytest.raises(ParameterError):
         VariationResult(value=math.nan, argpath=((0, 0),))
+    with pytest.raises(ParameterError, match="^argpath must contain at least one node$"):
+        VariationResult(1.0, ())
 
 
 def test_variation_rejects_bad_input():
@@ -441,6 +444,22 @@ def test_variation_trend_diverges_for_staircase_construction():
     series = variation_trend(src, src.domain, (16, 32, 64))
     vals = [v for _, v in series]
     assert vals[0] < vals[1] < vals[2]
+
+
+# V_phi, the seed's variation along x on its half strip, in closed form: sin(x(x - 1/2)) falls from
+# 0 to -sin(1/16) and climbs back; x(x - 1/2) sin y does the same at amplitude 1/16 sin y, largest at y = 1
+_SEED_VARIATION = {"t-sine-parabola": 2.0 * math.sin(1.0 / 16.0), "t-parabola-sine": math.sin(1.0) / 8.0}
+
+
+@pytest.mark.parametrize("name", sorted(_SEED_VARIATION))
+def test_staircase_variation_grows_as_the_harmonic_numbers(name):
+    # on 2^j + 1 nodes a side, pieces 1 ... j-1 each hold the peak of their hump, of amplitude 1/n, as a
+    # node and piece j holds none: the grid variation is V_phi H_(j-1), without bound up to the resolved pieces
+    box = default_box(name)
+    for j in range(3, 11):
+        harmonic = math.fsum(1.0 / k for k in range(1, j))
+        got = arzela_variation(sample(make_source(name), GridSpec(box, 2**j + 1, 2**j + 1))).value
+        assert got == pytest.approx(_SEED_VARIATION[name] * harmonic, rel=1e-12, abs=0.0), j
 
 
 def test_variation_trend_validates_levels():
