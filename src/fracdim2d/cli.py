@@ -78,14 +78,17 @@ def _fail(code: int, message: str, parameter: str | None = None) -> int:
 
 
 def _parse_floats(text: str, count: int | None, flag: str) -> list[float]:
-    """Comma-separated numbers; ``count`` None accepts any number of them."""
+    """Comma-separated finite numbers; ``count`` None accepts any number of them."""
     parts = [p.strip() for p in text.split(",")]
     if count is not None and len(parts) != count:
         raise ParameterError(f"{flag} needs {count} comma-separated numbers, got {text!r}", parameter=flag.lstrip("-"))
     try:
-        return [float(p) for p in parts]
+        vals = [float(p) for p in parts]
     except ValueError:
         raise ParameterError(f"{flag} has a non-numeric entry in {text!r}", parameter=flag.lstrip("-"))
+    if not np.isfinite(vals).all():
+        raise ParameterError(f"{flag} has a non-finite entry in {text!r}", parameter=flag.lstrip("-"))
+    return vals
 
 
 def _parse_grid(text: str) -> tuple[int, int]:

@@ -32,7 +32,6 @@ from .core import (
     Box,
     CallableSource,
     CatalogError,
-    DomainError,
     FunctionSource,
     ParameterError,
     ShiftedSource,
@@ -107,14 +106,11 @@ def t_eval(tc: TConstruction, x, y):
     limit column phi(a, y) on y alone, so each is computed on its own
     input's shape; only phi(psi, y) and the blend run at the broadcast
     shape.  Every entry equals the one computed on broadcast inputs.
+    Queries follow ``Box._clip`` of the rectangle, the one point-query rule.
     """
     r = tc.rect
-    xv = np.asarray(x, dtype=np.float64)
-    yv = np.asarray(y, dtype=np.float64)
-    if r._outside(xv, yv):
-        raise DomainError("query outside the construction rectangle")
-    w = r.width
-    rem = np.clip((r.b - xv) / w, 0.0, 1.0)
+    xv, yv = r._clip(x, y, "query outside the construction rectangle")
+    rem = (r.b - xv) / r.width  # in [0, 1]: x is in [a, b]
     tail = rem <= math.ldexp(1.0, -_DEPTH)
     with np.errstate(divide="ignore"):
         kk = np.where(tail, 1, np.floor(-np.log2(np.where(tail, 1.0, rem))).astype(np.int64) + 1)

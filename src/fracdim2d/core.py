@@ -136,7 +136,7 @@ class Box:
         return self.d - self.c
 
     def slack(self) -> tuple[float, float]:
-        """How far past its bounds an (x, y) coordinate may fall and still count as inside: every test reads it here."""
+        """How far past its bounds an (x, y) coordinate may fall and still count as inside: ``covers`` and ``_clip`` read it."""
         return _BOX_SLACK * max(1.0, abs(self.a), abs(self.b)), _BOX_SLACK * max(1.0, abs(self.c), abs(self.d))
 
     def covers(self, other: "Box") -> bool:
@@ -149,12 +149,19 @@ class Box:
             and other.d <= self.d + sy
         )
 
-    def _outside(self, x: np.ndarray, y: np.ndarray) -> bool:
-        """True when a query at (x, y) reaches past this box by more than ``slack``; an empty query never does."""
+    def _clip(self, x, y, refusal: str) -> tuple[np.ndarray, np.ndarray]:
+        """The one rule of every point query: (x, y) as float64 arrays clipped into this box.
+
+        ``DomainError(refusal)`` when a coordinate, NaN included, is not within ``slack``; an empty query never is.
+        """
+        x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
         sx, sy = self.slack()
-        return bool(x.size and y.size) and (
-            x.min() < self.a - sx or x.max() > self.b + sx or y.min() < self.c - sy or y.max() > self.d + sy
-        )
+        # written so that NaN, which fails every comparison, fails the test
+        if x.size and y.size and not (
+            x.min() >= self.a - sx and x.max() <= self.b + sx and y.min() >= self.c - sy and y.max() <= self.d + sy
+        ):
+            raise DomainError(refusal)
+        return np.clip(x, self.a, self.b), np.clip(y, self.c, self.d)
 
     def shifted(self, dx: float, dy: float) -> "Box":
         return Box(self.a + dx, self.b + dx, self.c + dy, self.d + dy)
@@ -393,9 +400,9 @@ class SampledSource(FunctionSource):
     """Bilinear interpolation of grid samples.
 
     Exact at the grid nodes: querying a node coordinate reproduces the
-    stored sample bit for bit.  Queries outside the grid's box (beyond
-    ``Box.slack``) raise ``DomainError``.  The interpolant is bilinear on
-    every grid cell, so its knots are the grid nodes.
+    stored sample bit for bit.  Queries follow ``Box._clip`` of the grid's
+    box, the one point-query rule.  The interpolant is bilinear on every
+    grid cell, so its knots are the grid nodes.
     """
 
     def __init__(self, samples: GridSamples, name: str = "sampled"):
@@ -410,13 +417,8 @@ class SampledSource(FunctionSource):
 
     def eval(self, x, y):
         # cells and offsets on each axis's own shape; only the blend runs at the broadcast shape
-        xv = np.asarray(x, dtype=np.float64)
-        yv = np.asarray(y, dtype=np.float64)
-        shape = np.broadcast_shapes(xv.shape, yv.shape)
-        r = self.domain
-        if r._outside(xv, yv):
-            raise DomainError("query outside the sampled box")
-        xf, yf = np.clip(xv, r.a, r.b), np.clip(yv, r.c, r.d)
+        xf, yf = self.domain._clip(x, y, "query outside the sampled box")
+        shape = np.broadcast_shapes(xf.shape, yf.shape)
         m, n = self.samples.spec.m, self.samples.spec.n
         i = np.clip(np.searchsorted(self._xs, xf, side="right") - 1, 0, m - 2)
         j = np.clip(np.searchsorted(self._ys, yf, side="right") - 1, 0, n - 2)

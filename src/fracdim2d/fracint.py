@@ -649,20 +649,6 @@ def _as_source(f) -> FunctionSource:
     raise ParameterError("f must be a FunctionSource or a callable")
 
 
-def _clip_to(lo: float, hi: float, tol: float, v: float, what: str) -> float:
-    v = float(v)
-    if not math.isfinite(v) or v < lo - tol or v > hi + tol:
-        raise DomainError(f"{what}={v} outside [{lo}, {hi}]")
-    return min(max(v, lo), hi)
-
-
-def _clip_axes(rect: Box, xs, ys) -> tuple[list[float], list[float]]:
-    # coordinates beyond the rectangle's slack are refused, the rest clipped into it
-    tx, ty = rect.slack()
-    xs = [_clip_to(rect.a, rect.b, tx, x, "x") for x in np.ravel(xs)]
-    return xs, [_clip_to(rect.c, rect.d, ty, y, "y") for y in np.ravel(ys)]
-
-
 def _clean(v):
     if not np.isfinite(v).all():
         raise NumericError("fractional integral evaluated to a non-finite value")
@@ -719,11 +705,11 @@ def katugampola_1d(g: Callable, a: float, x: float, alpha: float, p: float = 0.0
 def katugampola_2d(f, rect: Box, x: float, y: float, order: FracOrder, quad: QuadratureSpec | None = None) -> float:
     """Mixed operator applied to f, evaluated at a single point of ``rect``.
 
-    The lower limits are the rectangle's lower-left corner; (x, y) must lie
-    inside the rectangle.  Values on the edges x == a or y == c are 0.
+    The lower limits are the rectangle's lower-left corner; (x, y) follows
+    ``Box._clip``, the one point-query rule.  Values on the edges x == a or y == c are 0.
     """
     src, quad = _checked(f, rect, quad)
-    xs, ys = _clip_axes(rect, x, y)
+    xs, ys = rect._clip(x, y, f"point ({x}, {y}) outside {rect}")
     return float(_tensor(src, rect, xs, ys, order, quad)[0, 0])
 
 
@@ -861,7 +847,7 @@ def _rl_nodes(f, rect: Box, xs, ys, alpha: float, beta: float, quad: QuadratureS
         raise ParameterError("orders must be positive", parameter="alpha")
     src, quad = _checked(f, rect, quad)
     P = quad.panels
-    xs, ys = _clip_axes(rect, xs, ys)
+    xs, ys = (v.ravel().tolist() for v in rect._clip(xs, ys, f"oracle node outside {rect}"))
     gr = quad.graded(alpha, beta)
 
     def rule(lo: float, hi: float, order: float):
@@ -893,11 +879,11 @@ def _rl_nodes(f, rect: Box, xs, ys, alpha: float, beta: float, quad: QuadratureS
 def riemann_liouville_2d(f, rect: Box, x: float, y: float, alpha: float, beta: float, quad: QuadratureSpec | None = None) -> float:
     """Two-dimensional Riemann-Liouville integral, implemented directly.
 
-    Same panel geometry as the mixed operator at p = q = 0, but the
-    kernel, midpoints, and moments are computed from their untransformed
-    definitions in plain float arithmetic, and the accumulation runs
-    through ``math.fsum``.  Serves as an independent check of the p = q = 0
-    reduction; agreement is to rounding, not bit for bit.
+    Same panel geometry as the mixed operator at p = q = 0, but the kernel, midpoints,
+    and moments are computed from their untransformed definitions in plain float
+    arithmetic, and the accumulation runs through ``math.fsum``.  Serves as an independent
+    check of the p = q = 0 reduction; agreement is to rounding, not bit for bit.
+    (x, y) follows ``Box._clip``, the one point-query rule.
 
     This is the 1x1 case of ``_rl_nodes``: rules are built once per
     distinct coordinate, each node's terms are summed by one ``math.fsum``
@@ -1041,13 +1027,12 @@ def boundedness_certificate(
     spec: GridSpec | GridSamples,
     order: FracOrder,
     quad: QuadratureSpec | None = None,
-    M: float | None = None,
 ) -> BoundCertificate:
     """Certify |If| <= M * (integral of 1 at the far corner) on a grid.
 
-    ``M`` must dominate sup|f| on the box; it defaults to the source's own
-    declared bound, and either way is sanity-checked against the sampled
-    sup of |f|.  The certificate's tolerance is the quadrature error
+    M is the source's declared ``sup_bound`` on the box, the one statement
+    of sup|f|, sanity-checked against the sampled sup of |f|; a source that
+    declares none is refused.  The certificate's tolerance is the quadrature error
     budget of ``quad_error_probe``.  The operator is evaluated on the grid and the
     observed sup compared against the closed-form bound.  ``spec`` may
     instead be the ``GridSamples`` of If that the caller already computed
@@ -1058,14 +1043,14 @@ def boundedness_certificate(
     spec = vals.spec if vals is not None else spec
     src, quad = _checked(f, spec.rect, quad, tensor=False)
     rect = spec.rect
-    if M is None and src.sup_bound is None:
-        raise ParameterError("source declares no sup bound; pass M", parameter="M")
-    M = float(src.sup_bound(rect) if M is None else M)
+    if src.sup_bound is None:
+        raise ParameterError(f"source {src.name!r} declares no sup bound", parameter="sup_bound")
+    M = float(src.sup_bound(rect))
     observed_f = float(np.max(np.abs(sample(src, spec).values)))
     if M < observed_f * (1.0 - 1e-12):
         raise ParameterError(
-            f"claimed sup bound M={M:g} is below a sampled value {observed_f:.17g} of |f|",
-            parameter="M",
+            f"declared sup bound M={M:g} is below a sampled value {observed_f:.17g} of |f|",
+            parameter="sup_bound",
         )
     tolerance = quad_error_probe(src, rect, order, quad)
     if vals is None:

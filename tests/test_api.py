@@ -78,7 +78,7 @@ SIGNATURES = {
     ),
     "boundedness_certificate": (
         "(f, spec: 'GridSpec | GridSamples', order: 'FracOrder', "
-        "quad: 'QuadratureSpec | None' = None, M: 'float | None' = None) -> 'BoundCertificate'"
+        "quad: 'QuadratureSpec | None' = None) -> 'BoundCertificate'"
     ),
     "quad_error_probe": "(f, rect: 'Box', order: 'FracOrder', quad: 'QuadratureSpec | None' = None) -> 'float'",
     "VariationResult": "(value: 'float', argpath: 'tuple[tuple[int, int], ...]') -> None",

@@ -412,6 +412,22 @@ def test_dimension_malformed_deltas_exit_2(capsys, deltas):
 
 
 @pytest.mark.parametrize(
+    "argv, parameter",
+    [
+        (("construct", "--fn", "sinxy", "--shift", "nan,0", "--grid", "3,3"), "shift"),
+        (("construct", "--fn", "sinxy", "--shift", "0,-inf", "--grid", "3,3"), "shift"),
+        (("construct", "--fn", "sinxy", "--rect", "1,2,1,nan", "--grid", "3,3"), "rect"),
+        (("dimension", "--fn", "plane", "--grid", "33,33", "--deltas", "nan"), "deltas"),
+        (("dimension", "--fn", "plane", "--grid", "33,33", "--deltas", "0.5,inf"), "deltas"),
+    ],
+)
+def test_non_finite_numbers_name_their_flag(capsys, argv, parameter):
+    # a nan or inf entry is refused by the flag that reads it, not later by the box or delta it reaches
+    code, err = _one_json_error(capsys, *argv)
+    assert code == 2 and err["parameter"] == parameter and err["message"].startswith(f"--{parameter} has a non-finite entry")
+
+
+@pytest.mark.parametrize(
     "row, parameter",
     [("-0.125,64", "deltas"), ("0,64", "deltas"), ("0.125,64.7", "counts")],
 )
@@ -1118,9 +1134,9 @@ def test_point_operator_loop_over_budget_exits_3_before_it_starts(capsys, monkey
     def refuse(*args, **kwargs):
         raise _Reached("classical operator called")
 
-    # the library checks the budget first: the contraction and the oracle's axis clipping come after it
+    # the library checks the budget first: the contraction and the point-query clipping come after it
     monkeypatch.setattr(fracint, "_tensor", refuse)
-    monkeypatch.setattr(fracint, "_clip_axes", refuse)
+    monkeypatch.setattr(Box, "_clip", refuse)
     argv = ["integrate", "--op", op, "--fn", "constant:2", "--alpha", ".5", "--beta", ".5"]
     t0 = time.perf_counter()
     code, err = _one_json_error(capsys, *argv, "--grid", "3000,3000")

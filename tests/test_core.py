@@ -27,12 +27,15 @@ from fracdim2d import (
     SampledSource,
     ShiftedSource,
     SizeError,
+    katugampola_2d,
     make_source,
     quad_error_probe,
     read_samples_csv,
     read_samples_json,
+    riemann_liouville_2d,
     sample,
     stable_sum,
+    t_eval,
     worker_count,
     write_samples_csv,
     write_samples_json,
@@ -185,6 +188,55 @@ def test_sampled_source_accepts_queries_up_to_the_box_slack():
             src.eval(x, y)
     assert box.covers(Box(box.a - sx, box.b + sx, box.c - sy, box.d + sy))
     assert not box.covers(Box(np.nextafter(box.a - sx, -9.0), box.b, box.c, box.d))
+
+
+_UNIT_RECT = Box(1.0, 2.0, 1.0, 2.0)
+
+
+def _point_queries():
+    """Every public point query, with the box whose ``Box._clip`` it follows."""
+    g = sample(make_source("sinxy"), GridSpec(_UNIT_RECT, 5, 5))
+    t = make_source("t-parabola-sine")
+    quad = QuadratureSpec(panels=8)
+    return {
+        "SampledSource.eval": (_UNIT_RECT, SampledSource(g).eval),
+        "TSource.eval": (t.domain, t.eval),
+        "t_eval": (t.domain, lambda x, y: t_eval(t.tc, x, y)),
+        "katugampola_2d": (_UNIT_RECT, lambda x, y: katugampola_2d(make_source("sinxy"), _UNIT_RECT, x, y, FracOrder(0.5, 0.5), quad)),
+        "riemann_liouville_2d": (_UNIT_RECT, lambda x, y: riemann_liouville_2d(make_source("sinxy"), _UNIT_RECT, x, y, 0.5, 0.5, quad)),
+    }
+
+
+@pytest.mark.parametrize("entry", list(_point_queries()))
+def test_every_point_query_refuses_the_same_queries(entry):
+    box, query = _point_queries()[entry]
+    sx, sy = box.slack()
+    mx, my = 0.5 * (box.a + box.b), 0.5 * (box.c + box.d)
+    past = (
+        (np.nextafter(box.a - sx, -np.inf), my),
+        (np.nextafter(box.b + sx, np.inf), my),
+        (mx, np.nextafter(box.c - sy, -np.inf)),
+        (mx, np.nextafter(box.d + sy, np.inf)),
+    )
+    for x, y in ((math.nan, my), (mx, math.nan), (math.inf, my), (mx, -math.inf), *past):
+        with pytest.raises(DomainError):
+            query(x, y)
+    # within the slack: the value at the clipped point, bit for bit
+    for (x, y), (cx, cy) in (((box.b + sx, box.d + sy), (box.b, box.d)), ((box.a - sx, my), (box.a, my)), ((mx, box.c - sy), (mx, box.c))):
+        assert query(x, y) == query(cx, cy)
+
+
+@pytest.mark.parametrize("entry", ["SampledSource.eval", "TSource.eval", "t_eval"])
+def test_array_queries_with_a_nan_are_refused_and_empty_ones_are_not(entry):
+    box, query = _point_queries()[entry]
+    mx, my = 0.5 * (box.a + box.b), 0.5 * (box.c + box.d)
+    far = box.b + 7.0
+    # one NaN turns min and max into NaN: it must not hide the NaN itself, nor an out-of-box entry next to it
+    for x, y in (([mx, math.nan, far], my), ([mx, math.nan], my), (mx, [my, math.nan]), ([math.nan, mx], [[my], [math.inf]])):
+        with pytest.raises(DomainError):
+            query(np.array(x), np.array(y))
+    for x, y in ((np.empty(0), math.nan), (np.empty((0, 1)), np.array([far, my])), (far, np.empty(0))):
+        assert query(x, y).shape == np.broadcast_shapes(np.shape(x), np.shape(y))
 
 
 def _broadcast_bilinear(src: SampledSource, x, y):

@@ -1302,14 +1302,16 @@ def test_certificate_needs_a_bound():
     anon = CallableSource(lambda x, y: x, name="nobound")
     with pytest.raises(ParameterError):
         boundedness_certificate(anon, GridSpec(BOX, 5, 5), HALF)
-    # explicit M fills the gap
-    cert = boundedness_certificate(anon, GridSpec(BOX, 5, 5), HALF, M=2.0)
+    # a declared bound fills the gap
+    bounded = CallableSource(lambda x, y: x, name="bounded", sup_bound=lambda box: 2.0)
+    cert = boundedness_certificate(bounded, GridSpec(BOX, 5, 5), HALF)
     assert cert.bound == pytest.approx(2.0 * FOUR_OVER_PI, rel=1e-12)
 
 
 def test_certificate_rejects_understated_bound():
+    low = CallableSource(lambda x, y: x + y, name="plane", sup_bound=lambda box: 1.0)  # sup is 4
     with pytest.raises(ParameterError):
-        boundedness_certificate(make_source("plane"), GridSpec(BOX, 5, 5), HALF, M=1.0)  # sup is 4
+        boundedness_certificate(low, GridSpec(BOX, 5, 5), HALF)
 
 
 def test_forged_certificate_fails_verification():
