@@ -22,9 +22,9 @@ toward the singular endpoint, kernel moments integrated exactly per
 panel, the smooth factor sampled at panel midpoints.  The rule is exact
 for constant integrands and second-order accurate for smooth ones.
 
-Point values are 1x1 grids of the one tensor contraction, so a grid
-value and the matching single-point call agree bit for bit.  The one-axis
-operator is one row of the same per-output rule.
+Point values are 1x1 tensor plans (``_plan``), so a grid value and the
+matching single-point call agree bit for bit; x and y are real scalars.
+The one-axis operator is one row of the same per-output rule.
 
 Under ``method="auto"`` (and ``"separable"``, which only insists on the
 split) a split source g(x) + h(y) takes a shared-mesh route instead of the
@@ -44,17 +44,13 @@ their piece edges, and grids of samples their nodes.  When a source also
 declares algebraic edges (``FunctionSource.edges``), each mesh opens
 with a lead-in graded toward the lower limit.  Other sources take the
 tensor route, whose graded midpoint rule does not need f to be smooth.
+``_plan`` is the one place a route is chosen and meets the size budget.
 
-A mesh of equal steps whose nodes all lie on one exact binary lattice
-(integer multiples of one power of two, below 2^52 of them: a p = 0 axis
-on a box with dyadic ends, m - 1 and the parts per output interval powers
-of two) has the same weights
-in every row, shifted: each U_i - u_k is then the exact float
-(top_i - k) h, so the weight formula sees the very inputs of the last
-node's row.  That row is built once; when the outputs sit equally many
-intervals apart, every block of weights is a read-only strided view of it
-(``_hat_blocks``), so no m x N weight matrix exists, and the bits are the
-same.  Any other mesh builds its weights block by block.
+A mesh of equal steps on one exact binary lattice (a p = 0 axis on a box
+with dyadic ends, m - 1 and the parts per output interval powers of two)
+has the same weights in every row, shifted: ``_hat_blocks`` builds the
+last node's row once and serves every block as a read-only view of it,
+with the same bits.  Any other mesh builds its weights block by block.
 """
 
 from __future__ import annotations
@@ -454,7 +450,7 @@ def _f_blocks(nx: int, ny: int) -> int:
     return -(-nx // max(1, _APPLY_BLOCK // ny))
 
 
-def _grid_budget(route: str, m: int, n: int, panels: int, edges=None, nodes=(None, None)) -> None:
+def _grid_budget(route: str, m: int, n: int, panels: int, nodes=(0, 0)) -> None:
     """Refuse a grid call whose predicted size exceeds the budget (``core._within``), before it allocates.
 
     Predicted per route, for m x n outputs: the largest array's entries
@@ -464,22 +460,18 @@ def _grid_budget(route: str, m: int, n: int, panels: int, edges=None, nodes=(Non
     weight a per-block build makes (even where a lattice mesh builds them
     from one row), plus the products of ``_mesh_2d``'s two passes: m N_x +
     n N_y weights for the split mesh, and for ``_mesh_2d`` N_x n (N_y + m)
-    products, n N_y weights per block of F and m N_x.  N_x and N_y are
-    the mesh sizes of ``_mesh_nodes``, or ``nodes`` where one is given (a
-    knot mesh's fewest nodes before it is built, its real size after).
+    products, n N_y weights per block of F and m N_x.  (N_x, N_y) are
+    ``nodes``: ``_plan``'s prediction before the meshes are built, their
+    real size after.
     """
-    entries, limit = m * n, "operations"
+    (nx, ny), entries, limit = nodes, m * n, "operations"
     if route in ("tensor", "oracle"):
         limit, work = "evaluations", m * n * panels * panels
+    elif route == "mesh-split":
+        entries, work = max(entries, nx, ny), _HAT_COST * (m * nx + n * ny)
     else:
-        ex, ey = edges or (None, None)
-        nx = nodes[0] or _mesh_nodes(m, panels, ex)
-        ny = nodes[1] or _mesh_nodes(n, panels, ey)
-        if route == "mesh-split":
-            entries, work = max(entries, nx, ny), _HAT_COST * (m * nx + n * ny)
-        else:
-            weights = _f_blocks(nx, ny) * n * ny + m * nx
-            entries, work = max(entries, nx * n, ny), nx * n * (ny + m) + _HAT_COST * weights
+        weights = _f_blocks(nx, ny) * n * ny + m * nx
+        entries, work = max(entries, nx * n, ny), nx * n * (ny + m) + _HAT_COST * weights
     what = f"a {m}x{n} grid at {panels} panels ({route} route)"
     _within("entries", entries, what)
     _within(limit, work, what)
@@ -555,14 +547,9 @@ def _hat_apply(mesh: _Mesh, weights: Callable, vals) -> list[np.ndarray]:
     are applied to every ``v`` in the same pass, on the calling thread: on
     a 2-vCPU Xeon VM a second worker took the 1025 x 1025 split mesh at
     16384 panels only from 0.064-0.088 s to 0.062-0.071 s, and held a
-    second set of blocks (6 MB) in memory.
-
-    On a mesh of equal steps on one exact binary lattice (``_lattice``: a
-    p = 0 axis on a box with dyadic ends, m - 1 and the parts per output
-    interval powers of two), each block is a read-only strided view of
-    one row built once (``_hat_blocks``).  It holds the very weights of a
-    per-block build, and the partition of the sums is the same, so are
-    the bits.
+    second set of blocks (6 MB) in memory.  A lattice mesh's blocks are
+    views of one row (``_hat_blocks``) with a per-block build's very
+    weights and the same partition of the sums, so the same bits.
     """
     n_out, size = mesh.U.size, mesh.u.size
     rows = max(1, _APPLY_BLOCK // size)
@@ -657,10 +644,9 @@ def _clean(v):
 
 
 def _checked(f, rect: Box, quad: QuadratureSpec | None, tensor: bool = True):
-    """The preconditions every operator route shares.
+    """The source and quadrature spec, after the preconditions every operator route shares.
 
-    Returns the source and the quadrature spec.  ``tensor`` applies the ``panels``
-    budget of the tensor rule, which the RL oracle and the knot mesh share.
+    ``tensor`` applies the ``panels`` budget of the tensor rule, which the RL oracle and the knot mesh share.
     """
     src = _as_source(f)
     quad = quad or QuadratureSpec()
@@ -679,21 +665,93 @@ def _checked(f, rect: Box, quad: QuadratureSpec | None, tensor: bool = True):
 
 
 # ---------------------------------------------------------------------------
-# point evaluation
+# the route plan, point evaluation and grid evaluation
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """What one grid call computes: its route, and the axes, split or meshes that route reads."""
+
+    route: str
+    src: FunctionSource
+    rect: Box
+    order: FracOrder
+    quad: QuadratureSpec
+    xs: np.ndarray
+    ys: np.ndarray
+    split: tuple | None  # mesh-split: (g, h)
+    meshes: tuple  # mesh-2d: the built x and y meshes
+
+
+def _plan(f, spec, order: FracOrder, quad: QuadratureSpec | None, method: str) -> _Plan:
+    """The one place a grid call's route is chosen and meets the budget (``_grid_budget``).
+
+    ``spec`` is a ``GridSpec``, or ``(rect, x, y)`` for a point query: the
+    1x1 grid at (x, y), which follows ``Box._clip``.  A split source takes
+    ``"mesh-split"`` unless ``method`` is ``"tensor"``; under ``"auto"`` a
+    source that declares its knots takes ``"mesh-2d"``; any other call
+    takes ``"tensor"``.  A knot mesh holds every output and at least
+    panels intervals: that floor is refused before any axis is built, and
+    the meshes' built size before ``_mesh_2d`` runs.
+    """
+    if method not in ("tensor", "separable", "auto"):
+        raise ParameterError(f"unknown method {method!r}", parameter="method")
+    src = _as_source(f)
+    split = src.xy_split() if method != "tensor" else None
+    if method == "separable" and split is None:
+        raise ParameterError(f"source {src.name!r} has no additive split; use method='auto' or 'tensor'", parameter="method")
+    point = not isinstance(spec, GridSpec)
+    rect, m, n = (spec[0], 1, 1) if point else (spec.rect, spec.m, spec.n)
+    src, quad = _checked(src, rect, quad, tensor=split is None)
+    knots = src.knots() if method == "auto" and split is None else None
+    route = "mesh-split" if split is not None else "tensor" if knots is None else "mesh-2d"
+    P, edges = quad.panels, src.edges or (None, None)
+    nodes = [max(size, P + 1) if len(k) else _mesh_nodes(size, P, e) for k, size, e in zip(knots or ((), ()), (m, n), edges)]
+    _grid_budget(route, m, n, P, nodes)
+    xs, ys = rect._clip(spec[1], spec[2], f"point ({spec[1]}, {spec[2]}) outside {rect}") if point else (spec.xs(), spec.ys())
+    meshes = ()
+    if route == "mesh-2d":
+        meshes = (_mesh(rect.a, xs, order.p, P, edges[0], knots[0]), _mesh(rect.c, ys, order.q, P, edges[1], knots[1]))
+        _grid_budget(route, m, n, P, [mesh.s.size for mesh in meshes])
+    return _Plan(route, src, rect, order, quad, xs, ys, split, meshes)
+
+
+def _run(plan: _Plan) -> np.ndarray:
+    """The (m, n) values of the grid ``plan`` describes."""
+    src, rect, order, xs, ys, P = plan.src, plan.rect, plan.order, plan.xs, plan.ys, plan.quad.panels
+    if plan.route == "tensor":
+        return _tensor(src, rect, xs, ys, order, plan.quad)
+    if plan.route == "mesh-2d":
+        return _mesh_2d(src, *plan.meshes, order)
+    g, h = plan.split
+    if (rect.a, order.alpha, order.p) == (rect.c, order.beta, order.q) and np.array_equal(xs, ys):
+        # axes alike in lower limit, nodes, order and weight share one mesh, and a function both g and h is applied once
+        sums, su = _mesh_apply((g,) if g is h else (g, h), rect.a, xs, order.alpha, order.p, P)
+        return _split_grid(_prefactor(order), sums[0], su, sums[-1], su)
+    (gu,), su = _mesh_apply((g,), rect.a, xs, order.alpha, order.p, P)
+    (hv,), sv = _mesh_apply((h,), rect.c, ys, order.beta, order.q, P)
+    return _split_grid(_prefactor(order), gu, su, hv, sv)
+
+
+def _real(v, name: str):
+    """``v`` when it is a real scalar (a Python or numpy int or float, or a 0-d array of one), else ParameterError."""
+    if not (isinstance(v, (int, float, np.generic, np.ndarray)) and np.ndim(v) == 0 and np.asarray(v).dtype.kind in "iuf"):
+        raise ParameterError(f"{name} must be a real scalar, got {type(v).__name__}", parameter=name)
+    return v
 
 
 def katugampola_1d(g: Callable, a: float, x: float, alpha: float, p: float = 0.0, quad: QuadratureSpec | None = None) -> float:
     """One-axis operator: C int_a^x (x^(p+1)-s^(p+1))^(alpha-1) s^p g(s) ds.
 
     p = -1 is the Hadamard kernel.  ``g`` must accept a numpy array.
-    Requires 0 < a <= x; x == a gives 0.
+    Requires 0 < a <= x, x a real scalar; x == a gives 0.
     """
     FracOrder(alpha, 1.0, p, 0.0)  # validate alpha > 0, p >= -1
     quad = quad or QuadratureSpec()
     a = float(a)
     if a <= 0.0:
         raise DomainError(f"lower limit must satisfy a > 0, got a={a}")
-    x = float(x)
+    x = float(_real(x, "x"))
     if not math.isfinite(x) or x < a:
         raise DomainError(f"upper limit x={x} must lie in [a, inf)")
     _within("entries", quad.panels, "a one-axis rule")
@@ -703,14 +761,12 @@ def katugampola_1d(g: Callable, a: float, x: float, alpha: float, p: float = 0.0
 
 
 def katugampola_2d(f, rect: Box, x: float, y: float, order: FracOrder, quad: QuadratureSpec | None = None) -> float:
-    """Mixed operator applied to f, evaluated at a single point of ``rect``.
+    """Mixed operator applied to f, evaluated at a single point of ``rect``: the 1x1 tensor plan.
 
-    The lower limits are the rectangle's lower-left corner; (x, y) follows
-    ``Box._clip``, the one point-query rule.  Values on the edges x == a or y == c are 0.
+    The lower limits are the rectangle's lower-left corner.  x and y are real scalars, and (x, y)
+    follows ``Box._clip``, the one point-query rule.  Values on the edges x == a or y == c are 0.
     """
-    src, quad = _checked(f, rect, quad)
-    xs, ys = rect._clip(x, y, f"point ({x}, {y}) outside {rect}")
-    return float(_tensor(src, rect, xs, ys, order, quad)[0, 0])
+    return float(_run(_plan(f, (rect, _real(x, "x"), _real(y, "y")), order, quad, "tensor"))[0, 0])
 
 
 def hadamard_2d(f, rect: Rectangle, x: float, y: float, alpha: float, beta: float, quad: QuadratureSpec | None = None) -> float:
@@ -718,13 +774,9 @@ def hadamard_2d(f, rect: Rectangle, x: float, y: float, alpha: float, beta: floa
 
     C int_a^x int_c^y (log(x/s))^(alpha-1) (log(y/t))^(beta-1) f(s,t) dt/t ds/s
     with C = 1/(Gamma(alpha) Gamma(beta)): ``katugampola_2d`` at the p = q = -1
-    member of the family.  Requires a strictly positive rectangle.
+    member of the family, at real scalars x and y.  Requires a strictly positive rectangle.
     """
     return katugampola_2d(f, rect, x, y, FracOrder(alpha, beta, -1.0, -1.0), quad)
-
-
-# ---------------------------------------------------------------------------
-# grid evaluation
 
 
 def katugampola_2d_grid(
@@ -740,70 +792,21 @@ def katugampola_2d_grid(
     limits sit at its lower-left corner, and node (i, j) receives the
     integral up to (x_i, y_j).  The first row and column are exactly 0.
 
-    ``method``:
+    ``method`` (``_plan`` is the one place it becomes a route; ``_run`` computes it):
       * ``"tensor"``   - generic route; the same contraction as
         ``katugampola_2d``, so shared nodes match bit for bit.
       * ``"separable"``- requires ``f.xy_split()`` (else ParameterError)
         and takes ``"auto"``'s split mesh, bit for bit.
-      * ``"auto"``     - for a source with a split g(x) + h(y), the shared
-        mesh: one mesh per axis holding every grid coordinate, at least
-        ``quad.panels`` intervals long, with g and h evaluated once per
-        mesh node and the kernel integrated exactly against hat
-        functions.  A source without a split whose ``knots()`` is not
-        None (every smooth source, a staircase over a smooth seed, a
-        grid of samples) takes the same meshes on both axes, each also
-        holding the source's knots with as many parts per piece between
-        them as the widest piece gets (``_mesh_knots``), and f is
-        evaluated once per node of their product (the tensor panel cap
-        still applies); if it declares ``edges``, each mesh opens with a
-        lead-in graded toward the lower limit (``_lead_in``), which keeps
-        the rule second order on f = g (x - a)^sigma_x (y - c)^sigma_y.
-        Other sources take the tensor route.
-
-    On the split mesh, axes that share lower limit, nodes, order and
-    weight share one mesh, and a function that is both g and h is applied once.
+      * ``"auto"``     - the shared-mesh routes of the module docstring: a
+        split source g(x) + h(y) takes one mesh per axis, and a source whose
+        ``knots()`` is not None the knot mesh on both axes (the tensor panel
+        cap still applies); other sources take the tensor route.
 
     Worker count never changes the bits: rows go to workers in contiguous
     blocks with disjoint output slots.  A call whose predicted size exceeds
     the budget (``_grid_budget``) raises ``SizeError`` before it allocates.
     """
-    if method not in ("tensor", "separable", "auto"):
-        raise ParameterError(f"unknown method {method!r}", parameter="method")
-    src = _as_source(f)
-    split = src.xy_split()
-    if method == "separable" and split is None:
-        raise ParameterError(f"source {src.name!r} has no additive split; use method='auto' or 'tensor'", parameter="method")
-    use_split = split is not None and method != "tensor"
-    src, quad = _checked(src, spec.rect, quad, tensor=not use_split)
-    knots = src.knots() if method == "auto" and not use_split else None
-    if use_split:
-        route = "mesh-split"
-    else:
-        route = "tensor" if knots is None else "mesh-2d"
-    rect = spec.rect
-    # a knot mesh holds every output and at least panels intervals: that floor is
-    # refused before any axis is built, the real size once the meshes are
-    floor = [max(size, quad.panels + 1) if len(k) else None for k, size in zip(knots or ((), ()), (spec.m, spec.n))]
-    _grid_budget(route, spec.m, spec.n, quad.panels, src.edges, floor)
-    xs, ys = spec.xs(), spec.ys()
-    same_axes = (rect.a, order.alpha, order.p) == (rect.c, order.beta, order.q) and np.array_equal(xs, ys)
-    if route == "mesh-2d":
-        ex, ey = src.edges or (None, None)
-        mx = _mesh(rect.a, xs, order.p, quad.panels, ex, knots[0])
-        my = _mesh(rect.c, ys, order.q, quad.panels, ey, knots[1])
-        _grid_budget(route, spec.m, spec.n, quad.panels, nodes=(mx.s.size, my.s.size))
-        out = _mesh_2d(src, mx, my, order)
-    elif route == "tensor":
-        out = _tensor(src, rect, xs, ys, order, quad)
-    else:
-        if same_axes:  # one mesh serves g and h, and a function that is both is applied once
-            sums, su = _mesh_apply(split[:1] if split[0] is split[1] else split, rect.a, xs, order.alpha, order.p, quad.panels)
-            gu, hv, sv = sums[0], sums[-1], su
-        else:
-            (gu,), su = _mesh_apply(split[:1], rect.a, xs, order.alpha, order.p, quad.panels)
-            (hv,), sv = _mesh_apply(split[1:], rect.c, ys, order.beta, order.q, quad.panels)
-        out = _split_grid(_prefactor(order), gu, su, hv, sv)
-    return GridSamples._adopt(spec, out)
+    return GridSamples._adopt(spec, _run(_plan(f, spec, order, quad, method)))
 
 
 def _split_grid(pref: float, gu, su, hv, sv) -> np.ndarray:
@@ -883,15 +886,11 @@ def riemann_liouville_2d(f, rect: Box, x: float, y: float, alpha: float, beta: f
     and moments are computed from their untransformed definitions in plain float
     arithmetic, and the accumulation runs through ``math.fsum``.  Serves as an independent
     check of the p = q = 0 reduction; agreement is to rounding, not bit for bit.
-    (x, y) follows ``Box._clip``, the one point-query rule.
-
-    This is the 1x1 case of ``_rl_nodes``: rules are built once per
-    distinct coordinate, each node's terms are summed by one ``math.fsum``
-    read straight from the product buffer, and the quadrature engine it
-    checks is never called.  A grid node and the point call there agree
-    bit for bit.
+    x and y are real scalars, and (x, y) follows ``Box._clip``, the one point-query rule.
+    This is the 1x1 case of ``_rl_nodes``, which never calls the quadrature
+    engine it checks; a grid node and the point call there agree bit for bit.
     """
-    return float(_rl_nodes(f, rect, x, y, alpha, beta, quad)[0, 0])
+    return float(_rl_nodes(f, rect, _real(x, "x"), _real(y, "y"), alpha, beta, quad)[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -904,8 +903,8 @@ def axis_unit_factor(lo: float, x: float, order: float, weight: float = 0.0) -> 
         raise ParameterError("order must be positive", parameter="order")
     if weight < -1.0:
         raise ParameterError("weight must be at least -1", parameter="weight")
-    if lo <= 0.0 or x < lo:
-        raise DomainError(f"need 0 < lo <= x, got lo={lo}, x={x}")
+    if lo <= 0.0 or not lo <= x < math.inf:  # NaN fails both comparisons
+        raise DomainError(f"need 0 < lo <= x < inf, got lo={lo}, x={x}")
     return float(_unit_profile(lo, x, order, weight))
 
 
@@ -918,7 +917,8 @@ def _unit_profile(lo: float, x, order: float, weight: float):
 
 
 def integral_of_one(rect: Box, order: FracOrder, x: float, y: float) -> float:
-    """Closed form of the mixed operator applied to f == 1, at (x, y)."""
+    """Closed form of the mixed operator applied to f == 1, at (x, y), which follows ``Box._clip``."""
+    x, y = rect._clip(x, y, f"point ({x}, {y}) outside {rect}")
     fx = axis_unit_factor(rect.a, x, order.alpha, order.p)
     with _no_overflow(_ONE_OVERFLOW):  # two finite factors may overflow together
         return float(np.multiply(fx, axis_unit_factor(rect.c, y, order.beta, order.q)))
@@ -973,10 +973,9 @@ def compose_semigroup(
 
     prof = edge_profile(inner_spec.xs()[:, None], inner_spec.ys()[None, :])
     ratio = np.array(inner.matrix)
-    ratio[1:, 1:] = ratio[1:, 1:] / prof[1:, 1:]
-    ratio[0, 1:] = ratio[1, 1:]
-    ratio[1:, 0] = ratio[1:, 1]
-    ratio[0, 0] = ratio[1, 1]
+    ratio[1:, 1:] /= prof[1:, 1:]
+    ratio[1:, 0] = ratio[1:, 1]  # the edges, where the profile is 0, copy their inner neighbours
+    ratio[0] = ratio[1]
     smooth = SampledSource(GridSamples(inner_spec, ratio), name="inner-ratio")
     restored = CallableSource(
         lambda x, y: smooth.eval(x, y) * edge_profile(x, y),

@@ -1357,6 +1357,72 @@ def test_point_outside_rectangle_rejected():
         katugampola_1d(np.sin, 1.0, 0.5, 0.5)
 
 
+_POINT_CALLS = {
+    "katugampola_2d": lambda x, y: katugampola_2d(make_source("sinxy"), BOX, x, y, HALF, QuadratureSpec(panels=8)),
+    "hadamard_2d": lambda x, y: hadamard_2d(make_source("sinxy"), BOX, x, y, 0.5, 0.5, QuadratureSpec(panels=8)),
+    "riemann_liouville_2d": lambda x, y: riemann_liouville_2d(make_source("sinxy"), BOX, x, y, 0.5, 0.5, QuadratureSpec(panels=8)),
+    "katugampola_1d": lambda x, y: katugampola_1d(np.sin, 1.0, x, 0.5, quad=QuadratureSpec(panels=8)),  # x alone
+}
+
+
+@pytest.mark.parametrize("name, axis", [(name, axis) for name in _POINT_CALLS for axis in ("x", "y") if (name, axis) != ("katugampola_1d", "y")])
+def test_point_operators_take_real_scalars_only(name, axis):
+    # an array query used to be answered at its first entry: the value at (1.5, 1.5) for x = [1.5, 1.9]
+    call = _POINT_CALLS[name]
+
+    def at(v):
+        return call(v, 1.5) if axis == "x" else call(1.5, v)
+
+    for bad in (np.array([1.5, 1.9]), [1.5, 1.9], np.array([1.9]), "1.9", None, True, 1.9 + 0j):
+        with pytest.raises(ParameterError, match=f"^{axis} must be a real scalar") as info:
+            at(bad)
+        assert info.value.parameter == axis
+    # a 0-d array, a numpy scalar and an int are the scalar call, bit for bit
+    assert at(np.array(1.9)).hex() == at(np.float64(1.9)).hex() == at(1.9).hex()
+    assert at(np.array(2)).hex() == at(2).hex() == at(2.0).hex()
+
+
+@pytest.mark.parametrize(
+    "spec, method, route",
+    [
+        ("plane", "auto", "mesh-split"),
+        ("plane", "separable", "mesh-split"),
+        ("plane", "tensor", "tensor"),
+        ("sinxy", "auto", "mesh-2d"),
+        ("sinxy", "tensor", "tensor"),
+        ("t-parabola-sine", "auto", "mesh-2d"),  # shifted onto [1, 2]^2
+        ("t:t-parabola-sine", "auto", "tensor"),  # its seed is a staircase, which declares no knots
+        ("undeclared", "auto", "tensor"),
+    ],
+)
+def test_plan_is_where_the_route_is_chosen(spec, method, route):
+    src, box = (CallableSource(lambda x, y: x * y, name=spec), BOX) if spec == "undeclared" else positive_source(spec)
+    plan = fracint._plan(src, GridSpec(box, 5, 5), HALF, QuadratureSpec(panels=8), method)
+    assert plan.route == route
+    assert (plan.split is not None) == (route == "mesh-split")
+    assert len(plan.meshes) == (2 if route == "mesh-2d" else 0)
+
+
+def test_plan_refuses_separable_without_a_split():
+    with pytest.raises(ParameterError, match="no additive split") as info:
+        fracint._plan(make_source("sinxy"), GridSpec(BOX, 5, 5), HALF, QuadratureSpec(panels=8), "separable")
+    assert info.value.parameter == "method"
+
+
+def test_closed_forms_refuse_non_finite_and_outside_coordinates():
+    # axis_unit_factor returned nan and inf here; integral_of_one nan, and 2.546... at x = 9
+    for x in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="lo <= x < inf"):
+            axis_unit_factor(1.0, x, 0.5)
+    for bad in (math.nan, math.inf, -math.inf, 9.0, 0.5):
+        for x, y in ((bad, 1.5), (1.5, bad)):
+            with pytest.raises(DomainError, match="outside"):
+                integral_of_one(BOX, HALF, x, y)
+    # in the box (and within its slack, clipped onto the edge) the values keep their bits
+    corner = axis_unit_factor(1.0, 2.0, 0.5) * axis_unit_factor(1.0, 2.0, 0.5)
+    assert integral_of_one(BOX, HALF, 2.0, 2.0) == integral_of_one(BOX, HALF, 2.0 + 1e-12, 2.0) == corner
+
+
 def test_quadrature_spec_validation():
     with pytest.raises(ParameterError):
         QuadratureSpec(panels=2)
