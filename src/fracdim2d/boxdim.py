@@ -53,6 +53,7 @@ from .core import (
     ParameterError,
     ResolutionError,
     SampledSource,
+    _real,
     _Rows,
     _spread,
     _within,
@@ -158,19 +159,18 @@ class _Level(NamedTuple):
 
 
 def _level(g: GridSamples | _Rows, delta: float, brute: bool = False) -> _Level:
-    """The delta-cells of ``g``'s grid.
+    """The delta-cells of ``g``'s grid, read from the ``_Rows`` of ``_rows``, which refuses what is not a grid.
 
     Raises ParameterError for a bad grid or delta, and ResolutionError for
     a delta that does not split the rectangle or leaves a cell with fewer
     than 2 x 2 sample nodes.  With ``brute``, more cells than the
     ``cells`` budget is a SizeError, checked before the windows.
     """
-    if not isinstance(g, (GridSamples, _Rows)):
-        raise ParameterError("expected GridSamples")
-    delta = float(delta)
+    spec = _rows(g).spec
+    delta = float(_real(delta, "delta"))
     if not (delta > 0 and math.isfinite(delta)):
         raise ParameterError("delta must be positive and finite", parameter="delta")
-    box = g.spec.rect
+    box = spec.rect
     if delta >= min(box.width, box.height):
         raise ResolutionError(f"delta={delta:g} does not split the rectangle")
     mc = _cells_1d(box.a, box.b, delta)
@@ -178,13 +178,13 @@ def _level(g: GridSamples | _Rows, delta: float, brute: bool = False) -> _Level:
     if brute:
         _within("cells", mc * nc, f"brute-force count at delta={delta:g}")
     # more cells than grid intervals leave a cell one node: refused before the counts size the windows
-    if mc < g.spec.m and nc < g.spec.n:
-        xwin = _window_bounds(g.spec.xs(), box.a, mc, delta, box.b)
-        ywin = _window_bounds(g.spec.ys(), box.c, nc, delta, box.d)
+    if mc < spec.m and nc < spec.n:
+        xwin = _window_bounds(spec.xs(), box.a, mc, delta, box.b)
+        ywin = _window_bounds(spec.ys(), box.c, nc, delta, box.d)
         if np.all(xwin[1] - xwin[0] >= 2) and np.all(ywin[1] - ywin[0] >= 2):
             return _Level(delta, mc, nc, xwin, ywin)
     raise ResolutionError(
-        f"delta={delta:g} leaves a cell with fewer than 2x2 sample nodes on a {g.spec.m}x{g.spec.n} grid"
+        f"delta={delta:g} leaves a cell with fewer than 2x2 sample nodes on a {spec.m}x{spec.n} grid"
     )
 
 
@@ -308,11 +308,11 @@ def _ladder(g: GridSamples | _Rows, deltas) -> tuple[list[BoxCount], list[float]
     """BoxCounts of the usable deltas in the caller's order, and the deltas dropped as unresolved."""
     levels: list[_Level] = []
     dropped: list[float] = []
-    for d in deltas:
+    for d in (float(_real(d, "deltas")) for d in deltas):
         try:
-            levels.append(_level(g, float(d)))
+            levels.append(_level(g, d))
         except ResolutionError:
-            dropped.append(float(d))
+            dropped.append(d)
     return (_count_levels(_rows(g), levels) if levels else []), dropped
 
 

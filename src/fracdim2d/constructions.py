@@ -35,6 +35,8 @@ from .core import (
     FunctionSource,
     ParameterError,
     ShiftedSource,
+    _as_source,
+    _kind,
     _within,
 )
 
@@ -78,9 +80,8 @@ class TConstruction:
     phi: FunctionSource
 
     def __post_init__(self):
-        if not isinstance(self.rect, Box):
-            raise ParameterError("rect must be a Box", parameter="rect")
-        r = self.rect
+        r = _kind(self.rect, Box, "rect")
+        object.__setattr__(self, "phi", _as_source(self.phi, "phi"))
         strip = Box(r.a, self.a1, r.c, r.d)
         if not self.phi.covers(strip):
             raise ParameterError("phi must cover the left half-strip of rect", parameter="phi")
@@ -433,7 +434,7 @@ def make_source(spec: str) -> FunctionSource:
     construction over any catalog seed (the seed must agree across the
     seam, or construction fails).
     """
-    spec = spec.strip()
+    spec = _kind(spec, str, "fn").strip()
     if not spec:
         raise ParameterError("empty function spec", parameter="fn")
     if spec.startswith("t:"):
@@ -458,7 +459,7 @@ def make_source(spec: str) -> FunctionSource:
 
 def default_box(spec: str) -> Box:
     """A catalog spec's box, and the domain of a ``t:`` spec's source: for ``t:``, the seed's box twice as wide."""
-    spec = spec.strip()
+    spec = _kind(spec, str, "fn").strip()
     if spec.startswith("t:"):
         seed = default_box(spec[2:])
         return Box(seed.a, seed.a + 2.0 * seed.width, seed.c, seed.d)

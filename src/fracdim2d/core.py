@@ -93,6 +93,40 @@ class CatalogError(KeyError):
 
 
 # ---------------------------------------------------------------------------
+# argument admission: one rule per argument kind, each a ParameterError naming the argument
+
+
+def _kind(value, cls: type, name: str):
+    """``value`` when it is a ``cls``: a Box, GridSpec, GridSamples, FracOrder, QuadratureSpec or spec string."""
+    if not isinstance(value, cls):
+        raise ParameterError(f"{name} must be a {cls.__name__}", parameter=name)
+    return value
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int when it is a Python or numpy integer, not a bool: the rule of every count."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ParameterError(f"{name} must be an integer", parameter=name)
+    return int(value)
+
+
+def _real(v, name: str):
+    """``v`` when it is a real scalar (a Python or numpy int or float, or a 0-d array of one): every coordinate and scalar order."""
+    if not (isinstance(v, (int, float, np.generic, np.ndarray)) and np.ndim(v) == 0 and np.asarray(v).dtype.kind in "iuf"):
+        raise ParameterError(f"{name} must be a real scalar, got {type(v).__name__}", parameter=name)
+    return v
+
+
+def _as_source(f, name: str = "f") -> FunctionSource:
+    """``f`` as a FunctionSource: a plain callable f(x, y) is a source wherever one is taken."""
+    if isinstance(f, FunctionSource):
+        return f
+    if callable(f):
+        return CallableSource(f, name=getattr(f, "__name__", "callable"))
+    raise ParameterError(f"{name} must be a FunctionSource or a callable", parameter=name)
+
+
+# ---------------------------------------------------------------------------
 # domains
 
 # relative slack of every box-membership test (``Box.slack``)
@@ -230,14 +264,10 @@ class GridSpec:
 
     def __post_init__(self):
         for name in ("m", "n"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
-                raise ParameterError(f"{name} must be an integer", parameter=name)
-            object.__setattr__(self, name, int(v))
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.m < 2 or self.n < 2:
             raise ParameterError(f"grid needs at least 2 nodes per axis, got {self.m}x{self.n}", parameter="m")
-        if not isinstance(self.rect, Box):
-            raise ParameterError("rect must be a Box", parameter="rect")
+        _kind(self.rect, Box, "rect")
 
     def xs(self) -> np.ndarray:
         return np.linspace(self.rect.a, self.rect.b, self.m)
@@ -269,6 +299,7 @@ class GridSamples:
     values: np.ndarray
 
     def __post_init__(self):
+        _kind(self.spec, GridSpec, "spec")
         v = np.asarray(self.values, dtype=np.float64).reshape(-1)
         want = self.spec.m * self.spec.n
         if v.size != want:
@@ -406,7 +437,7 @@ class SampledSource(FunctionSource):
     """
 
     def __init__(self, samples: GridSamples, name: str = "sampled"):
-        self.samples = samples
+        self.samples = _kind(samples, GridSamples, "samples")
         self.name = name
         self.domain = samples.spec.rect
         self._xs = samples.spec.xs()
@@ -438,7 +469,7 @@ class ShiftedSource(FunctionSource):
     """Translate a source: eval(x, y) = base(x - dx, y - dy)."""
 
     def __init__(self, base: FunctionSource, dx: float, dy: float):
-        self.base = base
+        self.base = base = _as_source(base, "base")
         self.dx = float(dx)
         self.dy = float(dy)
         self.name = f"{base.name}@shift({self.dx:g},{self.dy:g})"
@@ -632,12 +663,12 @@ def _row_reader(src: FunctionSource, spec: GridSpec) -> _Rows:
 
 
 def sample(src: FunctionSource, spec: GridSpec) -> GridSamples:
-    """Evaluate ``src`` at every grid node of ``spec``, row-major, checked as ``_row_reader`` does.
+    """Evaluate ``src``, a source or a plain callable f(x, y), at every node of ``spec``, row-major, checked as ``_row_reader`` does.
 
     Rows are evaluated in blocks of at most ``_APPLY_BLOCK`` entries into one array; ``_spread``
     hands runs of rows to its workers, so the output is bit-identical at any thread count.
     """
-    rows = _row_reader(src, spec).read
+    rows = _row_reader(_as_source(src, "src"), _kind(spec, GridSpec, "spec")).read
     out = np.empty((spec.m, spec.n), dtype=np.float64)
     step = max(1, _APPLY_BLOCK // spec.n)
 
@@ -770,11 +801,9 @@ def read_samples_json(path: str) -> GridSamples:
             raise ParameterError(f"not a JSON document ({exc})") from None
         try:
             rect = Box(doc["rect"]["a"], doc["rect"]["b"], doc["rect"]["c"], doc["rect"]["d"])
-            spec = GridSpec(rect, int(doc["m"]), int(doc["n"]))
+            spec = GridSpec(rect, doc["m"], doc["n"])  # m and n follow the count rule, ``_integer``
             values = doc["values"]
-        except ParameterError:
-            raise
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError):
             raise ParameterError("expected keys rect{a,b,c,d}, integer m and n, and values") from None
         try:
             values = np.asarray(values, dtype=np.float64)

@@ -78,6 +78,10 @@ from .core import (
     VerificationError,
     _APPLY_BLOCK,
     _BUDGET,
+    _as_source,
+    _integer,
+    _kind,
+    _real,
     _spread,
     _within,
     sample,
@@ -118,9 +122,7 @@ class QuadratureSpec:
     panels: int = 64
 
     def __post_init__(self):
-        if not isinstance(self.panels, (int, np.integer)) or isinstance(self.panels, bool):
-            raise ParameterError("panels must be an integer", parameter="panels")
-        object.__setattr__(self, "panels", int(self.panels))
+        object.__setattr__(self, "panels", _integer(self.panels, "panels"))
         if self.panels < 4:
             raise ParameterError(f"need at least 4 panels, got {self.panels}", parameter="panels")
 
@@ -628,12 +630,9 @@ def _prefactor(order: FracOrder) -> float:
 # shared argument checks
 
 
-def _as_source(f) -> FunctionSource:
-    if isinstance(f, FunctionSource):
-        return f
-    if callable(f):
-        return CallableSource(f, name=getattr(f, "__name__", "callable"))
-    raise ParameterError("f must be a FunctionSource or a callable")
+def _quad(quad) -> QuadratureSpec:
+    """``quad``, or the default spec for None."""
+    return QuadratureSpec() if quad is None else _kind(quad, QuadratureSpec, "quad")
 
 
 def _clean(v):
@@ -648,14 +647,11 @@ def _checked(f, rect: Box, quad: QuadratureSpec | None, tensor: bool = True):
 
     ``tensor`` applies the ``panels`` budget of the tensor rule, which the RL oracle and the knot mesh share.
     """
-    src = _as_source(f)
-    quad = quad or QuadratureSpec()
+    src, quad = _as_source(f), _quad(quad)
     # the operators uniformly require a strictly positive rectangle, even
     # for weights where a = 0 would be integrable; shift the domain to use
     # functions defined near the axes
-    if not isinstance(rect, Box):
-        raise ParameterError("rect must be a Box", parameter="rect")
-    if rect.a <= 0.0 or rect.c <= 0.0:
+    if _kind(rect, Box, "rect").a <= 0.0 or rect.c <= 0.0:
         raise DomainError(f"operators need a > 0 and c > 0, got a={rect.a}, c={rect.c}")
     if not src.covers(rect):
         raise DomainError(f"rectangle {rect} is not inside the domain of source {src.name!r}")
@@ -683,11 +679,12 @@ class _Plan:
     meshes: tuple  # mesh-2d: the built x and y meshes
 
 
-def _plan(f, spec, order: FracOrder, quad: QuadratureSpec | None, method: str) -> _Plan:
+def _plan(f, rect: Box, shape: tuple[int, int], axes: Callable, order: FracOrder, quad: QuadratureSpec | None, method: str) -> _Plan:
     """The one place a grid call's route is chosen and meets the budget (``_grid_budget``).
 
-    ``spec`` is a ``GridSpec``, or ``(rect, x, y)`` for a point query: the
-    1x1 grid at (x, y), which follows ``Box._clip``.  A split source takes
+    The outputs are the (m, n) = ``shape`` nodes xs x ys of ``rect`` that
+    ``axes()`` returns once the budget is met: a grid's two axes, or a point
+    query's (x, y) after ``Box._clip``, a 1x1 grid.  A split source takes
     ``"mesh-split"`` unless ``method`` is ``"tensor"``; under ``"auto"`` a
     source that declares its knots takes ``"mesh-2d"``; any other call
     takes ``"tensor"``.  A knot mesh holds every output and at least
@@ -700,15 +697,14 @@ def _plan(f, spec, order: FracOrder, quad: QuadratureSpec | None, method: str) -
     split = src.xy_split() if method != "tensor" else None
     if method == "separable" and split is None:
         raise ParameterError(f"source {src.name!r} has no additive split; use method='auto' or 'tensor'", parameter="method")
-    point = not isinstance(spec, GridSpec)
-    rect, m, n = (spec[0], 1, 1) if point else (spec.rect, spec.m, spec.n)
     src, quad = _checked(src, rect, quad, tensor=split is None)
+    (m, n), order = shape, _kind(order, FracOrder, "order")
     knots = src.knots() if method == "auto" and split is None else None
     route = "mesh-split" if split is not None else "tensor" if knots is None else "mesh-2d"
     P, edges = quad.panels, src.edges or (None, None)
     nodes = [max(size, P + 1) if len(k) else _mesh_nodes(size, P, e) for k, size, e in zip(knots or ((), ()), (m, n), edges)]
     _grid_budget(route, m, n, P, nodes)
-    xs, ys = rect._clip(spec[1], spec[2], f"point ({spec[1]}, {spec[2]}) outside {rect}") if point else (spec.xs(), spec.ys())
+    xs, ys = axes()
     meshes = ()
     if route == "mesh-2d":
         meshes = (_mesh(rect.a, xs, order.p, P, edges[0], knots[0]), _mesh(rect.c, ys, order.q, P, edges[1], knots[1]))
@@ -733,22 +729,15 @@ def _run(plan: _Plan) -> np.ndarray:
     return _split_grid(_prefactor(order), gu, su, hv, sv)
 
 
-def _real(v, name: str):
-    """``v`` when it is a real scalar (a Python or numpy int or float, or a 0-d array of one), else ParameterError."""
-    if not (isinstance(v, (int, float, np.generic, np.ndarray)) and np.ndim(v) == 0 and np.asarray(v).dtype.kind in "iuf"):
-        raise ParameterError(f"{name} must be a real scalar, got {type(v).__name__}", parameter=name)
-    return v
-
-
 def katugampola_1d(g: Callable, a: float, x: float, alpha: float, p: float = 0.0, quad: QuadratureSpec | None = None) -> float:
     """One-axis operator: C int_a^x (x^(p+1)-s^(p+1))^(alpha-1) s^p g(s) ds.
 
     p = -1 is the Hadamard kernel.  ``g`` must accept a numpy array.
     Requires 0 < a <= x, x a real scalar; x == a gives 0.
     """
-    FracOrder(alpha, 1.0, p, 0.0)  # validate alpha > 0, p >= -1
-    quad = quad or QuadratureSpec()
-    a = float(a)
+    FracOrder(_real(alpha, "alpha"), 1.0, _real(p, "p"), 0.0)  # validate alpha > 0, p >= -1
+    quad = _quad(quad)
+    a = float(_real(a, "a"))
     if a <= 0.0:
         raise DomainError(f"lower limit must satisfy a > 0, got a={a}")
     x = float(_real(x, "x"))
@@ -766,7 +755,9 @@ def katugampola_2d(f, rect: Box, x: float, y: float, order: FracOrder, quad: Qua
     The lower limits are the rectangle's lower-left corner.  x and y are real scalars, and (x, y)
     follows ``Box._clip``, the one point-query rule.  Values on the edges x == a or y == c are 0.
     """
-    return float(_run(_plan(f, (rect, _real(x, "x"), _real(y, "y")), order, quad, "tensor"))[0, 0])
+    x, y = _real(x, "x"), _real(y, "y")
+    point = lambda: rect._clip(x, y, f"point ({x}, {y}) outside {rect}")
+    return float(_run(_plan(f, rect, (1, 1), point, order, quad, "tensor"))[0, 0])
 
 
 def hadamard_2d(f, rect: Rectangle, x: float, y: float, alpha: float, beta: float, quad: QuadratureSpec | None = None) -> float:
@@ -776,7 +767,7 @@ def hadamard_2d(f, rect: Rectangle, x: float, y: float, alpha: float, beta: floa
     with C = 1/(Gamma(alpha) Gamma(beta)): ``katugampola_2d`` at the p = q = -1
     member of the family, at real scalars x and y.  Requires a strictly positive rectangle.
     """
-    return katugampola_2d(f, rect, x, y, FracOrder(alpha, beta, -1.0, -1.0), quad)
+    return katugampola_2d(f, rect, x, y, FracOrder(_real(alpha, "alpha"), _real(beta, "beta"), -1.0, -1.0), quad)
 
 
 def katugampola_2d_grid(
@@ -806,7 +797,8 @@ def katugampola_2d_grid(
     blocks with disjoint output slots.  A call whose predicted size exceeds
     the budget (``_grid_budget``) raises ``SizeError`` before it allocates.
     """
-    return GridSamples._adopt(spec, _run(_plan(f, spec, order, quad, method)))
+    spec = _kind(spec, GridSpec, "spec")
+    return GridSamples._adopt(spec, _run(_plan(f, spec.rect, (spec.m, spec.n), lambda: (spec.xs(), spec.ys()), order, quad, method)))
 
 
 def _split_grid(pref: float, gu, su, hv, sv) -> np.ndarray:
@@ -846,7 +838,7 @@ def _rl_nodes(f, rect: Box, xs, ys, alpha: float, beta: float, quad: QuadratureS
     values are the point oracle's bit for bit; only the rules, which
     depend on one coordinate each, are shared between nodes.
     """
-    if alpha <= 0.0 or beta <= 0.0:
+    if _real(alpha, "alpha") <= 0.0 or _real(beta, "beta") <= 0.0:
         raise ParameterError("orders must be positive", parameter="alpha")
     src, quad = _checked(f, rect, quad)
     P = quad.panels
@@ -899,11 +891,12 @@ def riemann_liouville_2d(f, rect: Box, x: float, y: float, alpha: float, beta: f
 
 def axis_unit_factor(lo: float, x: float, order: float, weight: float = 0.0) -> float:
     """Exact one-axis integral of 1: (u(x) - u(lo))^order / Gamma(order+1), u of ``_power_map``."""
-    if order <= 0.0:
+    if _real(order, "order") <= 0.0:
         raise ParameterError("order must be positive", parameter="order")
-    if weight < -1.0:
+    if _real(weight, "weight") < -1.0:
         raise ParameterError("weight must be at least -1", parameter="weight")
-    if lo <= 0.0 or not lo <= x < math.inf:  # NaN fails both comparisons
+    lo, x = _real(lo, "lo"), _real(x, "x")
+    if not 0.0 < lo <= x < math.inf:  # NaN fails every comparison
         raise DomainError(f"need 0 < lo <= x < inf, got lo={lo}, x={x}")
     return float(_unit_profile(lo, x, order, weight))
 
@@ -918,8 +911,8 @@ def _unit_profile(lo: float, x, order: float, weight: float):
 
 def integral_of_one(rect: Box, order: FracOrder, x: float, y: float) -> float:
     """Closed form of the mixed operator applied to f == 1, at (x, y), which follows ``Box._clip``."""
-    x, y = rect._clip(x, y, f"point ({x}, {y}) outside {rect}")
-    fx = axis_unit_factor(rect.a, x, order.alpha, order.p)
+    x, y = _kind(rect, Box, "rect")._clip(_real(x, "x"), _real(y, "y"), f"point ({x}, {y}) outside {rect}")
+    fx = axis_unit_factor(rect.a, x, _kind(order, FracOrder, "order").alpha, order.p)
     with _no_overflow(_ONE_OVERFLOW):  # two finite factors may overflow together
         return float(np.multiply(fx, axis_unit_factor(rect.c, y, order.beta, order.q)))
 
@@ -958,10 +951,9 @@ def compose_semigroup(
     inner integral runs at panels/2 (floor 32); both scale with
     ``quad.panels`` so every error term refines together.
     """
-    if first.p != second.p or first.q != second.q:
+    if _kind(first, FracOrder, "first").p != _kind(second, FracOrder, "second").p or first.q != second.q:
         raise ParameterError("composed orders must share the power weights p and q", parameter="p")
-    quad = quad or QuadratureSpec()
-    rect = spec.rect  # the first operator call below checks it
+    quad, rect = _quad(quad), _kind(spec, GridSpec, "spec").rect
     total = FracOrder(first.alpha + second.alpha, first.beta + second.beta, first.p, first.q)
     rhs = katugampola_2d_grid(f, spec, total, quad, method="auto")
     inner_spec = GridSpec(rect, 2 * quad.panels + 1, 2 * quad.panels + 1)
@@ -990,7 +982,7 @@ def compose_semigroup(
 
 def sup_gap(lhs: GridSamples, rhs: GridSamples) -> float:
     """Relative sup-norm gap between two grids: sup|lhs - rhs| / max(1, sup|lhs|)."""
-    if lhs.spec != rhs.spec:
+    if _kind(lhs, GridSamples, "lhs").spec != _kind(rhs, GridSamples, "rhs").spec:
         raise ParameterError("grids must share a spec")
     return float(np.max(np.abs(lhs.values - rhs.values))) / max(1.0, float(np.max(np.abs(lhs.values))))
 
@@ -1039,7 +1031,7 @@ def boundedness_certificate(
     they are, not computed again.
     """
     vals = spec if isinstance(spec, GridSamples) else None
-    spec = vals.spec if vals is not None else spec
+    spec = vals.spec if vals is not None else _kind(spec, GridSpec, "spec")
     src, quad = _checked(f, spec.rect, quad, tensor=False)
     rect = spec.rect
     if src.sup_bound is None:
@@ -1079,7 +1071,7 @@ def quad_error_probe(f, rect: Box, order: FracOrder, quad: QuadratureSpec | None
     error wherever the finer mesh at least halves it (a second-order rule
     quarters it when every part is split).
     """
-    quad = quad or QuadratureSpec()
+    quad = _quad(quad)
     if quad.panels < _PROBE_PANELS:
         raise ParameterError(f"error probe needs at least {_PROBE_PANELS} panels", parameter="panels")
     spec = GridSpec(rect, 9, 9)

@@ -60,6 +60,7 @@ from .core import (
     GridSpec,
     NumericError,
     ParameterError,
+    _integer,
     _within,
     sample,
 )
@@ -347,7 +348,7 @@ def variation_trend(src: FunctionSource, rect: Box, levels) -> list[tuple[int, f
     returned (level, value) series diverges for functions of unbounded
     variation and saturates for functions of bounded variation.
     """
-    lv = [int(x) for x in levels]
+    lv = [_integer(x, "levels") for x in levels]
     if not lv or any(x < 2 for x in lv) or any(b <= a for a, b in zip(lv, lv[1:])):
         raise ParameterError("levels must be strictly increasing integers >= 2", parameter="levels")
     out = []

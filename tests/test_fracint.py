@@ -1397,15 +1397,17 @@ def test_point_operators_take_real_scalars_only(name, axis):
 )
 def test_plan_is_where_the_route_is_chosen(spec, method, route):
     src, box = (CallableSource(lambda x, y: x * y, name=spec), BOX) if spec == "undeclared" else positive_source(spec)
-    plan = fracint._plan(src, GridSpec(box, 5, 5), HALF, QuadratureSpec(panels=8), method)
+    grid = GridSpec(box, 5, 5)
+    plan = fracint._plan(src, box, (5, 5), lambda: (grid.xs(), grid.ys()), HALF, QuadratureSpec(panels=8), method)
     assert plan.route == route
     assert (plan.split is not None) == (route == "mesh-split")
     assert len(plan.meshes) == (2 if route == "mesh-2d" else 0)
 
 
 def test_plan_refuses_separable_without_a_split():
+    grid = GridSpec(BOX, 5, 5)
     with pytest.raises(ParameterError, match="no additive split") as info:
-        fracint._plan(make_source("sinxy"), GridSpec(BOX, 5, 5), HALF, QuadratureSpec(panels=8), "separable")
+        fracint._plan(make_source("sinxy"), BOX, (5, 5), lambda: (grid.xs(), grid.ys()), HALF, QuadratureSpec(panels=8), "separable")
     assert info.value.parameter == "method"
 
 
