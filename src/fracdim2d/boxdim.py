@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -53,6 +53,7 @@ from .core import (
     ParameterError,
     ResolutionError,
     SampledSource,
+    _kind,
     _real,
     _Rows,
     _spread,
@@ -308,7 +309,7 @@ def _ladder(g: GridSamples | _Rows, deltas) -> tuple[list[BoxCount], list[float]
     """BoxCounts of the usable deltas in the caller's order, and the deltas dropped as unresolved."""
     levels: list[_Level] = []
     dropped: list[float] = []
-    for d in (float(_real(d, "deltas")) for d in deltas):
+    for d in (float(_real(d, "deltas")) for d in _kind(deltas, Iterable, "deltas")):
         try:
             levels.append(_level(g, d))
         except ResolutionError:

@@ -37,6 +37,7 @@ from .core import (
     ShiftedSource,
     _as_source,
     _kind,
+    _values,
     _within,
 )
 
@@ -86,9 +87,9 @@ class TConstruction:
         if not self.phi.covers(strip):
             raise ParameterError("phi must cover the left half-strip of rect", parameter="phi")
         yg = np.linspace(r.c, r.d, _SEAM_GRID)
-        left = np.asarray(self.phi.eval(np.full(yg.shape, r.a), yg), dtype=np.float64)
-        right = np.asarray(self.phi.eval(np.full(yg.shape, self.a1), yg), dtype=np.float64)
-        gap = float(np.max(np.abs(left - right))) if yg.size else 0.0
+        left = _values(self.phi.eval, "phi", np.full(yg.shape, r.a), yg)
+        right = _values(self.phi.eval, "phi", np.full(yg.shape, self.a1), yg)
+        gap = float(np.max(np.abs(left - right)))
         if not (gap <= _SEAM_TOL):
             raise ParameterError(
                 f"phi differs across the seam by {gap:.3e} (tolerance {_SEAM_TOL:g}); pieces cannot join",
@@ -109,7 +110,7 @@ def t_eval(tc: TConstruction, x, y):
     shape.  Every entry equals the one computed on broadcast inputs.
     Queries follow ``Box._clip`` of the rectangle, the one point-query rule.
     """
-    r = tc.rect
+    r = _kind(tc, TConstruction, "tc").rect
     xv, yv = r._clip(x, y, "query outside the construction rectangle")
     rem = (r.b - xv) / r.width  # in [0, 1]: x is in [a, b]
     tail = rem <= math.ldexp(1.0, -_DEPTH)
@@ -120,8 +121,8 @@ def t_eval(tc: TConstruction, x, y):
     psi = np.clip(r.a + np.ldexp(1.0, kk - 1) * (xv - lo), r.a, tc.a1)
     psi = np.where(tail, r.a, psi)
     kf = kk.astype(np.float64)
-    base = np.asarray(tc.phi.eval(np.full(yv.shape, r.a), yv), dtype=np.float64)
-    piece = np.asarray(tc.phi.eval(psi, yv), dtype=np.float64) / kf
+    base = _values(tc.phi.eval, "phi", np.full(yv.shape, r.a), yv)
+    piece = _values(tc.phi.eval, "phi", psi, yv) / kf
     out = piece + ((kf - 1.0) / kf) * base
     out += 0.0  # normalize -0.0
     return float(out) if out.shape == () else out
@@ -404,7 +405,7 @@ def catalog_names() -> tuple[str, ...]:
 
 def catalog_entry(name: str) -> CatalogEntry:
     try:
-        return CATALOG[name]
+        return CATALOG[_kind(name, str, "fn")]
     except KeyError:
         raise CatalogError(f"unknown catalog function {name!r}; available: {', '.join(CATALOG)}") from None
 

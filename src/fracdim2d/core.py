@@ -97,9 +97,9 @@ class CatalogError(KeyError):
 
 
 def _kind(value, cls: type, name: str):
-    """``value`` when it is a ``cls``: a Box, GridSpec, GridSamples, FracOrder, QuadratureSpec or spec string."""
+    """``value`` when it is a ``cls``: a Box, GridSpec, GridSamples, FracOrder, QuadratureSpec, string, callable or iterable."""
     if not isinstance(value, cls):
-        raise ParameterError(f"{name} must be a {cls.__name__}", parameter=name)
+        raise ParameterError(f"{name} must be {'an' if cls.__name__[0] in 'AEIOU' else 'a'} {cls.__name__}", parameter=name)
     return value
 
 
@@ -124,6 +124,27 @@ def _as_source(f, name: str = "f") -> FunctionSource:
     if callable(f):
         return CallableSource(f, name=getattr(f, "__name__", "callable"))
     raise ParameterError(f"{name} must be a FunctionSource or a callable", parameter=name)
+
+
+def _values(fn: Callable, name: str, *coords) -> np.ndarray:
+    """``fn(*coords)`` as float64 of the coordinates' broadcast shape: the one rule of what a source returns.
+
+    A bool, integer or float return of that shape is returned as itself once float64; one that
+    broadcasts to it is copied out at full shape, so every form gives the full-shape return's bits.
+    Any other return is a ParameterError naming ``name``.  Values are not read: a NaN or inf is left
+    to the NumericError of the route that consumes them.
+    """
+    shape = np.broadcast(*coords).shape
+    got = fn(*coords)
+    try:
+        v = np.asarray(got)
+        if v.dtype.kind in "biuf":
+            v = v.astype(np.float64, copy=False)
+            return v if v.shape == shape else np.broadcast_to(v, shape).copy()
+    except ValueError:  # a ragged sequence, or a shape that does not broadcast
+        pass
+    what = f"{got.dtype} array of shape {got.shape}" if isinstance(got, np.ndarray) else type(got).__name__
+    raise ParameterError(f"{name} must return real numbers that broadcast to the query's shape {shape}, got {what}", parameter=name)
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +361,14 @@ class FunctionSource:
     """A pure bivariate function on a declared closed box.
 
     ``eval(x, y)`` must accept scalars or broadcastable numpy arrays and be
-    point-wise pure (same floats in, same floats out, no state).  ``domain``
-    is the box where evaluation is defined; ``None`` means unrestricted.
+    point-wise pure (same floats in, same floats out, no state).  It returns
+    bool, integer or float numbers that broadcast to the query's shape, which
+    ``__call__`` and every route take as float64 of that shape (``_values``);
+    any other return is a ParameterError naming the source (``f``, or ``g``,
+    ``phi``).  A NaN or inf is not refused there: the operators and
+    ``sample`` refuse it with a NumericError, and ``__call__`` returns it.
+    ``domain`` is the box where evaluation is defined; ``None`` means
+    unrestricted.
     ``xy_split()`` optionally exposes an additive split f(x, y) = g(x) + h(y)
     used by the split shared mesh; sources without one return ``None``.
     A source with a split is defined by it: ``eval`` must be g(x) + h(y).
@@ -367,10 +394,8 @@ class FunctionSource:
         raise NotImplementedError
 
     def __call__(self, x, y):
-        out = np.asarray(self.eval(x, y), dtype=np.float64)
-        if out.shape == ():
-            return float(out)
-        return out
+        out = _values(self.eval, "f", x, y)
+        return float(out) if out.shape == () else out
 
     def xy_split(self) -> tuple[Callable, Callable] | None:
         return None
@@ -407,7 +432,7 @@ class CallableSource(FunctionSource):
             raise ParameterError("give exactly one of fn and split", parameter="fn")
         if split is not None:
             g, h = split
-            fn = lambda x, y: g(x) + h(y)
+            fn = lambda x, y: _values(g, "f", x) + _values(h, "f", y)
         self._fn = fn
         self.name = name
         self.domain = domain
@@ -470,8 +495,8 @@ class ShiftedSource(FunctionSource):
 
     def __init__(self, base: FunctionSource, dx: float, dy: float):
         self.base = base = _as_source(base, "base")
-        self.dx = float(dx)
-        self.dy = float(dy)
+        self.dx = float(_real(dx, "dx"))
+        self.dy = float(_real(dy, "dy"))
         self.name = f"{base.name}@shift({self.dx:g},{self.dy:g})"
         self.domain = None if base.domain is None else base.domain.shifted(self.dx, self.dy)
         self.smooth = base.smooth
@@ -654,7 +679,7 @@ def _row_reader(src: FunctionSource, spec: GridSpec) -> _Rows:
     ys = spec.ys()[None, :]
 
     def rows(r0: int, r1: int) -> np.ndarray:
-        vals = np.broadcast_to(np.asarray(src.eval(xs[r0:r1, None], ys), dtype=np.float64), (r1 - r0, spec.n))
+        vals = _values(src.eval, "f", xs[r0:r1, None], ys)
         if not np.all(np.isfinite(vals)):
             raise NumericError("grid samples must be finite")
         return vals
@@ -693,7 +718,7 @@ def stable_sum(terms: Iterable[float] | np.ndarray) -> float:
     depend on the order of the terms.  A non-finite term, or a sum beyond
     float64 range, raises ``NumericError``.
     """
-    vals = terms.reshape(-1).tolist() if isinstance(terms, np.ndarray) else [float(x) for x in terms]
+    vals = terms.reshape(-1).tolist() if isinstance(terms, np.ndarray) else [float(x) for x in _kind(terms, Iterable, "terms")]
     if not all(map(math.isfinite, vals)):
         raise NumericError("stable_sum term is not finite")
     try:
@@ -713,7 +738,7 @@ def write_samples_csv(gs: GridSamples, path: str) -> None:
     Each x and y coordinate is formatted once; a row template holding the
     y column is filled with each grid row's x and values in one ``%``.
     """
-    m, n = gs.spec.m, gs.spec.n
+    m, n = _kind(gs, GridSamples, "gs").spec.m, gs.spec.n
     xs = ["%.17g" % v for v in gs.spec.xs().tolist()]
     template = "".join("{x}," + ("%.17g" % v) + ",%.17g\n" for v in gs.spec.ys().tolist())
     mat = gs.matrix
@@ -776,8 +801,9 @@ def read_samples_csv(path: str) -> GridSamples:
 
 
 def write_samples_json(gs: GridSamples, path: str) -> None:
+    rect = _kind(gs, GridSamples, "gs").spec.rect
     doc = {
-        "rect": {"a": gs.spec.rect.a, "b": gs.spec.rect.b, "c": gs.spec.rect.c, "d": gs.spec.rect.d},
+        "rect": {"a": rect.a, "b": rect.b, "c": rect.c, "d": rect.d},
         "m": gs.spec.m,
         "n": gs.spec.n,
         "values": gs.values.tolist(),

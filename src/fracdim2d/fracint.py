@@ -83,6 +83,7 @@ from .core import (
     _kind,
     _real,
     _spread,
+    _values,
     _within,
     sample,
 )
@@ -261,7 +262,7 @@ def _tensor(src: FunctionSource, rect: Box, xs, ys, order: FracOrder, quad) -> n
             s = Sx[i][None, :, None]
             for j0 in range(0, n, chunk):
                 j1 = min(j0 + chunk, n)
-                F = np.broadcast_to(np.asarray(src.eval(s, Sy[j0:j1, None, :]), dtype=np.float64), (j1 - j0, P, P))
+                F = _values(src.eval, "f", s, Sy[j0:j1, None, :])
                 inner = np.einsum("jkl,jl->jk", np.ascontiguousarray(F), My[j0:j1], optimize=False)
                 out[i, j0:j1] = pref * np.einsum("k,jk->j", Mx[i], inner, optimize=False)
 
@@ -579,7 +580,7 @@ def _mesh_apply(fns, lo: float, his, order: float, weight: float, panels: int):
     kernel), the second in closed form.
     """
     mesh = _mesh(lo, his, weight, panels)
-    vals = [np.broadcast_to(np.asarray(f(mesh.s), dtype=np.float64), mesh.s.shape) for f in fns]
+    vals = [_values(f, "f", mesh.s) for f in fns]
     outs = _hat_apply(mesh, _hat_blocks(mesh, order), vals)
     with _no_overflow():
         return outs, (mesh.U - mesh.u[0]) ** order / order
@@ -603,7 +604,7 @@ def _mesh_2d(src: FunctionSource, mx: _Mesh, my: _Mesh, order: FracOrder) -> np.
     def run(starts: range) -> None:
         for a0 in starts:
             a1 = min(a0 + rows, nx)
-            F = np.broadcast_to(np.asarray(src.eval(mx.s[None, a0:a1], my.s[:, None]), dtype=np.float64), (ny, a1 - a0))
+            F = _values(src.eval, "f", mx.s[None, a0:a1], my.s[:, None])
             (Gt,) = _hat_apply(my, wy, [F])
             G[a0:a1] = Gt.T
 
@@ -732,9 +733,10 @@ def _run(plan: _Plan) -> np.ndarray:
 def katugampola_1d(g: Callable, a: float, x: float, alpha: float, p: float = 0.0, quad: QuadratureSpec | None = None) -> float:
     """One-axis operator: C int_a^x (x^(p+1)-s^(p+1))^(alpha-1) s^p g(s) ds.
 
-    p = -1 is the Hadamard kernel.  ``g`` must accept a numpy array.
-    Requires 0 < a <= x, x a real scalar; x == a gives 0.
+    p = -1 is the Hadamard kernel.  ``g`` must accept a numpy array and return real numbers that
+    broadcast to its shape, as a source does.  Requires 0 < a <= x, x a real scalar; x == a gives 0.
     """
+    _kind(g, Callable, "g")
     FracOrder(_real(alpha, "alpha"), 1.0, _real(p, "p"), 0.0)  # validate alpha > 0, p >= -1
     quad = _quad(quad)
     a = float(_real(a, "a"))
@@ -745,7 +747,7 @@ def katugampola_1d(g: Callable, a: float, x: float, alpha: float, p: float = 0.0
         raise DomainError(f"upper limit x={x} must lie in [a, inf)")
     _within("entries", quad.panels, "a one-axis rule")
     S, M = _axis_rules(a, x, alpha, quad.panels, quad.graded(alpha), _power_map(p, a))
-    G = np.broadcast_to(np.asarray(g(S), dtype=np.float64), S.shape)
+    G = _values(g, "g", S)
     return _clean(_unlog(log_normaliser(alpha)) * float(np.einsum("ik,ik->i", M, G, optimize=False)[0]))
 
 
@@ -860,7 +862,7 @@ def _rl_nodes(f, rect: Box, xs, ys, alpha: float, beta: float, quad: QuadratureS
             for j, y in enumerate(ys):
                 tm, my = yr[y]
                 prod = mx[:, None] * my[None, :]
-                prod *= np.asarray(src.eval(sm[:, None], tm[None, :]), dtype=np.float64)
+                prod *= _values(src.eval, "f", sm[:, None], tm[None, :])
                 out[i, j] = math.fsum(memoryview(prod.reshape(-1)))
         if max(alpha, beta) < 171.0:
             return _clean(out / (math.gamma(alpha) * math.gamma(beta)))

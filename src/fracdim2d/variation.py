@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -61,6 +62,7 @@ from .core import (
     NumericError,
     ParameterError,
     _integer,
+    _kind,
     _within,
     sample,
 )
@@ -348,7 +350,7 @@ def variation_trend(src: FunctionSource, rect: Box, levels) -> list[tuple[int, f
     returned (level, value) series diverges for functions of unbounded
     variation and saturates for functions of bounded variation.
     """
-    lv = [_integer(x, "levels") for x in levels]
+    lv = [_integer(x, "levels") for x in _kind(levels, Iterable, "levels")]
     if not lv or any(x < 2 for x in lv) or any(b <= a for a, b in zip(lv, lv[1:])):
         raise ParameterError("levels must be strictly increasing integers >= 2", parameter="levels")
     out = []

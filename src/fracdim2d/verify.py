@@ -30,6 +30,7 @@ from .core import (
     GridSpec,
     ParameterError,
     VerificationError,
+    _kind,
     _row_reader,
     sample,
 )
@@ -327,7 +328,7 @@ def run_suite(
     fn: str | None = None,
     g: str | None = None,
 ) -> SuiteReport:
-    if name not in SUITES:
+    if _kind(name, str, "suite") not in SUITES:
         raise ParameterError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}", parameter="suite")
     if scale not in ("quick", "full"):
         raise ParameterError("scale must be quick or full", parameter="scale")
